@@ -218,6 +218,36 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
                              obstacle_moduli=tuple(obstacle_moduli))
 
 
+def _snapped_slice_data(field, what):
+    """Central difference data of a 1-D field at snapped query points.
+
+    Returns ``lookup(t, x_batch) -> (t_k, x, w, q, xmat)``: the query
+    time snaps to the nearest slice and each state to the nearest
+    interior node.  Difference data is computed once per slice.
+    """
+    if field.kind not in ("lower", "upper"):
+        raise PreconditionError(f"{what} extraction needs a lower/upper field")
+    grid = field.grid
+    if grid.ndim != 1:
+        raise PreconditionError(f"{what} extraction is implemented for 1-D grids")
+    ax = grid.axes()[0]
+    lo, dx = ax[0], grid.dx()[0]
+    nt = len(field.times) - 1
+    dt = field.dt
+    cache = {}
+
+    def lookup(t, x_batch):
+        k = int(np.clip(round(t / dt), 0, nt))
+        key = min(k, nt - 1) if nt > 0 else 0
+        if key not in cache:
+            cache[key] = slice_derivatives(field, key)
+        nodes = np.clip(np.round((x_batch[:, 0] - lo) / dx).astype(int) - 1,
+                        0, len(ax) - 3)
+        return (float(field.times[k]),) + tuple(arr[nodes] for arr in cache[key])
+
+    return lookup
+
+
 def feedback_from_field(field, instance):
     """Feedback controls read off the field's Hamiltonian optimisers.
 
@@ -226,30 +256,10 @@ def feedback_from_field(field, instance):
     central difference data there and report the attained maximiser and
     minimiser indices.
     """
-    if field.kind not in ("lower", "upper"):
-        raise PreconditionError("feedback extraction needs a lower/upper field")
-    grid = field.grid
-    if grid.ndim != 1:
-        raise PreconditionError("feedback extraction is implemented for 1-D grids")
-    ax = grid.axes()[0]
-    lo, dx = ax[0], grid.dx()[0]
-    nt = len(field.times) - 1
-    dt = field.dt
-    cache = {}
-
-    def _slice_data(k):
-        if k not in cache:
-            x_int, wc, q, xmat = slice_derivatives(field, k)
-            cache[k] = (x_int, wc, q, xmat)
-        return cache[k]
+    lookup = _snapped_slice_data(field, "feedback")
 
     def _policy(t, x_batch):
-        k = int(np.clip(round(t / dt), 0, nt))
-        x_int, wc, q, xmat = _slice_data(min(k, nt - 1) if nt > 0 else 0)
-        nodes = np.clip(np.round((x_batch[:, 0] - lo) / dx).astype(int) - 1,
-                        0, len(ax) - 3)
-        _, iu, iv = hamiltonian_argopt(field.kind, instance, float(field.times[k]),
-                                       x_int[nodes], wc[nodes], q[nodes], xmat[nodes])
+        _, iu, iv = hamiltonian_argopt(field.kind, instance, *lookup(t, x_batch))
         return iu, iv
 
     u_ctrl = ControlPath.from_feedback(lambda t, x: _policy(t, x)[0])
@@ -265,27 +275,9 @@ def response_feedback(field, instance, u_index):
     knowledge advantage of the responding player against any fixed
     control of the other.
     """
-    if field.kind not in ("lower", "upper"):
-        raise PreconditionError("response extraction needs a lower/upper field")
-    grid = field.grid
-    if grid.ndim != 1:
-        raise PreconditionError("response extraction is implemented for 1-D grids")
-    ax = grid.axes()[0]
-    lo, dx = ax[0], grid.dx()[0]
-    nt = len(field.times) - 1
-    dt = field.dt
-    cache = {}
+    lookup = _snapped_slice_data(field, "response")
 
     def _respond(t, x_batch):
-        k = int(np.clip(round(t / dt), 0, nt))
-        key = min(k, nt - 1) if nt > 0 else 0
-        if key not in cache:
-            cache[key] = slice_derivatives(field, key)
-        x_int, wc, q, xmat = cache[key]
-        nodes = np.clip(np.round((x_batch[:, 0] - lo) / dx).astype(int) - 1,
-                        0, len(ax) - 3)
-        stack = _hamiltonian_stack(instance, float(field.times[k]),
-                                   x_int[nodes], wc[nodes], q[nodes], xmat[nodes])
-        return stack[u_index].argmin(axis=0)
+        return _hamiltonian_stack(instance, *lookup(t, x_batch))[u_index].argmin(axis=0)
 
     return ControlPath.from_feedback(_respond)

@@ -2,7 +2,7 @@
 
 Commands
 --------
-``isaacslab run <config.json> [--seed S] [--output DIR] [--threads K]``
+``isaacslab run <config.json> [--seed S] [--output DIR]``
     Run the configured experiment, write a config echo, a metrics file
     and optional field dumps / convergence tables into the output
     directory.
@@ -185,15 +185,12 @@ def _run_compare_wu(config, outdir):
 def _run_american_oracle(config, outdir):
     if config.instance_name != "american_put":
         raise ConfigError("american_oracle runs on the 'american_put' instance")
-    params = dict(config.instance_params)
-    rate = float(params.get("r", 0.05))
-    vol = float(params.get("sigma0", 0.2))
-    strike = float(params.get("K0", 100.0))
-    horizon = float(params.get("T", 1.0))
     instance = _instance_of(config)
-    probe_x = float(config.options.get("probe_x", strike))
+    params = instance.params
+    probe_x = float(config.options.get("probe_x", params["K0"]))
     steps = int(config.options.get("binomial_steps", 2000))
-    reference = crr_put(probe_x, strike, rate, vol, horizon, steps, american=True)
+    reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"],
+                        params["T"], steps, american=True)
 
     base = config.grid
     if base is None:
@@ -229,9 +226,7 @@ def _run_rbsde_oracle(config, outdir):
     metrics = {"y0": solution.value(), "paths": config.mc.paths,
                "steps": config.mc.steps}
     if config.instance_name == "lemma45":
-        params = dict(config.instance_params)
-        ref = degenerate_rbsde_value(float(params.get("C", 1.0)),
-                                     float(params.get("theta", 1.0)),
+        ref = degenerate_rbsde_value(instance.params["C"], instance.params["theta"],
                                      instance.T)
         metrics["reference"] = ref
         metrics["abs_error"] = abs(metrics["y0"] - ref)
@@ -341,8 +336,6 @@ def _cmd_run(args):
         raw.setdefault("mc", {})["seed"] = args.seed
     if args.output is not None:
         raw.setdefault("output", {})["directory"] = args.output
-    if args.threads is not None:
-        raw["threads"] = args.threads
     config = parse_config(raw)
     record = run(config)
     print(f"experiment: {record.experiment}")
@@ -362,7 +355,7 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
-    instance = builtin_instance(config.instance_name, config.instance_params)
+    instance = _instance_of(config)
     seed = config.mc.seed if config.mc is not None else 0
     report = validate_instance(instance, probe_count=128, seed=seed)
     if report.passed:
@@ -386,9 +379,6 @@ def main(argv=None):
                        help="override mc.seed from the config")
     p_run.add_argument("--output", default=None,
                        help="override output.directory from the config")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="bound worker parallelism (solvers are vectorised; "
-                            "recorded in the config echo)")
     sub.add_parser("list-instances", help="print built-in instance names")
     p_val = sub.add_parser("validate", help="validate a config and its instance")
     p_val.add_argument("config")

@@ -33,7 +33,6 @@ _SECTIONS = {
     "schedules": {"m", "delta", "nx"},
     "options": {"which", "t_fraction", "probe_x", "binomial_steps"},
     "output": {"directory", "formats"},
-    "threads": None,
 }
 
 
@@ -61,14 +60,12 @@ class ExperimentConfig:
     options: dict
     output_dir: str
     formats: tuple
-    threads: int
     canonical: dict = field(repr=False, default_factory=dict)
 
     def digest(self):
-        # output location and thread budget do not affect the computation,
-        # so they stay out of the digest
-        content = {k: v for k, v in self.canonical.items()
-                   if k not in ("output", "threads")}
+        # the output location does not affect the computation, so it stays
+        # out of the digest
+        content = {k: v for k, v in self.canonical.items() if k != "output"}
         blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -148,6 +145,9 @@ def parse_config(raw):
     m_schedule = [float(m) for m in sched_raw.get("m", _DEFAULT_M_SCHEDULE)]
     delta_fractions = [float(d) for d in sched_raw.get("delta", _DEFAULT_DELTA_FRACTIONS)]
     nx_schedule = [int(k) for k in sched_raw.get("nx", _DEFAULT_NX_SCHEDULE)]
+    for key, values in (("m", m_schedule), ("delta", delta_fractions),
+                        ("nx", nx_schedule)):
+        _expect(values, f"schedules.{key}", "must not be empty")
 
     options = dict(raw.get("options", {}))
     _check_keys(options, _SECTIONS["options"], "options")
@@ -160,9 +160,6 @@ def parse_config(raw):
     formats = tuple(out_raw.get("formats", ["json"]))
     for fmt in formats:
         _expect(fmt in ("csv", "json"), "output.formats", "entries must be csv or json")
-
-    threads = int(raw.get("threads", 1))
-    _expect(threads >= 1, "threads", "must be >= 1")
 
     canonical = {
         "experiment": experiment,
@@ -180,14 +177,13 @@ def parse_config(raw):
         "schedules": {"m": m_schedule, "delta": delta_fractions, "nx": nx_schedule},
         "options": dict(sorted({**{"which": which}, **options}.items())),
         "output": {"directory": output_dir, "formats": list(formats)},
-        "threads": threads,
     }
     return ExperimentConfig(
         experiment=experiment, instance_name=name, instance_params=dict(params),
         grid=grid, grid_nt_auto=grid_nt_auto, mc=mc, m_schedule=m_schedule,
         delta_fractions=delta_fractions, nx_schedule=nx_schedule,
         options={**{"which": which}, **options}, output_dir=output_dir,
-        formats=formats, threads=threads, canonical=canonical,
+        formats=formats, canonical=canonical,
     )
 
 

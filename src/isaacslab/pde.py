@@ -9,11 +9,12 @@ grids: the lower Hamiltonian maximises over the first player's grid the
 minimum over the second player's, the upper Hamiltonian swaps the order.
 
 The scheme is explicit and monotone under the recorded stability bound
-``dt <= dx^2 / (n * max sigma sigma^T + 1)``: second derivatives use the
-standard three-point stencil, first derivatives are central where the
-diffusion dominates the drift on the cell and upwind otherwise, and the
-mixed derivative (two dimensions only) uses the sign-split seven-point
-stencil.  Each step evolves the previous slice and then applies either
+``dt <= dx^2 / (n * max sigma sigma^T + 1)``.  Its stencil is built per
+axis, so one code path serves every dimension: on each axis the
+standard three-point second quotient and a first quotient that is
+central where the diffusion dominates the drift on the cell and upwind
+otherwise; on each pair of axes the sign-split seven-point mixed
+quotient.  Each step evolves the previous slice and then applies either
 the obstacle projection ``max(., h)`` or the semi-implicit penalty
 update, at every node.  Boundary nodes follow the grid policy: linear
 extrapolation from the two nearest interior nodes (default, consistent
@@ -23,6 +24,9 @@ with linear growth of the value) or freezing at the terminal data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -100,9 +104,7 @@ class SpaceTimeGrid:
         for (lo, hi), ax in zip(self.box, self.axes()):
             mid, half = 0.5 * (lo + hi), 0.5 * fraction * (hi - lo)
             masks.append(np.abs(ax - mid) <= half + 1e-12)
-        if self.ndim == 1:
-            return masks[0]
-        return masks[0][:, None] & masks[1][None, :]
+        return np.logical_and.reduce(np.meshgrid(*masks, indexing="ij"))
 
     def with_stable_nt(self, instance):
         """Copy of the grid with the smallest stable number of time steps."""
@@ -172,46 +174,57 @@ def cfl_ok(instance, grid):
     return instance.T / grid.nt <= cfl_dt_bound(instance, grid) * (1.0 + 1e-12)
 
 
-def _differences_1d(w, dx):
-    wc = w[1:-1]
-    wp = w[2:]
-    wm = w[:-2]
-    d2 = (wp - 2.0 * wc + wm) / (dx * dx)
-    central = (wp - wm) / (2.0 * dx)
-    fwd = (wp - wc) / dx
-    bwd = (wc - wm) / dx
-    return wc, d2, central, fwd, bwd
+_OFFSET_SLICES = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
 
 
-def _differences_2d(w, dx):
-    wc = w[1:-1, 1:-1]
-    out = {}
-    out["d2"] = (
-        (w[2:, 1:-1] - 2.0 * wc + w[:-2, 1:-1]) / (dx[0] * dx[0]),
-        (w[1:-1, 2:] - 2.0 * wc + w[1:-1, :-2]) / (dx[1] * dx[1]),
-    )
-    out["central"] = (
-        (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * dx[0]),
-        (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * dx[1]),
-    )
-    out["fwd"] = (
-        (w[2:, 1:-1] - wc) / dx[0],
-        (w[1:-1, 2:] - wc) / dx[1],
-    )
-    out["bwd"] = (
-        (wc - w[:-2, 1:-1]) / dx[0],
-        (wc - w[1:-1, :-2]) / dx[1],
-    )
-    denom = 2.0 * dx[0] * dx[1]
-    out["cross_plus"] = (
-        2.0 * wc + w[2:, 2:] + w[:-2, :-2]
-        - w[2:, 1:-1] - w[:-2, 1:-1] - w[1:-1, 2:] - w[1:-1, :-2]
-    ) / denom
-    out["cross_minus"] = (
-        w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:] + w[1:-1, :-2]
-        - 2.0 * wc - w[2:, :-2] - w[:-2, 2:]
-    ) / denom
-    return wc, out
+@lru_cache(maxsize=None)
+def _neighbours(ndim):
+    """Index tuples of the interior block and of its shifted copies.
+
+    Returns ``(centre, axes, pairs)``: ``axes[i]`` holds the blocks one
+    node up and one node down axis ``i``, and ``pairs[i, j]`` for
+    ``i < j`` the diagonal blocks shifted (+, +), (-, -), (+, -), (-, +).
+    """
+    def shifted(*moves):
+        offsets = dict(moves)
+        return tuple(_OFFSET_SLICES[offsets.get(k, 0)] for k in range(ndim))
+
+    axes = [(shifted((i, 1)), shifted((i, -1))) for i in range(ndim)]
+    pairs = {(i, j): (shifted((i, 1), (j, 1)), shifted((i, -1), (j, -1)),
+                      shifted((i, 1), (j, -1)), shifted((i, -1), (j, 1)))
+             for i, j in combinations(range(ndim), 2)}
+    return shifted(), axes, pairs
+
+
+def _differences(w, dx):
+    """Per-axis difference quotients of ``w`` at its interior nodes.
+
+    Returns ``(wc, d2, central, fwd, bwd, cross)``, flattened C-ordered:
+    the interior values, then per axis the three-point second quotient
+    and the central, forward and backward first quotients, and per axis
+    pair ``i < j`` the two sign-split seven-point mixed quotients
+    ``cross[i, j] = (plus, minus)``.  ``plus`` is monotone for a
+    nonnegative coefficient, ``minus`` for a negative one, and their mean
+    is the central mixed quotient.
+    """
+    centre, axes, pairs = _neighbours(w.ndim)
+    wc = w[centre]
+    d2, central, fwd, bwd = [], [], [], []
+    for h, (up, down) in zip(dx, axes):
+        wp, wm = w[up], w[down]
+        d2.append(((wp - 2.0 * wc + wm) / (h * h)).ravel())
+        central.append(((wp - wm) / (2.0 * h)).ravel())
+        fwd.append(((wp - wc) / h).ravel())
+        bwd.append(((wc - wm) / h).ravel())
+    cross = {}
+    for (i, j), (pp, mm, pm, mp) in pairs.items():
+        wip, wim = w[axes[i][0]], w[axes[i][1]]
+        wjp, wjm = w[axes[j][0]], w[axes[j][1]]
+        denom = 2.0 * dx[i] * dx[j]
+        plus = (2.0 * wc + w[pp] + w[mm] - wip - wim - wjp - wjm) / denom
+        minus = (wip + wim + wjp + wjm - 2.0 * wc - w[pm] - w[mp]) / denom
+        cross[i, j] = (plus.ravel(), minus.ravel())
+    return wc.ravel(), d2, central, fwd, bwd, cross
 
 
 def _minimax(which, pair_values):
@@ -221,78 +234,61 @@ def _minimax(which, pair_values):
     return pair_values.max(axis=0).min(axis=0)
 
 
-def _step_slice(which, instance, grid, t, dt, w, x_int):
-    """One explicit backward step; returns updated interior values, C-ordered."""
-    dx = grid.dx()
-    nu, nv = len(instance.u_grid), len(instance.v_grid)
-    if grid.ndim == 1:
-        wc, d2, central, fwd, bwd = _differences_1d(w, dx[0])
-        m = wc.size
-        pair_vals = np.empty((nu, nv, m))
-        for iu, up in enumerate(instance.u_grid.points):
-            for iv, vp in enumerate(instance.v_grid.points):
-                bv = eval_drift(instance, t, x_int, up, vp)[:, 0]
-                sv = eval_diffusion(instance, t, x_int, up, vp)
-                a = np.sum(sv[:, 0, :] ** 2, axis=1)
-                use_central = a >= np.abs(bv) * dx[0]
-                qdrift = np.where(use_central, central, np.where(bv >= 0.0, fwd, bwd))
-                z = central[:, None] * sv[:, 0, :]
-                fv = eval_cost_rate(instance, t, x_int, wc, z, up, vp)
-                pair_vals[iu, iv] = 0.5 * a * d2 + bv * qdrift + fv
-        return wc + dt * _minimax(which, pair_vals)
+def _generator_stack(instance, t, x, y, grad, terms):
+    """Generator values for every control pair, shape (nu, nv, m).
 
-    wc2, diffs = _differences_2d(w, dx)
-    wc = wc2.ravel()
-    m = wc.size
-    d2 = [arr.ravel() for arr in diffs["d2"]]
-    central = [arr.ravel() for arr in diffs["central"]]
-    fwd = [arr.ravel() for arr in diffs["fwd"]]
-    bwd = [arr.ravel() for arr in diffs["bwd"]]
-    cr_p = diffs["cross_plus"].ravel()
-    cr_m = diffs["cross_minus"].ravel()
-    pair_vals = np.empty((nu, nv, m))
+    The coefficients are evaluated once per pair; ``terms(a, b)`` with
+    ``a = sigma sigma^T`` of shape (m, n, n) and drift ``b`` of shape
+    (m, n) supplies the second-order plus drift part, and the cost rate
+    is added with ``z = q sigma``, where ``grad`` holds the columns of the
+    gradient ``q``, one (m,) array per axis.
+    """
+    vals = np.empty((len(instance.u_grid), len(instance.v_grid), x.shape[0]))
     for iu, up in enumerate(instance.u_grid.points):
         for iv, vp in enumerate(instance.v_grid.points):
-            bv = eval_drift(instance, t, x_int, up, vp)
-            sv = eval_diffusion(instance, t, x_int, up, vp)
+            bv = eval_drift(instance, t, x, up, vp)
+            sv = eval_diffusion(instance, t, x, up, vp)
             a = np.einsum("mik,mjk->mij", sv, sv)
-            second = np.zeros(m)
-            drift = np.zeros(m)
-            qc = np.stack(central, axis=1)
-            for i in range(2):
-                aii = a[:, i, i]
-                second += 0.5 * aii * d2[i]
-                use_central = aii >= np.abs(bv[:, i]) * dx[i]
-                qdrift = np.where(use_central, central[i],
-                                  np.where(bv[:, i] >= 0.0, fwd[i], bwd[i]))
-                drift += bv[:, i] * qdrift
-            a01 = a[:, 0, 1]
-            second += a01 * np.where(a01 >= 0.0, cr_p, cr_m)
-            z = np.einsum("mi,mid->md", qc, sv)
-            fv = eval_cost_rate(instance, t, x_int, wc, z, up, vp)
-            pair_vals[iu, iv] = second + drift + fv
-    return (wc + dt * _minimax(which, pair_vals)).reshape(wc2.shape)
+            z = grad[0][:, None] * sv[:, 0, :]
+            for i in range(1, len(grad)):
+                z = z + grad[i][:, None] * sv[:, i, :]
+            vals[iu, iv] = terms(a, bv) + eval_cost_rate(instance, t, x, y, z, up, vp)
+    return vals
+
+
+def _step_slice(which, instance, t, dt, w, x_int, dx):
+    """One explicit backward step; returns updated interior values, flattened."""
+    wc, d2, central, fwd, bwd, cross = _differences(w, dx)
+
+    def upwind_terms(a, b):
+        second, drift = [], []
+        for i, h in enumerate(dx):
+            aii, bi = a[:, i, i], b[:, i]
+            qdrift = np.where(aii >= np.abs(bi) * h, central[i],
+                              np.where(bi >= 0.0, fwd[i], bwd[i]))
+            second.append(0.5 * aii * d2[i])
+            drift.append(bi * qdrift)
+        for (i, j), (plus, minus) in cross.items():
+            aij = a[:, i, j]
+            second.append(aij * np.where(aij >= 0.0, plus, minus))
+        return reduce(add, second) + reduce(add, drift)
+
+    vals = _generator_stack(instance, t, x_int, wc, central, upwind_terms)
+    return wc + dt * _minimax(which, vals)
 
 
 def _fill_boundary(w, grid, terminal_slice):
-    if grid.boundary == "dirichlet_terminal_extension":
-        if grid.ndim == 1:
-            w[0] = terminal_slice[0]
-            w[-1] = terminal_slice[-1]
+    """Boundary faces, axis by axis: frozen at the terminal data or extrapolated."""
+    frozen = grid.boundary == "dirichlet_terminal_extension"
+    for axis in range(w.ndim):
+        face = w.swapaxes(0, axis)
+        if frozen:
+            data = terminal_slice.swapaxes(0, axis)
+            face[0] = data[0]
+            face[-1] = data[-1]
         else:
-            w[0, :] = terminal_slice[0, :]
-            w[-1, :] = terminal_slice[-1, :]
-            w[:, 0] = terminal_slice[:, 0]
-            w[:, -1] = terminal_slice[:, -1]
-        return
-    if grid.ndim == 1:
-        w[0] = 2.0 * w[1] - w[2]
-        w[-1] = 2.0 * w[-2] - w[-3]
-    else:
-        w[0, :] = 2.0 * w[1, :] - w[2, :]
-        w[-1, :] = 2.0 * w[-2, :] - w[-3, :]
-        w[:, 0] = 2.0 * w[:, 1] - w[:, 2]
-        w[:, -1] = 2.0 * w[:, -2] - w[:, -3]
+            face[0] = 2.0 * face[1] - face[2]
+            face[-1] = 2.0 * face[-2] - face[-3]
 
 
 def _solve_field(which, instance, grid, times, terminal_slice, penalty_m, cfl_checked):
@@ -300,25 +296,25 @@ def _solve_field(which, instance, grid, times, terminal_slice, penalty_m, cfl_ch
     nodes_all = grid.nodes()
     x_int = grid.interior_nodes()
     interior = grid.interior()
+    interior_shape = tuple(k - 2 for k in shape)
+    dx = grid.dx()
     steps = len(times) - 1
 
     slices = np.empty((steps + 1,) + shape)
-    w = np.array(terminal_slice, dtype=float)
-    slices[steps] = w
+    slices[steps] = terminal_slice
     for k in range(steps - 1, -1, -1):
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
-        w_new = np.empty(shape)
-        w_new[interior] = _step_slice(which, instance, grid, t, dt, w, x_int)
-        _fill_boundary(w_new, grid, terminal_slice)
+        w = slices[k]
+        w[interior] = _step_slice(which, instance, t, dt, slices[k + 1], x_int,
+                                  dx).reshape(interior_shape)
+        _fill_boundary(w, grid, terminal_slice)
         h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
         if penalty_m is None:
-            w_new = np.maximum(w_new, h_k)
+            np.maximum(w, h_k, out=w)
         else:
             c = penalty_m * dt
-            w_new = np.where(w_new < h_k, (w_new + c * h_k) / (1.0 + c), w_new)
-        slices[k] = w_new
-        w = w_new
+            w[...] = np.where(w < h_k, (w + c * h_k) / (1.0 + c), w)
 
     kind = which if penalty_m is None else "penalized"
     return ValueField(grid=grid, times=np.asarray(times, dtype=float).copy(),
@@ -370,21 +366,12 @@ def solve_penalized_pde(instance, grid, m, check_cfl=True):
 
 
 def _hamiltonian_stack(instance, t, x, y, q, xmat):
-    """Generator values for every control pair, shape (nu, nv, m)."""
-    m = x.shape[0]
-    nu, nv = len(instance.u_grid), len(instance.v_grid)
-    vals = np.empty((nu, nv, m))
-    for iu, up in enumerate(instance.u_grid.points):
-        for iv, vp in enumerate(instance.v_grid.points):
-            bv = eval_drift(instance, t, x, up, vp)
-            sv = eval_diffusion(instance, t, x, up, vp)
-            a = np.einsum("mik,mjk->mij", sv, sv)
-            trace_term = 0.5 * np.einsum("mij,mij->m", a, xmat)
-            drift_term = np.einsum("mi,mi->m", q, bv)
-            z = np.einsum("mi,mid->md", q, sv)
-            vals[iu, iv] = trace_term + drift_term + eval_cost_rate(
-                instance, t, x, y, z, up, vp)
-    return vals
+    """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m)."""
+
+    def central_terms(a, b):
+        return 0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
+
+    return _generator_stack(instance, t, x, y, q.T, central_terms)
 
 
 def hamiltonian_batch(which, instance, t, x, y, q, xmat):
@@ -450,25 +437,13 @@ def slice_derivatives(field, k):
     (m, n) and (m, n, n).
     """
     grid = field.grid
-    w = field.slices[k]
-    dx = grid.dx()
-    x_int = grid.interior_nodes()
-    if grid.ndim == 1:
-        wc, d2, central, _, _ = _differences_1d(w, dx[0])
-        q = central[:, None]
-        xmat = d2[:, None, None]
-        return x_int, wc, q, xmat
-    wc2, diffs = _differences_2d(w, dx)
-    wc = wc2.ravel()
-    q = np.stack([arr.ravel() for arr in diffs["central"]], axis=1)
-    cross = 0.5 * (diffs["cross_plus"] + diffs["cross_minus"]).ravel()
-    m = wc.size
-    xmat = np.empty((m, 2, 2))
-    xmat[:, 0, 0] = diffs["d2"][0].ravel()
-    xmat[:, 1, 1] = diffs["d2"][1].ravel()
-    xmat[:, 0, 1] = cross
-    xmat[:, 1, 0] = cross
-    return x_int, wc, q, xmat
+    wc, d2, central, _, _, cross = _differences(field.slices[k], grid.dx())
+    xmat = np.empty((wc.size, grid.ndim, grid.ndim))
+    for i, d2_i in enumerate(d2):
+        xmat[:, i, i] = d2_i
+    for (i, j), (plus, minus) in cross.items():
+        xmat[:, i, j] = xmat[:, j, i] = 0.5 * (plus + minus)
+    return grid.interior_nodes(), wc, np.stack(central, axis=1), xmat
 
 
 def complementarity_residual(field, instance, inner_only=False):

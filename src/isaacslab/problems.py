@@ -21,7 +21,7 @@ finite scans everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,6 +108,7 @@ class GameInstance:
     u_grid: ControlGrid
     v_grid: ControlGrid
     label: str = ""
+    params: dict = field(default_factory=dict, compare=False)  # resolved builder parameters
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -371,7 +372,8 @@ def _instance_american_put(params):
     )
     return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
                         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="american_put")
+                        label="american_put",
+                        params={"r": r, "sigma0": vol, "K0": strike, "T": horizon})
 
 
 def _instance_lemma45(params):
@@ -391,7 +393,8 @@ def _instance_lemma45(params):
     )
     return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
                         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="lemma45")
+                        label="lemma45",
+                        params={"C": c, "theta": theta, "rho": rho, "T": horizon})
 
 
 def _instance_minimax_gap(params):
@@ -413,7 +416,9 @@ def _instance_minimax_gap(params):
     )
     return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
                         u_grid=ControlGrid(u_points, "u"),
-                        v_grid=ControlGrid(v_points, "v"), label="minimax_gap")
+                        v_grid=ControlGrid(v_points, "v"), label="minimax_gap",
+                        params={"sigma0": vol, "T": horizon, "floor": floor,
+                                "u_points": u_points, "v_points": v_points})
 
 
 def _instance_no_obstacle_linear(params):
@@ -434,7 +439,8 @@ def _instance_no_obstacle_linear(params):
     )
     return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
                         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="no_obstacle_linear")
+                        label="no_obstacle_linear",
+                        params={"c0": c0, "c1": c1, "sigma0": vol, "T": horizon})
 
 
 def _instance_deterministic_stop(params):
@@ -451,7 +457,7 @@ def _instance_deterministic_stop(params):
     )
     return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
                         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="deterministic_stop")
+                        label="deterministic_stop", params={"T": horizon})
 
 
 _BUILDERS = {
@@ -468,9 +474,10 @@ def builtin_instance(name, params=None):
 
     ``params`` overrides the documented defaults (for example ``r``,
     ``sigma0``, ``K0`` for ``american_put`` or ``C``, ``theta``, ``rho``
-    for ``lemma45``).  Unknown names raise :class:`NotFoundError` listing
-    the valid ones; unknown parameters raise :class:`ConfigError`-style
-    ``ValueError``.
+    for ``lemma45``); the instance's ``params`` holds every parameter
+    with its default resolved.  Unknown names raise
+    :class:`NotFoundError` listing the valid ones; unknown parameters
+    raise :class:`ConfigError`-style ``ValueError``.
     """
     if name not in _BUILDERS:
         raise NotFoundError(

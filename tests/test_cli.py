@@ -205,6 +205,29 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "assumptions hold" in capsys.readouterr().out
 
 
+def test_validate_unknown_instance_param_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "val.json", {
+        "experiment": "solve",
+        "instance": {"name": "american_put", "params": {"nope": 1}},
+        "grid": {"box": [[20, 300]], "nx": [41]},
+    })
+    assert main(["validate", cfg]) == 2
+    assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["m", "delta", "nx"])
+def test_empty_schedule_exits_2_naming_the_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "empty.json", {
+        "experiment": "penalization",
+        "instance": {"name": "deterministic_stop"},
+        "grid": {"box": [[-1, 1]], "nx": [11], "nt": 100},
+        "schedules": {key: []},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["run", cfg]) == 2
+    assert f"schedules.{key}" in capsys.readouterr().err
+
+
 def test_emit_convergence_table_ratios():
     record = ResultRecord(
         experiment="penalization", timestamp="", config_digest="x",
@@ -243,11 +266,3 @@ def test_io_failure_exits_4(tmp_path):
         "output": {"directory": str(blocker / "run")},
     })
     assert main(["run", cfg]) == 4
-
-
-def test_threads_override_recorded_in_echo(tmp_path):
-    cfg = rbsde_oracle_config(tmp_path)
-    assert main(["run", cfg, "--threads", "4",
-                 "--output", str(tmp_path / "thr")]) == 0
-    echo = json.loads((tmp_path / "thr" / "config.json").read_text())
-    assert echo["threads"] == 4

@@ -213,11 +213,12 @@ def test_penalized_fields_monotone_in_weight_nodewise():
     assert (ref.slices - f10.slices).min() >= -1e-12
 
 
-def test_cross_derivative_step_exact_on_quadratic():
+@pytest.mark.parametrize("rho", [0.5, -0.5])
+def test_cross_derivative_step_exact_on_quadratic(rho):
     # correlated constant diffusion, quadratic data: one explicit step adds
-    # dt * tr(a X)/2 with X = [[2, 1], [1, 2]] exactly (stencils are exact
-    # on quadratics)
-    root = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
+    # dt * tr(a X)/2 with X = [[2, 1], [1, 2]] exactly (both sign-split
+    # mixed stencils, and the others, are exact on quadratics)
+    root = np.array([[1.0, 0.0], [rho, np.sqrt(1.0 - rho * rho)]])
     inst = make_instance(
         n=2, d=2, horizon=0.02,
         sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
@@ -231,6 +232,34 @@ def test_cross_derivative_step_exact_on_quadratic():
     interior = (slice(1, -1), slice(1, -1))
     expected = field.slices[1][interior] + 0.02 * rate
     np.testing.assert_allclose(field.slices[0][interior], expected, atol=1e-12)
+
+
+def test_upwind_step_exact_on_quadratic_in_two_dimensions():
+    # |b_i| dx_i > a_ii on both axes selects the forward quotient on axis 0
+    # (b_0 > 0) and the backward one on axis 1 (b_1 < 0); on quadratic data
+    # these equal the gradient shifted by +dx_0 and -dx_1 respectively
+    drift = np.array([3.0, -2.0])
+    root = 0.5 * np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
+    inst = make_instance(
+        n=2, d=2, horizon=0.02,
+        b=lambda t, x, u, v: np.broadcast_to(drift, x.shape).copy(),
+        sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
+        phi=lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1] + x[:, 1] ** 2,
+        growth=20.0)
+    grid = SpaceTimeGrid(box=((-1.0, 1.0), (-1.0, 1.0)), nx=(9, 9), nt=1)
+    assert cfl_ok(inst, grid)
+    a = root @ root.T
+    dx = np.array(grid.dx())
+    assert (np.abs(drift) * dx > np.diag(a)).all()
+    field = solve_obstacle_pde("lower", inst, grid)
+    x_int = grid.interior_nodes()
+    grad = np.stack([2.0 * x_int[:, 0] + x_int[:, 1],
+                     x_int[:, 0] + 2.0 * x_int[:, 1]], axis=1)
+    upwind = grad + np.sign(drift) * dx
+    rate = 0.5 * np.trace(a @ np.array([[2.0, 1.0], [1.0, 2.0]])) + upwind @ drift
+    interior = (slice(1, -1), slice(1, -1))
+    expected = field.slices[1][interior].ravel() + 0.02 * rate
+    np.testing.assert_allclose(field.slices[0][interior].ravel(), expected, atol=1e-12)
 
 
 def test_residual_trivial_cases():
