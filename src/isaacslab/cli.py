@@ -91,18 +91,21 @@ def _probe_initial(field, x_probe):
 
 
 def _dump_field(field, directory, name):
-    rows_t, rows_n = np.meshgrid(np.arange(len(field.times)),
-                                 np.arange(field.slices[0].size), indexing="ij")
-    nodes = field.grid.nodes()
+    """Write ``t_index,flat_node_index,x_0,...,value`` rows, one time slice per block.
+
+    Integers are written as such and floats with 17 significant digits,
+    so every value reads back exactly.
+    """
     n = field.grid.ndim
-    coords = nodes[rows_n.ravel()]
-    data = np.column_stack([rows_t.ravel(), rows_n.ravel(), coords,
-                            field.slices.reshape(len(field.times), -1).ravel()])
     header = ",".join(["t_index", "flat_node_index"]
                       + [f"x_{i}" for i in range(n)] + ["value"])
-    path = Path(directory) / name
-    fmt = ["%d", "%d"] + ["%.17g"] * (n + 1)
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="")
+    prefixes = ["".join([f"{j},"] + [f"{c:.17g}," for c in coords])
+                for j, coords in enumerate(field.grid.nodes().tolist())]
+    with open(Path(directory) / name, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for k, values in enumerate(field.slices.reshape(len(field.times), -1)):
+            out.write("".join([f"{k},{prefix}{v:.17g}\n"
+                               for prefix, v in zip(prefixes, values.tolist())]))
     return name
 
 

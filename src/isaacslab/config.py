@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -88,6 +89,22 @@ def _expect(cond, path, message):
         _fail(path, message)
 
 
+def _number(value, path, whole=False):
+    """A finite JSON number (a whole one if ``whole``); anything else fails naming ``path``."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # false for NaN, for infinities and for integers too large for a float
+    finite = numeric and abs(value) <= sys.float_info.max
+    _expect(finite, path, f"expected a finite number, got {value!r}")
+    _expect(not whole or float(value).is_integer(), path,
+            f"expected a whole number, got {value!r}")
+    return value
+
+
+def _numbers(values, path, whole=False):
+    _expect(isinstance(values, list), path, "expected a list of numbers")
+    return [_number(v, f"{path}[{i}]", whole) for i, v in enumerate(values)]
+
+
 def parse_config(raw):
     """Validate a raw configuration dictionary into an ExperimentConfig."""
     _check_keys(raw, set(_SECTIONS), "")
@@ -142,9 +159,12 @@ def parse_config(raw):
 
     sched_raw = raw.get("schedules", {})
     _check_keys(sched_raw, _SECTIONS["schedules"], "schedules")
-    m_schedule = [float(m) for m in sched_raw.get("m", _DEFAULT_M_SCHEDULE)]
-    delta_fractions = [float(d) for d in sched_raw.get("delta", _DEFAULT_DELTA_FRACTIONS)]
-    nx_schedule = [int(k) for k in sched_raw.get("nx", _DEFAULT_NX_SCHEDULE)]
+    m_schedule = [float(m) for m in _numbers(sched_raw.get("m", _DEFAULT_M_SCHEDULE),
+                                             "schedules.m")]
+    delta_fractions = [float(d) for d in _numbers(
+        sched_raw.get("delta", _DEFAULT_DELTA_FRACTIONS), "schedules.delta")]
+    nx_schedule = [int(k) for k in _numbers(sched_raw.get("nx", _DEFAULT_NX_SCHEDULE),
+                                            "schedules.nx", whole=True)]
     for key, values in (("m", m_schedule), ("delta", delta_fractions),
                         ("nx", nx_schedule)):
         _expect(values, f"schedules.{key}", "must not be empty")
@@ -153,6 +173,14 @@ def parse_config(raw):
     _check_keys(options, _SECTIONS["options"], "options")
     which = options.get("which", "lower")
     _expect(which in ("lower", "upper"), "options.which", "must be lower or upper")
+    probe = options.get("probe_x")
+    if isinstance(probe, list):
+        _numbers(probe, "options.probe_x")
+    elif probe is not None:
+        _number(probe, "options.probe_x")
+    for key, whole in (("t_fraction", False), ("binomial_steps", True)):
+        if key in options:
+            _number(options[key], f"options.{key}", whole)
 
     out_raw = raw.get("output", {})
     _check_keys(out_raw, _SECTIONS["output"], "output")

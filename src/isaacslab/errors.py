@@ -25,9 +25,10 @@ class EvaluationError(LabError):
 
 
 class DivergenceError(LabError):
-    """A simulated path left the admissible range.
+    """A simulated path or a grid value field left the admissible range.
 
-    ``path_index`` and ``step`` name the first offending path.
+    ``path_index`` and ``step`` name the first offending path; for a grid
+    sweep ``step`` is the time index of the first non-finite slice.
     """
 
     def __init__(self, message, path_index=None, step=None):

@@ -19,10 +19,14 @@ the obstacle projection ``max(., h)`` or the semi-implicit penalty
 update, at every node.  Boundary nodes follow the grid policy: linear
 extrapolation from the two nearest interior nodes (default, consistent
 with linear growth of the value) or freezing at the terminal data.
+A batch of fields, one per penalty weight, is stepped in one sweep that
+evaluates the coefficients once per step for the whole batch, and a
+slice that is not finite stops the sweep with a divergence error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -31,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CflError, PreconditionError
+from .errors import CflError, DivergenceError, PreconditionError
 from .problems import (
     eval_cost_rate,
     eval_diffusion,
@@ -184,10 +188,12 @@ def _neighbours(ndim):
     Returns ``(centre, axes, pairs)``: ``axes[i]`` holds the blocks one
     node up and one node down axis ``i``, and ``pairs[i, j]`` for
     ``i < j`` the diagonal blocks shifted (+, +), (-, -), (+, -), (-, +).
+    The tuples index the trailing ``ndim`` axes, so leading batch axes
+    pass through.
     """
     def shifted(*moves):
         offsets = dict(moves)
-        return tuple(_OFFSET_SLICES[offsets.get(k, 0)] for k in range(ndim))
+        return (Ellipsis,) + tuple(_OFFSET_SLICES[offsets.get(k, 0)] for k in range(ndim))
 
     axes = [(shifted((i, 1)), shifted((i, -1))) for i in range(ndim)]
     pairs = {(i, j): (shifted((i, 1), (j, 1)), shifted((i, -1), (j, -1)),
@@ -199,7 +205,9 @@ def _neighbours(ndim):
 def _differences(w, dx):
     """Per-axis difference quotients of ``w`` at its interior nodes.
 
-    Returns ``(wc, d2, central, fwd, bwd, cross)``, flattened C-ordered:
+    ``w`` has the spatial axes last, after any leading batch axes.
+    Returns ``(wc, d2, central, fwd, bwd, cross)``, flattened C-ordered,
+    so a batch of B fields gives arrays of B * m entries, field by field:
     the interior values, then per axis the three-point second quotient
     and the central, forward and backward first quotients, and per axis
     pair ``i < j`` the two sign-split seven-point mixed quotients
@@ -207,7 +215,7 @@ def _differences(w, dx):
     nonnegative coefficient, ``minus`` for a negative one, and their mean
     is the central mixed quotient.
     """
-    centre, axes, pairs = _neighbours(w.ndim)
+    centre, axes, pairs = _neighbours(len(dx))
     wc = w[centre]
     d2, central, fwd, bwd = [], [], [], []
     for h, (up, down) in zip(dx, axes):
@@ -228,31 +236,37 @@ def _differences(w, dx):
 
 
 def _minimax(which, pair_values):
-    """Reduce an (nu, nv, m) stack of generator values to (m,)."""
+    """Reduce an (nu, nv, rows) stack of generator values to (rows,)."""
     if which == "lower":
         return pair_values.min(axis=1).max(axis=0)
     return pair_values.max(axis=0).min(axis=0)
 
 
 def _generator_stack(instance, t, x, y, grad, terms):
-    """Generator values for every control pair, shape (nu, nv, m).
+    """Generator values for every control pair, shape (nu, nv, B * m).
 
-    The coefficients are evaluated once per pair; ``terms(a, b)`` with
-    ``a = sigma sigma^T`` of shape (m, n, n) and drift ``b`` of shape
-    (m, n) supplies the second-order plus drift part, and the cost rate
-    is added with ``z = q sigma``, where ``grad`` holds the columns of the
-    gradient ``q``, one (m,) array per axis.
+    ``y`` and each of ``grad`` hold B fields at the m nodes ``x``, field
+    by field.  Per pair, drift and diffusion are evaluated once on ``x``
+    and repeated for every field; ``terms(a, b)`` with
+    ``a = sigma sigma^T`` of shape (B * m, n, n) and drift ``b`` of shape
+    (B * m, n) supplies the second-order plus drift part, and the cost
+    rate is evaluated once on all B * m rows with ``z = q sigma``, where
+    ``grad`` holds the columns of the gradient ``q``, one per axis.
     """
-    vals = np.empty((len(instance.u_grid), len(instance.v_grid), x.shape[0]))
+    fields = y.size // x.shape[0]
+    x_rows = np.concatenate([x] * fields) if fields > 1 else x
+    vals = np.empty((len(instance.u_grid), len(instance.v_grid), y.size))
     for iu, up in enumerate(instance.u_grid.points):
         for iv, vp in enumerate(instance.v_grid.points):
             bv = eval_drift(instance, t, x, up, vp)
             sv = eval_diffusion(instance, t, x, up, vp)
             a = np.einsum("mik,mjk->mij", sv, sv)
+            if fields > 1:
+                a, bv, sv = (np.concatenate([arr] * fields) for arr in (a, bv, sv))
             z = grad[0][:, None] * sv[:, 0, :]
             for i in range(1, len(grad)):
                 z = z + grad[i][:, None] * sv[:, i, :]
-            vals[iu, iv] = terms(a, bv) + eval_cost_rate(instance, t, x, y, z, up, vp)
+            vals[iu, iv] = terms(a, bv) + eval_cost_rate(instance, t, x_rows, y, z, up, vp)
     return vals
 
 
@@ -277,13 +291,17 @@ def _step_slice(which, instance, t, dt, w, x_int, dx):
     return wc + dt * _minimax(which, vals)
 
 
-def _fill_boundary(w, grid, terminal_slice):
-    """Boundary faces, axis by axis: frozen at the terminal data or extrapolated."""
+def _fill_boundary(w, grid, terminal):
+    """Boundary faces of the spatial (trailing) axes, axis by axis.
+
+    Frozen at ``terminal`` (same shape as ``w``) or extrapolated linearly
+    from the two nearest interior nodes.
+    """
     frozen = grid.boundary == "dirichlet_terminal_extension"
-    for axis in range(w.ndim):
+    for axis in range(w.ndim - grid.ndim, w.ndim):
         face = w.swapaxes(0, axis)
         if frozen:
-            data = terminal_slice.swapaxes(0, axis)
+            data = terminal.swapaxes(0, axis)
             face[0] = data[0]
             face[-1] = data[-1]
         else:
@@ -291,31 +309,59 @@ def _fill_boundary(w, grid, terminal_slice):
             face[-1] = 2.0 * face[-2] - face[-3]
 
 
-def _solve_field(which, instance, grid, times, terminal_slice, penalty_m, cfl_checked):
+def _sweep(which, instance, grid, times, terminal, weights, store):
+    """Step ``terminal`` backwards over ``times``, one slice at a time.
+
+    ``terminal`` is one slice of shape ``grid.shape`` or a batch of B
+    slices, shape ``(B, *grid.shape)``.  ``weights`` is None for the
+    obstacle projection ``max(., h)``, or the penalty weight (one per
+    field) of the semi-implicit penalty update.  Every step evaluates
+    the obstacle once and each control pair's coefficients once for the
+    whole batch.  Slice ``k`` is written to ``store[k % len(store)]``: a
+    store with one slot per time keeps every slice, one with two slots
+    only the latest two.  Yields ``(k, slice)`` for ``k = nt, ..., 0``
+    and raises :class:`DivergenceError` on the first slice that is not
+    finite.
+    """
     shape = grid.shape
+    batch = terminal.shape[:terminal.ndim - grid.ndim]
     nodes_all = grid.nodes()
     x_int = grid.interior_nodes()
-    interior = grid.interior()
-    interior_shape = tuple(k - 2 for k in shape)
+    interior = (Ellipsis,) + grid.interior()
+    interior_shape = batch + tuple(k - 2 for k in shape)
     dx = grid.dx()
+    if weights is not None:
+        weights = np.reshape(weights, batch + (1,) * grid.ndim)
+    times = np.asarray(times, dtype=float).tolist()
+    slots = len(store)
     steps = len(times) - 1
-
-    slices = np.empty((steps + 1,) + shape)
-    slices[steps] = terminal_slice
+    store[steps % slots] = terminal
+    yield steps, store[steps % slots]
     for k in range(steps - 1, -1, -1):
-        t = float(times[k])
-        dt = float(times[k + 1] - times[k])
-        w = slices[k]
-        w[interior] = _step_slice(which, instance, t, dt, slices[k + 1], x_int,
+        t = times[k]
+        dt = times[k + 1] - t
+        w = store[k % slots]
+        w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_int,
                                   dx).reshape(interior_shape)
-        _fill_boundary(w, grid, terminal_slice)
+        _fill_boundary(w, grid, terminal)
         h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
-        if penalty_m is None:
+        if weights is None:
             np.maximum(w, h_k, out=w)
         else:
-            c = penalty_m * dt
+            c = weights * dt
             w[...] = np.where(w < h_k, (w + c * h_k) / (1.0 + c), w)
+        # a finite sum implies finite entries; the exact test runs only when it is not
+        if not math.isfinite(w.sum()) and not np.isfinite(w).all():
+            raise DivergenceError(
+                f"value field turned non-finite at time step {k} (t = {t:.6g}); "
+                f"the explicit scheme is unstable on this grid", step=k)
+        yield k, w
 
+
+def _solve_field(which, instance, grid, times, terminal_slice, penalty_m, cfl_checked):
+    slices = np.empty((len(times),) + grid.shape)
+    for _ in _sweep(which, instance, grid, times, terminal_slice, penalty_m, slices):
+        pass
     kind = which if penalty_m is None else "penalized"
     return ValueField(grid=grid, times=np.asarray(times, dtype=float).copy(),
                       slices=slices, kind=kind, penalty=penalty_m,
@@ -333,6 +379,14 @@ def _check_cfl(instance, grid):
         )
 
 
+def _times_and_terminal(instance, grid, check_cfl):
+    """The uniform time mesh and the terminal slice, after the stability check."""
+    if check_cfl:
+        _check_cfl(instance, grid)
+    times = (instance.T / grid.nt) * np.arange(grid.nt + 1)
+    return times, eval_terminal(instance, grid.nodes()).reshape(grid.shape)
+
+
 def solve_obstacle_pde(which, instance, grid, check_cfl=True):
     """Solve the obstacle equation for the lower or upper Hamiltonian.
 
@@ -343,10 +397,7 @@ def solve_obstacle_pde(which, instance, grid, check_cfl=True):
     """
     if which not in HAMILTONIANS:
         raise PreconditionError(f"which must be one of {HAMILTONIANS}")
-    if check_cfl:
-        _check_cfl(instance, grid)
-    times = (instance.T / grid.nt) * np.arange(grid.nt + 1)
-    terminal = eval_terminal(instance, grid.nodes()).reshape(grid.shape)
+    times, terminal = _times_and_terminal(instance, grid, check_cfl)
     return _solve_field(which, instance, grid, times, terminal, None, check_cfl)
 
 
@@ -358,11 +409,31 @@ def solve_penalized_pde(instance, grid, m, check_cfl=True):
     """
     if m < 0:
         raise PreconditionError("penalty weight must be nonnegative")
-    if check_cfl:
-        _check_cfl(instance, grid)
-    times = (instance.T / grid.nt) * np.arange(grid.nt + 1)
-    terminal = eval_terminal(instance, grid.nodes()).reshape(grid.shape)
+    times, terminal = _times_and_terminal(instance, grid, check_cfl)
     return _solve_field("lower", instance, grid, times, terminal, float(m), check_cfl)
+
+
+def sweep_penalized(instance, grid, m_schedule):
+    """Step the penalized equation for every weight of ``m_schedule`` at once.
+
+    One backward sweep serves the whole schedule: each step evaluates the
+    coefficients once and shares them across the weights.  The weights
+    and the stability bound are checked at the call, which returns an iterator over
+    ``(k, slices)`` for ``k = nt, ..., 0``: ``slices[i]`` is slice ``k``
+    of the field with weight ``m_schedule[i]`` and equals that slice of
+    :func:`solve_penalized_pde` bit for bit.  Only the latest two slices
+    are held, so read each one before resuming the iterator.  An empty
+    schedule yields nothing.
+    """
+    weights = [float(m) for m in m_schedule]
+    if any(m < 0 for m in weights):
+        raise PreconditionError("penalty weight must be nonnegative")
+    times, terminal = _times_and_terminal(instance, grid, True)
+    if not weights:
+        return iter(())
+    shape = (len(weights),) + grid.shape
+    return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape),
+                  weights, np.empty((2,) + shape))
 
 
 def _hamiltonian_stack(instance, t, x, y, q, xmat):

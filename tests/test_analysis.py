@@ -17,7 +17,7 @@ from isaacslab.analysis import (
     value_comparison,
 )
 from isaacslab.errors import FitError, PreconditionError
-from isaacslab.pde import SpaceTimeGrid, cfl_required_nt
+from isaacslab.pde import SpaceTimeGrid, cfl_required_nt, solve_penalized_pde
 from isaacslab.problems import builtin_instance
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh
@@ -138,6 +138,36 @@ def test_penalization_convergence_slack_obstacle_gaps_vanish():
     table = penalization_convergence(inst, grid, (1.0, 4.0, 16.0))
     assert table.monotone_ok
     assert max(table.sup_gaps) <= 1e-10
+
+
+def one_sweep_per_weight(instance, grid, m_schedule):
+    """Reference: every weight solved as its own stored field, gaps over whole arrays."""
+    reference = lower_value(instance, grid)
+    mask = grid.inner_mask()
+    gaps, worst, previous = [], 0.0, None
+    for m in m_schedule:
+        field = solve_penalized_pde(instance, grid, m)
+        if previous is not None:
+            worst = max(worst, float((previous.slices - field.slices).max()))
+        previous = field
+        gaps.append(float(np.abs(reference.slices[:, mask] - field.slices[:, mask]).max()))
+    return tuple(gaps), worst
+
+
+@pytest.mark.parametrize("name, box, nx", [
+    ("american_put", ((20.0, 300.0),), (57,)),
+    ("minimax_gap", ((-2.0, 2.0),), (31,)),
+    ("deterministic_stop", ((-1.0, 1.0),), (21,)),
+])
+@pytest.mark.parametrize("schedule", [(1.0, 4.0, 16.0, 64.0, 256.0), (3.0,)])
+def test_penalization_convergence_matches_one_sweep_per_weight(name, box, nx, schedule):
+    inst = builtin_instance(name)
+    grid = sized(inst, box, nx)
+    table = penalization_convergence(inst, grid, schedule)
+    gaps, worst = one_sweep_per_weight(inst, grid, schedule)
+    assert table.sup_gaps == gaps
+    assert table.max_monotone_violation == worst
+    assert table.monotone_ok == (worst <= 1e-12)
 
 
 def test_penalization_convergence_schedule_must_increase():

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from isaacslab.cli import ResultRecord, emit_convergence_table, main, run
+from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
 from isaacslab.oracles import degenerate_rbsde_value
+from isaacslab.pde import SpaceTimeGrid, ValueField
 
 
 def write_config(tmp_path, name, payload):
@@ -179,6 +181,29 @@ def test_run_solve_writes_field_dump_with_exact_columns(tmp_path):
     assert len(dump) - 1 == (metrics["nt"] + 1) * grid_nodes
 
 
+@pytest.mark.parametrize("box, nx", [(((-1.0, 2.5),), (7,)),
+                                     (((-1.0, 1.0), (0.1, 3.0)), (4, 5))])
+def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, box, nx):
+    # reference: the np.savetxt layout the dump has always had
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=3)
+    rng = np.random.default_rng(5)
+    slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
+    slices.flat[:4] = [0.0, -0.0, 1.0, 1e-300]
+    field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
+                       slices=slices, kind="lower")
+    _dump_field(field, tmp_path, "field.csv")
+    n = grid.ndim
+    t_index, node = np.meshgrid(np.arange(grid.nt + 1), np.arange(slices[0].size),
+                                indexing="ij")
+    data = np.column_stack([t_index.ravel(), node.ravel(), grid.nodes()[node.ravel()],
+                            slices.ravel()])
+    header = ",".join(["t_index", "flat_node_index"]
+                      + [f"x_{i}" for i in range(n)] + ["value"])
+    np.savetxt(tmp_path / "reference.csv", data, fmt=["%d", "%d"] + ["%.17g"] * (n + 1),
+               delimiter=",", header=header, comments="")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_seed_override_changes_digest(tmp_path):
     cfg = rbsde_oracle_config(tmp_path, outdir="runA")
     assert main(["run", cfg]) == 0
@@ -226,6 +251,26 @@ def test_empty_schedule_exits_2_naming_the_key(tmp_path, capsys, key):
     })
     assert main(["run", cfg]) == 2
     assert f"schedules.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("schedules", "m", ["x"]),
+    ("schedules", "m", [1, float("nan")]),
+    ("schedules", "delta", [0.1, float("inf")]),
+    ("schedules", "nx", [71.5]),
+    ("options", "probe_x", "abc"),
+    ("options", "probe_x", [100.0, None]),
+])
+def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, "bad.json", {
+        "experiment": "solve",
+        "instance": {"name": "american_put"},
+        "grid": {"box": [[20, 300]], "nx": [29]},
+        section: {key: value},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["run", cfg]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 def test_emit_convergence_table_ratios():

@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isaacslab.errors import CflError, PreconditionError
+from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
 from isaacslab.pde import (
+    BOUNDARY_POLICIES,
     SpaceTimeGrid,
+    _sweep,
+    _times_and_terminal,
     cfl_dt_bound,
     cfl_ok,
     cfl_required_nt,
@@ -16,6 +19,7 @@ from isaacslab.pde import (
     eval_hamiltonian,
     solve_obstacle_pde,
     solve_penalized_pde,
+    sweep_penalized,
 )
 from isaacslab.problems import builtin_instance, eval_obstacle
 
@@ -211,6 +215,64 @@ def test_penalized_fields_monotone_in_weight_nodewise():
     ref = solve_obstacle_pde("lower", inst, grid)
     assert (f10.slices - f1.slices).min() >= -1e-12
     assert (ref.slices - f10.slices).min() >= -1e-12
+
+
+def correlated_game():
+    # a_01 = 0.32 != 0, a drift that is upwinded near the edges of the box,
+    # 2 x 2 controls and a cost rate that reads y and both components of z
+    root = np.array([[0.8, 0.0], [0.4, 0.6]])
+    return make_instance(
+        n=2, d=2, horizon=0.5,
+        b=lambda t, x, u, v: np.stack([3.0 * u[0] * x[:, 0], -2.0 * x[:, 1]], axis=1),
+        sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
+        f=lambda t, x, y, z, u, v: (-0.1 * y + 0.2 * v[0] * z[:, 0]
+                                    - 0.05 * np.abs(z[:, 1]) + u[0] * v[0]),
+        phi=lambda x: np.maximum(1.0 - np.abs(x[:, 0]) - 0.5 * np.abs(x[:, 1]), 0.0),
+        h=lambda t, x: 0.5 * np.maximum(0.8 - np.abs(x[:, 0] + x[:, 1]), 0.0) - 0.1 * t,
+        u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5]], growth=20.0)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
+def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundary):
+    if case == "american_put":
+        inst = builtin_instance("american_put")
+        grid = sized(inst, ((20.0, 300.0),), (57,), boundary)
+    else:
+        inst = correlated_game()
+        grid = sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
+    schedule = [0.0, 1.0, 16.0, 256.0]
+    singles = [solve_penalized_pde(inst, grid, m).slices for m in schedule]
+    visited = []
+    for k, fields in sweep_penalized(inst, grid, schedule):
+        visited.append(k)
+        assert fields.shape == (len(schedule),) + grid.shape
+        for single, batched in zip(singles, fields):
+            assert np.array_equal(single[k], batched)
+    assert visited == list(range(grid.nt, -1, -1))
+
+
+def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
+    # 1000 steps where the stability bound asks for 3601: every step
+    # amplifies the highest grid mode, and the field overflows before t = 0
+    inst = builtin_instance("american_put")
+    grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=1000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            solve_obstacle_pde("lower", inst, grid, check_cfl=False)
+        step = err.value.step
+        assert 0 < step < grid.nt - 1
+        assert f"step {step}" in str(err.value)
+        # the batched sweep stops at the first slice that is not finite
+        times, terminal = _times_and_terminal(inst, grid, False)
+        batch = np.broadcast_to(terminal, (2,) + grid.shape)
+        visited = []
+        with pytest.raises(DivergenceError) as err:
+            for k, fields in _sweep("lower", inst, grid, times, batch, [1.0, 4.0],
+                                    np.empty((2,) + batch.shape)):
+                assert np.isfinite(fields).all()
+                visited.append(k)
+    assert err.value.step == visited[-1] - 1
 
 
 @pytest.mark.parametrize("rho", [0.5, -0.5])
