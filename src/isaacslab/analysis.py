@@ -116,8 +116,7 @@ def dpp_residual(field, instance, t_index, delta_steps):
     else:
         sub_times = field.times[t_index : t_index + delta_steps + 1]
         terminal = field.slices[t_index + delta_steps]
-        redo = _solve_field(field.kind, instance, grid, sub_times, terminal,
-                            None, field.cfl_checked)
+        redo = _solve_field(field.kind, instance, grid, sub_times, terminal, None)
         residuals = np.abs(redo.slices[0][mask] - base)
     delta = float(field.times[t_index + delta_steps] - field.times[t_index])
     return DppReport(t=float(field.times[t_index]), delta=delta,

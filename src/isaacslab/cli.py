@@ -9,7 +9,9 @@ Commands
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
-    Parse the config and probe the instance's standing assumptions.
+    Parse the config with every check ``run`` makes (both go through
+    ``config.parse_config``), then probe the instance's standing
+    assumptions.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical precondition
 (stability bound, divergence, contract violation), 4 I/O failure.
@@ -35,7 +37,7 @@ from .analysis import (
     upper_value,
     value_comparison,
 )
-from .config import load_config, parse_config
+from .config import load_config, parse_config, read_config
 from .errors import (
     CflError,
     ConfigError,
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .oracles import crr_put, degenerate_rbsde_value
 from .pde import cfl_required_nt, solve_obstacle_pde
-from .problems import BUILTIN_NAMES, builtin_instance, validate_instance
+from .problems import BUILTIN_NAMES, validate_instance
 from .rbsde import RegressionBasis, solve_reflected
 from .sde import ControlPath, TimeMesh, simulate_paths
 from .problems import eval_terminal
@@ -65,19 +67,10 @@ class ResultRecord:
     files: tuple
 
 
-def _instance_of(config):
-    try:
-        return builtin_instance(config.instance_name, config.instance_params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _sized_grid(config, instance, grid=None):
+def _sized_grid(config, grid=None):
     grid = grid if grid is not None else config.grid
-    if grid is None:
-        raise ConfigError(f"experiment '{config.experiment}' needs a grid section")
     if config.grid_nt_auto:
-        grid = dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
+        grid = dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
     return grid
 
 
@@ -110,10 +103,9 @@ def _dump_field(field, directory, name):
 
 
 def _run_solve(config, outdir):
-    instance = _instance_of(config)
-    grid = _sized_grid(config, instance)
+    grid = _sized_grid(config)
     which = config.options.get("which", "lower")
-    field = solve_obstacle_pde(which, instance, grid)
+    field = solve_obstacle_pde(which, config.instance, grid)
     probe = config.options.get("probe_x")
     if probe is None:
         probe = [0.5 * (lo + hi) for lo, hi in grid.box]
@@ -133,9 +125,8 @@ def _run_solve(config, outdir):
 
 
 def _run_penalization(config, outdir):
-    instance = _instance_of(config)
-    grid = _sized_grid(config, instance)
-    table = penalization_convergence(instance, grid, config.m_schedule)
+    grid = _sized_grid(config)
+    table = penalization_convergence(config.instance, grid, config.m_schedule)
     metrics = {
         "nt": grid.nt,
         "monotone_ok": table.monotone_ok,
@@ -148,8 +139,8 @@ def _run_penalization(config, outdir):
 
 
 def _run_dpp(config, outdir):
-    instance = _instance_of(config)
-    grid = _sized_grid(config, instance)
+    instance = config.instance
+    grid = _sized_grid(config)
     field = solve_obstacle_pde(config.options.get("which", "lower"), instance, grid)
     t_fraction = float(config.options.get("t_fraction", 0.5))
     t_index = int(round(t_fraction * grid.nt))
@@ -172,8 +163,8 @@ def _run_dpp(config, outdir):
 
 
 def _run_compare_wu(config, outdir):
-    instance = _instance_of(config)
-    grid = _sized_grid(config, instance)
+    instance = config.instance
+    grid = _sized_grid(config)
     low = lower_value(instance, grid)
     up = upper_value(instance, grid)
     violation, gap = value_comparison(low, up)
@@ -186,26 +177,21 @@ def _run_compare_wu(config, outdir):
 
 
 def _run_american_oracle(config, outdir):
-    if config.instance_name != "american_put":
-        raise ConfigError("american_oracle runs on the 'american_put' instance")
-    instance = _instance_of(config)
+    instance = config.instance
     params = instance.params
-    probe_x = float(config.options.get("probe_x", params["K0"]))
+    probe_x = config.options.get("probe_x")
+    probe_x = float(params["K0"] if probe_x is None else probe_x)
     steps = int(config.options.get("binomial_steps", 2000))
     reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"],
                         params["T"], steps, american=True)
 
-    base = config.grid
-    if base is None:
-        raise ConfigError("american_oracle needs a grid section (box)")
     errors, nxs = [], []
     value = None
     for nx in config.nx_schedule:
-        grid = dataclasses.replace(base, nx=(int(nx),))
-        grid = _sized_grid(config, instance, grid)
+        grid = _sized_grid(config, dataclasses.replace(config.grid, nx=(nx,)))
         field = solve_obstacle_pde("lower", instance, grid)
         value = _probe_initial(field, probe_x)
-        nxs.append(int(nx))
+        nxs.append(nx)
         errors.append(abs(value - reference) / abs(reference))
     metrics = {"binomial_value": reference, "binomial_steps": steps,
                "pde_value_final": value, "rel_error_final": errors[-1],
@@ -216,9 +202,7 @@ def _run_american_oracle(config, outdir):
 
 
 def _run_rbsde_oracle(config, outdir):
-    instance = _instance_of(config)
-    if config.mc is None:
-        raise ConfigError("rbsde_oracle needs an mc section")
+    instance = config.instance
     mesh = TimeMesh(0.0, instance.T, config.mc.steps)
     bundle = simulate_paths(instance, np.zeros(instance.n), mesh,
                             ControlPath.constant(0), ControlPath.constant(0),
@@ -324,21 +308,13 @@ def emit_convergence_table(record):
 
 
 def _cmd_run(args):
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        raw = json.loads(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error in {args.config} at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    if args.seed is not None:
-        raw.setdefault("mc", {})["seed"] = args.seed
-    if args.output is not None:
-        raw.setdefault("output", {})["directory"] = args.output
+    raw = read_config(args.config)
+    for section, key, value in (("mc", "seed", args.seed),
+                                ("output", "directory", args.output)):
+        part = raw.get(section)
+        # a section that is not an object is left for parse_config to reject
+        if value is not None and (part is None or isinstance(part, dict)):
+            raw[section] = {**(part or {}), key: value}
     config = parse_config(raw)
     record = run(config)
     print(f"experiment: {record.experiment}")
@@ -358,9 +334,8 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
-    instance = _instance_of(config)
     seed = config.mc.seed if config.mc is not None else 0
-    report = validate_instance(instance, probe_count=128, seed=seed)
+    report = validate_instance(config.instance, probe_count=128, seed=seed)
     if report.passed:
         print(f"instance {config.instance_name!r}: assumptions hold "
               f"(estimated Lipschitz {report.estimated_lipschitz})")

@@ -9,6 +9,7 @@ same metrics bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -18,6 +19,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .pde import BOUNDARY_POLICIES, SpaceTimeGrid
+from .problems import GameInstance, builtin_instance
 
 EXPERIMENTS = ("solve", "penalization", "dpp", "compare_wu", "american_oracle",
                "rbsde_oracle")
@@ -47,11 +49,12 @@ class McParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description, with its instance built."""
 
     experiment: str
     instance_name: str
     instance_params: dict
+    instance: GameInstance = field(repr=False, compare=False)
     grid: Optional[SpaceTimeGrid]
     grid_nt_auto: bool
     mc: Optional[McParams]
@@ -105,8 +108,21 @@ def _numbers(values, path, whole=False):
     return [_number(v, f"{path}[{i}]", whole) for i, v in enumerate(values)]
 
 
+def _number_tree(value, path):
+    """A finite number or a (nested) list of them, as instance parameters are."""
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _number_tree(v, f"{path}[{i}]")
+    else:
+        _number(value, path)
+
+
 def parse_config(raw):
-    """Validate a raw configuration dictionary into an ExperimentConfig."""
+    """Validate a raw configuration dictionary into an ExperimentConfig.
+
+    The one gate for ``run`` and ``validate``: it also requires the
+    section the experiment needs and builds the instance.
+    """
     _check_keys(raw, set(_SECTIONS), "")
     experiment = raw.get("experiment")
     _expect(experiment in EXPERIMENTS, "experiment",
@@ -117,8 +133,16 @@ def parse_config(raw):
     _check_keys(inst, _SECTIONS["instance"], "instance")
     name = inst.get("name")
     _expect(isinstance(name, str) and name, "instance.name", "required string")
+    _expect(experiment != "american_oracle" or name == "american_put", "instance.name",
+            "american_oracle runs on the 'american_put' instance")
     params = inst.get("params", {})
     _expect(isinstance(params, dict), "instance.params", "expected an object")
+    for key, value in params.items():
+        _number_tree(value, f"instance.params.{key}")
+
+    needed = "mc" if experiment == "rbsde_oracle" else "grid"
+    _expect(raw.get(needed) is not None, needed,
+            f"section is required for experiment '{experiment}'")
 
     grid = None
     grid_nt_auto = True
@@ -128,8 +152,14 @@ def parse_config(raw):
         box = grid_raw.get("box")
         nx = grid_raw.get("nx")
         _expect(isinstance(box, list) and box, "grid.box", "list of [lo, hi] required")
+        for i, bounds in enumerate(box):
+            _expect(len(_numbers(bounds, f"grid.box[{i}]")) == 2, f"grid.box[{i}]",
+                    "expected [lo, hi]")
         _expect(isinstance(nx, list) and nx, "grid.nx", "list of point counts required")
+        _numbers(nx, "grid.nx", whole=True)
         nt = grid_raw.get("nt")
+        if nt is not None:
+            _number(nt, "grid.nt", whole=True)
         grid_nt_auto = nt in (None, 0)
         boundary = grid_raw.get("boundary", BOUNDARY_POLICIES[0])
         _expect(boundary in BOUNDARY_POLICIES, "grid.boundary",
@@ -138,7 +168,7 @@ def parse_config(raw):
             grid = SpaceTimeGrid(box=tuple(tuple(b) for b in box), nx=tuple(nx),
                                  nt=1 if grid_nt_auto else int(nt),
                                  boundary=boundary)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             _fail("grid", str(exc))
 
     mc = None
@@ -146,16 +176,13 @@ def parse_config(raw):
     if mc_raw is not None:
         _check_keys(mc_raw, _SECTIONS["mc"], "mc")
         _expect("seed" in mc_raw, "mc.seed", "seed is required whenever mc is used")
-        try:
-            mc = McParams(paths=int(mc_raw.get("paths", 1)),
-                          steps=int(mc_raw.get("steps", 100)),
-                          seed=int(mc_raw["seed"]),
-                          basis_degree=int(mc_raw.get("basis_degree", 2)))
-        except (TypeError, ValueError) as exc:
-            _fail("mc", str(exc))
-        _expect(mc.paths >= 1, "mc.paths", "must be >= 1")
-        _expect(mc.steps >= 1, "mc.steps", "must be >= 1")
-        _expect(mc.basis_degree >= 0, "mc.basis_degree", "must be >= 0")
+        values = []
+        for key, default, least in (("paths", 1, 1), ("steps", 100, 1), ("seed", None, 0),
+                                    ("basis_degree", 2, 0)):
+            value = int(_number(mc_raw.get(key, default), f"mc.{key}", whole=True))
+            _expect(value >= least, f"mc.{key}", f"must be >= {least}")
+            values.append(value)
+        mc = McParams(*values)
 
     sched_raw = raw.get("schedules", {})
     _check_keys(sched_raw, _SECTIONS["schedules"], "schedules")
@@ -168,26 +195,51 @@ def parse_config(raw):
     for key, values in (("m", m_schedule), ("delta", delta_fractions),
                         ("nx", nx_schedule)):
         _expect(values, f"schedules.{key}", "must not be empty")
+    _expect(m_schedule[0] >= 0 and all(a < b for a, b in zip(m_schedule, m_schedule[1:])),
+            "schedules.m", "penalty weights must be >= 0 and strictly increasing")
 
-    options = dict(raw.get("options", {}))
+    options = raw.get("options", {})
     _check_keys(options, _SECTIONS["options"], "options")
+    options = dict(options)
     which = options.get("which", "lower")
     _expect(which in ("lower", "upper"), "options.which", "must be lower or upper")
     probe = options.get("probe_x")
-    if isinstance(probe, list):
-        _numbers(probe, "options.probe_x")
+    if isinstance(probe, list) and experiment != "american_oracle":
+        coords = _numbers(probe, "options.probe_x")
+        _expect(grid is None or len(coords) == grid.ndim, "options.probe_x",
+                "expected one coordinate per grid dimension")
     elif probe is not None:
         _number(probe, "options.probe_x")
-    for key, whole in (("t_fraction", False), ("binomial_steps", True)):
-        if key in options:
-            _number(options[key], f"options.{key}", whole)
+    if "t_fraction" in options:
+        _expect(0 <= _number(options["t_fraction"], "options.t_fraction") < 1,
+                "options.t_fraction", "must lie in [0, 1)")
+    if "binomial_steps" in options:
+        _expect(_number(options["binomial_steps"], "options.binomial_steps", whole=True)
+                >= 1, "options.binomial_steps", "must be >= 1")
 
     out_raw = raw.get("output", {})
     _check_keys(out_raw, _SECTIONS["output"], "output")
     output_dir = out_raw.get("directory", "runs")
-    formats = tuple(out_raw.get("formats", ["json"]))
-    for fmt in formats:
-        _expect(fmt in ("csv", "json"), "output.formats", "entries must be csv or json")
+    _expect(isinstance(output_dir, str) and output_dir, "output.directory",
+            "expected a non-empty string")
+    formats = out_raw.get("formats", ["json"])
+    _expect(isinstance(formats, list) and all(f in ("csv", "json") for f in formats),
+            "output.formats", "expected a list whose entries are csv or json")
+    formats = tuple(formats)
+
+    try:
+        instance = builtin_instance(name, params)
+    except (TypeError, ValueError) as exc:
+        _fail("instance.params", str(exc))
+    if grid is not None:
+        _expect(grid.ndim == instance.n, "grid.box", f"{grid.ndim} dimension(s), but "
+                f"instance '{name}' has state dimension {instance.n}")
+    if experiment == "american_oracle":
+        for i, k in enumerate(nx_schedule):
+            try:
+                dataclasses.replace(grid, nx=(k,))
+            except ValueError as exc:
+                _fail(f"schedules.nx[{i}]", str(exc))
 
     canonical = {
         "experiment": experiment,
@@ -208,6 +260,7 @@ def parse_config(raw):
     }
     return ExperimentConfig(
         experiment=experiment, instance_name=name, instance_params=dict(params),
+        instance=instance,
         grid=grid, grid_nt_auto=grid_nt_auto, mc=mc, m_schedule=m_schedule,
         delta_fractions=delta_fractions, nx_schedule=nx_schedule,
         options={**{"which": which}, **options}, output_dir=output_dir,
@@ -215,8 +268,8 @@ def parse_config(raw):
     )
 
 
-def load_config(path):
-    """Read and validate a JSON configuration file."""
+def read_config(path):
+    """The raw JSON object of a configuration file, not yet validated."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -228,4 +281,11 @@ def load_config(path):
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be an object")
+    return raw
+
+
+def load_config(path):
+    """Read and validate a JSON configuration file."""
+    return parse_config(read_config(path))

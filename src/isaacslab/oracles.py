@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
+
 
 def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
     """Cox-Ross-Rubinstein binomial put price.
@@ -29,7 +31,7 @@ def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
     disc = np.exp(-rate * dt)
     p = (np.exp(rate * dt) - down) / (up - down)
     if not (0.0 < p < 1.0):
-        raise ValueError("tree parameters give a degenerate risk-neutral weight")
+        raise PreconditionError("tree parameters give a degenerate risk-neutral weight")
 
     j = np.arange(steps + 1)
     prices = s0 * up ** j * down ** (steps - j)
@@ -49,6 +51,9 @@ def degenerate_rbsde_value(c, theta, delta):
     With frozen dynamics, driver ``c (|y| + |z|) - theta / 2``, zero
     terminal value and an obstacle low enough never to bind, the solution
     over an interval of length ``delta`` starts at
-    ``-(theta / (2 c)) (1 - exp(-c delta))``.
+    ``-(theta / (2 c)) (1 - exp(-c delta))``; at ``c = 0`` it is the
+    limit ``-theta delta / 2``.
     """
+    if c == 0:
+        return -0.5 * theta * delta
     return -(theta / (2.0 * c)) * (1.0 - np.exp(-c * delta))

@@ -126,7 +126,6 @@ class ValueField:
     slices: np.ndarray      # (nt+1, *grid.shape)
     kind: str               # "lower", "upper" or "penalized"
     penalty: Optional[float] = None
-    cfl_checked: bool = True
 
     @property
     def horizon(self):
@@ -358,14 +357,13 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         yield k, w
 
 
-def _solve_field(which, instance, grid, times, terminal_slice, penalty_m, cfl_checked):
+def _solve_field(which, instance, grid, times, terminal_slice, penalty_m):
     slices = np.empty((len(times),) + grid.shape)
     for _ in _sweep(which, instance, grid, times, terminal_slice, penalty_m, slices):
         pass
     kind = which if penalty_m is None else "penalized"
     return ValueField(grid=grid, times=np.asarray(times, dtype=float).copy(),
-                      slices=slices, kind=kind, penalty=penalty_m,
-                      cfl_checked=cfl_checked)
+                      slices=slices, kind=kind, penalty=penalty_m)
 
 
 def _check_cfl(instance, grid):
@@ -379,7 +377,7 @@ def _check_cfl(instance, grid):
         )
 
 
-def _times_and_terminal(instance, grid, check_cfl):
+def _times_and_terminal(instance, grid, check_cfl=True):
     """The uniform time mesh and the terminal slice, after the stability check."""
     if check_cfl:
         _check_cfl(instance, grid)
@@ -398,10 +396,10 @@ def solve_obstacle_pde(which, instance, grid, check_cfl=True):
     if which not in HAMILTONIANS:
         raise PreconditionError(f"which must be one of {HAMILTONIANS}")
     times, terminal = _times_and_terminal(instance, grid, check_cfl)
-    return _solve_field(which, instance, grid, times, terminal, None, check_cfl)
+    return _solve_field(which, instance, grid, times, terminal, None)
 
 
-def solve_penalized_pde(instance, grid, m, check_cfl=True):
+def solve_penalized_pde(instance, grid, m):
     """Solve the penalized equation with weight ``m`` (lower Hamiltonian).
 
     The reflection constraint is replaced by the penalty driver term,
@@ -409,8 +407,8 @@ def solve_penalized_pde(instance, grid, m, check_cfl=True):
     """
     if m < 0:
         raise PreconditionError("penalty weight must be nonnegative")
-    times, terminal = _times_and_terminal(instance, grid, check_cfl)
-    return _solve_field("lower", instance, grid, times, terminal, float(m), check_cfl)
+    times, terminal = _times_and_terminal(instance, grid)
+    return _solve_field("lower", instance, grid, times, terminal, float(m))
 
 
 def sweep_penalized(instance, grid, m_schedule):
@@ -428,7 +426,7 @@ def sweep_penalized(instance, grid, m_schedule):
     weights = [float(m) for m in m_schedule]
     if any(m < 0 for m in weights):
         raise PreconditionError("penalty weight must be nonnegative")
-    times, terminal = _times_and_terminal(instance, grid, True)
+    times, terminal = _times_and_terminal(instance, grid)
     if not weights:
         return iter(())
     shape = (len(weights),) + grid.shape

@@ -253,24 +253,90 @@ def test_empty_schedule_exits_2_naming_the_key(tmp_path, capsys, key):
     assert f"schedules.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("schedules", "m", ["x"]),
-    ("schedules", "m", [1, float("nan")]),
-    ("schedules", "delta", [0.1, float("inf")]),
-    ("schedules", "nx", [71.5]),
-    ("options", "probe_x", "abc"),
-    ("options", "probe_x", [100.0, None]),
+_SOLVE = {"experiment": "solve", "instance": {"name": "american_put"},
+          "grid": {"box": [[20, 300]], "nx": [29]}}
+_MINIMAX = {"experiment": "solve", "instance": {"name": "minimax_gap"},
+            "grid": {"box": [[-2, 2]], "nx": [21]}}
+_RBSDE = {"experiment": "rbsde_oracle", "instance": {"name": "lemma45"},
+          "mc": {"paths": 1, "steps": 10, "seed": 7}}
+_ORACLE = {"experiment": "american_oracle", "instance": {"name": "american_put"},
+           "grid": {"box": [[20, 300]], "nx": [29]}, "schedules": {"nx": [29]},
+           "options": {"binomial_steps": 50}}
+NAN, INF = float("nan"), float("inf")
+
+
+def _with(base, section, key, value):
+    """``base`` with ``section.key`` set to ``value``; ``key=None`` replaces the section."""
+    raw = json.loads(json.dumps(base))
+    raw[section] = value if key is None else {**raw.get(section, {}), key: value}
+    return raw
+
+
+@pytest.mark.parametrize("base, section, key, value, flags", [
+    pytest.param(_SOLVE, "schedules", "m", ["x"], [], id="schedules-m-value0"),
+    pytest.param(_SOLVE, "schedules", "m", [1, NAN], [], id="schedules-m-value1"),
+    pytest.param(_SOLVE, "schedules", "delta", [0.1, INF], [], id="schedules-delta-value2"),
+    pytest.param(_SOLVE, "schedules", "nx", [71.5], [], id="schedules-nx-value3"),
+    pytest.param(_SOLVE, "options", "probe_x", "abc", [], id="options-probe_x-abc"),
+    pytest.param(_SOLVE, "options", "probe_x", [100.0, None], [], id="options-probe_x-value5"),
+    pytest.param(_SOLVE, "instance", "params", {"sigma0": NAN}, [], id="params-sigma0-nan"),
+    pytest.param(_MINIMAX, "instance", "params", {"u_points": "abc"}, [],
+                 id="params-u_points-abc"),
+    pytest.param(_RBSDE, "mc", "seed", -1, [], id="mc-seed-negative"),
+    pytest.param(_RBSDE, "output", "directory", 5, [], id="output-directory-number"),
+    pytest.param(_ORACLE, "options", "binomial_steps", -3, [], id="binomial_steps-negative"),
+    pytest.param(_ORACLE, "schedules", "nx", [2], [], id="schedules-nx-two-points"),
+    pytest.param(_RBSDE, "mc", None, [1], ["--seed", "3"], id="seed-flag-on-mc-list"),
+    pytest.param(_RBSDE, "output", None, "x", ["--output", "elsewhere"],
+                 id="output-flag-on-output-string"),
+    pytest.param(_SOLVE, "grid", "box", [[20, NAN]], [], id="grid-box-nan"),
+    pytest.param(_SOLVE, "grid", "box", [[20, INF]], [], id="grid-box-inf"),
+    pytest.param(_SOLVE, "grid", "nt", 1.5, [], id="grid-nt-fraction"),
+    pytest.param(_SOLVE, "grid", "nt", True, [], id="grid-nt-true"),
+    pytest.param(_SOLVE, "grid", "nx", [29.7], [], id="grid-nx-fraction"),
+    pytest.param(_RBSDE, "mc", "paths", 1.7, [], id="mc-paths-fraction"),
+    pytest.param(_RBSDE, "mc", "seed", 1.5, [], id="mc-seed-fraction"),
+    pytest.param(_SOLVE, "grid", None, {"box": [[20, 300], [0, 1]], "nx": [29, 5]}, [],
+                 id="grid-2d-on-1d-instance"),
+    pytest.param(_SOLVE, "options", "probe_x", [100, 200], [], id="probe_x-two-coords-on-1d"),
+    pytest.param(_SOLVE, "options", "t_fraction", -1, [], id="t_fraction-negative"),
+    pytest.param(_SOLVE, "schedules", "m", [4, 1], [], id="schedules-m-decreasing"),
+    pytest.param(_SOLVE, "output", "formats", 5, [], id="output-formats-number"),
 ])
-def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
-    cfg = write_config(tmp_path, "bad.json", {
-        "experiment": "solve",
-        "instance": {"name": "american_put"},
-        "grid": {"box": [[20, 300]], "nx": [29]},
-        section: {key: value},
-        "output": {"directory": str(tmp_path / "out")},
-    })
+def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section, key,
+                                                  value, flags):
+    raw = _with(base, "output", "directory", str(tmp_path / "out"))
+    cfg = write_config(tmp_path, "bad.json", _with(raw, section, key, value))
+    assert main(["run", cfg] + flags) == 2
+    named = section if key is None else f"{section}.{key}"
+    assert f"'{named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param({k: v for k, v in _SOLVE.items() if k != "grid"}, id="solve-without-grid"),
+    pytest.param({k: v for k, v in _RBSDE.items() if k != "mc"}, id="rbsde-without-mc"),
+    pytest.param(_with(_ORACLE, "instance", "name", "lemma45"), id="oracle-on-lemma45"),
+])
+def test_validate_and_run_reject_alike(tmp_path, capsys, raw):
+    cfg = write_config(tmp_path, "cfg.json",
+                       _with(raw, "output", "directory", str(tmp_path / "out")))
+    assert main(["validate", cfg]) == 2
+    rejected = capsys.readouterr().err
     assert main(["run", cfg]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert capsys.readouterr().err == rejected
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, code", [
+    pytest.param(_with(_ORACLE, "options", "probe_x", None), 0, id="oracle-probe_x-null"),
+    pytest.param(_with(_ORACLE, "instance", "params", {"sigma0": 0}), 3,
+                 id="oracle-degenerate-tree"),
+    pytest.param(_with(_RBSDE, "instance", "params", {"C": 0}), 0, id="lemma45-zero-c"),
+])
+def test_edge_parameters_end_in_documented_code(tmp_path, raw, code):
+    cfg = write_config(tmp_path, "edge.json",
+                       _with(raw, "output", "directory", str(tmp_path / "out")))
+    assert main(["run", cfg]) == code
 
 
 def test_emit_convergence_table_ratios():

@@ -67,6 +67,15 @@ def test_degenerate_benchmark_closed_form():
     np.testing.assert_array_equal(sol.K, 0.0)
 
 
+def test_degenerate_benchmark_closed_form_at_zero_feedback():
+    # C = 0 leaves the constant cost rate -theta / 2: the closed form's limit
+    inst = builtin_instance("lemma45", {"C": 0.0, "theta": 1.0})
+    bundle = _bundle(inst, 0.0, 0.0, 1.0, 100)
+    sol = solve_reflected(inst, bundle, np.zeros(1), BASIS)
+    assert degenerate_rbsde_value(0.0, 1.0, 1.0) == -0.5
+    assert sol.value() == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_penalized_zero_weight_is_unreflected():
     inst = builtin_instance("no_obstacle_linear", {"c0": 1.0, "c1": 0.0})
     bundle = _bundle(inst, 0.0, 0.0, 1.0, 40, paths=256, seed=3)
