@@ -17,8 +17,8 @@ from .errors import FitError, PreconditionError
 from .pde import (
     _hamiltonian_stack,
     _solve_field,
+    eval_hamiltonian,
     hamiltonian_argopt,
-    hamiltonian_batch,
     slice_derivatives,
     solve_obstacle_pde,
     # not called here: perfbench/spans.py wraps analysis.solve_penalized_pde
@@ -81,13 +81,9 @@ def isaacs_gap(instance, sample_points):
     """
     worst = 0.0
     for t, x, y, q, xmat in sample_points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        q = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
-        xmat = np.atleast_2d(np.asarray(xmat, dtype=float))[None, :, :]
-        yb = np.atleast_1d(float(y))
-        low = hamiltonian_batch("lower", instance, t, x, yb, q, xmat)[0]
-        up = hamiltonian_batch("upper", instance, t, x, yb, q, xmat)[0]
-        worst = max(worst, float(up - low))
+        low = eval_hamiltonian("lower", instance, t, x, y, q, xmat)[0]
+        up = eval_hamiltonian("upper", instance, t, x, y, q, xmat)[0]
+        worst = max(worst, up - low)
     return worst
 
 

@@ -9,9 +9,9 @@ Commands
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
-    Parse the config with every check ``run`` makes (both go through
-    ``config.parse_config``), then probe the instance's standing
-    assumptions.
+    Make every check ``run`` makes before it solves (``config.parse_config``
+    and the stability bound of an explicit ``grid.nt``), then probe the
+    instance's standing assumptions.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical precondition
 (stability bound, divergence, contract violation), 4 I/O failure.
@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import pde
 from .analysis import (
     dpp_residual,
     lower_value,
@@ -72,6 +73,26 @@ def _sized_grid(config, grid=None):
     if config.grid_nt_auto:
         grid = dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
     return grid
+
+
+def _solved_grids(config):
+    """The grids ``run`` solves on, before sizing.
+
+    One per ``schedules.nx`` entry for ``american_oracle``, none for
+    ``rbsde_oracle`` and ``config.grid`` for the other experiments.
+    """
+    if config.experiment == "rbsde_oracle":
+        return []
+    if config.experiment == "american_oracle":
+        return [dataclasses.replace(config.grid, nx=(nx,)) for nx in config.nx_schedule]
+    return [config.grid]
+
+
+def _check_stability(config):
+    """Refuse an explicit ``grid.nt`` below the stability bound of a grid ``run`` solves."""
+    if not config.grid_nt_auto:
+        for grid in _solved_grids(config):
+            pde._check_cfl(config.instance, grid)
 
 
 def _probe_initial(field, x_probe):
@@ -187,11 +208,11 @@ def _run_american_oracle(config, outdir):
 
     errors, nxs = [], []
     value = None
-    for nx in config.nx_schedule:
-        grid = _sized_grid(config, dataclasses.replace(config.grid, nx=(nx,)))
+    for base in _solved_grids(config):
+        grid = _sized_grid(config, base)
         field = solve_obstacle_pde("lower", instance, grid)
         value = _probe_initial(field, probe_x)
-        nxs.append(nx)
+        nxs.append(grid.nx[0])
         errors.append(abs(value - reference) / abs(reference))
     metrics = {"binomial_value": reference, "binomial_steps": steps,
                "pde_value_final": value, "rel_error_final": errors[-1],
@@ -237,7 +258,10 @@ def run(config):
     echo), ``metrics.json`` (digest, metrics and schedule; no volatile
     fields, so reruns are byte-identical), ``run_info.json`` (timestamp)
     and any field dumps or convergence tables, and returns the record.
+    An explicit ``grid.nt`` below the stability bound is refused before
+    anything is written.
     """
+    _check_stability(config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     metrics, schedule, files = _RUNNERS[config.experiment](config, outdir)
@@ -334,6 +358,7 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
+    _check_stability(config)
     seed = config.mc.seed if config.mc is not None else 0
     report = validate_instance(config.instance, probe_count=128, seed=seed)
     if report.passed:

@@ -29,7 +29,8 @@ def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
     up = np.exp(vol * np.sqrt(dt))
     down = 1.0 / up
     disc = np.exp(-rate * dt)
-    p = (np.exp(rate * dt) - down) / (up - down)
+    # a flat tree (vol = 0) has no risk-neutral weight: refuse it before dividing by 0
+    p = (np.exp(rate * dt) - down) / (up - down) if up != down else 0.0
     if not (0.0 < p < 1.0):
         raise PreconditionError("tree parameters give a degenerate risk-neutral weight")
 

@@ -377,15 +377,14 @@ def _check_cfl(instance, grid):
         )
 
 
-def _times_and_terminal(instance, grid, check_cfl=True):
+def _times_and_terminal(instance, grid):
     """The uniform time mesh and the terminal slice, after the stability check."""
-    if check_cfl:
-        _check_cfl(instance, grid)
+    _check_cfl(instance, grid)
     times = (instance.T / grid.nt) * np.arange(grid.nt + 1)
     return times, eval_terminal(instance, grid.nodes()).reshape(grid.shape)
 
 
-def solve_obstacle_pde(which, instance, grid, check_cfl=True):
+def solve_obstacle_pde(which, instance, grid):
     """Solve the obstacle equation for the lower or upper Hamiltonian.
 
     Steps the terminal payoff backwards with the explicit monotone
@@ -395,7 +394,7 @@ def solve_obstacle_pde(which, instance, grid, check_cfl=True):
     """
     if which not in HAMILTONIANS:
         raise PreconditionError(f"which must be one of {HAMILTONIANS}")
-    times, terminal = _times_and_terminal(instance, grid, check_cfl)
+    times, terminal = _times_and_terminal(instance, grid)
     return _solve_field(which, instance, grid, times, terminal, None)
 
 

@@ -12,8 +12,9 @@ above.  Coefficients are plain callables evaluated on batches of states:
 
 where ``t`` is a scalar time, ``x`` has shape (m, n), ``y`` shape (m,),
 ``z`` shape (m, d) and ``u``, ``v`` are single control vectors.  Returns
-may be scalars or broadcastable arrays; the ``eval_*`` helpers normalise
-shapes and wrap evaluation failures.
+may be scalars or broadcastable arrays.  The ``eval_*`` helpers share one
+gate, ``_evaluate``: it calls the coefficient, normalises the shape and
+turns any failure into an ``EvaluationError`` carrying the point.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -140,67 +141,63 @@ class ValidationReport:
             raise ValueError("passed must reflect an empty violation list")
 
 
-def _as_batch(out, shape, what, point):
+def _failure(what, t, x, controls):
+    """The error of a failed evaluation at ``(t, x[0], u, v)``, minus what the call lacks."""
+    x0 = np.asarray(x)[0] if len(x) else None
+    point = ((x0,) if t is None else (float(t), x0)) + controls
+    return EvaluationError(f"{what} at {point}", point=point)
+
+
+def _as_batch(out, shape, what, t, x, controls):
     try:
-        arr = np.asarray(out, dtype=float)
-        arr = np.broadcast_to(arr, shape)
+        arr = np.broadcast_to(np.asarray(out, dtype=float), shape)
     except Exception as exc:  # shape mismatch or non-numeric return
-        raise EvaluationError(
-            f"{what} returned un-broadcastable value at {point}", point=point
-        ) from exc
+        raise _failure(f"{what} returned un-broadcastable value", t, x, controls) from exc
     if not np.all(np.isfinite(arr)):
-        raise EvaluationError(f"{what} returned non-finite value at {point}", point=point)
+        raise _failure(f"{what} returned non-finite value", t, x, controls)
     return arr
+
+
+def _evaluate(what, shape, fn, t, x, extra=(), controls=()):
+    """The one evaluation gate: ``fn(t, x, *extra, *controls)`` normalised to ``shape``.
+
+    ``t`` is None for the terminal payoff, which takes no time argument.
+    A raising callable, an un-broadcastable return and a non-finite
+    value all become :class:`EvaluationError` carrying the point.
+    """
+    args = (x, *extra, *controls) if t is None else (t, x, *extra, *controls)
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        raise _failure(f"{what} failed", t, x, controls) from exc
+    return _as_batch(out, shape, what, t, x, controls)
 
 
 def eval_drift(instance, t, x, u, v):
     """Evaluate the drift on a state batch, normalising to shape (m, n)."""
-    point = (float(t), np.asarray(x)[0] if len(x) else None, u, v)
-    try:
-        out = instance.coeffs.b(t, x, u, v)
-    except Exception as exc:
-        raise EvaluationError(f"drift failed at {point}", point=point) from exc
-    return _as_batch(out, (x.shape[0], instance.n), "drift", point)
+    return _evaluate("drift", (x.shape[0], instance.n), instance.coeffs.b, t, x,
+                     controls=(u, v))
 
 
 def eval_diffusion(instance, t, x, u, v):
     """Evaluate the diffusion on a state batch, shape (m, n, d)."""
-    point = (float(t), np.asarray(x)[0] if len(x) else None, u, v)
-    try:
-        out = instance.coeffs.sigma(t, x, u, v)
-    except Exception as exc:
-        raise EvaluationError(f"diffusion failed at {point}", point=point) from exc
-    return _as_batch(out, (x.shape[0], instance.n, instance.d), "diffusion", point)
+    return _evaluate("diffusion", (x.shape[0], instance.n, instance.d),
+                     instance.coeffs.sigma, t, x, controls=(u, v))
 
 
 def eval_cost_rate(instance, t, x, y, z, u, v):
     """Evaluate the running cost rate on a batch, shape (m,)."""
-    point = (float(t), np.asarray(x)[0] if len(x) else None, u, v)
-    try:
-        out = instance.coeffs.f(t, x, y, z, u, v)
-    except Exception as exc:
-        raise EvaluationError(f"cost rate failed at {point}", point=point) from exc
-    return _as_batch(out, (x.shape[0],), "cost rate", point)
+    return _evaluate("cost rate", (x.shape[0],), instance.coeffs.f, t, x, (y, z), (u, v))
 
 
 def eval_terminal(instance, x):
     """Evaluate the terminal payoff on a batch, shape (m,)."""
-    point = (np.asarray(x)[0] if len(x) else None,)
-    try:
-        out = instance.coeffs.phi(x)
-    except Exception as exc:
-        raise EvaluationError(f"terminal payoff failed at {point}", point=point) from exc
-    return _as_batch(out, (x.shape[0],), "terminal payoff", point)
+    return _evaluate("terminal payoff", (x.shape[0],), instance.coeffs.phi, None, x)
 
 
 def eval_obstacle(instance, t, x):
     """Evaluate the obstacle on a batch, shape (m,)."""
-    point = (float(t), np.asarray(x)[0] if len(x) else None)
-    try:
-        out = instance.coeffs.h(t, x)
-    except Exception as exc:
-        raise EvaluationError(f"obstacle failed at {point}", point=point) from exc
-    return _as_batch(out, (x.shape[0],), "obstacle", point)
+    return _evaluate("obstacle", (x.shape[0],), instance.coeffs.h, t, x)
 
 
 def _sobol_block(dim, count, seed):
@@ -237,8 +234,7 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     if probe_box is None:
         w = DEFAULT_PROBE_BOX_HALFWIDTH
         probe_box = [(-w, w)] * n
-    lo = np.array([b[0] for b in probe_box], dtype=float)
-    hi = np.array([b[1] for b in probe_box], dtype=float)
+    lo, hi = np.array(probe_box, dtype=float).T
 
     # Columns: x, x', y, y', z, z', t.
     raw = _sobol_block(2 * n + 2 + 2 * dns + 1, probe_count, seed)
@@ -253,115 +249,83 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     C = instance.coeffs.declared_lipschitz * LIPSCHITZ_SLACK
     G = instance.coeffs.declared_growth * LIPSCHITZ_SLACK
     violations = []
-    est = {"drift": 0.0, "diffusion": 0.0, "running_cost": 0.0, "terminal": 0.0, "obstacle": 0.0}
+    est = dict.fromkeys(("drift", "diffusion", "running_cost", "terminal", "obstacle"), 0.0)
 
-    def record(kind, mask, witness_rows, observed):
-        for i in np.flatnonzero(mask):
-            violations.append((kind, witness_rows(i), float(observed[i])))
+    def record(kind, bad, observed, witness):
+        for i in np.flatnonzero(bad):
+            violations.append((kind, witness(i), float(observed[i])))
+
+    def quotient(kind, diff, denom, witness=None):
+        """Largest ``diff / denom`` where ``denom > 1e-9``; rows above C become ``kind``."""
+        observed = diff / np.maximum(denom, 1e-300)
+        defined = denom > 1e-9
+        if kind is not None:
+            record(kind, defined & (observed > C), observed, witness)
+        return float(observed[defined].max(initial=0.0))
+
+    def per_row(evaluate, columns, *controls):
+        """``evaluate`` at each probe's own time on that probe's row of ``columns``."""
+        return np.array([evaluate(instance, t, *(col[i : i + 1] for col in columns), *controls)[0]
+                         for i, t in enumerate(ts)])
 
     dx = np.linalg.norm(xs - xps, axis=1)
-    ok_pair = dx > 1e-9
-
     phi_a = eval_terminal(instance, xs)
-    phi_b = eval_terminal(instance, xps)
-    q_phi = np.abs(phi_a - phi_b)[ok_pair] / dx[ok_pair]
-    if q_phi.size:
-        est["terminal"] = float(q_phi.max())
-    bad = np.zeros(probe_count, dtype=bool)
-    bad[ok_pair] = q_phi > C
-    record("lipschitz:terminal", bad, lambda i: (tuple(xs[i]), tuple(xps[i])),
-           np.abs(phi_a - phi_b) / np.maximum(dx, 1e-300))
+    est["terminal"] = quotient("lipschitz:terminal",
+                               np.abs(phi_a - eval_terminal(instance, xps)), dx,
+                               lambda i: (tuple(xs[i]), tuple(xps[i])))
 
     # Obstacle: Lipschitz in x at each sampled t, plus the terminal barrier.
-    h_a = np.array([eval_obstacle(instance, ts[i], xs[i : i + 1])[0] for i in range(probe_count)])
-    h_b = np.array([eval_obstacle(instance, ts[i], xps[i : i + 1])[0] for i in range(probe_count)])
-    q_h = np.abs(h_a - h_b)[ok_pair] / dx[ok_pair]
-    if q_h.size:
-        est["obstacle"] = float(q_h.max())
-    bad = np.zeros(probe_count, dtype=bool)
-    bad[ok_pair] = q_h > C
-    record("lipschitz:obstacle", bad, lambda i: (float(ts[i]), tuple(xs[i]), tuple(xps[i])),
-           np.abs(h_a - h_b) / np.maximum(dx, 1e-300))
-
+    h_a = per_row(eval_obstacle, (xs,))
+    est["obstacle"] = quotient("lipschitz:obstacle", np.abs(h_a - per_row(eval_obstacle, (xps,))),
+                               dx, lambda i: (float(ts[i]), tuple(xs[i]), tuple(xps[i])))
     h_T = eval_obstacle(instance, instance.T, xs)
-    bad = h_T > phi_a + 1e-12
-    record("barrier:terminal", bad, lambda i: tuple(xs[i]), h_T - phi_a)
+    record("barrier:terminal", h_T > phi_a + 1e-12, h_T - phi_a, lambda i: tuple(xs[i]))
 
+    lin = 1.0 + np.linalg.norm(xs, axis=1)
+    denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
     for iu, u in enumerate(instance.u_grid.points):
         for iv, v in enumerate(instance.v_grid.points):
-            # Dynamics Lipschitz quotients, one probe time per row.
-            b_a = np.empty((probe_count, n))
-            b_b = np.empty((probe_count, n))
-            s_a = np.empty((probe_count, n, dns))
-            s_b = np.empty((probe_count, n, dns))
-            f_a = np.empty(probe_count)
-            f_b = np.empty(probe_count)
-            f_0 = np.empty(probe_count)
-            for i in range(probe_count):
-                t = ts[i]
-                b_a[i] = eval_drift(instance, t, xs[i : i + 1], u, v)[0]
-                b_b[i] = eval_drift(instance, t, xps[i : i + 1], u, v)[0]
-                s_a[i] = eval_diffusion(instance, t, xs[i : i + 1], u, v)[0]
-                s_b[i] = eval_diffusion(instance, t, xps[i : i + 1], u, v)[0]
-                f_a[i] = eval_cost_rate(instance, t, xs[i : i + 1], ys[i : i + 1],
-                                        zs[i : i + 1], u, v)[0]
-                f_b[i] = eval_cost_rate(instance, t, xps[i : i + 1], yps[i : i + 1],
-                                        zps[i : i + 1], u, v)[0]
-                f_0[i] = eval_cost_rate(instance, t, xs[i : i + 1], np.zeros(1),
-                                        np.zeros((1, dns)), u, v)[0]
+            def pair(i):
+                return float(ts[i]), tuple(xs[i]), tuple(xps[i]), iu, iv
 
-            db = np.linalg.norm(b_a - b_b, axis=1)
-            ds = np.linalg.norm((s_a - s_b).reshape(probe_count, -1), axis=1)
-            q_b = db[ok_pair] / dx[ok_pair]
-            q_s = ds[ok_pair] / dx[ok_pair]
-            if q_b.size:
-                est["drift"] = max(est["drift"], float(q_b.max()))
-                est["diffusion"] = max(est["diffusion"], float(q_s.max()))
-            bad = np.zeros(probe_count, dtype=bool)
-            bad[ok_pair] = (db[ok_pair] + ds[ok_pair]) / dx[ok_pair] > C
-            record("lipschitz:dynamics", bad,
-                   lambda i, iu=iu, iv=iv: (float(ts[i]), tuple(xs[i]), tuple(xps[i]), iu, iv),
-                   (db + ds) / np.maximum(dx, 1e-300))
+            def point(i):
+                return float(ts[i]), tuple(xs[i]), iu, iv
 
-            # Cost-rate Lipschitz in (x, y, z) jointly.
-            denom = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
-            okf = denom > 1e-9
-            q_f = np.abs(f_a - f_b)[okf] / denom[okf]
-            if q_f.size:
-                est["running_cost"] = max(est["running_cost"], float(q_f.max()))
-            bad = np.zeros(probe_count, dtype=bool)
-            bad[okf] = q_f > C
-            record("lipschitz:running_cost", bad,
-                   lambda i, iu=iu, iv=iv: (float(ts[i]), tuple(xs[i]), tuple(xps[i]), iu, iv),
-                   np.abs(f_a - f_b) / np.maximum(denom, 1e-300))
+            # Dynamics: Lipschitz in x, drift and diffusion estimated apart.
+            b_a = per_row(eval_drift, (xs,), u, v)
+            s_a = per_row(eval_diffusion, (xs,), u, v).reshape(probe_count, -1)
+            db = np.linalg.norm(b_a - per_row(eval_drift, (xps,), u, v), axis=1)
+            ds = np.linalg.norm(s_a - per_row(eval_diffusion, (xps,), u, v)
+                                .reshape(probe_count, -1), axis=1)
+            est["drift"] = max(est["drift"], quotient(None, db, dx))
+            est["diffusion"] = max(est["diffusion"], quotient(None, ds, dx))
+            quotient("lipschitz:dynamics", db + ds, dx, pair)
+
+            # Cost rate: Lipschitz in (x, y, z) jointly.
+            f_a = per_row(eval_cost_rate, (xs, ys, zs), u, v)
+            f_b = per_row(eval_cost_rate, (xps, yps, zps), u, v)
+            est["running_cost"] = max(est["running_cost"], quotient(
+                "lipschitz:running_cost", np.abs(f_a - f_b), denom_f, pair))
 
             # Linear growth of dynamics and of costs at zero value/gradient.
-            lin = 1.0 + np.linalg.norm(xs, axis=1)
-            g_dyn = np.linalg.norm(b_a, axis=1) + np.linalg.norm(
-                s_a.reshape(probe_count, -1), axis=1)
-            bad = g_dyn > G * lin
-            record("growth:dynamics", bad,
-                   lambda i, iu=iu, iv=iv: (float(ts[i]), tuple(xs[i]), iu, iv), g_dyn / lin)
+            f_0 = per_row(eval_cost_rate, (xs, np.zeros_like(ys), np.zeros_like(zs)), u, v)
+            g_dyn = np.linalg.norm(b_a, axis=1) + np.linalg.norm(s_a, axis=1)
             g_cost = np.abs(f_0) + np.abs(phi_a) + np.abs(h_a)
-            bad = g_cost > G * lin
-            record("growth:costs", bad,
-                   lambda i, iu=iu, iv=iv: (float(ts[i]), tuple(xs[i]), iu, iv), g_cost / lin)
+            record("growth:dynamics", g_dyn > G * lin, g_dyn / lin, point)
+            record("growth:costs", g_cost > G * lin, g_cost / lin, point)
 
     violations.sort(key=lambda rec: (rec[0], -rec[2], str(rec[1])))
     return ValidationReport(passed=not violations, violations=violations,
                             estimated_lipschitz=est)
 
 
-def _instance_american_put(params):
-    r = float(params.pop("r", 0.05))
-    vol = float(params.pop("sigma0", 0.2))
-    strike = float(params.pop("K0", 100.0))
-    horizon = float(params.pop("T", 1.0))
+def _american_put(p):
+    r, vol, strike = p["r"], p["sigma0"], p["K0"]
 
     def payoff(x):
         return np.maximum(strike - x[..., 0], 0.0)
 
-    coeffs = Coefficients(
+    return Coefficients(
         b=lambda t, x, u, v: r * x,
         sigma=lambda t, x, u, v: vol * x[..., None],
         f=lambda t, x, y, z, u, v: -r * y,
@@ -370,19 +334,11 @@ def _instance_american_put(params):
         declared_lipschitz=max(1.0, r, vol),
         declared_growth=2.0 * strike + 1.0,
     )
-    return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
-                        u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="american_put",
-                        params={"r": r, "sigma0": vol, "K0": strike, "T": horizon})
 
 
-def _instance_lemma45(params):
-    c = float(params.pop("C", 1.0))
-    theta = float(params.pop("theta", 1.0))
-    rho = float(params.pop("rho", 1.0))
-    horizon = float(params.pop("T", 1.0))
-
-    coeffs = Coefficients(
+def _lemma45(p):
+    c, theta, rho = p["C"], p["theta"], p["rho"]
+    return Coefficients(
         b=lambda t, x, u, v: np.zeros_like(x),
         sigma=lambda t, x, u, v: np.zeros(x.shape + (1,)),
         f=lambda t, x, y, z, u, v: c * (np.abs(y) + np.linalg.norm(z, axis=-1)) - 0.5 * theta,
@@ -391,21 +347,12 @@ def _instance_lemma45(params):
         declared_lipschitz=max(c, 1.0),
         declared_growth=0.5 * theta + rho + 1.0,
     )
-    return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
-                        u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="lemma45",
-                        params={"C": c, "theta": theta, "rho": rho, "T": horizon})
 
 
-def _instance_minimax_gap(params):
-    vol = float(params.pop("sigma0", 1.0))
-    horizon = float(params.pop("T", 1.0))
-    floor = float(params.pop("floor", -10.0))
-    u_points = np.atleast_2d(params.pop("u_points", [[-1.0], [1.0]]))
-    v_points = np.atleast_2d(params.pop("v_points", [[-1.0], [1.0]]))
-    bound = float(np.abs(u_points).max() * np.abs(v_points).max())
-
-    coeffs = Coefficients(
+def _minimax_gap(p):
+    vol, floor = p["sigma0"], p["floor"]
+    bound = float(np.abs(p["u_points"]).max() * np.abs(p["v_points"]).max())
+    return Coefficients(
         b=lambda t, x, u, v: np.zeros_like(x),
         sigma=lambda t, x, u, v: np.full(x.shape + (1,), vol),
         f=lambda t, x, y, z, u, v: np.full(x.shape[0], u[0] * v[0]),
@@ -414,21 +361,12 @@ def _instance_minimax_gap(params):
         declared_lipschitz=1.0,
         declared_growth=abs(floor) + vol + bound + 1.0,
     )
-    return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
-                        u_grid=ControlGrid(u_points, "u"),
-                        v_grid=ControlGrid(v_points, "v"), label="minimax_gap",
-                        params={"sigma0": vol, "T": horizon, "floor": floor,
-                                "u_points": u_points, "v_points": v_points})
 
 
-def _instance_no_obstacle_linear(params):
-    c0 = float(params.pop("c0", 1.0))
-    c1 = float(params.pop("c1", 0.0))
-    vol = float(params.pop("sigma0", 1.0))
-    horizon = float(params.pop("T", 1.0))
-    floor = c1 - 1.0 - c0 * horizon
-
-    coeffs = Coefficients(
+def _no_obstacle_linear(p):
+    c0, c1, vol = p["c0"], p["c1"], p["sigma0"]
+    floor = c1 - 1.0 - c0 * p["T"]
+    return Coefficients(
         b=lambda t, x, u, v: np.zeros_like(x),
         sigma=lambda t, x, u, v: np.full(x.shape + (1,), vol),
         f=lambda t, x, y, z, u, v: np.full(x.shape[0], c0),
@@ -437,16 +375,11 @@ def _instance_no_obstacle_linear(params):
         declared_lipschitz=1.0,
         declared_growth=abs(c0) + abs(c1) + abs(floor) + vol + 1.0,
     )
-    return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
-                        u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="no_obstacle_linear",
-                        params={"c0": c0, "c1": c1, "sigma0": vol, "T": horizon})
 
 
-def _instance_deterministic_stop(params):
-    horizon = float(params.pop("T", 1.0))
-
-    coeffs = Coefficients(
+def _deterministic_stop(p):
+    horizon = p["T"]
+    return Coefficients(
         b=lambda t, x, u, v: np.zeros_like(x),
         sigma=lambda t, x, u, v: np.zeros(x.shape + (1,)),
         f=lambda t, x, y, z, u, v: np.zeros(x.shape[0]),
@@ -455,17 +388,19 @@ def _instance_deterministic_stop(params):
         declared_lipschitz=1.0,
         declared_growth=horizon + 1.0,
     )
-    return GameInstance(n=1, d=1, T=horizon, coeffs=coeffs,
-                        u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-                        label="deterministic_stop", params={"T": horizon})
 
 
+# name -> (coefficient builder, defaults of every parameter it reads);
+# entries named ``*_points`` are control grids, all others floats.
 _BUILDERS = {
-    "american_put": _instance_american_put,
-    "lemma45": _instance_lemma45,
-    "minimax_gap": _instance_minimax_gap,
-    "no_obstacle_linear": _instance_no_obstacle_linear,
-    "deterministic_stop": _instance_deterministic_stop,
+    "american_put": (_american_put, {"r": 0.05, "sigma0": 0.2, "K0": 100.0, "T": 1.0}),
+    "lemma45": (_lemma45, {"C": 1.0, "theta": 1.0, "rho": 1.0, "T": 1.0}),
+    "minimax_gap": (_minimax_gap, {"sigma0": 1.0, "T": 1.0, "floor": -10.0,
+                                   "u_points": [[-1.0], [1.0]],
+                                   "v_points": [[-1.0], [1.0]]}),
+    "no_obstacle_linear": (_no_obstacle_linear,
+                           {"c0": 1.0, "c1": 0.0, "sigma0": 1.0, "T": 1.0}),
+    "deterministic_stop": (_deterministic_stop, {"T": 1.0}),
 }
 
 
@@ -483,10 +418,15 @@ def builtin_instance(name, params=None):
         raise NotFoundError(
             f"unknown instance {name!r}; valid names: {', '.join(BUILTIN_NAMES)}"
         )
-    remaining = dict(params or {})
-    instance = _BUILDERS[name](remaining)
-    if remaining:
-        raise ValueError(
-            f"unknown parameters for {name!r}: {', '.join(sorted(remaining))}"
-        )
-    return instance
+    build, defaults = _BUILDERS[name]
+    given = dict(params or {})
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameters for {name!r}: {', '.join(unknown)}")
+    resolved = {key: np.atleast_2d(value) if key.endswith("_points") else float(value)
+                for key, value in {**defaults, **given}.items()}
+    coeffs = build(resolved)
+    u_grid, v_grid = (ControlGrid(resolved[key], key[0]) if key in resolved
+                      else ControlGrid.singleton() for key in ("u_points", "v_points"))
+    return GameInstance(n=1, d=1, T=resolved["T"], coeffs=coeffs, u_grid=u_grid,
+                        v_grid=v_grid, label=name, params=resolved)

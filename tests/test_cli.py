@@ -312,24 +312,32 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     assert f"'{named}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", [
-    pytest.param({k: v for k, v in _SOLVE.items() if k != "grid"}, id="solve-without-grid"),
-    pytest.param({k: v for k, v in _RBSDE.items() if k != "mc"}, id="rbsde-without-mc"),
-    pytest.param(_with(_ORACLE, "instance", "name", "lemma45"), id="oracle-on-lemma45"),
+@pytest.mark.parametrize("raw, code", [
+    pytest.param({k: v for k, v in _SOLVE.items() if k != "grid"}, 2, id="solve-without-grid"),
+    pytest.param({k: v for k, v in _RBSDE.items() if k != "mc"}, 2, id="rbsde-without-mc"),
+    pytest.param(_with(_ORACLE, "instance", "name", "lemma45"), 2, id="oracle-on-lemma45"),
+    # an explicit nt below the stability bound (3601 steps at nx = 281)
+    pytest.param(_with(_SOLVE, "grid", None, {"box": [[20, 300]], "nx": [281], "nt": 10}),
+                 3, id="solve-nt-below-stability-bound"),
+    # grid.nx passes at nt = 40 (37 needed); the schedule's nx = 281 does not
+    pytest.param(_with(_with(_ORACLE, "grid", "nt", 40), "schedules", "nx", [29, 281]),
+                 3, id="oracle-schedule-nt-below-stability-bound"),
 ])
-def test_validate_and_run_reject_alike(tmp_path, capsys, raw):
+def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     cfg = write_config(tmp_path, "cfg.json",
                        _with(raw, "output", "directory", str(tmp_path / "out")))
-    assert main(["validate", cfg]) == 2
+    assert main(["validate", cfg]) == code
     rejected = capsys.readouterr().err
-    assert main(["run", cfg]) == 2
+    assert main(["run", cfg]) == code
     assert capsys.readouterr().err == rejected
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw, code", [
     pytest.param(_with(_ORACLE, "options", "probe_x", None), 0, id="oracle-probe_x-null"),
+    # the binomial tree must refuse a zero volatility without dividing by zero
     pytest.param(_with(_ORACLE, "instance", "params", {"sigma0": 0}), 3,
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
                  id="oracle-degenerate-tree"),
     pytest.param(_with(_RBSDE, "instance", "params", {"C": 0}), 0, id="lemma45-zero-c"),
 ])
