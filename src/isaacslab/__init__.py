@@ -34,8 +34,6 @@ from .oracles import crr_put, degenerate_rbsde_value
 from .pde import (
     SpaceTimeGrid,
     ValueField,
-    cfl_dt_bound,
-    cfl_ok,
     cfl_required_nt,
     complementarity_residual,
     eval_hamiltonian,

@@ -68,8 +68,7 @@ class ResultRecord:
     files: tuple
 
 
-def _sized_grid(config, grid=None):
-    grid = grid if grid is not None else config.grid
+def _sized_grid(config, grid):
     if config.grid_nt_auto:
         grid = dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
     return grid
@@ -79,20 +78,20 @@ def _solved_grids(config):
     """The grids ``run`` solves on, before sizing.
 
     One per ``schedules.nx`` entry for ``american_oracle``, none for
-    ``rbsde_oracle`` and ``config.grid`` for the other experiments.
+    ``rbsde_oracle`` and ``config.grid`` for the other experiments.  An
+    explicit ``grid.nt`` below the stability bound of any of them raises
+    :class:`CflError`.
     """
     if config.experiment == "rbsde_oracle":
         return []
     if config.experiment == "american_oracle":
-        return [dataclasses.replace(config.grid, nx=(nx,)) for nx in config.nx_schedule]
-    return [config.grid]
-
-
-def _check_stability(config):
-    """Refuse an explicit ``grid.nt`` below the stability bound of a grid ``run`` solves."""
+        grids = [dataclasses.replace(config.grid, nx=(nx,)) for nx in config.nx_schedule]
+    else:
+        grids = [config.grid]
     if not config.grid_nt_auto:
-        for grid in _solved_grids(config):
+        for grid in grids:
             pde._check_cfl(config.instance, grid)
+    return grids
 
 
 def _probe_initial(field, x_probe):
@@ -123,8 +122,8 @@ def _dump_field(field, directory, name):
     return name
 
 
-def _run_solve(config, outdir):
-    grid = _sized_grid(config)
+def _run_solve(config, grids, outdir):
+    grid = _sized_grid(config, grids[0])
     which = config.options.get("which", "lower")
     field = solve_obstacle_pde(which, config.instance, grid)
     probe = config.options.get("probe_x")
@@ -145,8 +144,8 @@ def _run_solve(config, outdir):
     return metrics, None, files
 
 
-def _run_penalization(config, outdir):
-    grid = _sized_grid(config)
+def _run_penalization(config, grids, outdir):
+    grid = _sized_grid(config, grids[0])
     table = penalization_convergence(config.instance, grid, config.m_schedule)
     metrics = {
         "nt": grid.nt,
@@ -159,9 +158,9 @@ def _run_penalization(config, outdir):
     return metrics, schedule, []
 
 
-def _run_dpp(config, outdir):
+def _run_dpp(config, grids, outdir):
     instance = config.instance
-    grid = _sized_grid(config)
+    grid = _sized_grid(config, grids[0])
     field = solve_obstacle_pde(config.options.get("which", "lower"), instance, grid)
     t_fraction = float(config.options.get("t_fraction", 0.5))
     t_index = int(round(t_fraction * grid.nt))
@@ -183,9 +182,9 @@ def _run_dpp(config, outdir):
     return metrics, schedule, []
 
 
-def _run_compare_wu(config, outdir):
+def _run_compare_wu(config, grids, outdir):
     instance = config.instance
-    grid = _sized_grid(config)
+    grid = _sized_grid(config, grids[0])
     low = lower_value(instance, grid)
     up = upper_value(instance, grid)
     violation, gap = value_comparison(low, up)
@@ -197,7 +196,7 @@ def _run_compare_wu(config, outdir):
     return metrics, None, files
 
 
-def _run_american_oracle(config, outdir):
+def _run_american_oracle(config, grids, outdir):
     instance = config.instance
     params = instance.params
     probe_x = config.options.get("probe_x")
@@ -208,7 +207,7 @@ def _run_american_oracle(config, outdir):
 
     errors, nxs = [], []
     value = None
-    for base in _solved_grids(config):
+    for base in grids:
         grid = _sized_grid(config, base)
         field = solve_obstacle_pde("lower", instance, grid)
         value = _probe_initial(field, probe_x)
@@ -222,7 +221,7 @@ def _run_american_oracle(config, outdir):
     return metrics, schedule, []
 
 
-def _run_rbsde_oracle(config, outdir):
+def _run_rbsde_oracle(config, grids, outdir):
     instance = config.instance
     mesh = TimeMesh(0.0, instance.T, config.mc.steps)
     bundle = simulate_paths(instance, np.zeros(instance.n), mesh,
@@ -261,10 +260,10 @@ def run(config):
     An explicit ``grid.nt`` below the stability bound is refused before
     anything is written.
     """
-    _check_stability(config)
+    grids = _solved_grids(config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    metrics, schedule, files = _RUNNERS[config.experiment](config, outdir)
+    metrics, schedule, files = _RUNNERS[config.experiment](config, grids, outdir)
 
     record = ResultRecord(
         experiment=config.experiment,
@@ -358,7 +357,7 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
-    _check_stability(config)
+    _solved_grids(config)  # refuses what run refuses; grids are never sized here
     seed = config.mc.seed if config.mc is not None else 0
     report = validate_instance(config.instance, probe_count=128, seed=seed)
     if report.passed:

@@ -8,20 +8,27 @@ backwards in time on a truncated box, where H scans the finite control
 grids: the lower Hamiltonian maximises over the first player's grid the
 minimum over the second player's, the upper Hamiltonian swaps the order.
 
-The scheme is explicit and monotone under the recorded stability bound
-``dt <= dx^2 / (n * max sigma sigma^T + 1)``.  Its stencil is built per
-axis, so one code path serves every dimension: on each axis the
-standard three-point second quotient and a first quotient that is
-central where the diffusion dominates the drift on the cell and upwind
-otherwise; on each pair of axes the sign-split seven-point mixed
-quotient.  Each step evolves the previous slice and then applies either
-the obstacle projection ``max(., h)`` or the semi-implicit penalty
-update, at every node.  Boundary nodes follow the grid policy: linear
-extrapolation from the two nearest interior nodes (default, consistent
-with linear growth of the value) or freezing at the terminal data.
-A batch of fields, one per penalty weight, is stepped in one sweep that
-evaluates the coefficients once per step for the whole batch, and a
-slice that is not finite stops the sweep with a divergence error.
+The scheme is explicit, and one stability rule sizes and checks its
+time step: ``dt <= dx^2 / (n * D + 1)``, where ``D`` is the largest
+diagonal entry of sigma sigma^T sampled at t = 0 and t = T on every node
+and control pair.  :func:`cfl_required_nt` gives the smallest admissible
+number of steps, and every solve refuses a grid that breaks the rule.
+The rule ignores the drift and the mixed-derivative terms, so it does
+not make the stencil monotone where the drift dominates.
+
+The stencil is built per axis, so one code path serves every dimension:
+on each axis the standard three-point second quotient and a first
+quotient that is central where the diffusion dominates the drift on the
+cell and upwind otherwise; on each pair of axes the sign-split
+seven-point mixed quotient.  Each step evolves the previous slice and
+then applies either the obstacle projection ``max(., h)`` or the
+semi-implicit penalty update, at every node.  Boundary nodes follow the
+grid policy: linear extrapolation from the two nearest interior nodes
+(default, consistent with linear growth of the value) or freezing at the
+terminal data.  A batch of fields, one per penalty weight, is stepped in
+one sweep that evaluates the coefficients once per step for the whole
+batch, and a slice that is not finite stops the sweep with a divergence
+error.
 """
 
 from __future__ import annotations
@@ -110,12 +117,6 @@ class SpaceTimeGrid:
             masks.append(np.abs(ax - mid) <= half + 1e-12)
         return np.logical_and.reduce(np.meshgrid(*masks, indexing="ij"))
 
-    def with_stable_nt(self, instance):
-        """Copy of the grid with the smallest stable number of time steps."""
-        import dataclasses
-
-        return dataclasses.replace(self, nt=cfl_required_nt(instance, self))
-
 
 @dataclass(frozen=True)
 class ValueField:
@@ -135,9 +136,6 @@ class ValueField:
     def dt(self):
         return float(self.times[1] - self.times[0])
 
-    def initial(self):
-        return self.slices[0]
-
     def interp(self, t_index, x):
         """Value at off-grid points of one time slice (1-D grids only)."""
         if self.grid.ndim != 1:
@@ -146,8 +144,14 @@ class ValueField:
         return np.interp(np.asarray(x, dtype=float), ax, self.slices[t_index])
 
 
-def max_diffusion_diagonal(instance, grid):
-    """Largest diagonal entry of sigma sigma^T over nodes, controls, endpoints."""
+def _stability(instance, grid):
+    """The stability bound on the explicit time step and the smallest ``nt`` meeting it.
+
+    The bound is ``dx^2 / (n * D + 1)`` with ``dx`` the smallest spacing
+    and ``D`` the largest diagonal entry of sigma sigma^T, sampled at
+    t = 0 and t = T on every node and control pair.  Returns
+    ``(bound, nt)``.
+    """
     nodes = grid.nodes()
     worst = 0.0
     for t in (0.0, instance.T):
@@ -155,26 +159,27 @@ def max_diffusion_diagonal(instance, grid):
             for v in instance.v_grid.points:
                 sv = eval_diffusion(instance, t, nodes, u, v)
                 worst = max(worst, float(np.sum(sv * sv, axis=2).max()))
-    return worst
-
-
-def cfl_dt_bound(instance, grid):
-    """Largest stable explicit time step for this instance on this grid."""
-    dx2 = min(step * step for step in grid.dx())
-    return dx2 / (grid.ndim * max_diffusion_diagonal(instance, grid) + 1.0)
+    bound = min(step * step for step in grid.dx()) / (grid.ndim * worst + 1.0)
+    nt = int(np.ceil(instance.T / bound))
+    while instance.T / nt > bound:
+        nt += 1
+    return bound, nt
 
 
 def cfl_required_nt(instance, grid):
     """Smallest number of time steps satisfying the stability bound."""
-    bound = cfl_dt_bound(instance, grid)
-    nt = int(np.ceil(instance.T / bound))
-    while instance.T / nt > bound:
-        nt += 1
-    return nt
+    return _stability(instance, grid)[1]
 
 
-def cfl_ok(instance, grid):
-    return instance.T / grid.nt <= cfl_dt_bound(instance, grid) * (1.0 + 1e-12)
+def _check_cfl(instance, grid):
+    """Refuse a grid whose time step exceeds the stability bound."""
+    bound, nt = _stability(instance, grid)
+    if instance.T / grid.nt > bound * (1.0 + 1e-12):
+        raise CflError(
+            f"explicit step dt={instance.T / grid.nt:.3e} exceeds the stability "
+            f"bound {bound:.3e}; need nt >= {nt}",
+            required_dt=bound, required_nt=nt,
+        )
 
 
 _OFFSET_SLICES = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
@@ -366,17 +371,6 @@ def _solve_field(which, instance, grid, times, terminal_slice, penalty_m):
                       slices=slices, kind=kind, penalty=penalty_m)
 
 
-def _check_cfl(instance, grid):
-    if not cfl_ok(instance, grid):
-        bound = cfl_dt_bound(instance, grid)
-        nt = cfl_required_nt(instance, grid)
-        raise CflError(
-            f"explicit step dt={instance.T / grid.nt:.3e} exceeds the stability "
-            f"bound {bound:.3e}; need nt >= {nt}",
-            required_dt=bound, required_nt=nt,
-        )
-
-
 def _times_and_terminal(instance, grid):
     """The uniform time mesh and the terminal slice, after the stability check."""
     _check_cfl(instance, grid)
@@ -440,11 +434,6 @@ def _hamiltonian_stack(instance, t, x, y, q, xmat):
         return 0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
 
     return _generator_stack(instance, t, x, y, q.T, central_terms)
-
-
-def hamiltonian_batch(which, instance, t, x, y, q, xmat):
-    """Vectorised Hamiltonian over a batch of (x, y, q, xmat) data."""
-    return _minimax(which, _hamiltonian_stack(instance, t, x, y, q, xmat))
 
 
 def hamiltonian_argopt(which, instance, t, x, y, q, xmat):
@@ -539,7 +528,7 @@ def complementarity_residual(field, instance, inner_only=False):
         dt = float(field.times[k + 1] - field.times[k])
         x_int, wc, q, xmat = slice_derivatives(field, k)
         h_int = eval_obstacle(instance, t, x_int)
-        ham = hamiltonian_batch(field.kind, instance, t, x_int, wc, q, xmat)
+        ham = _minimax(field.kind, _hamiltonian_stack(instance, t, x_int, wc, q, xmat))
         dwdt = (field.slices[k + 1][interior].ravel() - wc) / dt
         r = np.minimum(wc - h_int, -dwdt - ham)
         per_slice[k] = float(np.abs(r[keep]).max())

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EvaluationError, NotFoundError
 
@@ -201,6 +200,9 @@ def eval_obstacle(instance, t, x):
 
 
 def _sobol_block(dim, count, seed):
+    # importing scipy.stats costs about a second, so only validation pays it
+    from scipy.stats import qmc
+
     # Sobol points are balanced for powers of two; draw the next power and slice.
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     full = 1 << max(1, int(np.ceil(np.log2(max(count, 2)))))

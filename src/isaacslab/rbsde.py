@@ -43,11 +43,8 @@ class RegressionBasis:
     """Polynomial regression basis of bounded total degree."""
 
     degree: int = 2
-    kind: str = "polynomial"
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise ValueError("only polynomial bases are supported")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 

@@ -13,7 +13,7 @@ initial point or the controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,45 +57,40 @@ class TimeMesh:
 class ControlPath:
     """Computable control subclass: constant, piecewise or state feedback.
 
-    ``feedback`` callables receive ``(t, x_batch)`` with ``x_batch`` of
-    shape (paths, n) and must return integer grid indices of shape
-    (paths,).
+    ``rule(step, t, x_batch)`` returns the grid indices applied at mesh
+    step ``step``, shape (paths,) for ``x_batch`` of shape (paths, n).
+    Feedback callables receive ``(t, x_batch)`` and must return integer
+    grid indices of shape (paths,).
     """
 
-    kind: str
-    index: int = 0
-    indices: Optional[np.ndarray] = None
-    feedback: Optional[Callable] = None
+    rule: Callable
 
     @staticmethod
     def constant(index=0):
-        return ControlPath(kind="constant", index=int(index))
+        index = int(index)
+        return ControlPath(lambda step, t, x: np.full(x.shape[0], index, dtype=np.int64))
 
     @staticmethod
     def piecewise(indices):
         arr = np.asarray(indices, dtype=np.int64)
-        return ControlPath(kind="piecewise", indices=arr)
+
+        def rule(step, t, x):
+            if step >= len(arr):
+                raise PreconditionError(
+                    f"piecewise control has {len(arr)} steps, needs {step + 1}"
+                )
+            return np.full(x.shape[0], arr[step], dtype=np.int64)
+
+        return ControlPath(rule)
 
     @staticmethod
     def from_feedback(fn):
-        return ControlPath(kind="feedback", feedback=fn)
+        return ControlPath(lambda step, t, x: np.asarray(fn(t, x), dtype=np.int64))
 
     def resolve(self, step, t, x_batch, grid_size):
-        m = x_batch.shape[0]
-        if self.kind == "constant":
-            idx = np.full(m, self.index, dtype=np.int64)
-        elif self.kind == "piecewise":
-            if step >= len(self.indices):
-                raise PreconditionError(
-                    f"piecewise control has {len(self.indices)} steps, needs {step + 1}"
-                )
-            idx = np.full(m, self.indices[step], dtype=np.int64)
-        elif self.kind == "feedback":
-            idx = np.asarray(self.feedback(t, x_batch), dtype=np.int64)
-            if idx.shape != (m,):
-                raise PreconditionError("feedback control must return one index per path")
-        else:
-            raise PreconditionError(f"unknown control kind {self.kind!r}")
+        idx = self.rule(step, t, x_batch)
+        if idx.shape != (x_batch.shape[0],):
+            raise PreconditionError("feedback control must return one index per path")
         if idx.min() < 0 or idx.max() >= grid_size:
             raise PreconditionError("control index outside its grid")
         return idx
@@ -115,10 +110,6 @@ class PathBundle:
     @property
     def paths(self):
         return self.states.shape[0]
-
-    @property
-    def x0(self):
-        return self.states[0, 0]
 
 
 def simulate_paths(instance, x0, mesh, u, v, paths, seed):

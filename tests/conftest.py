@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from isaacslab.pde import SpaceTimeGrid, cfl_required_nt
 from isaacslab.problems import Coefficients, ControlGrid, GameInstance
 
 
@@ -25,6 +28,12 @@ def make_instance(n=1, d=1, horizon=1.0, b=None, sigma=None, f=None, phi=None,
         else ControlGrid.singleton()
     return GameInstance(n=n, d=d, T=horizon, coeffs=coeffs,
                         u_grid=u_grid, v_grid=v_grid, label=label)
+
+
+def sized(instance, box, nx, boundary="linear_extrapolation"):
+    """Grid on ``box`` with ``nx`` nodes and the smallest stable number of steps."""
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=1, boundary=boundary)
+    return dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
 
 
 @pytest.fixture

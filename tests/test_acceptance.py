@@ -31,7 +31,7 @@ from isaacslab.rbsde import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import make_instance
+from conftest import make_instance, sized
 
 C0 = ControlPath.constant(0)
 BASIS2 = RegressionBasis(degree=2)
@@ -49,11 +49,6 @@ def _report(num, description, ok, detail=""):
     state = "PASS" if ok else "FAIL"
     print(f"[{state}] criterion {num:02d}: {description} {detail}".rstrip())
     assert ok, f"criterion {num:02d} failed: {description} {detail}"
-
-
-def sized(instance, box, nx):
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=1)
-    return dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
 
 
 def _bundle(inst, x0, t0, t1, steps, paths=1, seed=1):

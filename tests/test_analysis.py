@@ -1,7 +1,5 @@
 """Game-level checks: values, Isaacs gap, dynamic programming, convergence."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,17 +15,12 @@ from isaacslab.analysis import (
     value_comparison,
 )
 from isaacslab.errors import FitError, PreconditionError
-from isaacslab.pde import SpaceTimeGrid, cfl_required_nt, solve_penalized_pde
+from isaacslab.pde import SpaceTimeGrid, solve_penalized_pde
 from isaacslab.problems import builtin_instance
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh
 
-from conftest import make_instance
-
-
-def sized(instance, box, nx):
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=1)
-    return dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
+from conftest import make_instance, sized
 
 
 def test_singleton_controls_make_both_values_identical():

@@ -1,10 +1,15 @@
 """Config parsing, experiment dispatch, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isaacslab
 from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
@@ -218,6 +223,17 @@ def test_list_instances(capsys):
     assert main(["list-instances"]) == 0
     out = capsys.readouterr().out
     assert "american_put" in out and "deterministic_stop" in out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only validation uses it
+    src = str(Path(isaacslab.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, isaacslab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -10,9 +10,8 @@ from isaacslab.oracles import crr_put
 from isaacslab.pde import (
     BOUNDARY_POLICIES,
     SpaceTimeGrid,
+    _check_cfl,
     _sweep,
-    cfl_dt_bound,
-    cfl_ok,
     cfl_required_nt,
     complementarity_residual,
     eval_hamiltonian,
@@ -22,12 +21,7 @@ from isaacslab.pde import (
 )
 from isaacslab.problems import builtin_instance, eval_obstacle, eval_terminal
 
-from conftest import make_instance
-
-
-def sized(instance, box, nx, boundary="linear_extrapolation"):
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=1, boundary=boundary)
-    return dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
+from conftest import make_instance, sized
 
 
 def test_grid_invariants():
@@ -44,14 +38,17 @@ def test_grid_invariants():
 def test_cfl_flag_and_refusal():
     inst = builtin_instance("american_put")
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=10)
-    assert not cfl_ok(inst, grid)
     with pytest.raises(CflError) as err:
         solve_obstacle_pde("lower", inst, grid)
     assert err.value.required_nt == 3601
     assert str(err.value.required_nt) in str(err.value)
-    good = dataclasses.replace(grid, nt=err.value.required_nt)
-    assert cfl_ok(inst, good)
-    assert inst.T / good.nt <= cfl_dt_bound(inst, good)
+    # the refusal and the sizing helper agree on the smallest stable grid
+    good = sized(inst, grid.box, grid.nx)
+    assert good.nt == err.value.required_nt
+    assert inst.T / good.nt <= err.value.required_dt < inst.T / (good.nt - 1)
+    _check_cfl(inst, good)
+    with pytest.raises(CflError):
+        _check_cfl(inst, dataclasses.replace(good, nt=good.nt - 1))
 
 
 def test_hamiltonian_identity_trace():
@@ -291,7 +288,7 @@ def test_cross_derivative_step_exact_on_quadratic(rho):
         phi=lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1] + x[:, 1] ** 2,
         growth=20.0)
     grid = SpaceTimeGrid(box=((-1.0, 1.0), (-1.0, 1.0)), nx=(9, 9), nt=1)
-    assert cfl_ok(inst, grid)
+    _check_cfl(inst, grid)
     field = solve_obstacle_pde("lower", inst, grid)
     a = root @ root.T
     rate = 0.5 * np.trace(a @ np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -313,7 +310,7 @@ def test_upwind_step_exact_on_quadratic_in_two_dimensions():
         phi=lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1] + x[:, 1] ** 2,
         growth=20.0)
     grid = SpaceTimeGrid(box=((-1.0, 1.0), (-1.0, 1.0)), nx=(9, 9), nt=1)
-    assert cfl_ok(inst, grid)
+    _check_cfl(inst, grid)
     a = root @ root.T
     dx = np.array(grid.dx())
     assert (np.abs(drift) * dx > np.diag(a)).all()
@@ -385,9 +382,9 @@ def test_dirichlet_policy_freezes_boundary():
 def test_with_stable_nt_matches_required():
     inst = builtin_instance("american_put")
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=1)
-    sized_grid = grid.with_stable_nt(inst)
+    sized_grid = sized(inst, grid.box, grid.nx)
     assert sized_grid.nt == cfl_required_nt(inst, grid) == 3601
-    assert cfl_ok(inst, sized_grid)
+    _check_cfl(inst, sized_grid)
 
 
 def test_two_dimensional_residual_path():
@@ -401,8 +398,7 @@ def test_two_dimensional_residual_path():
         phi=lambda x: np.zeros(x.shape[0]),
         h=lambda t, x: np.full(x.shape[0], -5.0),
         horizon=0.5, growth=10.0)
-    grid = SpaceTimeGrid(box=((-1.0, 1.0), (-1.0, 1.0)), nx=(9, 9), nt=1)
-    grid = grid.with_stable_nt(inst)
+    grid = sized(inst, ((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
     field = solve_obstacle_pde("lower", inst, grid)
     expected = (0.5 - field.times)[:, None, None]
     np.testing.assert_allclose(field.slices,

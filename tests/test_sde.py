@@ -104,6 +104,18 @@ def test_control_index_out_of_grid_raises():
                        ControlPath.constant(3), C0, paths=1, seed=0)
 
 
+@pytest.mark.parametrize("control, message", [
+    (ControlPath.piecewise([0, 0, 0]), "piecewise control has 3 steps, needs 4"),
+    (ControlPath.from_feedback(lambda t, x: np.zeros((x.shape[0], 1), dtype=int)),
+     "feedback control must return one index per path"),
+], ids=["piecewise-shorter-than-mesh", "feedback-wrong-shape"])
+def test_malformed_control_raises(control, message):
+    inst = make_instance()
+    with pytest.raises(PreconditionError, match=message):
+        simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 4), control, C0,
+                       paths=2, seed=0)
+
+
 def test_moments_frozen_dynamics():
     inst = make_instance()
     bundle = simulate_paths(inst, np.array([2.0]), TimeMesh(0.0, 1.0, 10), C0, C0,
