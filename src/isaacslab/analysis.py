@@ -250,13 +250,18 @@ def feedback_from_field(field, instance):
     Returns a pair of :class:`ControlPath` feedback controls.  Queries
     snap to the nearest time slice and nearest interior node, form the
     central difference data there and report the attained maximiser and
-    minimiser indices.
+    minimiser indices.  The two controls share one Hamiltonian scan per
+    query: a query at the same time on the same state batch object as
+    the last one reuses its optimisers.
     """
     lookup = _snapped_slice_data(field, "feedback")
+    last = [None, None, None]   # t, x_batch, (iu, iv)
 
     def _policy(t, x_batch):
-        _, iu, iv = hamiltonian_argopt(field.kind, instance, *lookup(t, x_batch))
-        return iu, iv
+        if last[0] != t or last[1] is not x_batch:
+            _, iu, iv = hamiltonian_argopt(field.kind, instance, *lookup(t, x_batch))
+            last[:] = t, x_batch, (iu, iv)
+        return last[2]
 
     u_ctrl = ControlPath.from_feedback(lambda t, x: _policy(t, x)[0])
     v_ctrl = ControlPath.from_feedback(lambda t, x: _policy(t, x)[1])

@@ -10,9 +10,10 @@ minimum over the second player's, the upper Hamiltonian swaps the order.
 
 The scheme is explicit, and one stability rule sizes and checks its
 time step: ``dt <= dx^2 / (n * D + 1)``, where ``D`` is the largest
-diagonal entry of sigma sigma^T sampled at t = 0 and t = T on every node
-and control pair.  :func:`cfl_required_nt` gives the smallest admissible
-number of steps, and every solve refuses a grid that breaks the rule.
+diagonal entry of sigma sigma^T sampled at t = 0 and t = T (at t = 0
+alone for time-homogeneous dynamics) on every node and control pair.
+:func:`cfl_required_nt` gives the smallest admissible number of steps,
+and every solve refuses a grid that breaks the rule.
 The rule ignores the drift and the mixed-derivative terms, so it does
 not make the stencil monotone where the drift dominates.
 
@@ -26,9 +27,16 @@ semi-implicit penalty update, at every node.  Boundary nodes follow the
 grid policy: linear extrapolation from the two nearest interior nodes
 (default, consistent with linear growth of the value) or freezing at the
 terminal data.  A batch of fields, one per penalty weight, is stepped in
-one sweep that evaluates the coefficients once per step for the whole
-batch, and a slice that is not finite stops the sweep with a divergence
-error.
+one sweep that evaluates the cost rate and the obstacle once per step
+for the whole batch, and a slice that is not finite stops the sweep with
+a divergence error.
+
+:func:`_pair_tables` is the only grid code that evaluates drift and
+diffusion: per control pair it gates b and sigma once on the interior
+nodes and forms sigma sigma^T.  A solve builds these tables, and the
+upwind stencil's per-pair constants with them, at its first step when
+the instance declares time-homogeneous dynamics
+(``Coefficients.time_homogeneous``) and at every step otherwise.
 """
 
 from __future__ import annotations
@@ -149,12 +157,12 @@ def _stability(instance, grid):
 
     The bound is ``dx^2 / (n * D + 1)`` with ``dx`` the smallest spacing
     and ``D`` the largest diagonal entry of sigma sigma^T, sampled at
-    t = 0 and t = T on every node and control pair.  Returns
-    ``(bound, nt)``.
+    t = 0 and t = T on every node and control pair; time-homogeneous
+    dynamics are sampled at t = 0 only.  Returns ``(bound, nt)``.
     """
     nodes = grid.nodes()
     worst = 0.0
-    for t in (0.0, instance.T):
+    for t in (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T):
         for u in instance.u_grid.points:
             for v in instance.v_grid.points:
                 sv = eval_diffusion(instance, t, nodes, u, v)
@@ -246,52 +254,83 @@ def _minimax(which, pair_values):
     return pair_values.max(axis=0).min(axis=0)
 
 
-def _generator_stack(instance, t, x, y, grad, terms):
-    """Generator values for every control pair, shape (nu, nv, B * m).
+def _pair_tables(instance, t, x, fields):
+    """Drift and diffusion of every control pair on the nodes ``x`` at time ``t``.
 
-    ``y`` and each of ``grad`` hold B fields at the m nodes ``x``, field
-    by field.  Per pair, drift and diffusion are evaluated once on ``x``
-    and repeated for every field; ``terms(a, b)`` with
-    ``a = sigma sigma^T`` of shape (B * m, n, n) and drift ``b`` of shape
-    (B * m, n) supplies the second-order plus drift part, and the cost
-    rate is evaluated once on all B * m rows with ``z = q sigma``, where
-    ``grad`` holds the columns of the gradient ``q``, one per axis.
+    Returns one ``(u, v, a, b, sigma)`` per pair, u-major, with
+    ``a = sigma sigma^T``; each array is repeated for ``fields`` fields,
+    so ``a``, ``b`` and ``sigma`` have B * m rows, field by field.
     """
-    fields = y.size // x.shape[0]
-    x_rows = np.concatenate([x] * fields) if fields > 1 else x
-    vals = np.empty((len(instance.u_grid), len(instance.v_grid), y.size))
-    for iu, up in enumerate(instance.u_grid.points):
-        for iv, vp in enumerate(instance.v_grid.points):
+    tables = []
+    for up in instance.u_grid.points:
+        for vp in instance.v_grid.points:
             bv = eval_drift(instance, t, x, up, vp)
             sv = eval_diffusion(instance, t, x, up, vp)
             a = np.einsum("mik,mjk->mij", sv, sv)
             if fields > 1:
                 a, bv, sv = (np.concatenate([arr] * fields) for arr in (a, bv, sv))
-            z = grad[0][:, None] * sv[:, 0, :]
-            for i in range(1, len(grad)):
-                z = z + grad[i][:, None] * sv[:, i, :]
-            vals[iu, iv] = terms(a, bv) + eval_cost_rate(instance, t, x_rows, y, z, up, vp)
-    return vals
+            tables.append((up, vp, a, bv, sv))
+    return tables
 
 
-def _step_slice(which, instance, t, dt, w, x_int, dx):
-    """One explicit backward step; returns updated interior values, flattened."""
+def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
+    """Generator values for every control pair, shape (nu, nv, B * m).
+
+    ``y`` and each of ``grad`` hold B fields at the nodes ``x_rows``
+    (B * m rows, field by field), and ``tables`` are their
+    :func:`_pair_tables`.  ``parts`` yields, pair by pair, the
+    second-order plus drift part; the cost rate is added, evaluated once
+    per pair on all rows with ``z = q sigma``, where ``grad`` holds the
+    columns of the gradient ``q``, one per axis.
+    """
+    vals = np.empty((len(tables), y.size))
+    for row, (up, vp, _, _, sv), part in zip(vals, tables, parts):
+        z = grad[0][:, None] * sv[:, 0, :]
+        for i in range(1, len(grad)):
+            z = z + grad[i][:, None] * sv[:, i, :]
+        row[:] = part + eval_cost_rate(instance, t, x_rows, y, z, up, vp)
+    return vals.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
+
+
+def _upwind_constants(tables, dx):
+    """Per-pair constants of the upwind stencil, which depend on ``(a, b)`` only.
+
+    Per pair: per axis ``(a_ii / 2, central?, forward?, b_i)``, where the
+    central quotient applies where the diffusion dominates the drift on
+    the cell and the forward one elsewhere where ``b_i >= 0``; per axis
+    pair ``(a_ij, a_ij >= 0)``, which picks the sign-split mixed quotient.
+    """
+    constants = []
+    for _, _, a, b, _ in tables:
+        axes = [(0.5 * a[:, i, i], a[:, i, i] >= np.abs(b[:, i]) * h, b[:, i] >= 0.0, b[:, i])
+                for i, h in enumerate(dx)]
+        cross = {(i, j): (a[:, i, j], a[:, i, j] >= 0.0)
+                 for i, j in combinations(range(len(dx)), 2)}
+        constants.append((axes, cross))
+    return constants
+
+
+def _step_slice(which, instance, t, dt, w, x_rows, dx, tables, stencil):
+    """One explicit backward step; returns updated interior values, flattened.
+
+    ``tables`` and ``stencil`` are the step's :func:`_pair_tables` and
+    their :func:`_upwind_constants`.
+    """
     wc, d2, central, fwd, bwd, cross = _differences(w, dx)
 
-    def upwind_terms(a, b):
+    def upwind_terms(axes, mixed):
         second, drift = [], []
-        for i, h in enumerate(dx):
-            aii, bi = a[:, i, i], b[:, i]
-            qdrift = np.where(aii >= np.abs(bi) * h, central[i],
-                              np.where(bi >= 0.0, fwd[i], bwd[i]))
-            second.append(0.5 * aii * d2[i])
-            drift.append(bi * qdrift)
-        for (i, j), (plus, minus) in cross.items():
-            aij = a[:, i, j]
-            second.append(aij * np.where(aij >= 0.0, plus, minus))
+        for i, (half_aii, is_central, is_forward, bi) in enumerate(axes):
+            second.append(half_aii * d2[i])
+            drift.append(bi * np.where(is_central, central[i],
+                                       np.where(is_forward, fwd[i], bwd[i])))
+        for (i, j), (aij, nonneg) in mixed.items():
+            plus, minus = cross[i, j]
+            second.append(aij * np.where(nonneg, plus, minus))
         return reduce(add, second) + reduce(add, drift)
 
-    vals = _generator_stack(instance, t, x_int, wc, central, upwind_terms)
+    vals = _generator_stack(instance, t, x_rows, wc, central, tables,
+                            (upwind_terms(*pair) for pair in stencil))
     return wc + dt * _minimax(which, vals)
 
 
@@ -320,8 +359,10 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     slices, shape ``(B, *grid.shape)``.  ``weights`` is None for the
     obstacle projection ``max(., h)``, or the penalty weight (one per
     field) of the semi-implicit penalty update.  Every step evaluates
-    the obstacle once and each control pair's coefficients once for the
-    whole batch.  Slice ``k`` is written to ``store[k % len(store)]``: a
+    the obstacle once and each control pair's cost rate once for the
+    whole batch; the pair tables of drift and diffusion are built at the
+    first step for time-homogeneous dynamics and at every step otherwise.
+    Slice ``k`` is written to ``store[k % len(store)]``: a
     store with one slot per time keeps every slice, one with two slots
     only the latest two.  Yields ``(k, slice)`` for ``k = nt, ..., 0``
     and raises :class:`DivergenceError` on the first slice that is not
@@ -331,6 +372,8 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     batch = terminal.shape[:terminal.ndim - grid.ndim]
     nodes_all = grid.nodes()
     x_int = grid.interior_nodes()
+    fields = math.prod(batch)
+    x_rows = np.concatenate([x_int] * fields) if fields > 1 else x_int
     interior = (Ellipsis,) + grid.interior()
     interior_shape = batch + tuple(k - 2 for k in shape)
     dx = grid.dx()
@@ -341,12 +384,16 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     steps = len(times) - 1
     store[steps % slots] = terminal
     yield steps, store[steps % slots]
+    homogeneous = instance.coeffs.time_homogeneous
     for k in range(steps - 1, -1, -1):
         t = times[k]
         dt = times[k + 1] - t
+        if k == steps - 1 or not homogeneous:
+            tables = _pair_tables(instance, t, x_int, fields)
+            stencil = _upwind_constants(tables, dx)
         w = store[k % slots]
-        w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_int,
-                                  dx).reshape(interior_shape)
+        w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_rows,
+                                  dx, tables, stencil).reshape(interior_shape)
         _fill_boundary(w, grid, terminal)
         h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
         if weights is None:
@@ -427,13 +474,17 @@ def sweep_penalized(instance, grid, m_schedule):
                   weights, np.empty((2,) + shape))
 
 
-def _hamiltonian_stack(instance, t, x, y, q, xmat):
-    """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m)."""
+def _hamiltonian_stack(instance, t, x, y, q, xmat, tables=None):
+    """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
-    def central_terms(a, b):
-        return 0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
-
-    return _generator_stack(instance, t, x, y, q.T, central_terms)
+    ``tables`` are the :func:`_pair_tables` of ``x``, built here when
+    not given.
+    """
+    if tables is None:
+        tables = _pair_tables(instance, t, x, 1)
+    parts = (0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
+             for _, _, a, b, _ in tables)
+    return _generator_stack(instance, t, x, y, q.T, tables, parts)
 
 
 def hamiltonian_argopt(which, instance, t, x, y, q, xmat):
@@ -511,10 +562,12 @@ def complementarity_residual(field, instance, inner_only=False):
     quotients and central space quotients.  Returns the supremum of
     ``|r|`` together with the per-slice maxima.  ``inner_only`` restricts
     the spatial maxima to the central sub-box, away from the truncation
-    boundary.  Note the residual is a genuine independent measure: it
-    does not vanish where the terminal data is not smooth (for a kinked
-    payoff the last slices carry an O(1/dx) spike), so convergence is
-    read on slices away from the terminal layer.
+    boundary.  Time-homogeneous dynamics are tabulated on the first
+    slice and reused on the others.  Note the residual is a genuine
+    independent measure: it does not vanish where the terminal data is
+    not smooth (for a kinked payoff the last slices carry an O(1/dx)
+    spike), so convergence is read on slices away from the terminal
+    layer.
     """
     if field.kind not in HAMILTONIANS:
         raise PreconditionError("residuals are defined for lower/upper fields")
@@ -522,13 +575,16 @@ def complementarity_residual(field, instance, inner_only=False):
     nt = len(field.times) - 1
     interior = grid.interior()
     keep = grid.inner_mask()[interior].ravel() if inner_only else slice(None)
+    homogeneous = instance.coeffs.time_homogeneous
     per_slice = np.empty(nt)
     for k in range(nt):
         t = float(field.times[k])
         dt = float(field.times[k + 1] - field.times[k])
         x_int, wc, q, xmat = slice_derivatives(field, k)
+        if k == 0 or not homogeneous:
+            tables = _pair_tables(instance, t, x_int, 1)
         h_int = eval_obstacle(instance, t, x_int)
-        ham = _minimax(field.kind, _hamiltonian_stack(instance, t, x_int, wc, q, xmat))
+        ham = _minimax(field.kind, _hamiltonian_stack(instance, t, x_int, wc, q, xmat, tables))
         dwdt = (field.slices[k + 1][interior].ravel() - wc) / dt
         r = np.minimum(wc - h_int, -dwdt - ham)
         per_slice[k] = float(np.abs(r[keep]).max())

@@ -16,12 +16,17 @@ may be scalars or broadcastable arrays.  The ``eval_*`` helpers share one
 gate, ``_evaluate``: it calls the coefficient, normalises the shape and
 turns any failure into an ``EvaluationError`` carrying the point.
 
+Dynamics declared time-homogeneous (``Coefficients.time_homogeneous``:
+b and sigma do not read ``t``) are evaluated once per grid solve rather
+than once per step; :func:`validate_instance` probes the declaration.
+
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,7 +83,9 @@ class Coefficients:
 
     ``declared_lipschitz`` bounds the Lipschitz constants in the state
     (and, for the cost rate, in value and gradient arguments);
-    ``declared_growth`` bounds the linear-growth constants.  Both are
+    ``declared_growth`` bounds the linear-growth constants.
+    ``time_homogeneous`` declares that b and sigma do not depend on t, so
+    the grid solver may evaluate them once per solve.  All three are
     checked by probing in :func:`validate_instance`, not symbolically.
     """
 
@@ -89,6 +96,7 @@ class Coefficients:
     h: Callable
     declared_lipschitz: float
     declared_growth: float
+    time_homogeneous: bool = False
 
     def __post_init__(self):
         if self.declared_lipschitz <= 0:
@@ -152,7 +160,8 @@ def _as_batch(out, shape, what, t, x, controls):
         arr = np.broadcast_to(np.asarray(out, dtype=float), shape)
     except Exception as exc:  # shape mismatch or non-numeric return
         raise _failure(f"{what} returned un-broadcastable value", t, x, controls) from exc
-    if not np.all(np.isfinite(arr)):
+    # a finite sum implies finite entries; the exact test runs only when it is not
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise _failure(f"{what} returned non-finite value", t, x, controls)
     return arr
 
@@ -219,7 +228,9 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     * Lipschitz bounds (difference quotient above the declared constant
       with 5% slack),
     * linear-growth bounds against ``declared_growth``,
-    * the barrier condition ``h(T, x) <= phi(x)``.
+    * the barrier condition ``h(T, x) <= phi(x)``,
+    * for dynamics declared time-homogeneous, equality of b and sigma at
+      each probe's own time with their values at t = 0.
 
     Deterministic for fixed ``(instance, probe_count, seed)``.
 
@@ -265,10 +276,10 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
             record(kind, defined & (observed > C), observed, witness)
         return float(observed[defined].max(initial=0.0))
 
-    def per_row(evaluate, columns, *controls):
-        """``evaluate`` at each probe's own time on that probe's row of ``columns``."""
+    def per_row(evaluate, columns, *controls, times=ts):
+        """``evaluate`` at each probe's time (its own by default) on its row of ``columns``."""
         return np.array([evaluate(instance, t, *(col[i : i + 1] for col in columns), *controls)[0]
-                         for i, t in enumerate(ts)])
+                         for i, t in enumerate(times)])
 
     dx = np.linalg.norm(xs - xps, axis=1)
     phi_a = eval_terminal(instance, xs)
@@ -284,6 +295,7 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     record("barrier:terminal", h_T > phi_a + 1e-12, h_T - phi_a, lambda i: tuple(xs[i]))
 
     lin = 1.0 + np.linalg.norm(xs, axis=1)
+    t_0 = np.zeros_like(ts)
     denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
     for iu, u in enumerate(instance.u_grid.points):
         for iv, v in enumerate(instance.v_grid.points):
@@ -302,6 +314,11 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
             est["drift"] = max(est["drift"], quotient(None, db, dx))
             est["diffusion"] = max(est["diffusion"], quotient(None, ds, dx))
             quotient("lipschitz:dynamics", db + ds, dx, pair)
+            if instance.coeffs.time_homogeneous:
+                moved = (np.linalg.norm(b_a - per_row(eval_drift, (xs,), u, v, times=t_0), axis=1)
+                         + np.linalg.norm(s_a - per_row(eval_diffusion, (xs,), u, v, times=t_0)
+                                          .reshape(probe_count, -1), axis=1))
+                record("time_homogeneous:dynamics", moved > 0.0, moved, point)
 
             # Cost rate: Lipschitz in (x, y, z) jointly.
             f_a = per_row(eval_cost_rate, (xs, ys, zs), u, v)
@@ -335,6 +352,7 @@ def _american_put(p):
         h=lambda t, x: payoff(x),
         declared_lipschitz=max(1.0, r, vol),
         declared_growth=2.0 * strike + 1.0,
+        time_homogeneous=True,
     )
 
 
@@ -348,6 +366,7 @@ def _lemma45(p):
         h=lambda t, x: np.full(x.shape[0], -rho),
         declared_lipschitz=max(c, 1.0),
         declared_growth=0.5 * theta + rho + 1.0,
+        time_homogeneous=True,
     )
 
 
@@ -362,6 +381,7 @@ def _minimax_gap(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(floor) + vol + bound + 1.0,
+        time_homogeneous=True,
     )
 
 
@@ -376,6 +396,7 @@ def _no_obstacle_linear(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(c0) + abs(c1) + abs(floor) + vol + 1.0,
+        time_homogeneous=True,
     )
 
 
@@ -389,6 +410,7 @@ def _deterministic_stop(p):
         h=lambda t, x: np.full(x.shape[0], horizon - t),
         declared_lipschitz=1.0,
         declared_growth=horizon + 1.0,
+        time_homogeneous=True,
     )
 
 

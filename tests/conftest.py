@@ -30,6 +30,12 @@ def make_instance(n=1, d=1, horizon=1.0, b=None, sigma=None, f=None, phi=None,
                         u_grid=u_grid, v_grid=v_grid, label=label)
 
 
+def declare_homogeneous(instance, flag=True):
+    """``instance`` with ``Coefficients.time_homogeneous`` set to ``flag``."""
+    coeffs = dataclasses.replace(instance.coeffs, time_homogeneous=flag)
+    return dataclasses.replace(instance, coeffs=coeffs)
+
+
 def sized(instance, box, nx, boundary="linear_extrapolation"):
     """Grid on ``box`` with ``nx`` nodes and the smallest stable number of steps."""
     grid = SpaceTimeGrid(box=box, nx=nx, nt=1, boundary=boundary)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isaacslab import pde
 from isaacslab.analysis import (
     response_feedback,
     dpp_residual,
@@ -16,9 +17,9 @@ from isaacslab.analysis import (
 )
 from isaacslab.errors import FitError, PreconditionError
 from isaacslab.pde import SpaceTimeGrid, solve_penalized_pde
-from isaacslab.problems import builtin_instance
+from isaacslab.problems import builtin_instance, eval_cost_rate
 from isaacslab.rbsde import RegressionBasis, cost_functional
-from isaacslab.sde import ControlPath, TimeMesh
+from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
 from conftest import make_instance, sized
 
@@ -206,6 +207,28 @@ def test_feedback_controls_recover_game_value():
                             TimeMesh(0.0, 1.0, 50), paths=64,
                             basis=RegressionBasis(2), seed=5)
     assert value == pytest.approx(field.interp(0, 0.0), abs=0.05)
+
+
+def test_feedback_pair_shares_one_hamiltonian_scan_per_query(monkeypatch):
+    inst = builtin_instance("minimax_gap")
+    field = lower_value(inst, sized(inst, ((-2.0, 2.0),), (41,)))
+    calls = []
+    monkeypatch.setattr(pde, "eval_cost_rate",
+                        lambda *args: calls.append(args[1]) or eval_cost_rate(*args))
+
+    def simulate(u, v):
+        calls.clear()
+        bundle = simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 20), u, v, 64, 7)
+        return bundle, len(calls)
+
+    shared, shared_calls = simulate(*feedback_from_field(field, inst))
+    # controls taken from two separate pairs share no scan
+    apart, apart_calls = simulate(feedback_from_field(field, inst)[0],
+                                  feedback_from_field(field, inst)[1])
+    assert shared_calls == 20 * len(inst.u_grid) * len(inst.v_grid)
+    assert apart_calls == 2 * shared_calls
+    for name in ("states", "dB", "u_path", "v_path"):
+        assert np.array_equal(getattr(shared, name), getattr(apart, name))
 
 
 def test_feedback_is_sandwiched_by_fixed_controls():

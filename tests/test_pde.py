@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from isaacslab import pde
 from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
 from isaacslab.pde import (
     BOUNDARY_POLICIES,
+    HAMILTONIANS,
     SpaceTimeGrid,
     _check_cfl,
     _sweep,
@@ -19,9 +21,15 @@ from isaacslab.pde import (
     solve_penalized_pde,
     sweep_penalized,
 )
-from isaacslab.problems import builtin_instance, eval_obstacle, eval_terminal
+from isaacslab.problems import (
+    BUILTIN_NAMES,
+    builtin_instance,
+    eval_drift,
+    eval_obstacle,
+    eval_terminal,
+)
 
-from conftest import make_instance, sized
+from conftest import declare_homogeneous, make_instance, sized
 
 
 def test_grid_invariants():
@@ -246,6 +254,49 @@ def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundar
         for single, batched in zip(singles, fields):
             assert np.array_equal(single[k], batched)
     assert visited == list(range(grid.nt, -1, -1))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d",))
+def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
+    # drift and diffusion tabulated once per solve give the same fields,
+    # residuals and penalty sweep as evaluating them at every step
+    if case == "correlated_2d":
+        declared = declare_homogeneous(correlated_game())
+        grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
+    else:
+        declared = builtin_instance(case)
+        box = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),)
+        grid = sized(declared, box, (41,), boundary)
+    per_step = declare_homogeneous(declared, False)
+    assert declared.coeffs.time_homogeneous
+    for which in HAMILTONIANS:
+        fields = [solve_obstacle_pde(which, inst, grid) for inst in (declared, per_step)]
+        for k in range(grid.nt + 1):
+            assert np.array_equal(fields[0].slices[k], fields[1].slices[k])
+        residuals = [complementarity_residual(f, inst)[1]
+                     for f, inst in zip(fields, (declared, per_step))]
+        assert np.array_equal(*residuals)
+    schedule = [0.0, 4.0, 64.0]
+    for (k, tabulated), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
+                                              sweep_penalized(per_step, grid, schedule)):
+        assert k == j and np.array_equal(tabulated, evaluated)
+
+
+def test_drift_evaluated_once_per_control_pair_per_solve(monkeypatch):
+    inst = builtin_instance("minimax_gap")
+    per_step = declare_homogeneous(inst, False)
+    grid = sized(inst, ((-2.0, 2.0),), (21,))
+    calls = []
+    monkeypatch.setattr(pde, "eval_drift",
+                        lambda *args: calls.append(args[1]) or eval_drift(*args))
+    pairs = len(inst.u_grid) * len(inst.v_grid)
+    field = solve_obstacle_pde("lower", inst, grid)
+    assert calls == [field.times[-2]] * pairs
+    calls.clear()
+    solve_obstacle_pde("lower", per_step, grid)
+    # otherwise each step evaluates every pair at its own time
+    assert calls == [t for t in field.times[-2::-1] for _ in range(pairs)]
 
 
 def test_unstable_solve_raises_divergence_at_first_non_finite_slice():

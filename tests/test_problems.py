@@ -8,11 +8,12 @@ from isaacslab.problems import (
     BUILTIN_NAMES,
     Coefficients,
     ControlGrid,
+    _as_batch,
     builtin_instance,
     validate_instance,
 )
 
-from conftest import make_instance
+from conftest import declare_homogeneous, make_instance
 
 
 def test_control_grid_rejects_duplicates_and_empty():
@@ -72,9 +73,33 @@ def test_validate_is_deterministic():
     assert r1.estimated_lipschitz == r2.estimated_lipschitz
 
 
+def test_validate_flags_time_dependent_drift_declared_homogeneous():
+    inst = make_instance(b=lambda t, x, u, v: t * x, h=lambda t, x: np.full(x.shape[0], -1.0))
+    assert validate_instance(inst, probe_count=16, seed=2).passed
+    report = validate_instance(declare_homogeneous(inst), probe_count=16, seed=2)
+    moved = [v for v in report.violations if v[0] == "time_homogeneous:dynamics"]
+    # b(t, x) - b(0, x) = t x is nonzero at every probe
+    assert len(moved) == 16 and len(report.violations) == 16
+    assert all(observed > 0.0 for _, _, observed in moved)
+
+
+def test_as_batch_accepts_large_finite_entries_and_rejects_non_finite():
+    x = np.zeros((2, 1))
+    # the sum of the entries overflows (numpy warns of it), so the exact
+    # per-entry test decides
+    with np.errstate(over="ignore"):
+        arr = _as_batch([1e308, 1e308], (2,), "drift", 0.0, x, ())
+    np.testing.assert_array_equal(arr, [1e308, 1e308])
+    assert not arr.flags.writeable
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EvaluationError, match="drift returned non-finite value"):
+            _as_batch([1.0, bad], (2,), "drift", 0.0, x, ())
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_instances_validate(name):
     inst = builtin_instance(name)
+    assert inst.coeffs.time_homogeneous
     report = validate_instance(inst, probe_count=64, seed=5)
     assert report.passed, report.violations[:3]
 
