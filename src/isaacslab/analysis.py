@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import FitError, PreconditionError
 from .pde import (
-    _hamiltonian_stack,
+    HAMILTONIANS,
+    _argopt,
+    _field_stacks,
     _solve_field,
     eval_hamiltonian,
-    hamiltonian_argopt,
-    slice_derivatives,
     solve_obstacle_pde,
     # not called here: perfbench/spans.py wraps analysis.solve_penalized_pde
     # and refuses to trace when the name is missing
@@ -96,7 +96,7 @@ def dpp_residual(field, instance, t_index, delta_steps):
     sample nodes.  The one-step map composes exactly, so the residual is
     zero up to floating-point noise for any self-consistent field.
     """
-    if field.kind not in ("lower", "upper"):
+    if field.kind not in HAMILTONIANS:
         raise PreconditionError("dynamic-programming residuals need a lower/upper field")
     nt = len(field.times) - 1
     if t_index < 0 or delta_steps < 0 or t_index + delta_steps > nt:
@@ -214,14 +214,17 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
                              obstacle_moduli=tuple(obstacle_moduli))
 
 
-def _snapped_slice_data(field, what):
-    """Central difference data of a 1-D field at snapped query points.
+def _snapped_stacks(field, instance, what):
+    """Generator stacks of a 1-D field at snapped query points.
 
-    Returns ``lookup(t, x_batch) -> (t_k, x, w, q, xmat)``: the query
-    time snaps to the nearest slice and each state to the nearest
-    interior node.  Difference data is computed once per slice.
+    Returns ``lookup(t, x_batch) -> vals``, the (nu, nv, batch) generator
+    values of every control pair: the query time snaps to the nearest
+    time index ``k``, whose time the cost rate and the dynamics read,
+    and each state to the nearest interior node, whose difference data
+    come from slice ``min(k, nt - 1)``.  One stack is computed per
+    snapped time index.
     """
-    if field.kind not in ("lower", "upper"):
+    if field.kind not in HAMILTONIANS:
         raise PreconditionError(f"{what} extraction needs a lower/upper field")
     grid = field.grid
     if grid.ndim != 1:
@@ -230,16 +233,16 @@ def _snapped_slice_data(field, what):
     lo, dx = ax[0], grid.dx()[0]
     nt = len(field.times) - 1
     dt = field.dt
+    stack = _field_stacks(field, instance)
     cache = {}
 
     def lookup(t, x_batch):
         k = int(np.clip(round(t / dt), 0, nt))
-        key = min(k, nt - 1) if nt > 0 else 0
-        if key not in cache:
-            cache[key] = slice_derivatives(field, key)
+        if k not in cache:
+            cache[k] = stack(float(field.times[k]), min(k, nt - 1))[2]
         nodes = np.clip(np.round((x_batch[:, 0] - lo) / dx).astype(int) - 1,
                         0, len(ax) - 3)
-        return (float(field.times[k]),) + tuple(arr[nodes] for arr in cache[key])
+        return cache[k][:, :, nodes]
 
     return lookup
 
@@ -248,23 +251,13 @@ def feedback_from_field(field, instance):
     """Feedback controls read off the field's Hamiltonian optimisers.
 
     Returns a pair of :class:`ControlPath` feedback controls.  Queries
-    snap to the nearest time slice and nearest interior node, form the
-    central difference data there and report the attained maximiser and
-    minimiser indices.  The two controls share one Hamiltonian scan per
-    query: a query at the same time on the same state batch object as
-    the last one reuses its optimisers.
+    snap to the nearest time slice and nearest interior node and report
+    the attained maximiser and minimiser indices of the generator stack
+    there.  The two controls share one stack per snapped time slice.
     """
-    lookup = _snapped_slice_data(field, "feedback")
-    last = [None, None, None]   # t, x_batch, (iu, iv)
-
-    def _policy(t, x_batch):
-        if last[0] != t or last[1] is not x_batch:
-            _, iu, iv = hamiltonian_argopt(field.kind, instance, *lookup(t, x_batch))
-            last[:] = t, x_batch, (iu, iv)
-        return last[2]
-
-    u_ctrl = ControlPath.from_feedback(lambda t, x: _policy(t, x)[0])
-    v_ctrl = ControlPath.from_feedback(lambda t, x: _policy(t, x)[1])
+    lookup = _snapped_stacks(field, instance, "feedback")
+    u_ctrl = ControlPath.from_feedback(lambda t, x: _argopt(field.kind, lookup(t, x))[1])
+    v_ctrl = ControlPath.from_feedback(lambda t, x: _argopt(field.kind, lookup(t, x))[2])
     return u_ctrl, v_ctrl
 
 
@@ -276,9 +269,5 @@ def response_feedback(field, instance, u_index):
     knowledge advantage of the responding player against any fixed
     control of the other.
     """
-    lookup = _snapped_slice_data(field, "response")
-
-    def _respond(t, x_batch):
-        return _hamiltonian_stack(instance, *lookup(t, x_batch))[u_index].argmin(axis=0)
-
-    return ControlPath.from_feedback(_respond)
+    lookup = _snapped_stacks(field, instance, "response")
+    return ControlPath.from_feedback(lambda t, x: lookup(t, x)[u_index].argmin(axis=0))

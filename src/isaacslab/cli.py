@@ -10,8 +10,8 @@ Commands
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
     Make every check ``run`` makes before it solves (``config.parse_config``
-    and the stability bound of an explicit ``grid.nt``), then probe the
-    instance's standing assumptions.
+    and the sizing of its grids against the stability bound), then probe
+    the instance's standing assumptions.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical precondition
 (stability bound, divergence, contract violation), 4 I/O failure.
@@ -68,19 +68,13 @@ class ResultRecord:
     files: tuple
 
 
-def _sized_grid(config, grid):
-    if config.grid_nt_auto:
-        grid = dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
-    return grid
-
-
 def _solved_grids(config):
-    """The grids ``run`` solves on, before sizing.
+    """The grids ``run`` solves on, sized.
 
     One per ``schedules.nx`` entry for ``american_oracle``, none for
     ``rbsde_oracle`` and ``config.grid`` for the other experiments.  An
-    explicit ``grid.nt`` below the stability bound of any of them raises
-    :class:`CflError`.
+    automatic ``nt`` is set to the smallest the stability bound admits;
+    an explicit ``grid.nt`` below the bound raises :class:`CflError`.
     """
     if config.experiment == "rbsde_oracle":
         return []
@@ -88,9 +82,11 @@ def _solved_grids(config):
         grids = [dataclasses.replace(config.grid, nx=(nx,)) for nx in config.nx_schedule]
     else:
         grids = [config.grid]
-    if not config.grid_nt_auto:
-        for grid in grids:
-            pde._check_cfl(config.instance, grid)
+    if config.grid_nt_auto:
+        return [dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
+                for grid in grids]
+    for grid in grids:
+        pde._check_cfl(config.instance, grid)
     return grids
 
 
@@ -123,7 +119,7 @@ def _dump_field(field, directory, name):
 
 
 def _run_solve(config, grids, outdir):
-    grid = _sized_grid(config, grids[0])
+    grid = grids[0]
     which = config.options.get("which", "lower")
     field = solve_obstacle_pde(which, config.instance, grid)
     probe = config.options.get("probe_x")
@@ -145,7 +141,7 @@ def _run_solve(config, grids, outdir):
 
 
 def _run_penalization(config, grids, outdir):
-    grid = _sized_grid(config, grids[0])
+    grid = grids[0]
     table = penalization_convergence(config.instance, grid, config.m_schedule)
     metrics = {
         "nt": grid.nt,
@@ -160,7 +156,7 @@ def _run_penalization(config, grids, outdir):
 
 def _run_dpp(config, grids, outdir):
     instance = config.instance
-    grid = _sized_grid(config, grids[0])
+    grid = grids[0]
     field = solve_obstacle_pde(config.options.get("which", "lower"), instance, grid)
     t_fraction = float(config.options.get("t_fraction", 0.5))
     t_index = int(round(t_fraction * grid.nt))
@@ -184,7 +180,7 @@ def _run_dpp(config, grids, outdir):
 
 def _run_compare_wu(config, grids, outdir):
     instance = config.instance
-    grid = _sized_grid(config, grids[0])
+    grid = grids[0]
     low = lower_value(instance, grid)
     up = upper_value(instance, grid)
     violation, gap = value_comparison(low, up)
@@ -207,8 +203,7 @@ def _run_american_oracle(config, grids, outdir):
 
     errors, nxs = [], []
     value = None
-    for base in grids:
-        grid = _sized_grid(config, base)
+    for grid in grids:
         field = solve_obstacle_pde("lower", instance, grid)
         value = _probe_initial(field, probe_x)
         nxs.append(grid.nx[0])
@@ -357,7 +352,7 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
-    _solved_grids(config)  # refuses what run refuses; grids are never sized here
+    _solved_grids(config)  # refuses what run refuses
     seed = config.mc.seed if config.mc is not None else 0
     report = validate_instance(config.instance, probe_count=128, seed=seed)
     if report.passed:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .pde import BOUNDARY_POLICIES, SpaceTimeGrid
+from .pde import BOUNDARY_POLICIES, HAMILTONIANS, SpaceTimeGrid
 from .problems import GameInstance, builtin_instance
 
 EXPERIMENTS = ("solve", "penalization", "dpp", "compare_wu", "american_oracle",
@@ -202,7 +202,7 @@ def parse_config(raw):
     _check_keys(options, _SECTIONS["options"], "options")
     options = dict(options)
     which = options.get("which", "lower")
-    _expect(which in ("lower", "upper"), "options.which", "must be lower or upper")
+    _expect(which in HAMILTONIANS, "options.which", "must be lower or upper")
     probe = options.get("probe_x")
     if isinstance(probe, list) and experiment != "american_oracle":
         coords = _numbers(probe, "options.probe_x")

@@ -31,12 +31,14 @@ one sweep that evaluates the cost rate and the obstacle once per step
 for the whole batch, and a slice that is not finite stops the sweep with
 a divergence error.
 
+Apart from the stability rule, which samples sigma itself,
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: per control pair it gates b and sigma once on the interior
 nodes and forms sigma sigma^T.  A solve builds these tables, and the
 upwind stencil's per-pair constants with them, at its first step when
 the instance declares time-homogeneous dynamics
-(``Coefficients.time_homogeneous``) and at every step otherwise.
+(``Coefficients.time_homogeneous``) and at every step otherwise; the
+queries of a stored field (:func:`_field_stacks`) do the same.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class SpaceTimeGrid:
             raise ValueError("box and nx must agree in dimension")
         if any(k < 3 for k in nx):
             raise ValueError("need at least three points per dimension")
+        if math.prod(nx) > np.iinfo(np.intp).max:
+            raise ValueError("more grid nodes than an array can index")
         if any(lo >= hi for lo, hi in box):
             raise ValueError("box bounds must satisfy lo < hi")
         if self.nt < 1:
@@ -117,11 +121,11 @@ class SpaceTimeGrid:
         grid_coords = self.nodes().reshape(self.shape + (self.ndim,))
         return grid_coords[self.interior()].reshape(-1, self.ndim)
 
-    def inner_mask(self, fraction=INNER_FRACTION):
-        """Boolean mask of nodes inside the central ``fraction`` of the box."""
+    def inner_mask(self):
+        """Boolean mask of nodes inside the central ``INNER_FRACTION`` of the box."""
         masks = []
         for (lo, hi), ax in zip(self.box, self.axes()):
-            mid, half = 0.5 * (lo + hi), 0.5 * fraction * (hi - lo)
+            mid, half = 0.5 * (lo + hi), 0.5 * INNER_FRACTION * (hi - lo)
             masks.append(np.abs(ax - mid) <= half + 1e-12)
         return np.logical_and.reduce(np.meshgrid(*masks, indexing="ij"))
 
@@ -158,7 +162,9 @@ def _stability(instance, grid):
     The bound is ``dx^2 / (n * D + 1)`` with ``dx`` the smallest spacing
     and ``D`` the largest diagonal entry of sigma sigma^T, sampled at
     t = 0 and t = T on every node and control pair; time-homogeneous
-    dynamics are sampled at t = 0 only.  Returns ``(bound, nt)``.
+    dynamics are sampled at t = 0 only.  Returns ``(bound, nt)``, and
+    raises :class:`PreconditionError` when the bound is zero or not
+    finite (an overflowing diffusion or spacing).
     """
     nodes = grid.nodes()
     worst = 0.0
@@ -168,6 +174,9 @@ def _stability(instance, grid):
                 sv = eval_diffusion(instance, t, nodes, u, v)
                 worst = max(worst, float(np.sum(sv * sv, axis=2).max()))
     bound = min(step * step for step in grid.dx()) / (grid.ndim * worst + 1.0)
+    if not 0.0 < bound < math.inf:
+        raise PreconditionError(f"the stability bound {bound} on the time step is not "
+                                f"a positive finite number")
     nt = int(np.ceil(instance.T / bound))
     while instance.T / nt > bound:
         nt += 1
@@ -362,11 +371,13 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     the obstacle once and each control pair's cost rate once for the
     whole batch; the pair tables of drift and diffusion are built at the
     first step for time-homogeneous dynamics and at every step otherwise.
-    Slice ``k`` is written to ``store[k % len(store)]``: a
-    store with one slot per time keeps every slice, one with two slots
-    only the latest two.  Yields ``(k, slice)`` for ``k = nt, ..., 0``
-    and raises :class:`DivergenceError` on the first slice that is not
-    finite.
+    Slice ``k`` is written to ``store[k % len(store)]``: a store with
+    one slot per time keeps every slice, one with two slots only the
+    latest two.  In two dimensions the boundary fill of the first axis
+    reads the slot's old entries on the second axis's faces before that
+    axis overwrites them, so a store must start finite (zeroed).  Yields
+    ``(k, slice)`` for ``k = nt, ..., 0`` and raises
+    :class:`DivergenceError` on the first slice that is not finite.
     """
     shape = grid.shape
     batch = terminal.shape[:terminal.ndim - grid.ndim]
@@ -401,8 +412,7 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         else:
             c = weights * dt
             w[...] = np.where(w < h_k, (w + c * h_k) / (1.0 + c), w)
-        # a finite sum implies finite entries; the exact test runs only when it is not
-        if not math.isfinite(w.sum()) and not np.isfinite(w).all():
+        if not np.isfinite(w).all():
             raise DivergenceError(
                 f"value field turned non-finite at time step {k} (t = {t:.6g}); "
                 f"the explicit scheme is unstable on this grid", step=k)
@@ -410,7 +420,7 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
 
 
 def _solve_field(which, instance, grid, times, terminal_slice, penalty_m):
-    slices = np.empty((len(times),) + grid.shape)
+    slices = np.zeros((len(times),) + grid.shape)
     for _ in _sweep(which, instance, grid, times, terminal_slice, penalty_m, slices):
         pass
     kind = which if penalty_m is None else "penalized"
@@ -471,32 +481,27 @@ def sweep_penalized(instance, grid, m_schedule):
         return iter(())
     shape = (len(weights),) + grid.shape
     return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape),
-                  weights, np.empty((2,) + shape))
+                  weights, np.zeros((2,) + shape))
 
 
-def _hamiltonian_stack(instance, t, x, y, q, xmat, tables=None):
+def _hamiltonian_stack(instance, t, x, y, q, xmat, tables):
     """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
-    ``tables`` are the :func:`_pair_tables` of ``x``, built here when
-    not given.
+    ``tables`` are the :func:`_pair_tables` of ``x``.
     """
-    if tables is None:
-        tables = _pair_tables(instance, t, x, 1)
     parts = (0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
              for _, _, a, b, _ in tables)
     return _generator_stack(instance, t, x, y, q.T, tables, parts)
 
 
-def hamiltonian_argopt(which, instance, t, x, y, q, xmat):
-    """Hamiltonian values with attained optimiser indices.
+def _argopt(which, vals):
+    """Reduce an (nu, nv, m) generator stack with its attained optimisers.
 
     Returns ``(values, u_indices, v_indices)`` with ties broken towards
     the lowest index; the reported indices are the outer and inner
     optimisers actually attained.
     """
-    vals = _hamiltonian_stack(instance, t, x, y, q, xmat)
-    m = vals.shape[2]
-    cols = np.arange(m)
+    cols = np.arange(vals.shape[2])
     if which == "lower":
         inner = vals.min(axis=1)                 # (nu, m)
         inner_arg = vals.argmin(axis=1)          # (nu, m)
@@ -534,24 +539,38 @@ def eval_hamiltonian(which, instance, t, x, y, q, xmat):
     q = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
     xmat = np.atleast_2d(np.asarray(xmat, dtype=float))[None, :, :]
     yb = np.atleast_1d(float(y))
-    value, iu, iv = hamiltonian_argopt(which, instance, t, x, yb, q, xmat)
+    vals = _hamiltonian_stack(instance, t, x, yb, q, xmat, _pair_tables(instance, t, x, 1))
+    value, iu, iv = _argopt(which, vals)
     return float(value[0]), int(iu[0]), int(iv[0])
 
 
-def slice_derivatives(field, k):
-    """Central difference data of one slice on the interior nodes.
+def _field_stacks(field, instance):
+    """Generator stacks of a stored lower/upper field, one slice at a time.
 
-    Returns ``(x_int, w_int, q, xmat)`` with shapes (m, n), (m,),
-    (m, n) and (m, n, n).
+    Returns ``stack(t, k) -> (x, w, vals)``: the interior nodes, slice
+    ``k`` on them, and the (nu, nv, m) generator values of every control
+    pair at time ``t`` with the slice's central difference data.  The
+    pair tables of drift and diffusion are built at the first call for
+    time-homogeneous dynamics and at every call otherwise.
     """
     grid = field.grid
-    wc, d2, central, _, _, cross = _differences(field.slices[k], grid.dx())
-    xmat = np.empty((wc.size, grid.ndim, grid.ndim))
-    for i, d2_i in enumerate(d2):
-        xmat[:, i, i] = d2_i
-    for (i, j), (plus, minus) in cross.items():
-        xmat[:, i, j] = xmat[:, j, i] = 0.5 * (plus + minus)
-    return grid.interior_nodes(), wc, np.stack(central, axis=1), xmat
+    x = grid.interior_nodes()
+    tables = None
+
+    def stack(t, k):
+        nonlocal tables
+        wc, d2, central, _, _, cross = _differences(field.slices[k], grid.dx())
+        xmat = np.empty((wc.size, grid.ndim, grid.ndim))
+        for i, d2_i in enumerate(d2):
+            xmat[:, i, i] = d2_i
+        for (i, j), (plus, minus) in cross.items():
+            xmat[:, i, j] = xmat[:, j, i] = 0.5 * (plus + minus)
+        if tables is None or not instance.coeffs.time_homogeneous:
+            tables = _pair_tables(instance, t, x, 1)
+        return x, wc, _hamiltonian_stack(instance, t, x, wc, np.stack(central, axis=1),
+                                         xmat, tables)
+
+    return stack
 
 
 def complementarity_residual(field, instance, inner_only=False):
@@ -562,12 +581,10 @@ def complementarity_residual(field, instance, inner_only=False):
     quotients and central space quotients.  Returns the supremum of
     ``|r|`` together with the per-slice maxima.  ``inner_only`` restricts
     the spatial maxima to the central sub-box, away from the truncation
-    boundary.  Time-homogeneous dynamics are tabulated on the first
-    slice and reused on the others.  Note the residual is a genuine
-    independent measure: it does not vanish where the terminal data is
-    not smooth (for a kinked payoff the last slices carry an O(1/dx)
-    spike), so convergence is read on slices away from the terminal
-    layer.
+    boundary.  Note the residual is a genuine independent measure: it
+    does not vanish where the terminal data is not smooth (for a kinked
+    payoff the last slices carry an O(1/dx) spike), so convergence is
+    read on slices away from the terminal layer.
     """
     if field.kind not in HAMILTONIANS:
         raise PreconditionError("residuals are defined for lower/upper fields")
@@ -575,17 +592,14 @@ def complementarity_residual(field, instance, inner_only=False):
     nt = len(field.times) - 1
     interior = grid.interior()
     keep = grid.inner_mask()[interior].ravel() if inner_only else slice(None)
-    homogeneous = instance.coeffs.time_homogeneous
+    stack = _field_stacks(field, instance)
     per_slice = np.empty(nt)
     for k in range(nt):
         t = float(field.times[k])
         dt = float(field.times[k + 1] - field.times[k])
-        x_int, wc, q, xmat = slice_derivatives(field, k)
-        if k == 0 or not homogeneous:
-            tables = _pair_tables(instance, t, x_int, 1)
+        x_int, wc, vals = stack(t, k)
         h_int = eval_obstacle(instance, t, x_int)
-        ham = _minimax(field.kind, _hamiltonian_stack(instance, t, x_int, wc, q, xmat, tables))
         dwdt = (field.slices[k + 1][interior].ravel() - wc) / dt
-        r = np.minimum(wc - h_int, -dwdt - ham)
+        r = np.minimum(wc - h_int, -dwdt - _minimax(field.kind, vals))
         per_slice[k] = float(np.abs(r[keep]).max())
     return float(per_slice.max()), per_slice

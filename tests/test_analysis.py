@@ -17,7 +17,7 @@ from isaacslab.analysis import (
 )
 from isaacslab.errors import FitError, PreconditionError
 from isaacslab.pde import SpaceTimeGrid, solve_penalized_pde
-from isaacslab.problems import builtin_instance, eval_cost_rate
+from isaacslab.problems import builtin_instance, eval_cost_rate, eval_diffusion, eval_drift
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
@@ -212,23 +212,34 @@ def test_feedback_controls_recover_game_value():
 def test_feedback_pair_shares_one_hamiltonian_scan_per_query(monkeypatch):
     inst = builtin_instance("minimax_gap")
     field = lower_value(inst, sized(inst, ((-2.0, 2.0),), (41,)))
-    calls = []
-    monkeypatch.setattr(pde, "eval_cost_rate",
-                        lambda *args: calls.append(args[1]) or eval_cost_rate(*args))
+    calls = {}
+    for name, fn in (("drift", eval_drift), ("diffusion", eval_diffusion),
+                     ("cost_rate", eval_cost_rate)):
+        seen = calls[name] = []
+        monkeypatch.setattr(pde, "eval_" + name,
+                            lambda *args, seen=seen, fn=fn: seen.append(args[1]) or fn(*args))
 
     def simulate(u, v):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         bundle = simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 20), u, v, 64, 7)
-        return bundle, len(calls)
+        return bundle, {name: len(seen) for name, seen in calls.items()}
 
     shared, shared_calls = simulate(*feedback_from_field(field, inst))
     # controls taken from two separate pairs share no scan
     apart, apart_calls = simulate(feedback_from_field(field, inst)[0],
                                   feedback_from_field(field, inst)[1])
-    assert shared_calls == 20 * len(inst.u_grid) * len(inst.v_grid)
-    assert apart_calls == 2 * shared_calls
+    pairs = len(inst.u_grid) * len(inst.v_grid)
+    assert shared_calls["cost_rate"] == 20 * pairs
+    assert apart_calls["cost_rate"] == 2 * shared_calls["cost_rate"]
+    # time-homogeneous dynamics are tabulated once per field, not per query
+    assert shared_calls["drift"] == shared_calls["diffusion"] == pairs
+    assert apart_calls["drift"] == apart_calls["diffusion"] == 2 * pairs
     for name in ("states", "dB", "u_path", "v_path"):
         assert np.array_equal(getattr(shared, name), getattr(apart, name))
+    # the best response reads the same once-tabulated stacks
+    _, response_calls = simulate(ControlPath.constant(1), response_feedback(field, inst, 1))
+    assert response_calls == {"drift": pairs, "diffusion": pairs, "cost_rate": 20 * pairs}
 
 
 def test_feedback_is_sandwiched_by_fixed_controls():

@@ -338,6 +338,15 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     # grid.nx passes at nt = 40 (37 needed); the schedule's nx = 281 does not
     pytest.param(_with(_with(_ORACLE, "grid", "nt", 40), "schedules", "nx", [29, 281]),
                  3, id="oracle-schedule-nt-below-stability-bound"),
+    # sizing an automatic nt needs a positive finite stability bound
+    pytest.param(_with(_SOLVE, "instance", "params", {"sigma0": 1e300}), 3,
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+                 id="solve-overflowing-diffusion"),
+    pytest.param(_with(_MINIMAX, "grid", "box", [[-2, 1e300]]), 3,
+                 id="solve-overflowing-spacing"),
+    pytest.param(_with(_SOLVE, "grid", "nx", [1e300]), 2, id="solve-unindexable-grid"),
+    pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,
+                 id="oracle-unindexable-schedule-grid"),
 ])
 def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     cfg = write_config(tmp_path, "cfg.json",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isaacslab import pde
+from isaacslab.analysis import feedback_from_field, response_feedback
 from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
 from isaacslab.pde import (
@@ -28,6 +29,7 @@ from isaacslab.problems import (
     eval_obstacle,
     eval_terminal,
 )
+from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
 from conftest import declare_homogeneous, make_instance, sized
 
@@ -260,7 +262,8 @@ def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundar
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d",))
 def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
     # drift and diffusion tabulated once per solve give the same fields,
-    # residuals and penalty sweep as evaluating them at every step
+    # residuals, feedback paths and penalty sweep as evaluating them at
+    # every step
     if case == "correlated_2d":
         declared = declare_homogeneous(correlated_game())
         grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
@@ -277,10 +280,26 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, bou
         residuals = [complementarity_residual(f, inst)[1]
                      for f, inst in zip(fields, (declared, per_step))]
         assert np.array_equal(*residuals)
+        if grid.ndim == 1:
+            # feedback and best-response paths read the same stacks
+            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, (declared, per_step))]
+            for one, other in zip(*bundles):
+                for name in ("states", "u_path", "v_path"):
+                    assert np.array_equal(getattr(one, name), getattr(other, name))
     schedule = [0.0, 4.0, 64.0]
     for (k, tabulated), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
                                               sweep_penalized(per_step, grid, schedule)):
         assert k == j and np.array_equal(tabulated, evaluated)
+
+
+def feedback_bundles(field, inst):
+    """Paths driven by the feedback pair and by each best response of ``field``."""
+    x0 = field.grid.nodes()[field.grid.nx[0] // 2]
+    mesh = TimeMesh(0.0, inst.T, 10)
+    drivers = [feedback_from_field(field, inst)]
+    drivers += [(ControlPath.constant(iu), response_feedback(field, inst, iu))
+                for iu in range(len(inst.u_grid))]
+    return [simulate_paths(inst, x0, mesh, u, v, 16, 3) for u, v in drivers]
 
 
 def test_drift_evaluated_once_per_control_pair_per_solve(monkeypatch):
@@ -325,6 +344,19 @@ def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
                 assert np.isfinite(fields).all()
                 visited.append(k)
     assert err.value.step == visited[-1] - 1
+
+
+def test_sweep_accepts_finite_slices_whose_sum_overflows():
+    # 41 entries of 1e307 sum past the largest float: the finiteness test
+    # must accept every slice, and without an overflow warning
+    inst = make_instance()
+    grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(41,), nt=4)
+    times = np.linspace(0.0, inst.T, grid.nt + 1)
+    terminal = np.full(grid.shape, 1e307)
+    slices = [w.copy() for _, w in _sweep("lower", inst, grid, times, terminal, None,
+                                           np.zeros((2,) + grid.shape))]
+    assert len(slices) == grid.nt + 1
+    assert all(np.array_equal(w, terminal) for w in slices)
 
 
 @pytest.mark.parametrize("rho", [0.5, -0.5])
@@ -450,6 +482,11 @@ def test_two_dimensional_residual_path():
         h=lambda t, x: np.full(x.shape[0], -5.0),
         horizon=0.5, growth=10.0)
     grid = sized(inst, ((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
+    # the boundary fill of the first axis reads old entries on the second
+    # axis's faces: memory just freed full of infinities, of the store's
+    # size, must not leak into the solve as an invalid-value warning
+    junk = np.full((grid.nt + 1,) + grid.shape, np.inf)
+    del junk
     field = solve_obstacle_pde("lower", inst, grid)
     expected = (0.5 - field.times)[:, None, None]
     np.testing.assert_allclose(field.slices,
