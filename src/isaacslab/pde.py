@@ -84,16 +84,18 @@ class SpaceTimeGrid:
             raise ValueError("grid solves support one or two spatial dimensions")
         if len(nx) != len(box):
             raise ValueError("box and nx must agree in dimension")
-        if any(k < 3 for k in nx):
-            raise ValueError("need at least three points per dimension")
+        if self.boundary not in BOUNDARY_POLICIES:
+            raise ValueError(f"boundary policy must be one of {BOUNDARY_POLICIES}")
+        # extrapolation reads two interior nodes next to each face
+        least = 4 if self.boundary == "linear_extrapolation" else 3
+        if any(k < least for k in nx):
+            raise ValueError(f"{self.boundary} needs at least {least} points per dimension")
         if math.prod(nx) > np.iinfo(np.intp).max:
             raise ValueError("more grid nodes than an array can index")
         if any(lo >= hi for lo, hi in box):
             raise ValueError("box bounds must satisfy lo < hi")
         if self.nt < 1:
             raise ValueError("need at least one time step")
-        if self.boundary not in BOUNDARY_POLICIES:
-            raise ValueError(f"boundary policy must be one of {BOUNDARY_POLICIES}")
 
     @property
     def ndim(self):

@@ -21,6 +21,14 @@ exact.  Backward induction per step:
     y0   = p + dt f(t_k, X_k, p,  Z_k, u, v)    (predict)
     yhat = p + dt f(t_k, X_k, y0, Z_k, u, v)    (correct once)
     Y_k  = projection / penalty applied to yhat
+
+The solve reads the bundle's step-major storage (see ``sde``) and keeps
+Y, Z, K and the obstacle samples step-major too, so every step works on
+contiguous rows; ``BackwardSolution`` exposes them path-major as
+transposed views.  A reduction over the steps of such a view may round
+differently from the same reduction over a C-contiguous copy;
+``skorokhod_sums`` sums C-contiguous terms, so its per-path sums do not
+depend on the storage layout.
 """
 
 from __future__ import annotations
@@ -60,27 +68,34 @@ class RegressionBasis:
         scale = x.std(axis=0)
         scale = np.where(scale > 0.0, scale, 1.0)
         xs = (x - mean) / scale
-        cols = [np.ones(m)]
-        for deg in range(1, self.degree + 1):
-            for combo in combinations_with_replacement(range(n), deg):
-                col = np.ones(m)
-                for axis in combo:
-                    col = col * xs[:, axis]
-                cols.append(col)
-        return np.stack(cols, axis=1)
+        combos = [combo for deg in range(1, self.degree + 1)
+                  for combo in combinations_with_replacement(range(n), deg)]
+        A = np.empty((m, 1 + len(combos)))
+        A[:, 0] = 1.0
+        column = {(): 0}
+        # each monomial is its parent (the combo minus its last factor) times
+        # one coordinate, so columns equal the products 1 * x_a * x_b ... bit for bit
+        for j, combo in enumerate(combos, start=1):
+            np.multiply(A[:, column[combo[:-1]]], xs[:, combo[-1]], out=A[:, j])
+            column[combo] = j
+        return A
 
 
 @dataclass(frozen=True)
 class BackwardSolution:
-    """Discrete (Y, Z, K) triple along a path bundle."""
+    """Discrete (Y, Z, K) triple along a path bundle.
+
+    The arrays are path-major views of step-major storage (see the module
+    docstring).
+    """
 
     mesh: TimeMesh
-    Y: np.ndarray                # (M, N+1)
-    Z: np.ndarray                # (M, N, d)
-    K: np.ndarray                # (M, N+1), cumulative, K[:, 0] = 0
+    Y: np.ndarray                # (M, N+1), view of (N+1, M) storage
+    Z: np.ndarray                # (M, N, d), view of (N, M, d) storage
+    K: np.ndarray                # (M, N+1), cumulative, K[:, 0] = 0; view of (N+1, M)
     scheme: str                  # "reflected" or "penalized"
     penalty: Optional[float]     # m for the penalized scheme
-    obstacle_samples: np.ndarray  # (M, N+1)
+    obstacle_samples: np.ndarray  # (M, N+1), view of (N+1, M) storage
     regression_fallback: bool = False
 
     def value(self):
@@ -91,7 +106,9 @@ class BackwardSolution:
         """Per-path complementarity sums ``sum_k (Y_k - h_k) dK_k``."""
         gaps = self.Y[:, :-1] - self.obstacle_samples[:, :-1]
         dK = np.diff(self.K, axis=1)
-        return (gaps * dK).sum(axis=1)
+        # terms laid out C-contiguous, so each path sums in the same order
+        # whatever the storage layout
+        return np.multiply(gaps, dK, order="C").sum(axis=1)
 
 
 def _conditional_fit(A, targets):
@@ -104,37 +121,41 @@ def _conditional_fit(A, targets):
 
 
 def _solve_backward(instance, bundle, terminal, basis, penalty_m):
-    states, dB = bundle.states, bundle.dB
-    M, N1, _ = states.shape
+    # step-major storage of the bundle: row k holds step k of every path
+    states = bundle.states.transpose(1, 0, 2)
+    dB = bundle.dB.transpose(1, 0, 2)
+    u_path, v_path = bundle.u_path.T, bundle.v_path.T
+    N1, M, _ = states.shape
     N = N1 - 1
     d = instance.d
     times = bundle.mesh.times()
     dt = bundle.mesh.dt
 
-    h_all = np.empty((M, N + 1))
+    h_all = np.empty((N + 1, M))
     for k in range(N + 1):
-        h_all[:, k] = eval_obstacle(instance, times[k], states[:, k])
+        h_all[k] = eval_obstacle(instance, times[k], states[k])
 
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (M,):
         raise PreconditionError(f"terminal data must have shape ({M},)")
-    if np.any(terminal < h_all[:, N] - TERMINAL_BARRIER_TOL):
-        i = int(np.argmax(h_all[:, N] - terminal))
+    if np.any(terminal < h_all[N] - TERMINAL_BARRIER_TOL):
+        i = int(np.argmax(h_all[N] - terminal))
         raise PreconditionError(
             f"terminal value below the obstacle at maturity (path {i}: "
-            f"{terminal[i]:.6g} < {h_all[i, N]:.6g})"
+            f"{terminal[i]:.6g} < {h_all[N, i]:.6g})"
         )
 
-    Y = np.empty((M, N + 1))
-    Z = np.zeros((M, N, d))
-    dK = np.zeros((M, N))
-    Y[:, N] = terminal
+    Y = np.empty((N + 1, M))
+    Z = np.zeros((N, M, d))
+    # K[k + 1] holds step k's increment until the cumulative sum at the end
+    K = np.zeros((N + 1, M))
+    Y[N] = terminal
     fallback = False
 
     for k in range(N - 1, -1, -1):
         t = times[k]
-        xk = states[:, k]
-        y_next = Y[:, k + 1]
+        xk = states[k]
+        y_next = Y[k + 1]
         degenerate = M == 1 or float(np.ptp(xk, axis=0).max()) == 0.0
         if degenerate:
             p = y_next.copy() if M == 1 else np.full(M, y_next.mean())
@@ -142,11 +163,11 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         else:
             A = basis.features(xk)
             p, fb1 = _conditional_fit(A, y_next)
-            z, fb2 = _conditional_fit(A, y_next[:, None] * dB[:, k] / dt)
+            z, fb2 = _conditional_fit(A, y_next[:, None] * dB[k] / dt)
             fallback = fallback or fb1 or fb2
 
         yhat = np.empty(M)
-        for iu, iv, mask in _control_groups(bundle.u_path[:, k], bundle.v_path[:, k]):
+        for iu, iv, mask in _control_groups(u_path[k], v_path[k]):
             up = instance.u_grid.points[iu]
             vp = instance.v_grid.points[iv]
             xg, pg, zg = xk[mask], p[mask], z[mask]
@@ -155,22 +176,21 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
             f2 = eval_cost_rate(instance, t, xg, y0, zg, up, vp)
             yhat[mask] = pg + dt * f2
 
-        hk = h_all[:, k]
+        hk = h_all[k]
         if penalty_m is None:
             yk = np.maximum(yhat, hk)
-            dK[:, k] = yk - yhat
+            K[k + 1] = yk - yhat
         else:
             c = penalty_m * dt
             yk = np.where(yhat < hk, (yhat + c * hk) / (1.0 + c), yhat)
-            dK[:, k] = c * np.maximum(hk - yk, 0.0)
-        Y[:, k] = yk
-        Z[:, k] = z
+            K[k + 1] = c * np.maximum(hk - yk, 0.0)
+        Y[k] = yk
+        Z[k] = z
 
-    K = np.zeros((M, N + 1))
-    np.cumsum(dK, axis=1, out=K[:, 1:])
+    np.cumsum(K, axis=0, out=K)
     scheme = "reflected" if penalty_m is None else "penalized"
-    return BackwardSolution(mesh=bundle.mesh, Y=Y, Z=Z, K=K, scheme=scheme,
-                            penalty=penalty_m, obstacle_samples=h_all,
+    return BackwardSolution(mesh=bundle.mesh, Y=Y.T, Z=Z.transpose(1, 0, 2), K=K.T,
+                            scheme=scheme, penalty=penalty_m, obstacle_samples=h_all.T,
                             regression_fallback=fallback)
 
 

@@ -8,6 +8,14 @@ on an equidistant mesh.  Brownian increments are drawn in one block from a
 seeded generator, so two bundles with the same ``(paths, steps, seed)``
 share their noise exactly (common random numbers) regardless of the
 initial point or the controls.
+
+Path arrays are stored step-major, so each Euler step reads and writes
+one contiguous ``(paths, n)`` row; ``PathBundle`` exposes them path-major
+as transposed views of that storage (``states[:, k]`` is a contiguous
+row, ``states[i]`` a strided one).  Numpy may round a reduction over the
+steps of such a view differently from the same reduction over a
+C-contiguous copy: take ``np.ascontiguousarray`` first where the last
+bit matters.
 """
 
 from __future__ import annotations
@@ -98,13 +106,17 @@ class ControlPath:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated forward trajectories with their noise and applied controls."""
+    """Simulated forward trajectories with their noise and applied controls.
+
+    The arrays are path-major views of step-major storage (see the module
+    docstring); ``.transpose`` of the first two axes gives the storage.
+    """
 
     mesh: TimeMesh
-    states: np.ndarray  # (M, N+1, n)
-    dB: np.ndarray      # (M, N, d)
-    u_path: np.ndarray  # (M, N) indices into the u grid
-    v_path: np.ndarray  # (M, N) indices into the v grid
+    states: np.ndarray  # (M, N+1, n), view of (N+1, M, n) storage
+    dB: np.ndarray      # (M, N, d), view of (N, M, d) storage
+    u_path: np.ndarray  # (M, N) indices into the u grid, view of (N, M) storage
+    v_path: np.ndarray  # (M, N) indices into the v grid, view of (N, M) storage
     seed: int
 
     @property
@@ -148,28 +160,32 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     dt = mesh.dt
     times = mesh.times()
     rng = np.random.default_rng(seed)
-    dB = rng.standard_normal((paths, N, d)) * np.sqrt(dt)
+    # drawn path-major, so the seeded stream is unchanged, then stored step-major
+    noise = rng.standard_normal((paths, N, d))
+    dB = np.empty((N, paths, d))
+    np.multiply(noise.transpose(1, 0, 2), np.sqrt(dt), out=dB)
+    del noise
 
-    states = np.empty((paths, N + 1, n))
-    states[:, 0] = x0
-    u_idx = np.empty((paths, N), dtype=np.int64)
-    v_idx = np.empty((paths, N), dtype=np.int64)
+    states = np.empty((N + 1, paths, n))
+    states[0] = x0
+    u_idx = np.empty((N, paths), dtype=np.int64)
+    v_idx = np.empty((N, paths), dtype=np.int64)
 
     for k in range(N):
         t = times[k]
-        xk = states[:, k]
+        xk = states[k]
         ui = u.resolve(k, t, xk, len(instance.u_grid))
         vi = v.resolve(k, t, xk, len(instance.v_grid))
-        u_idx[:, k] = ui
-        v_idx[:, k] = vi
-        nxt = states[:, k + 1]
+        u_idx[k] = ui
+        v_idx[k] = vi
+        nxt, dBk = states[k + 1], dB[k]
         for iu, iv, mask in _control_groups(ui, vi):
             up = instance.u_grid.points[iu]
             vp = instance.v_grid.points[iv]
             xg = xk[mask]
             bv = eval_drift(instance, t, xg, up, vp)
             sv = eval_diffusion(instance, t, xg, up, vp)
-            nxt[mask] = xg + bv * dt + np.einsum("mij,mj->mi", sv, dB[mask, k])
+            nxt[mask] = xg + bv * dt + np.einsum("mij,mj->mi", sv, dBk[mask])
         bad = ~np.isfinite(nxt).all(axis=1) | (np.abs(nxt).max(axis=1) > DIVERGENCE_BOUND)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -178,7 +194,8 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
                 path_index=i, step=k + 1,
             )
 
-    return PathBundle(mesh=mesh, states=states, dB=dB, u_path=u_idx, v_path=v_idx,
+    return PathBundle(mesh=mesh, states=states.transpose(1, 0, 2),
+                      dB=dB.transpose(1, 0, 2), u_path=u_idx.T, v_path=v_idx.T,
                       seed=int(seed))
 
 

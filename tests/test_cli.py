@@ -345,6 +345,8 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param(_with(_MINIMAX, "grid", "box", [[-2, 1e300]]), 3,
                  id="solve-overflowing-spacing"),
     pytest.param(_with(_SOLVE, "grid", "nx", [1e300]), 2, id="solve-unindexable-grid"),
+    # linear extrapolation needs two interior nodes next to each face
+    pytest.param(_with(_MINIMAX, "grid", "nx", [3]), 2, id="solve-extrapolation-on-three-nodes"),
     pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,
                  id="oracle-unindexable-schedule-grid"),
 ])
@@ -365,6 +367,9 @@ def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
                  id="oracle-degenerate-tree"),
     pytest.param(_with(_RBSDE, "instance", "params", {"C": 0}), 0, id="lemma45-zero-c"),
+    pytest.param(_with(_MINIMAX, "grid", None, {"box": [[-2, 2]], "nx": [3],
+                                                "boundary": "dirichlet_terminal_extension"}),
+                 0, id="frozen-boundary-on-three-nodes"),
 ])
 def test_edge_parameters_end_in_documented_code(tmp_path, raw, code):
     cfg = write_config(tmp_path, "edge.json",

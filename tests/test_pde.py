@@ -45,6 +45,22 @@ def test_grid_invariants():
         SpaceTimeGrid(box=((0.0, 1.0),), nx=(5,), nt=1, boundary="nope")
 
 
+def test_linear_extrapolation_needs_two_interior_nodes():
+    # with one interior node the far face was extrapolated from its own
+    # stale entry: minimax_gap on [-2, 2], nx 3, nt 10 gave slice 0 = [-2, -1, 0]
+    with pytest.raises(ValueError, match="linear_extrapolation needs at least 4"):
+        SpaceTimeGrid(box=((-2.0, 2.0),), nx=(3,), nt=10)
+    with pytest.raises(ValueError, match="at least 4"):
+        SpaceTimeGrid(box=((-2.0, 2.0), (0.0, 1.0)), nx=(5, 3), nt=10)
+    inst = builtin_instance("minimax_gap")
+    frozen = SpaceTimeGrid(box=((-2.0, 2.0),), nx=(3,), nt=10,
+                           boundary="dirichlet_terminal_extension")
+    assert frozen.nx == (3,)
+    field = solve_obstacle_pde("lower", inst, SpaceTimeGrid(box=((-2.0, 2.0),), nx=(4,), nt=10))
+    np.testing.assert_allclose(field.slices[:, 0], 2 * field.slices[:, 1] - field.slices[:, 2])
+    np.testing.assert_allclose(field.slices[:, 3], 2 * field.slices[:, 2] - field.slices[:, 1])
+
+
 def test_cfl_flag_and_refusal():
     inst = builtin_instance("american_put")
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=10)

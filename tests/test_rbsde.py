@@ -1,5 +1,7 @@
 """Backward solvers: exact benchmarks, comparison, complementarity."""
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,37 @@ def test_cost_functional_american_put_near_binomial():
                             TimeMesh(0.0, 1.0, 25), paths=20_000,
                             basis=RegressionBasis(degree=6), seed=11)
     assert abs(value - reference) / reference <= 0.08
+
+
+def test_features_are_products_of_standardised_columns():
+    x = np.random.default_rng(8).normal(loc=[1.0, -3.0], scale=[2.0, 0.5], size=(40, 2))
+    xs = (x - x.mean(axis=0)) / x.std(axis=0)
+    expected = [np.ones(40)]
+    for deg in range(1, 4):
+        for combo in combinations_with_replacement(range(2), deg):
+            col = np.ones(40)
+            for axis in combo:
+                col = col * xs[:, axis]
+            expected.append(col)
+    A = RegressionBasis(degree=3).features(x)
+    assert A.shape == (40, 10)
+    np.testing.assert_array_equal(A, np.stack(expected, axis=1))
+
+
+def test_solution_layout_and_contiguous_reductions():
+    # Y, Z, K are path-major views of step-major storage; the reductions
+    # the solution reports match the same formulas on C-contiguous copies
+    inst = builtin_instance("american_put")
+    bundle = _bundle(inst, 100.0, 0.0, 1.0, 20, paths=300, seed=4)
+    terminal = eval_terminal(inst, bundle.states[:, -1])
+    sol = solve_penalized(inst, bundle, terminal, RegressionBasis(degree=3), 50.0)
+    assert sol.Y.shape == sol.K.shape == sol.obstacle_samples.shape == (300, 21)
+    assert sol.Z.shape == (300, 20, 1)
+    Y, K, h = (np.ascontiguousarray(a) for a in (sol.Y, sol.K, sol.obstacle_samples))
+    expected = ((Y[:, :-1] - h[:, :-1]) * np.diff(K, axis=1)).sum(axis=1)
+    assert np.any(expected != 0.0)
+    np.testing.assert_array_equal(sol.skorokhod_sums(), expected)
+    assert sol.value() == float(Y[:, 0].mean())
 
 
 def test_regression_fallback_flag_on_rank_deficiency():

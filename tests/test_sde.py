@@ -87,6 +87,36 @@ def test_divergence_error_names_path_and_step():
     assert err.value.step == 1
 
 
+def test_bundle_shapes_and_contiguous_feedback_rows():
+    # public arrays stay path-major; each state row a feedback rule sees is
+    # one contiguous (M, n) block of the step-major storage
+    inst = make_instance(n=2, d=3, u_points=[[0.0], [1.0]],
+                         sigma=lambda t, x, u, v: 0.1 * np.ones(x.shape + (3,)))
+    seen = []
+
+    def rule(t, x):
+        seen.append((x.shape, x.flags.c_contiguous))
+        return (x[:, 0] > 0.0).astype(int)
+
+    bundle = simulate_paths(inst, np.zeros(2), TimeMesh(0.0, 1.0, 6),
+                            ControlPath.from_feedback(rule), C0, paths=5, seed=4)
+    assert bundle.states.shape == (5, 7, 2)
+    assert bundle.dB.shape == (5, 6, 3)
+    assert bundle.u_path.shape == bundle.v_path.shape == (5, 6)
+    assert bundle.paths == 5
+    assert seen == [((5, 2), True)] * 6
+    np.testing.assert_array_equal(bundle.states[:, 0], 0.0)
+
+
+def test_noise_is_the_path_major_draw():
+    # the seeded stream is drawn in (M, N, d) order whatever the storage
+    mesh = TimeMesh(0.0, 1.0, 8)
+    bundle = simulate_paths(make_instance(d=2), np.zeros(1), mesh, C0, C0,
+                            paths=6, seed=9)
+    expected = np.random.default_rng(9).standard_normal((6, 8, 2)) * np.sqrt(mesh.dt)
+    np.testing.assert_array_equal(bundle.dB, expected)
+
+
 def test_piecewise_and_feedback_controls_recorded():
     inst = make_instance(u_points=[[0.0], [1.0]], v_points=[[0.0], [1.0]])
     mesh = TimeMesh(0.0, 1.0, 4)
