@@ -103,18 +103,18 @@ def _dump_field(field, directory, name):
     """Write ``t_index,flat_node_index,x_0,...,value`` rows, one time slice per block.
 
     Integers are written as such and floats with 17 significant digits,
-    so every value reads back exactly.
+    so every value reads back exactly.  Each node's row after the time
+    index is a ``%`` template, so a slice is one ``join`` and one format.
     """
     n = field.grid.ndim
     header = ",".join(["t_index", "flat_node_index"]
                       + [f"x_{i}" for i in range(n)] + ["value"])
-    prefixes = ["".join([f"{j},"] + [f"{c:.17g}," for c in coords])
-                for j, coords in enumerate(field.grid.nodes().tolist())]
+    templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
+                 for j, coords in enumerate(field.grid.nodes().tolist())]
     with open(Path(directory) / name, "w", encoding="utf-8") as out:
         out.write(header + "\n")
         for k, values in enumerate(field.slices.reshape(len(field.times), -1)):
-            out.write("".join([f"{k},{prefix}{v:.17g}\n"
-                               for prefix, v in zip(prefixes, values.tolist())]))
+            out.write(str(k).join(["", *templates]) % tuple(values.tolist()))
     return name
 
 

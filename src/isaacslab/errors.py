@@ -38,7 +38,7 @@ class DivergenceError(LabError):
 
 
 class CflError(LabError):
-    """The explicit time step violates the parabolic stability bound.
+    """The explicit time step is longer than the stencil's monotonicity allows.
 
     ``required_dt`` is the largest stable step, ``required_nt`` the smallest
     admissible number of time steps.

@@ -9,13 +9,24 @@ grids: the lower Hamiltonian maximises over the first player's grid the
 minimum over the second player's, the upper Hamiltonian swaps the order.
 
 The scheme is explicit, and one stability rule sizes and checks its
-time step: ``dt <= dx^2 / (n * D + 1)``, where ``D`` is the largest
-diagonal entry of sigma sigma^T sampled at t = 0 and t = T (at t = 0
-alone for time-homogeneous dynamics) on every node and control pair.
+time step: the step must keep every weight of the stencil nonnegative,
+which makes it monotone (Barles & Souganidis).  The centre weight is
+``1 - dt * r``; :func:`_monotone_rate` gives ``r`` from the diffusion
+and the upwinded drift on the cell and from ``declared_lipschitz`` as
+the cost rate's Lipschitz constant in the value, and the bound is
+``dt <= 1 / max r`` over every node and control pair, sampled at t = 0
+and t = T (at t = 0 alone for time-homogeneous dynamics).
 :func:`cfl_required_nt` gives the smallest admissible number of steps,
-and every solve refuses a grid that breaks the rule.
-The rule ignores the drift and the mixed-derivative terms, so it does
-not make the stencil monotone where the drift dominates.
+and every solve refuses a grid that breaks the rule; without declared
+time-homogeneity the sweep also checks each step against that step's
+own coefficients.  The neighbours' weights do not depend on dt.  The
+drift's part is nonnegative wherever its quotient is central, and the
+diffusion's is checked: where the mixed term outweighs the diagonal one
+no step helps and the grid is refused.  Two effects lie outside the
+rule: a cost rate that reads the gradient ``z`` enters through central
+quotients that are not upwinded, and in two dimensions a central drift
+quotient and a mixed term can together make a neighbour's weight
+negative although each part is nonnegative on its own.
 
 The stencil is built per axis, so one code path serves every dimension:
 on each axis the standard three-point second quotient and a first
@@ -31,10 +42,10 @@ one sweep that evaluates the cost rate and the obstacle once per step
 for the whole batch, and a slice that is not finite stops the sweep with
 a divergence error.
 
-Apart from the stability rule, which samples sigma itself,
 :func:`_pair_tables` is the only grid code that evaluates drift and
-diffusion: per control pair it gates b and sigma once on the interior
-nodes and forms sigma sigma^T.  A solve builds these tables, and the
+diffusion: per control pair it gates b and sigma once on the given
+nodes (all of them for the stability rule, the interior ones for a
+solve) and forms sigma sigma^T.  A solve builds these tables, and the
 upwind stencil's per-pair constants with them, at its first step when
 the instance declares time-homogeneous dynamics
 (``Coefficients.time_homogeneous``) and at every step otherwise; the
@@ -161,26 +172,75 @@ class ValueField:
 def _stability(instance, grid):
     """The stability bound on the explicit time step and the smallest ``nt`` meeting it.
 
-    The bound is ``dx^2 / (n * D + 1)`` with ``dx`` the smallest spacing
-    and ``D`` the largest diagonal entry of sigma sigma^T, sampled at
-    t = 0 and t = T on every node and control pair; time-homogeneous
-    dynamics are sampled at t = 0 only.  Returns ``(bound, nt)``, and
-    raises :class:`PreconditionError` when the bound is zero or not
-    finite (an overflowing diffusion or spacing).
+    The bound is ``1 / R``, with ``R`` the largest :func:`_monotone_rate`
+    of the stencil over every node and control pair, sampled at t = 0
+    and t = T (at t = 0 alone for time-homogeneous dynamics).  Returns
+    ``(bound, nt)``.  Raises :class:`PreconditionError` when a squared
+    spacing is zero or overflows, when no time step makes the mixed
+    stencil monotone, and when the bound is zero or not finite (an
+    overflowing diffusion or drift).
     """
+    dx = grid.dx()
+    if not all(0.0 < h * h < math.inf for h in dx):
+        raise PreconditionError(f"the squared grid spacing of {dx} is not a positive "
+                                f"finite number")
     nodes = grid.nodes()
-    worst = 0.0
-    for t in (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T):
-        for u in instance.u_grid.points:
-            for v in instance.v_grid.points:
-                sv = eval_diffusion(instance, t, nodes, u, v)
-                worst = max(worst, float(np.sum(sv * sv, axis=2).max()))
-    bound = min(step * step for step in grid.dx()) / (grid.ndim * worst + 1.0)
+    times = (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T)
+    rates = [_monotone_rate(_upwind_constants(_pair_tables(instance, t, nodes, 1), dx),
+                            dx, instance.coeffs.declared_lipschitz) for t in times]
+    return _bound_and_nt(instance.T, float(np.max(rates)))
+
+
+def _monotone_rate(stencil, dx, lipschitz):
+    """The largest rate ``R`` such that every step ``dt <= 1 / R`` is monotone.
+
+    ``stencil`` holds the :func:`_upwind_constants` of the pairs.  One
+    explicit step gives the centre node the weight ``1 - dt * r`` with
+
+        r = sum_i a_ii / dx_i^2 - sum_{i<j} |a_ij| / (dx_i dx_j)
+            + sum_{i upwind} |b_i| / dx_i + L_y,
+
+    where ``L_y`` is ``declared_lipschitz``, which bounds the cost
+    rate's dependence on the value.  ``R`` is the largest ``r`` over
+    rows and pairs; NaN or inf when the coefficients overflow.  The
+    weights of the neighbours do not depend on dt: a drift quotient is
+    central only where ``a_ii >= |b_i| dx_i``, which keeps it monotone
+    on its own, and the diffusion gives the neighbours on axis ``i``
+    half of ``a_ii / dx_i^2 - sum_{j != i} |a_ij| / (dx_i dx_j)`` each.
+    Where that is negative no dt helps, and :class:`PreconditionError`
+    is raised.
+    """
+    rates = []
+    for axes, cross in stencil:
+        rate = lipschitz
+        neighbour = []  # per axis, twice the diffusion weight of each neighbour
+        for (half_aii, is_central, _, bi), h in zip(axes, dx):
+            diag = 2.0 * half_aii / (h * h)
+            neighbour.append(diag)
+            rate = rate + diag + np.where(is_central, 0.0, np.abs(bi) / h)
+        for (i, j), (aij, _) in cross.items():
+            mixed = np.abs(aij) / (dx[i] * dx[j])
+            rate = rate - mixed
+            neighbour[i] = neighbour[i] - mixed
+            neighbour[j] = neighbour[j] - mixed
+        for i, weight in enumerate(neighbour):
+            if (weight < 0.0).any():
+                raise PreconditionError(
+                    f"the mixed-derivative stencil is not monotone on axis {i} at any time "
+                    f"step: a_ii / dx_i^2 falls below sum |a_ij| / (dx_i dx_j) by up to "
+                    f"{-float(weight.min()):.3e}; change the spacings")
+        rates.append(np.max(rate))
+    return float(np.max(rates))
+
+
+def _bound_and_nt(horizon, rate):
+    """The time-step bound ``1 / rate`` and the fewest uniform steps over ``horizon`` within it."""
+    bound = 1.0 / rate
     if not 0.0 < bound < math.inf:
         raise PreconditionError(f"the stability bound {bound} on the time step is not "
                                 f"a positive finite number")
-    nt = int(np.ceil(instance.T / bound))
-    while instance.T / nt > bound:
+    nt = math.ceil(horizon / bound)
+    while horizon / nt > bound:
         nt += 1
     return bound, nt
 
@@ -192,11 +252,15 @@ def cfl_required_nt(instance, grid):
 
 def _check_cfl(instance, grid):
     """Refuse a grid whose time step exceeds the stability bound."""
-    bound, nt = _stability(instance, grid)
-    if instance.T / grid.nt > bound * (1.0 + 1e-12):
+    _check_dt(instance.T / grid.nt, *_stability(instance, grid))
+
+
+def _check_dt(dt, bound, nt, where=""):
+    """Raise :class:`CflError` when ``dt`` exceeds ``bound``, which ``nt`` steps meet."""
+    if dt > bound * (1.0 + 1e-12):
         raise CflError(
-            f"explicit step dt={instance.T / grid.nt:.3e} exceeds the stability "
-            f"bound {bound:.3e}; need nt >= {nt}",
+            f"explicit step dt={dt:.3e}{where} exceeds the stability bound {bound:.3e}; "
+            f"need nt >= {nt}",
             required_dt=bound, required_nt=nt,
         )
 
@@ -372,7 +436,8 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     field) of the semi-implicit penalty update.  Every step evaluates
     the obstacle once and each control pair's cost rate once for the
     whole batch; the pair tables of drift and diffusion are built at the
-    first step for time-homogeneous dynamics and at every step otherwise.
+    first step for time-homogeneous dynamics and at every step otherwise,
+    where a step longer than its own tables allow raises :class:`CflError`.
     Slice ``k`` is written to ``store[k % len(store)]``: a store with
     one slot per time keeps every slice, one with two slots only the
     latest two.  In two dimensions the boundary fill of the first axis
@@ -404,6 +469,9 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         if k == steps - 1 or not homogeneous:
             tables = _pair_tables(instance, t, x_int, fields)
             stencil = _upwind_constants(tables, dx)
+        if not homogeneous:
+            rate = _monotone_rate(stencil, dx, instance.coeffs.declared_lipschitz)
+            _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
         w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_rows,
                                   dx, tables, stencil).reshape(interior_shape)

@@ -110,6 +110,8 @@ class PathBundle:
 
     The arrays are path-major views of step-major storage (see the module
     docstring); ``.transpose`` of the first two axes gives the storage.
+    The control indices are held in the narrowest unsigned integer type
+    that holds every index of their grid (``uint8`` up to 256 controls).
     """
 
     mesh: TimeMesh
@@ -168,8 +170,9 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
 
     states = np.empty((N + 1, paths, n))
     states[0] = x0
-    u_idx = np.empty((N, paths), dtype=np.int64)
-    v_idx = np.empty((N, paths), dtype=np.int64)
+    # the narrowest unsigned type that holds every index: resolve() rejects the rest
+    u_idx = np.empty((N, paths), dtype=np.min_scalar_type(len(instance.u_grid) - 1))
+    v_idx = np.empty((N, paths), dtype=np.min_scalar_type(len(instance.v_grid) - 1))
 
     for k in range(N):
         t = times[k]

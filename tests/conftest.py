@@ -36,6 +36,14 @@ def declare_homogeneous(instance, flag=True):
     return dataclasses.replace(instance, coeffs=coeffs)
 
 
+def mixed_dominance_game():
+    """2-D game with a = [[1, 0.9], [0.9, 1]], monotone only on near-square cells."""
+    root = np.array([[1.0, 0.0], [0.9, np.sqrt(1.0 - 0.81)]])
+    return make_instance(
+        n=2, d=2, horizon=0.1,
+        sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy())
+
+
 def sized(instance, box, nx, boundary="linear_extrapolation"):
     """Grid on ``box`` with ``nx`` nodes and the smallest stable number of steps."""
     grid = SpaceTimeGrid(box=box, nx=nx, nt=1, boundary=boundary)

@@ -16,6 +16,8 @@ from isaacslab.errors import ConfigError, PreconditionError
 from isaacslab.oracles import degenerate_rbsde_value
 from isaacslab.pde import SpaceTimeGrid, ValueField
 
+from conftest import mixed_dominance_game
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -209,6 +211,28 @@ def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, box, nx):
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("box, nx", [(((-1.0, 2.5),), (5,)),
+                                     (((-1.0, 1.0), (0.1, 3.0)), (4, 5))])
+def test_field_dump_templates_match_per_row_formatting(tmp_path, box, nx):
+    # one %-template per node gives the bytes of formatting every row on its own
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=11)
+    rng = np.random.default_rng(9)
+    slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
+    special = [-0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 1e16, 0.0]
+    slices.flat[:len(special)] = special
+    slices.flat[-len(special):] = special
+    field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
+                       slices=slices, kind="lower")
+    _dump_field(field, tmp_path, "field.csv")
+    lines = [",".join(["t_index", "flat_node_index"]
+                      + [f"x_{i}" for i in range(grid.ndim)] + ["value"]) + "\n"]
+    nodes = grid.nodes().tolist()
+    for k, values in enumerate(slices.reshape(grid.nt + 1, -1).tolist()):
+        for j, (coords, v) in enumerate(zip(nodes, values)):
+            lines.append(f"{k},{j}," + "".join(f"{c:.17g}," for c in coords) + f"{v:.17g}\n")
+    assert (tmp_path / "field.csv").read_text(encoding="utf-8") == "".join(lines)
+
+
 def test_seed_override_changes_digest(tmp_path):
     cfg = rbsde_oracle_config(tmp_path, outdir="runA")
     assert main(["run", cfg]) == 0
@@ -356,6 +380,22 @@ def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     assert main(["validate", cfg]) == code
     rejected = capsys.readouterr().err
     assert main(["run", cfg]) == code
+    assert capsys.readouterr().err == rejected
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, monkeypatch):
+    # no builtin is two-dimensional, so the parser is handed a correlated 2-D
+    # game; on cells five times wider than high no time step is monotone
+    monkeypatch.setattr("isaacslab.config.builtin_instance",
+                        lambda name, params: mixed_dominance_game())
+    raw = _with(_MINIMAX, "grid", None, {"box": [[-1, 1], [-1, 1]], "nx": [9, 41]})
+    cfg = write_config(tmp_path, "skewed.json",
+                       _with(raw, "output", "directory", str(tmp_path / "out")))
+    assert main(["validate", cfg]) == 3
+    rejected = capsys.readouterr().err
+    assert "not monotone on axis 0" in rejected
+    assert main(["run", cfg]) == 3
     assert capsys.readouterr().err == rejected
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 """Grid solver: Hamiltonians, exact fields, monotonicity, residuals."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from isaacslab.problems import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import declare_homogeneous, make_instance, sized
+from conftest import declare_homogeneous, make_instance, mixed_dominance_game, sized
 
 
 def test_grid_invariants():
@@ -75,6 +76,73 @@ def test_cfl_flag_and_refusal():
     _check_cfl(inst, good)
     with pytest.raises(CflError):
         _check_cfl(inst, dataclasses.replace(good, nt=good.nt - 1))
+
+
+@pytest.mark.parametrize("name, box, nx, nt", [
+    ("american_put", ((20.0, 300.0),), 71, 226),
+    ("american_put", ((20.0, 300.0),), 141, 901),
+    ("minimax_gap", ((-2.0, 2.0),), 41, 101),
+    ("minimax_gap", ((-2.0, 2.0),), 121, 901),
+    # no diffusion and no drift: only the cost rate's L_y = 1 over T = 1
+    ("lemma45", ((-2.0, 2.0),), 41, 1),
+    ("deterministic_stop", ((-1.0, 1.0),), 41, 1),
+])
+def test_step_sized_by_the_stencil_monotonicity(name, box, nx, nt):
+    # dt <= 1 / (a / dx^2 + L_y) for these driftless or central-drift grids
+    assert sized(builtin_instance(name), box, (nx,)).nt == nt
+
+
+def drift_dominated(drift, time_homogeneous=True):
+    return declare_homogeneous(make_instance(
+        b=lambda t, x, u, v: np.full(x.shape, drift(t)),
+        sigma=lambda t, x, u, v: np.full(x.shape + (1,), 0.1),
+        phi=lambda x: np.maximum(1.0 - np.abs(x[:, 0]), 0.0)), time_homogeneous)
+
+
+@pytest.mark.parametrize("drift, need", [(50.0, 502), (10.0, 102)])
+def test_drift_dominated_grid_is_refused_then_stays_in_range(drift, need):
+    # b dx > a: the upwind quotient puts |b| / dx = 10 b on the centre weight,
+    # so dt <= 1 / (10 b + a / dx^2 + L_y); a rule without the drift admits
+    # 101 steps, on which b = 50 grows the field to 8.6e49 and stays finite
+    inst = drift_dominated(lambda t: drift)
+    grid = SpaceTimeGrid(box=((-3.0, 3.0),), nx=(61,), nt=101)
+    with pytest.raises(CflError) as err:
+        solve_obstacle_pde("lower", inst, grid)
+    assert err.value.required_nt == need
+    frozen = sized(inst, grid.box, grid.nx, boundary="dirichlet_terminal_extension")
+    assert frozen.nt == need
+    field = solve_obstacle_pde("lower", inst, frozen)
+    terminal = field.slices[-1]
+    assert terminal.min() <= field.slices.min() and field.slices.max() <= terminal.max()
+
+
+def test_time_dependent_drift_is_checked_at_every_step():
+    # the drift vanishes at t = 0 and t = T, where the rule samples it, and
+    # peaks at 50 halfway: the sweep refuses the step whose tables ask for more
+    inst = drift_dominated(lambda t: 50.0 * 4.0 * t * (1.0 - t), time_homogeneous=False)
+    grid = sized(inst, ((-3.0, 3.0),), (61,))
+    assert grid.nt == 2
+    with pytest.raises(CflError) as err:
+        solve_obstacle_pde("lower", inst, grid)
+    assert "at time step 1 (t = 0.5)" in str(err.value)
+    assert err.value.required_nt == 502
+    with pytest.raises(CflError, match="at time step 1"):
+        for _ in sweep_penalized(inst, grid, [1.0, 4.0]):
+            pass
+
+
+def test_mixed_dominance_is_refused_whatever_the_step():
+    # dx_0 = 5 dx_1: the neighbours on axis 0 weigh
+    # a_00 / dx_0^2 - |a_01| / (dx_0 dx_1) = 16 - 72 < 0
+    inst = mixed_dominance_game()
+    skewed = SpaceTimeGrid(box=((-1.0, 1.0), (-1.0, 1.0)), nx=(9, 41), nt=100000)
+    with pytest.raises(PreconditionError, match="not monotone on axis 0"):
+        cfl_required_nt(inst, skewed)
+    with pytest.raises(PreconditionError, match="not monotone on axis 0"):
+        solve_obstacle_pde("lower", inst, skewed)
+    # equal spacings keep every weight nonnegative: 2/h^2 - 0.9/h^2 + L_y
+    square = sized(inst, ((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
+    assert square.nt == math.ceil(0.1 * (1.1 * 16.0 + 1.0))
 
 
 def test_hamiltonian_identity_trace():
@@ -327,11 +395,14 @@ def test_drift_evaluated_once_per_control_pair_per_solve(monkeypatch):
                         lambda *args: calls.append(args[1]) or eval_drift(*args))
     pairs = len(inst.u_grid) * len(inst.v_grid)
     field = solve_obstacle_pde("lower", inst, grid)
-    assert calls == [field.times[-2]] * pairs
+    # the stability rule samples every pair at t = 0, the sweep at its first step
+    assert calls == [0.0] * pairs + [field.times[-2]] * pairs
     calls.clear()
     solve_obstacle_pde("lower", per_step, grid)
-    # otherwise each step evaluates every pair at its own time
-    assert calls == [t for t in field.times[-2::-1] for _ in range(pairs)]
+    # otherwise the rule samples t = 0 and t = T, and each step evaluates
+    # every pair at its own time
+    assert calls == ([0.0] * pairs + [inst.T] * pairs
+                     + [t for t in field.times[-2::-1] for _ in range(pairs)])
 
 
 def test_unstable_solve_raises_divergence_at_first_non_finite_slice():

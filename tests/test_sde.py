@@ -127,6 +127,20 @@ def test_piecewise_and_feedback_controls_recorded():
     np.testing.assert_array_equal(bundle.v_path, 1)
 
 
+def test_control_indices_stored_in_the_narrowest_unsigned_type():
+    # 300 first-player controls need 16 bits, a singleton grid 8
+    inst = make_instance(u_points=np.arange(300.0)[:, None])
+    mesh = TimeMesh(0.0, 1.0, 3)
+    u = ControlPath.piecewise([299, 0, 256])
+    bundle = simulate_paths(inst, np.zeros(1), mesh, u, C0, paths=4, seed=1)
+    assert bundle.u_path.dtype == np.uint16 and bundle.v_path.dtype == np.uint8
+    np.testing.assert_array_equal(bundle.u_path, np.tile([299, 0, 256], (4, 1)))
+    np.testing.assert_array_equal(bundle.v_path, 0)
+    with pytest.raises(PreconditionError, match="outside its grid"):
+        simulate_paths(inst, np.zeros(1), mesh, ControlPath.constant(300), C0,
+                       paths=1, seed=0)
+
+
 def test_control_index_out_of_grid_raises():
     inst = make_instance()
     with pytest.raises(PreconditionError):
