@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigError
 from .pde import BOUNDARY_POLICIES, HAMILTONIANS, SpaceTimeGrid
 from .problems import GameInstance, builtin_instance
@@ -231,6 +233,14 @@ def parse_config(raw):
         instance = builtin_instance(name, params)
     except (TypeError, ValueError) as exc:
         _fail("instance.params", str(exc))
+    if mc is not None:
+        # a bundle stores steps + 1 states and steps noise increments per path,
+        # and numpy refuses an array of more bytes than an index can count
+        width = max(instance.n, instance.d)
+        _expect(mc.paths * (mc.steps + 1) * width * np.dtype(float).itemsize
+                <= np.iinfo(np.intp).max, "mc.paths",
+                f"paths * (steps + 1) * {width} float64 entries are more bytes than "
+                f"an array can index")
     if grid is not None:
         _expect(grid.ndim == instance.n, "grid.box", f"{grid.ndim} dimension(s), but "
                 f"instance '{name}' has state dimension {instance.n}")

@@ -19,28 +19,27 @@ and t = T (at t = 0 alone for time-homogeneous dynamics).
 :func:`cfl_required_nt` gives the smallest admissible number of steps,
 and every solve refuses a grid that breaks the rule; without declared
 time-homogeneity the sweep also checks each step against that step's
-own coefficients.  The neighbours' weights do not depend on dt.  The
-drift's part is nonnegative wherever its quotient is central, and the
-diffusion's is checked: where the mixed term outweighs the diagonal one
-no step helps and the grid is refused.  Two effects lie outside the
-rule: a cost rate that reads the gradient ``z`` enters through central
-quotients that are not upwinded, and in two dimensions a central drift
-quotient and a mixed term can together make a neighbour's weight
-negative although each part is nonnegative on its own.
+own coefficients.  The neighbours' weights do not depend on dt.  A
+drift quotient is central only where the diffusion, net of the mixed
+terms, covers it, which keeps the neighbour's whole weight nonnegative;
+elsewhere it is upwinded and the diffusion's part is checked: where the
+mixed term outweighs the diagonal one no step helps and the grid is
+refused.  One effect lies outside the rule: a cost rate that reads the
+gradient ``z`` enters through central quotients that are not upwinded.
 
 The stencil is built per axis, so one code path serves every dimension:
 on each axis the standard three-point second quotient and a first
-quotient that is central where the diffusion dominates the drift on the
-cell and upwind otherwise; on each pair of axes the sign-split
-seven-point mixed quotient.  Each step evolves the previous slice and
-then applies either the obstacle projection ``max(., h)`` or the
-semi-implicit penalty update, at every node.  Boundary nodes follow the
-grid policy: linear extrapolation from the two nearest interior nodes
-(default, consistent with linear growth of the value) or freezing at the
-terminal data.  A batch of fields, one per penalty weight, is stepped in
-one sweep that evaluates the cost rate and the obstacle once per step
-for the whole batch, and a slice that is not finite stops the sweep with
-a divergence error.
+quotient that is central where the diffusion, net of the mixed terms,
+dominates the drift on the cell and upwind otherwise; on each pair of
+axes the sign-split seven-point mixed quotient.  Each step evolves the
+previous slice and then applies either the obstacle projection
+``max(., h)`` or the semi-implicit penalty update, at every node.
+Boundary nodes follow the grid policy: linear extrapolation from the two
+nearest interior nodes (default, consistent with linear growth of the
+value) or freezing at the terminal data.  A batch of fields, one per
+penalty weight, is stepped in one sweep that evaluates the cost rate and
+the obstacle once per step for the whole batch, and a slice that is not
+finite stops the sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: per control pair it gates b and sigma once on the given
@@ -203,12 +202,12 @@ def _monotone_rate(stencil, dx, lipschitz):
     where ``L_y`` is ``declared_lipschitz``, which bounds the cost
     rate's dependence on the value.  ``R`` is the largest ``r`` over
     rows and pairs; NaN or inf when the coefficients overflow.  The
-    weights of the neighbours do not depend on dt: a drift quotient is
-    central only where ``a_ii >= |b_i| dx_i``, which keeps it monotone
-    on its own, and the diffusion gives the neighbours on axis ``i``
-    half of ``a_ii / dx_i^2 - sum_{j != i} |a_ij| / (dx_i dx_j)`` each.
-    Where that is negative no dt helps, and :class:`PreconditionError`
-    is raised.
+    weights of the neighbours do not depend on dt: the diffusion gives
+    the neighbours on axis ``i`` half of ``a_ii / dx_i^2 - sum_{j != i}
+    |a_ij| / (dx_i dx_j)`` each, and a drift quotient is central only
+    where that share covers ``|b_i| / dx_i``, so the whole weight stays
+    nonnegative.  Where the diffusion's share is negative no dt helps,
+    and :class:`PreconditionError` is raised.
     """
     rates = []
     for axes, cross in stencil:
@@ -371,13 +370,23 @@ def _upwind_constants(tables, dx):
     """Per-pair constants of the upwind stencil, which depend on ``(a, b)`` only.
 
     Per pair: per axis ``(a_ii / 2, central?, forward?, b_i)``, where the
-    central quotient applies where the diffusion dominates the drift on
-    the cell and the forward one elsewhere where ``b_i >= 0``; per axis
-    pair ``(a_ij, a_ij >= 0)``, which picks the sign-split mixed quotient.
+    central quotient applies where the diffusion net of the mixed terms
+    dominates the drift on the cell,
+
+        a_ii - sum_{j != i} |a_ij| dx_i / dx_j >= |b_i| dx_i,
+
+    and the forward one elsewhere where ``b_i >= 0``; per axis pair
+    ``(a_ij, a_ij >= 0)``, which picks the sign-split mixed quotient.
     """
     constants = []
     for _, _, a, b, _ in tables:
-        axes = [(0.5 * a[:, i, i], a[:, i, i] >= np.abs(b[:, i]) * h, b[:, i] >= 0.0, b[:, i])
+        # twice the diffusion's share of each neighbour weight on axis i, times dx_i^2
+        slack = [a[:, i, i] for i in range(len(dx))]
+        for i, j in combinations(range(len(dx)), 2):
+            mixed = np.abs(a[:, i, j])
+            slack[i] = slack[i] - mixed * (dx[i] / dx[j])
+            slack[j] = slack[j] - mixed * (dx[j] / dx[i])
+        axes = [(0.5 * a[:, i, i], slack[i] >= np.abs(b[:, i]) * h, b[:, i] >= 0.0, b[:, i])
                 for i, h in enumerate(dx)]
         cross = {(i, j): (a[:, i, j], a[:, i, j] >= 0.0)
                  for i, j in combinations(range(len(dx)), 2)}

@@ -11,10 +11,17 @@ Two schemes solve the constrained backward equation on a path bundle:
   which is stable uniformly in the penalty weight m.
 
 Conditional expectations are least-squares fits on a polynomial basis of
-the current states.  When all paths share the same state (single path or
-degenerate diffusion) the estimator reduces to the plain mean and the
-gradient estimate to zero, which makes the deterministic test cases
-exact.  Backward induction per step:
+the current states (regression Monte Carlo: Longstaff & Schwartz 2001;
+Gobet, Lemor & Warin 2005).  Each regressed step forms the Gram matrix
+``G = A^T A`` of its design matrix ``A`` once, and both fits below solve
+their normal equations ``G c = A^T target`` on it.  Where ``G`` is rank
+deficient or ``cond(G) > GRAM_COND_MAX``, read off the singular values
+that solve returns, the fit is redone by least squares on ``A`` itself,
+and where ``A`` is rank deficient too it falls back to the mean and sets
+``regression_fallback``.  When all paths share the same state (single
+path or degenerate diffusion) the estimator reduces to the plain mean
+and the gradient estimate to zero, which makes the deterministic test
+cases exact.  Backward induction per step:
 
     p    = E[Y_{k+1} | X_k]                     (regression)
     Z_k  = E[Y_{k+1} dB_k | X_k] / dt           (regression)
@@ -44,6 +51,9 @@ from .problems import eval_cost_rate, eval_obstacle, eval_terminal
 from .sde import TimeMesh, simulate_paths, _control_groups
 
 TERMINAL_BARRIER_TOL = 1e-9
+# largest condition number of a Gram matrix A^T A whose normal equations are
+# solved; a fit on them loses about log10 cond(A^T A) digits, 8 at most
+GRAM_COND_MAX = 1e8
 
 
 @dataclass(frozen=True)
@@ -61,24 +71,28 @@ class RegressionBasis:
 
         States are standardised batchwise before taking powers; this
         spans the same polynomial space but keeps the normal equations
-        well conditioned for high degrees on wide state ranges.
+        well conditioned for high degrees on wide state ranges.  The
+        ``(M, p)`` matrix is the transpose of a C-contiguous ``(p, M)``
+        buffer.
         """
         m, n = x.shape
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
         scale = np.where(scale > 0.0, scale, 1.0)
-        xs = (x - mean) / scale
+        xs = np.ascontiguousarray(((x - mean) / scale).T)
         combos = [combo for deg in range(1, self.degree + 1)
                   for combo in combinations_with_replacement(range(n), deg)]
-        A = np.empty((m, 1 + len(combos)))
-        A[:, 0] = 1.0
-        column = {(): 0}
+        # one monomial per row, so every column of the design matrix is a
+        # contiguous row of this buffer
+        rows = np.empty((1 + len(combos), m))
+        rows[0] = 1.0
+        row = {(): 0}
         # each monomial is its parent (the combo minus its last factor) times
-        # one coordinate, so columns equal the products 1 * x_a * x_b ... bit for bit
+        # one coordinate, so rows equal the products 1 * x_a * x_b ... bit for bit
         for j, combo in enumerate(combos, start=1):
-            np.multiply(A[:, column[combo[:-1]]], xs[:, combo[-1]], out=A[:, j])
-            column[combo] = j
-        return A
+            np.multiply(rows[row[combo[:-1]]], xs[combo[-1]], out=rows[j])
+            row[combo] = j
+        return rows.T
 
 
 @dataclass(frozen=True)
@@ -111,10 +125,22 @@ class BackwardSolution:
         return np.multiply(gaps, dK, order="C").sum(axis=1)
 
 
-def _conditional_fit(A, targets):
-    """Least-squares fitted values; falls back to the mean when deficient."""
+def _conditional_fit(A, gram, targets):
+    """Least-squares fitted values of ``targets`` on the columns of ``A``.
+
+    Solves the normal equations ``gram c = A^T targets`` with ``gram =
+    A^T A``.  When that solve finds ``gram`` rank deficient or its
+    singular values give a condition number above ``GRAM_COND_MAX``, the
+    fit is redone by ``lstsq`` on ``A`` itself, and where ``A`` is rank
+    deficient too it falls back to the mean.  Returns ``(fitted,
+    fell_back_to_mean)``.
+    """
+    p = A.shape[1]
+    coef, _, rank, sv = np.linalg.lstsq(gram, A.T @ targets, rcond=None)
+    if rank == p and sv[0] <= GRAM_COND_MAX * sv[-1]:
+        return A @ coef, False
     coef, _, rank, _ = np.linalg.lstsq(A, targets, rcond=None)
-    if rank < A.shape[1]:
+    if rank < p:
         mean = targets.mean(axis=0)
         return np.broadcast_to(mean, targets.shape).copy(), True
     return A @ coef, False
@@ -162,8 +188,9 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
             z = np.zeros((M, d))
         else:
             A = basis.features(xk)
-            p, fb1 = _conditional_fit(A, y_next)
-            z, fb2 = _conditional_fit(A, y_next[:, None] * dB[k] / dt)
+            gram = A.T @ A
+            p, fb1 = _conditional_fit(A, gram, y_next)
+            z, fb2 = _conditional_fit(A, gram, y_next[:, None] * dB[k] / dt)
             fallback = fallback or fb1 or fb2
 
         yhat = np.empty(M)

@@ -373,6 +373,10 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param(_with(_MINIMAX, "grid", "nx", [3]), 2, id="solve-extrapolation-on-three-nodes"),
     pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,
                  id="oracle-unindexable-schedule-grid"),
+    pytest.param(_with(_RBSDE, "mc", "paths", 1e300), 2, id="rbsde-unindexable-paths"),
+    # 2e18 paths of one step: 4e18 entries, but 3.2e19 bytes
+    pytest.param(_with(_RBSDE, "mc", None, {"paths": 2e18, "steps": 1, "seed": 7}), 2,
+                 id="rbsde-unindexable-path-bytes"),
 ])
 def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     cfg = write_config(tmp_path, "cfg.json",

@@ -145,6 +145,35 @@ def test_mixed_dominance_is_refused_whatever_the_step():
     assert square.nt == math.ceil(0.1 * (1.1 * 16.0 + 1.0))
 
 
+def neighbour_weights(stencil, dx):
+    """Per pair and axis, the weights one step per unit dt gives the up and
+    down neighbours of each node, from the stencil's per-pair constants."""
+    for axes, cross in stencil:
+        share = [2.0 * half_aii / (h * h) for (half_aii, *_), h in zip(axes, dx)]
+        for (i, j), (aij, _) in cross.items():
+            mixed = np.abs(aij) / (dx[i] * dx[j])
+            share[i] = share[i] - mixed
+            share[j] = share[j] - mixed
+        for (_, central, forward, b), h, diffusion in zip(axes, dx, share):
+            up = np.where(central, b / (2.0 * h), np.where(forward, b / h, 0.0))
+            down = np.where(central, -b / (2.0 * h), np.where(forward, 0.0, -b / h))
+            yield 0.5 * diffusion + up, 0.5 * diffusion + down
+
+
+def test_correlated_stencil_gives_every_neighbour_a_nonnegative_weight():
+    # a_01 = 0.32 takes |a_01| / (2 dx_0 dx_1) from each axis neighbour; a
+    # central drift quotient chosen on a_ii alone left 22 of the 99 interior
+    # nodes with an axis-1 neighbour weight of -0.575 for every pair
+    inst = correlated_game()
+    grid = sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
+    dx = grid.dx()
+    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
+    weights = list(neighbour_weights(pde._upwind_constants(tables, dx), dx))
+    assert len(weights) == 4 * 2 and weights[0][0].shape == (99,)
+    for up, down in weights:
+        assert up.min() >= 0.0 and down.min() >= 0.0
+
+
 def test_hamiltonian_identity_trace():
     # singleton controls, unit diffusion in two dimensions: value is tr(I)/2
     inst = make_instance(

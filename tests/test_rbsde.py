@@ -1,10 +1,12 @@
 """Backward solvers: exact benchmarks, comparison, complementarity."""
 
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from isaacslab import rbsde
 from isaacslab.errors import PreconditionError
 from isaacslab.oracles import crr_put, degenerate_rbsde_value
 from isaacslab.problems import builtin_instance, eval_terminal
@@ -330,6 +332,78 @@ def test_regression_fallback_flag_on_rank_deficiency():
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_reflected(inst, bundle, terminal, BASIS)  # 2 paths < 3 features
     assert sol.regression_fallback
+
+
+def _regression_steps(degree, steps=10, paths=4000, seed=7):
+    """Per regressed step of an american_put bundle: the design matrix, its
+    Gram matrix and the two targets the backward solve fits."""
+    inst = builtin_instance("american_put")
+    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=seed)
+    y_next = eval_terminal(inst, bundle.states[:, -1])
+    basis = RegressionBasis(degree=degree)
+    for k in range(1, steps):
+        A = basis.features(bundle.states[:, k])
+        targets = (y_next, y_next[:, None] * bundle.dB[:, k] / bundle.mesh.dt)
+        yield A, A.T @ A, targets
+
+
+def test_gram_fit_matches_svd_fit():
+    for A, gram, targets in _regression_steps(degree=6):
+        assert np.linalg.cond(gram) <= rbsde.GRAM_COND_MAX  # the normal equations are used
+        for target in targets:
+            fitted, fell_back = rbsde._conditional_fit(A, gram, target)
+            reference = A @ np.linalg.lstsq(A, target, rcond=None)[0]
+            assert not fell_back
+            assert np.abs(fitted - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+def test_ill_conditioned_gram_falls_back_to_svd_fit_bit_for_bit():
+    for A, gram, targets in _regression_steps(degree=10):
+        assert np.linalg.cond(gram) > rbsde.GRAM_COND_MAX
+        for target in targets:
+            fitted, fell_back = rbsde._conditional_fit(A, gram, target)
+            assert not fell_back
+            assert np.array_equal(fitted, A @ np.linalg.lstsq(A, target, rcond=None)[0])
+
+
+class _CountingNumpy:
+    """numpy as seen by a module, with ``linalg.lstsq`` calls counted."""
+
+    def __init__(self):
+        self.lstsq_calls = 0
+        self.linalg = SimpleNamespace(lstsq=self._lstsq)
+
+    def _lstsq(self, *args, **kwargs):
+        self.lstsq_calls += 1
+        return np.linalg.lstsq(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_two_least_squares_solves_per_regressed_step(monkeypatch):
+    # every path starts at the same state, so step 0 is the plain mean and
+    # steps 1..N-1 each fit Y and Y dB / dt on one Gram matrix
+    counting = _CountingNumpy()
+    monkeypatch.setattr(rbsde, "np", counting)
+    inst = builtin_instance("american_put")
+    steps = 10
+    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=4000, seed=7)
+    terminal = eval_terminal(inst, bundle.states[:, -1])
+    sol = solve_reflected(inst, bundle, terminal, RegressionBasis(degree=6))
+    assert not sol.regression_fallback
+    assert counting.lstsq_calls == 2 * (steps - 1)
+
+
+def test_seeded_reflected_solves_repeat_bit_for_bit():
+    inst = builtin_instance("american_put")
+    solutions = []
+    for _ in range(2):
+        bundle = _bundle(inst, 100.0, 0.0, 1.0, 10, paths=4000, seed=7)
+        terminal = eval_terminal(inst, bundle.states[:, -1])
+        solutions.append(solve_reflected(inst, bundle, terminal, RegressionBasis(degree=6)))
+    for name in ("Y", "Z", "K"):
+        assert np.array_equal(getattr(solutions[0], name), getattr(solutions[1], name))
 
 
 def test_mesh_must_span_t_to_horizon():
