@@ -8,56 +8,53 @@ backwards in time on a truncated box, where H scans the finite control
 grids: the lower Hamiltonian maximises over the first player's grid the
 minimum over the second player's, the upper Hamiltonian swaps the order.
 
-The scheme is explicit, and one stability rule sizes and checks its
-time step: the step must keep every weight of the stencil nonnegative,
-which makes it monotone (Barles & Souganidis).  The centre weight is
-``1 - dt * r``; :func:`_monotone_rate` gives ``r`` from the diffusion
-and the upwinded drift on the cell and from ``declared_lipschitz`` as
-the cost rate's Lipschitz constant in the value, and the bound is
-``dt <= 1 / max r`` over every node and control pair, sampled at t = 0
-and t = T (at t = 0 alone for time-homogeneous dynamics).
-:func:`cfl_required_nt` gives the smallest admissible number of steps,
-and every solve refuses a grid that breaks the rule; without declared
-time-homogeneity the sweep also checks each step against that step's
-own coefficients.  The neighbours' weights do not depend on dt.  A
-drift quotient is central only where the diffusion, net of the mixed
-terms, covers it, which keeps the neighbour's whole weight nonnegative;
-elsewhere it is upwinded and the diffusion's part is checked: where the
-mixed term outweighs the diagonal one no step helps and the grid is
-refused.  One effect lies outside the rule: a cost rate that reads the
-gradient ``z`` enters through central quotients that are not upwinded.
+The scheme is explicit, and one weight table per control pair is both
+its step and what its stability rule checks.  :func:`_stencil_weights`
+gives, per node, the centre weight and a weight per unit dt for each
+neighbour: up and down each axis (the three-point second quotient, and
+a first quotient that is central where the diffusion, net of the mixed
+terms, covers the drift on the cell and upwind elsewhere), then the four
+diagonal neighbours of each axis pair (the sign-split seven-point mixed
+quotient).  The step is monotone (Barles & Souganidis) when every
+neighbour weight is nonnegative, which no dt changes, and ``dt <= 1 /
+max(L_y - centre)`` over every node and control pair, with ``L_y`` the
+``declared_lipschitz`` of the cost rate in the value.
+:func:`_monotone_rate` checks both on the coefficients at t = 0 and
+t = T (t = 0 alone for time-homogeneous dynamics): where the mixed term
+outweighs the diagonal one a neighbour weight is negative and the grid
+is refused.  :func:`cfl_required_nt` gives the smallest admissible
+number of steps, and every solve refuses a grid that breaks the rule;
+without declared time-homogeneity the sweep also checks each step
+against that step's own coefficients.  One effect lies outside the
+rule: a cost rate that reads the gradient ``z`` enters through central
+quotients that are not upwinded.
 
-The stencil is built per axis, so one code path serves every dimension:
-on each axis the standard three-point second quotient and a first
-quotient that is central where the diffusion, net of the mixed terms,
-dominates the drift on the cell and upwind otherwise; on each pair of
-axes the sign-split seven-point mixed quotient.  Each step evolves the
-previous slice and then applies either the obstacle projection
-``max(., h)`` or the semi-implicit penalty update, at every node.
-Boundary nodes follow the grid policy: linear extrapolation from the two
-nearest interior nodes (default, consistent with linear growth of the
-value) or freezing at the terminal data.  A batch of fields, one per
-penalty weight, is stepped in one sweep that evaluates the cost rate and
-the obstacle once per step for the whole batch, and a slice that is not
-finite stops the sweep with a divergence error.
+Each step evolves the previous slice and then applies either the
+obstacle projection ``max(., h)`` or the semi-implicit penalty update,
+at every node.  Boundary nodes follow the grid policy: linear
+extrapolation from the two nearest interior nodes (default, consistent
+with linear growth of the value) or freezing at the terminal data.  A
+batch of fields, one per penalty weight, is stepped in one sweep that
+evaluates the cost rate and the obstacle once per step for the whole
+batch, and a slice that is not finite stops the sweep with a divergence
+error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: per control pair it gates b and sigma once on the given
 nodes (all of them for the stability rule, the interior ones for a
 solve) and forms sigma sigma^T.  A solve builds these tables, and the
-upwind stencil's per-pair constants with them, at its first step when
-the instance declares time-homogeneous dynamics
-(``Coefficients.time_homogeneous``) and at every step otherwise; the
-queries of a stored field (:func:`_field_stacks`) do the same.
+weight table with them, at its first step when the instance declares
+time-homogeneous dynamics (``Coefficients.time_homogeneous``) and at
+every step otherwise; the queries of a stored field
+(:func:`_field_stacks`) do the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations
-from operator import add
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -100,8 +97,11 @@ class SpaceTimeGrid:
         least = 4 if self.boundary == "linear_extrapolation" else 3
         if any(k < least for k in nx):
             raise ValueError(f"{self.boundary} needs at least {least} points per dimension")
-        if math.prod(nx) > np.iinfo(np.intp).max:
-            raise ValueError("more grid nodes than an array can index")
+        # nodes() holds ndim float64 coordinates per node, and numpy refuses an
+        # array of more bytes than an index can count
+        if math.prod(nx) * len(nx) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ValueError(f"prod(nx) * {len(nx)} float64 node coordinates are more bytes "
+                             f"than an array can index")
         if any(lo >= hi for lo, hi in box):
             raise ValueError("box bounds must satisfy lo < hi")
         if self.nt < 1:
@@ -172,7 +172,7 @@ def _stability(instance, grid):
     """The stability bound on the explicit time step and the smallest ``nt`` meeting it.
 
     The bound is ``1 / R``, with ``R`` the largest :func:`_monotone_rate`
-    of the stencil over every node and control pair, sampled at t = 0
+    of the weight table over every node and control pair, sampled at t = 0
     and t = T (at t = 0 alone for time-homogeneous dynamics).  Returns
     ``(bound, nt)``.  Raises :class:`PreconditionError` when a squared
     spacing is zero or overflows, when no time step makes the mixed
@@ -185,51 +185,32 @@ def _stability(instance, grid):
                                 f"finite number")
     nodes = grid.nodes()
     times = (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T)
-    rates = [_monotone_rate(_upwind_constants(_pair_tables(instance, t, nodes, 1), dx),
-                            dx, instance.coeffs.declared_lipschitz) for t in times]
+    rates = [_monotone_rate(_stencil_weights(_pair_tables(instance, t, nodes, 1), dx),
+                            instance.coeffs.declared_lipschitz) for t in times]
     return _bound_and_nt(instance.T, float(np.max(rates)))
 
 
-def _monotone_rate(stencil, dx, lipschitz):
+def _monotone_rate(stencil, lipschitz):
     """The largest rate ``R`` such that every step ``dt <= 1 / R`` is monotone.
 
-    ``stencil`` holds the :func:`_upwind_constants` of the pairs.  One
-    explicit step gives the centre node the weight ``1 - dt * r`` with
-
-        r = sum_i a_ii / dx_i^2 - sum_{i<j} |a_ij| / (dx_i dx_j)
-            + sum_{i upwind} |b_i| / dx_i + L_y,
-
-    where ``L_y`` is ``declared_lipschitz``, which bounds the cost
-    rate's dependence on the value.  ``R`` is the largest ``r`` over
-    rows and pairs; NaN or inf when the coefficients overflow.  The
-    weights of the neighbours do not depend on dt: the diffusion gives
-    the neighbours on axis ``i`` half of ``a_ii / dx_i^2 - sum_{j != i}
-    |a_ij| / (dx_i dx_j)`` each, and a drift quotient is central only
-    where that share covers ``|b_i| / dx_i``, so the whole weight stays
-    nonnegative.  Where the diffusion's share is negative no dt helps,
-    and :class:`PreconditionError` is raised.
+    ``stencil`` is the :func:`_stencil_weights` table of the pairs.  One
+    explicit step weighs each neighbour by dt times its weight in the
+    table and the centre by ``1 - dt * (L_y - centre)``, where ``L_y``
+    is ``declared_lipschitz``, which bounds the cost rate's dependence
+    on the value.  ``R`` is the largest ``L_y - centre`` over rows and
+    pairs; NaN or inf when the coefficients overflow.  No dt mends a
+    negative neighbour weight: it raises :class:`PreconditionError`.
     """
-    rates = []
-    for axes, cross in stencil:
-        rate = lipschitz
-        neighbour = []  # per axis, twice the diffusion weight of each neighbour
-        for (half_aii, is_central, _, bi), h in zip(axes, dx):
-            diag = 2.0 * half_aii / (h * h)
-            neighbour.append(diag)
-            rate = rate + diag + np.where(is_central, 0.0, np.abs(bi) / h)
-        for (i, j), (aij, _) in cross.items():
-            mixed = np.abs(aij) / (dx[i] * dx[j])
-            rate = rate - mixed
-            neighbour[i] = neighbour[i] - mixed
-            neighbour[j] = neighbour[j] - mixed
-        for i, weight in enumerate(neighbour):
+    for _, weights in stencil:
+        for o, weight in enumerate(weights):
+            # a diagonal weight is never negative, so o is an axis neighbour, on axis o // 2
             if (weight < 0.0).any():
                 raise PreconditionError(
-                    f"the mixed-derivative stencil is not monotone on axis {i} at any time "
-                    f"step: a_ii / dx_i^2 falls below sum |a_ij| / (dx_i dx_j) by up to "
-                    f"{-float(weight.min()):.3e}; change the spacings")
-        rates.append(np.max(rate))
-    return float(np.max(rates))
+                    f"the mixed-derivative stencil is not monotone on axis {o // 2} at any "
+                    f"time step: a neighbour weighs {float(weight.min()):.3e} per unit time, "
+                    f"as a_ii / dx_i^2 falls below sum |a_ij| / (dx_i dx_j); change the "
+                    f"spacings")
+    return float(np.max([np.max(lipschitz - centre) for centre, _ in stencil]))
 
 
 def _bound_and_nt(horizon, rate):
@@ -289,36 +270,23 @@ def _neighbours(ndim):
 
 
 def _differences(w, dx):
-    """Per-axis difference quotients of ``w`` at its interior nodes.
+    """Central difference quotients of ``w`` at its interior nodes, flattened.
 
-    ``w`` has the spatial axes last, after any leading batch axes.
-    Returns ``(wc, d2, central, fwd, bwd, cross)``, flattened C-ordered,
-    so a batch of B fields gives arrays of B * m entries, field by field:
-    the interior values, then per axis the three-point second quotient
-    and the central, forward and backward first quotients, and per axis
-    pair ``i < j`` the two sign-split seven-point mixed quotients
-    ``cross[i, j] = (plus, minus)``.  ``plus`` is monotone for a
-    nonnegative coefficient, ``minus`` for a negative one, and their mean
-    is the central mixed quotient.
+    Returns ``(wc, d2, central, cross)``: the interior values, per axis
+    the three-point second quotient and the central first quotient, and
+    per axis pair ``i < j`` the four-point central mixed quotient
+    ``cross[i, j]``.
     """
     centre, axes, pairs = _neighbours(len(dx))
     wc = w[centre]
-    d2, central, fwd, bwd = [], [], [], []
+    d2, central = [], []
     for h, (up, down) in zip(dx, axes):
         wp, wm = w[up], w[down]
         d2.append(((wp - 2.0 * wc + wm) / (h * h)).ravel())
         central.append(((wp - wm) / (2.0 * h)).ravel())
-        fwd.append(((wp - wc) / h).ravel())
-        bwd.append(((wc - wm) / h).ravel())
-    cross = {}
-    for (i, j), (pp, mm, pm, mp) in pairs.items():
-        wip, wim = w[axes[i][0]], w[axes[i][1]]
-        wjp, wjm = w[axes[j][0]], w[axes[j][1]]
-        denom = 2.0 * dx[i] * dx[j]
-        plus = (2.0 * wc + w[pp] + w[mm] - wip - wim - wjp - wjm) / denom
-        minus = (wip + wim + wjp + wjm - 2.0 * wc - w[pm] - w[mp]) / denom
-        cross[i, j] = (plus.ravel(), minus.ravel())
-    return wc.ravel(), d2, central, fwd, bwd, cross
+    cross = {(i, j): ((w[pp] + w[mm] - w[pm] - w[mp]) / (4.0 * dx[i] * dx[j])).ravel()
+             for (i, j), (pp, mm, pm, mp) in pairs.items()}
+    return wc.ravel(), d2, central, cross
 
 
 def _minimax(which, pair_values):
@@ -366,55 +334,66 @@ def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
     return vals.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
-def _upwind_constants(tables, dx):
-    """Per-pair constants of the upwind stencil, which depend on ``(a, b)`` only.
+def _stencil_weights(tables, dx):
+    """The weight table of the explicit step, which depends on ``(a, b)`` only.
 
-    Per pair: per axis ``(a_ii / 2, central?, forward?, b_i)``, where the
-    central quotient applies where the diffusion net of the mixed terms
-    dominates the drift on the cell,
+    Per pair ``(centre, weights)``: the second-order plus drift part of
+    the generator at a node is ``centre * w + sum_o weights[o] * w[o]``
+    over the neighbour offsets of :func:`_neighbours`, in its order: up
+    and down each axis, then (+, +), (-, -), (+, -), (-, +) on each axis
+    pair.  The drift quotient on axis ``i`` is central where the
+    diffusion net of the mixed terms covers the drift on the cell,
 
-        a_ii - sum_{j != i} |a_ij| dx_i / dx_j >= |b_i| dx_i,
+        slack_i = a_ii - sum_{j != i} |a_ij| dx_i / dx_j >= |b_i| dx_i,
 
-    and the forward one elsewhere where ``b_i >= 0``; per axis pair
-    ``(a_ij, a_ij >= 0)``, which picks the sign-split mixed quotient.
+    and upwind elsewhere; the mixed term ``a_ij`` weighs the diagonal
+    pair whose sign it has, and is taken off the axis neighbours.  The
+    weights sum to zero, their first moment is ``b`` and their second
+    ``a``, plus ``|b_i| dx_i`` on the diagonal of an upwinded axis.
     """
-    constants = []
+    table = []
     for _, _, a, b, _ in tables:
-        # twice the diffusion's share of each neighbour weight on axis i, times dx_i^2
+        mixed = {(i, j): a[:, i, j] for i, j in combinations(range(len(dx)), 2)}
         slack = [a[:, i, i] for i in range(len(dx))]
-        for i, j in combinations(range(len(dx)), 2):
-            mixed = np.abs(a[:, i, j])
-            slack[i] = slack[i] - mixed * (dx[i] / dx[j])
-            slack[j] = slack[j] - mixed * (dx[j] / dx[i])
-        axes = [(0.5 * a[:, i, i], slack[i] >= np.abs(b[:, i]) * h, b[:, i] >= 0.0, b[:, i])
-                for i, h in enumerate(dx)]
-        cross = {(i, j): (a[:, i, j], a[:, i, j] >= 0.0)
-                 for i, j in combinations(range(len(dx)), 2)}
-        constants.append((axes, cross))
-    return constants
+        for (i, j), aij in mixed.items():
+            slack[i] = slack[i] - np.abs(aij) * (dx[i] / dx[j])
+            slack[j] = slack[j] - np.abs(aij) * (dx[j] / dx[i])
+        centre, weights = 0.0, []
+        for i, h in enumerate(dx):
+            bh = b[:, i] * h
+            central = slack[i] >= np.abs(bh)
+            # times 2 dx_i^2: a central quotient moves b_i dx_i from one neighbour
+            # to the other, an upwind one adds 2 |b_i| dx_i downwind
+            up = np.where(central, slack[i] + bh, slack[i] + 2.0 * np.maximum(bh, 0.0))
+            down = np.where(central, slack[i] - bh, slack[i] - 2.0 * np.minimum(bh, 0.0))
+            weights += [up / (2.0 * h * h), down / (2.0 * h * h)]
+            centre = centre - a[:, i, i] / (h * h) - np.where(central, 0.0, np.abs(b[:, i]) / h)
+        for (i, j), aij in mixed.items():
+            # (+, +) and (-, -) where a_ij >= 0, (+, -) and (-, +) elsewhere
+            corner = np.abs(aij) / (2.0 * dx[i] * dx[j])
+            plus = np.where(aij >= 0.0, corner, 0.0)
+            minus = np.where(aij >= 0.0, 0.0, corner)
+            weights += [plus, plus, minus, minus]
+            centre = centre + np.abs(aij) / (dx[i] * dx[j])
+        table.append((centre, weights))
+    return table
 
 
 def _step_slice(which, instance, t, dt, w, x_rows, dx, tables, stencil):
     """One explicit backward step; returns updated interior values, flattened.
 
     ``tables`` and ``stencil`` are the step's :func:`_pair_tables` and
-    their :func:`_upwind_constants`.
+    their :func:`_stencil_weights`; the shifted blocks of ``w`` are
+    raveled once and shared by every pair.
     """
-    wc, d2, central, fwd, bwd, cross = _differences(w, dx)
-
-    def upwind_terms(axes, mixed):
-        second, drift = [], []
-        for i, (half_aii, is_central, is_forward, bi) in enumerate(axes):
-            second.append(half_aii * d2[i])
-            drift.append(bi * np.where(is_central, central[i],
-                                       np.where(is_forward, fwd[i], bwd[i])))
-        for (i, j), (aij, nonneg) in mixed.items():
-            plus, minus = cross[i, j]
-            second.append(aij * np.where(nonneg, plus, minus))
-        return reduce(add, second) + reduce(add, drift)
-
-    vals = _generator_stack(instance, t, x_rows, wc, central, tables,
-                            (upwind_terms(*pair) for pair in stencil))
+    centre, axes, pairs = _neighbours(len(dx))
+    wc = w[centre].ravel()
+    shifted = [w[o].ravel() for o in chain(*axes, *pairs.values())]
+    # the axis neighbours come first, up then down on each axis
+    grad = [(up - down) / (2.0 * h) for up, down, h in zip(shifted[0::2], shifted[1::2], dx)]
+    parts = (sum((c * s for c, s in zip(weights, shifted)), centre_weight * wc)
+             for centre_weight, weights in stencil)
+    vals = _generator_stack(instance, t, x_rows, wc, grad, tables, parts)
     return wc + dt * _minimax(which, vals)
 
 
@@ -477,9 +456,9 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         dt = times[k + 1] - t
         if k == steps - 1 or not homogeneous:
             tables = _pair_tables(instance, t, x_int, fields)
-            stencil = _upwind_constants(tables, dx)
+            stencil = _stencil_weights(tables, dx)
         if not homogeneous:
-            rate = _monotone_rate(stencil, dx, instance.coeffs.declared_lipschitz)
+            rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
             _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
         w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_rows,
@@ -638,12 +617,12 @@ def _field_stacks(field, instance):
 
     def stack(t, k):
         nonlocal tables
-        wc, d2, central, _, _, cross = _differences(field.slices[k], grid.dx())
+        wc, d2, central, cross = _differences(field.slices[k], grid.dx())
         xmat = np.empty((wc.size, grid.ndim, grid.ndim))
         for i, d2_i in enumerate(d2):
             xmat[:, i, i] = d2_i
-        for (i, j), (plus, minus) in cross.items():
-            xmat[:, i, j] = xmat[:, j, i] = 0.5 * (plus + minus)
+        for (i, j), mixed in cross.items():
+            xmat[:, i, j] = xmat[:, j, i] = mixed
         if tables is None or not instance.coeffs.time_homogeneous:
             tables = _pair_tables(instance, t, x, 1)
         return x, wc, _hamiltonian_stack(instance, t, x, wc, np.stack(central, axis=1),

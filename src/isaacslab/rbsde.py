@@ -214,7 +214,10 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         Y[k] = yk
         Z[k] = z
 
-    np.cumsum(K, axis=0, out=K)
+    # a running sum down the steps, row by row: several times faster than
+    # np.cumsum along axis 0 of this step-major store, with the same sums
+    for k in range(N):
+        np.add(K[k], K[k + 1], out=K[k + 1])
     scheme = "reflected" if penalty_m is None else "penalized"
     return BackwardSolution(mesh=bundle.mesh, Y=Y.T, Z=Z.transpose(1, 0, 2), K=K.T,
                             scheme=scheme, penalty=penalty_m, obstacle_samples=h_all.T,

@@ -369,6 +369,8 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param(_with(_MINIMAX, "grid", "box", [[-2, 1e300]]), 3,
                  id="solve-overflowing-spacing"),
     pytest.param(_with(_SOLVE, "grid", "nx", [1e300]), 2, id="solve-unindexable-grid"),
+    # 2e18 nodes of one coordinate each: indexable, but 1.6e19 bytes
+    pytest.param(_with(_SOLVE, "grid", "nx", [2e18]), 2, id="solve-unindexable-grid-bytes"),
     # linear extrapolation needs two interior nodes next to each face
     pytest.param(_with(_MINIMAX, "grid", "nx", [3]), 2, id="solve-extrapolation-on-three-nodes"),
     pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,

@@ -1,6 +1,7 @@
 """Grid solver: Hamiltonians, exact fields, monotonicity, residuals."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -145,33 +146,124 @@ def test_mixed_dominance_is_refused_whatever_the_step():
     assert square.nt == math.ceil(0.1 * (1.1 * 16.0 + 1.0))
 
 
-def neighbour_weights(stencil, dx):
-    """Per pair and axis, the weights one step per unit dt gives the up and
-    down neighbours of each node, from the stencil's per-pair constants."""
-    for axes, cross in stencil:
-        share = [2.0 * half_aii / (h * h) for (half_aii, *_), h in zip(axes, dx)]
-        for (i, j), (aij, _) in cross.items():
-            mixed = np.abs(aij) / (dx[i] * dx[j])
-            share[i] = share[i] - mixed
-            share[j] = share[j] - mixed
-        for (_, central, forward, b), h, diffusion in zip(axes, dx, share):
-            up = np.where(central, b / (2.0 * h), np.where(forward, b / h, 0.0))
-            down = np.where(central, -b / (2.0 * h), np.where(forward, 0.0, -b / h))
-            yield 0.5 * diffusion + up, 0.5 * diffusion + down
-
-
 def test_correlated_stencil_gives_every_neighbour_a_nonnegative_weight():
     # a_01 = 0.32 takes |a_01| / (2 dx_0 dx_1) from each axis neighbour; a
     # central drift quotient chosen on a_ii alone left 22 of the 99 interior
     # nodes with an axis-1 neighbour weight of -0.575 for every pair
-    inst = correlated_game()
-    grid = sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
-    dx = grid.dx()
+    inst, grid = stencil_case("correlated_2d")
     tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
-    weights = list(neighbour_weights(pde._upwind_constants(tables, dx), dx))
-    assert len(weights) == 4 * 2 and weights[0][0].shape == (99,)
-    for up, down in weights:
-        assert up.min() >= 0.0 and down.min() >= 0.0
+    stencil = pde._stencil_weights(tables, grid.dx())
+    assert len(stencil) == 4
+    for _, weights in stencil:
+        assert len(weights) == 2 * 2 + 4 and weights[0].shape == (99,)
+        for weight in weights:
+            assert weight.min() >= 0.0
+
+
+def stencil_case(case):
+    """``american_put`` on nx 57, or the correlated game on nx (13, 11), sized."""
+    if case == "american_put":
+        inst = builtin_instance("american_put")
+        return inst, sized(inst, ((20.0, 300.0),), (57,))
+    inst = correlated_game()
+    return inst, sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
+
+
+def diffusion_slack(a, dx):
+    """``a_ii - sum_{j != i} |a_ij| dx_i / dx_j`` per row and axis, (m, n): the
+    drift quotient on axis i is central where it is at least ``|b_i| dx_i``."""
+    n = len(dx)
+    return np.stack([a[:, i, i] - sum(np.abs(a[:, i, j]) * (dx[i] / dx[j])
+                                      for j in range(n) if j != i)
+                     for i in range(n)], axis=1)
+
+
+def neighbour_offsets(dx):
+    """Offsets of the stencil's neighbours in space, (offsets, n): up and
+    down each axis, then (+, +), (-, -), (+, -), (-, +) on each axis pair."""
+    basis = np.diag(dx)
+    offsets = [sign * basis[i] for i in range(len(dx)) for sign in (1.0, -1.0)]
+    for i, j in itertools.combinations(range(len(dx)), 2):
+        offsets += [si * basis[i] + sj * basis[j]
+                    for si, sj in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))]
+    return np.array(offsets)
+
+
+# the put's diffusion 0.04 x^2 covers its drift 0.05 x dx on every node of
+# the box, so only the correlated game upwinds
+@pytest.mark.parametrize("case, upwinds", [("american_put", False), ("correlated_2d", True)])
+def test_stencil_weights_are_locally_consistent(case, upwinds):
+    # Kushner & Dupuis: per node the weights sum to zero, their first moment
+    # is the drift and their second the diffusion, plus |b_i| dx_i on the
+    # diagonal of an axis whose drift quotient is upwinded
+    inst, grid = stencil_case(case)
+    dx = np.array(grid.dx())
+    n = len(dx)
+    offsets = neighbour_offsets(dx)
+    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
+    upwinded = 0
+    for (_, _, a, b, _), (centre, weights) in zip(tables, pde._stencil_weights(tables, dx)):
+        w = np.stack(weights, axis=1)                                  # (m, offsets)
+        scale = np.abs(w).sum(axis=1) + np.abs(centre)
+        np.testing.assert_allclose(centre + w.sum(axis=1), 0.0, atol=1e-12 * scale.max())
+        first = w @ offsets
+        first_scale = np.abs(w) @ np.abs(offsets)
+        np.testing.assert_allclose(first, b, rtol=1e-12, atol=1e-12 * first_scale.max())
+        second = np.einsum("mo,oi,oj->mij", w, offsets, offsets)
+        second_scale = np.einsum("mo,oi,oj->mij", np.abs(w), np.abs(offsets), np.abs(offsets))
+        upwind = diffusion_slack(a, dx) < np.abs(b) * dx
+        upwinded += upwind.sum()
+        expected = a + np.einsum("mi,ij->mij", np.where(upwind, np.abs(b) * dx, 0.0), np.eye(n))
+        np.testing.assert_allclose(second, expected, rtol=1e-12,
+                                   atol=1e-12 * second_scale.max())
+    assert (upwinded > 0) == upwinds
+
+
+def quotient_step(which, inst, t, dt, w, grid, tables):
+    """The explicit step in difference-quotient form, a reference for the
+    weight table: per axis the three-point second quotient and a central,
+    forward or backward first quotient, per axis pair the sign-split
+    seven-point mixed quotient."""
+    dx = grid.dx()
+    centre, axes, pairs = pde._neighbours(grid.ndim)
+    wc = w[centre].ravel()
+    near = [(w[up].ravel(), w[down].ravel()) for up, down in axes]
+    parts = []
+    for _, _, a, b, _ in tables:
+        part = 0.0
+        slack = diffusion_slack(a, dx)
+        for i, ((wp, wm), h) in enumerate(zip(near, dx)):
+            first = np.where(slack[:, i] >= np.abs(b[:, i]) * h, (wp - wm) / (2.0 * h),
+                             np.where(b[:, i] >= 0.0, (wp - wc) / h, (wc - wm) / h))
+            part = part + 0.5 * a[:, i, i] * (wp - 2.0 * wc + wm) / (h * h) + b[:, i] * first
+        for (i, j), (pp, mm, pm, mp) in pairs.items():
+            sides = sum(near[i]) + sum(near[j])
+            denom = 2.0 * dx[i] * dx[j]
+            plus = (2.0 * wc + w[pp].ravel() + w[mm].ravel() - sides) / denom
+            minus = (sides - 2.0 * wc - w[pm].ravel() - w[mp].ravel()) / denom
+            part = part + a[:, i, j] * np.where(a[:, i, j] >= 0.0, plus, minus)
+        parts.append(part)
+    grad = [(wp - wm) / (2.0 * h) for (wp, wm), h in zip(near, dx)]
+    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables, parts)
+    return wc + dt * pde._minimax(which, vals)
+
+
+@pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
+def test_weight_table_step_matches_the_quotient_step(case):
+    # summing weights times values rounds differently from summing
+    # coefficients times quotients, by far less than 1e-12 of the field
+    inst, grid = stencil_case(case)
+    field = solve_obstacle_pde("lower", inst, grid)
+    x_int, dx = grid.interior_nodes(), grid.dx()
+    for k in (grid.nt - 1, grid.nt // 2, 0):
+        t, dt = field.times[k], field.times[k + 1] - field.times[k]
+        w = field.slices[k + 1]
+        tables = pde._pair_tables(inst, t, x_int, 1)
+        stencil = pde._stencil_weights(tables, dx)
+        for which in HAMILTONIANS:
+            step = pde._step_slice(which, inst, t, dt, w, x_int, dx, tables, stencil)
+            np.testing.assert_allclose(step, quotient_step(which, inst, t, dt, w, grid, tables),
+                                       rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 def test_hamiltonian_identity_trace():
