@@ -126,21 +126,31 @@ def penalization_convergence(instance, grid, m_schedule):
     Checks nodewise monotonicity in the penalty weight and reports the
     sup-norm gaps to the reflected reference field over the inner
     sub-box (all time slices).  The whole schedule is stepped in one
-    sweep and both measures are folded in one time slice at a time, so
-    no penalized field is ever stored.
+    sweep, so no penalized field is ever stored: each slice is folded
+    into two running elementwise maxima, ``|reference - field|`` over
+    :meth:`~isaacslab.pde.SpaceTimeGrid.inner_box` and the step down
+    from each weight to the next over every node, held in buffers
+    allocated once and reduced once at the end.
     """
     m_schedule = tuple(float(m) for m in m_schedule)
     if any(b <= a for a, b in zip(m_schedule, m_schedule[1:])):
         raise PreconditionError("m_schedule must be strictly increasing")
     reference = solve_obstacle_pde("lower", instance, grid)
-    mask = grid.inner_mask()
-    gaps = np.zeros(len(m_schedule))
-    worst_violation = 0.0
+    box = grid.inner_box()
+    fields_box = (slice(None),) + box
+    batch = len(m_schedule)
+    gaps = np.zeros((batch,) + reference.slices[0][box].shape)
+    violations = np.zeros((max(batch - 1, 0),) + grid.shape)
+    gaps_k, violations_k = np.empty_like(gaps), np.empty_like(violations)
     for k, fields in sweep_penalized(instance, grid, m_schedule):
-        gaps_k = np.abs(reference.slices[k][mask] - fields[:, mask]).max(axis=1)
-        gaps = np.maximum(gaps, gaps_k)
-        worst_violation = float((fields[:-1] - fields[1:]).max(initial=worst_violation))
-    return ConvergenceTable(m_schedule=m_schedule, sup_gaps=tuple(map(float, gaps)),
+        np.abs(np.subtract(reference.slices[k][box], fields[fields_box], out=gaps_k),
+               out=gaps_k)
+        np.maximum(gaps, gaps_k, out=gaps)
+        np.maximum(violations, np.subtract(fields[:-1], fields[1:], out=violations_k),
+                   out=violations)
+    sup_gaps = gaps.max(axis=tuple(range(1, gaps.ndim)))
+    worst_violation = float(violations.max(initial=0.0))
+    return ConvergenceTable(m_schedule=m_schedule, sup_gaps=tuple(map(float, sup_gaps)),
                             monotone_ok=worst_violation <= 1e-12,
                             max_monotone_violation=worst_violation)
 

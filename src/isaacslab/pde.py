@@ -133,13 +133,25 @@ class SpaceTimeGrid:
         grid_coords = self.nodes().reshape(self.shape + (self.ndim,))
         return grid_coords[self.interior()].reshape(-1, self.ndim)
 
-    def inner_mask(self):
-        """Boolean mask of nodes inside the central ``INNER_FRACTION`` of the box."""
-        masks = []
+    def inner_box(self):
+        """Per-axis slices of the nodes inside the central ``INNER_FRACTION`` of the box.
+
+        The nodes of an axis within ``INNER_FRACTION / 2`` of its width
+        from its midpoint form one run, never empty, so the inner nodes
+        are a box of the grid.
+        """
+        box = []
         for (lo, hi), ax in zip(self.box, self.axes()):
             mid, half = 0.5 * (lo + hi), 0.5 * INNER_FRACTION * (hi - lo)
-            masks.append(np.abs(ax - mid) <= half + 1e-12)
-        return np.logical_and.reduce(np.meshgrid(*masks, indexing="ij"))
+            inside = np.flatnonzero(np.abs(ax - mid) <= half + 1e-12)
+            box.append(slice(int(inside[0]), int(inside[-1]) + 1))
+        return tuple(box)
+
+    def inner_mask(self):
+        """Boolean mask of the nodes of :meth:`inner_box`."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.inner_box()] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -290,7 +302,12 @@ def _differences(w, dx):
 
 
 def _minimax(which, pair_values):
-    """Reduce an (nu, nv, rows) stack of generator values to (rows,)."""
+    """Reduce an (nu, nv, rows) stack of generator values to (rows,).
+
+    With one control pair both orders return its row, a view of the stack.
+    """
+    if pair_values.shape[:2] == (1, 1):
+        return pair_values[0, 0]
     if which == "lower":
         return pair_values.min(axis=1).max(axis=0)
     return pair_values.max(axis=0).min(axis=0)
@@ -330,7 +347,7 @@ def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
         z = grad[0][:, None] * sv[:, 0, :]
         for i in range(1, len(grad)):
             z = z + grad[i][:, None] * sv[:, i, :]
-        row[:] = part + eval_cost_rate(instance, t, x_rows, y, z, up, vp)
+        np.add(part, eval_cost_rate(instance, t, x_rows, y, z, up, vp), out=row)
     return vals.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
@@ -415,6 +432,14 @@ def _fill_boundary(w, grid, terminal):
             face[-1] = 2.0 * face[-2] - face[-3]
 
 
+def _penalize(w, h, c):
+    """The semi-implicit penalty update of ``w`` in place, ``c`` the weight times dt.
+
+    Where ``w < h`` the node becomes ``(w + c h) / (1 + c)``; elsewhere it is kept.
+    """
+    np.copyto(w, (w + c * h) / (1.0 + c), where=w < h)
+
+
 def _sweep(which, instance, grid, times, terminal, weights, store):
     """Step ``terminal`` backwards over ``times``, one slice at a time.
 
@@ -468,8 +493,7 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         if weights is None:
             np.maximum(w, h_k, out=w)
         else:
-            c = weights * dt
-            w[...] = np.where(w < h_k, (w + c * h_k) / (1.0 + c), w)
+            _penalize(w, h_k, weights * dt)
         if not np.isfinite(w).all():
             raise DivergenceError(
                 f"value field turned non-finite at time step {k} (t = {t:.6g}); "

@@ -155,8 +155,19 @@ def _failure(what, t, x, controls):
 
 
 def _as_batch(out, shape, what, t, x, controls):
+    """``out`` as a read-only float array of ``shape``, checked finite.
+
+    A return that already has ``shape`` is viewed, not copied; any other
+    is broadcast to it.  Either way the caller's own array keeps its
+    flags and the result refuses writes.
+    """
     try:
-        arr = np.broadcast_to(np.asarray(out, dtype=float), shape)
+        arr = np.asarray(out, dtype=float)
+        if arr.shape == shape:  # broadcast_to costs microseconds even then
+            arr = arr.view()
+            arr.flags.writeable = False
+        else:
+            arr = np.broadcast_to(arr, shape)
     except Exception as exc:  # shape mismatch or non-numeric return
         raise _failure(f"{what} returned un-broadcastable value", t, x, controls) from exc
     if not np.isfinite(arr).all():

@@ -21,7 +21,7 @@ from isaacslab.problems import builtin_instance, eval_cost_rate, eval_diffusion,
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import make_instance, sized
+from conftest import correlated_game, make_instance, sized
 
 
 def test_singleton_controls_make_both_values_identical():
@@ -152,10 +152,12 @@ def one_sweep_per_weight(instance, grid, m_schedule):
     ("american_put", ((20.0, 300.0),), (57,)),
     ("minimax_gap", ((-2.0, 2.0),), (31,)),
     ("deterministic_stop", ((-1.0, 1.0),), (21,)),
+    # unequal boxes and node counts: the fold's inner box against the reference's mask
+    ("correlated_2d", ((-2.0, 2.0), (-1.5, 1.0)), (13, 11)),
 ])
-@pytest.mark.parametrize("schedule", [(1.0, 4.0, 16.0, 64.0, 256.0), (3.0,)])
+@pytest.mark.parametrize("schedule", [(1.0, 4.0, 16.0, 64.0, 256.0), (3.0,), ()])
 def test_penalization_convergence_matches_one_sweep_per_weight(name, box, nx, schedule):
-    inst = builtin_instance(name)
+    inst = correlated_game() if name == "correlated_2d" else builtin_instance(name)
     grid = sized(inst, box, nx)
     table = penalization_convergence(inst, grid, schedule)
     gaps, worst = one_sweep_per_weight(inst, grid, schedule)

@@ -33,7 +33,13 @@ from isaacslab.problems import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import declare_homogeneous, make_instance, mixed_dominance_game, sized
+from conftest import (
+    correlated_game,
+    declare_homogeneous,
+    make_instance,
+    mixed_dominance_game,
+    sized,
+)
 
 
 def test_grid_invariants():
@@ -45,6 +51,27 @@ def test_grid_invariants():
         SpaceTimeGrid(box=((0.0, 1.0),) * 3, nx=(5, 5, 5), nt=1)
     with pytest.raises(ValueError):
         SpaceTimeGrid(box=((0.0, 1.0),), nx=(5,), nt=1, boundary="nope")
+
+
+@pytest.mark.parametrize("box, nx", [
+    (((20.0, 300.0),), (281,)),
+    (((-1.0, 1.0),), (4,)),
+    (((-2.0, 2.0), (-1.5, 1.0)), (13, 11)),
+    (((0.0, 1.0), (-3.0, 7.0)), (4, 40)),
+])
+def test_inner_mask_is_the_product_of_the_inner_box_slices(box, nx):
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=1)
+    inner = grid.inner_box()
+    axes = [np.zeros(k, dtype=bool) for k in nx]
+    for ax, piece in zip(axes, inner):
+        ax[piece] = True
+        assert ax.any()
+    np.testing.assert_array_equal(grid.inner_mask(), np.logical_and.reduce(
+        np.meshgrid(*axes, indexing="ij")))
+    # each axis keeps the nodes within INNER_FRACTION / 2 of its width from the midpoint
+    for (lo, hi), ax, keep in zip(grid.box, grid.axes(), axes):
+        np.testing.assert_array_equal(
+            keep, np.abs(ax - 0.5 * (lo + hi)) <= 0.5 * pde.INNER_FRACTION * (hi - lo) + 1e-12)
 
 
 def test_linear_extrapolation_needs_two_interior_nodes():
@@ -301,6 +328,30 @@ def test_hamiltonian_tie_breaks_to_lowest_index():
     assert (val, iu, iv) == (-1.0, 0, 0)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 279])
+def test_singleton_minimax_is_both_reductions(rng, rows):
+    vals = rng.normal(size=(1, 1, rows))
+    vals[0, 0, 0] = -0.0
+    lower = vals.min(axis=1).max(axis=0)
+    upper = vals.max(axis=0).min(axis=0)
+    for which in HAMILTONIANS:
+        out = pde._minimax(which, vals)
+        assert np.array_equal(out, lower) and np.array_equal(out, upper)
+        assert np.array_equal(np.signbit(out), np.signbit(lower))
+
+
+def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
+    # three weights on one obstacle; nodes below, above and exactly on it
+    h = rng.normal(size=40)
+    w = h + rng.normal(size=(3, 40))
+    w[:, ::5] = h[::5]
+    assert (w < h).any() and (w > h).any() and (w == h).any()
+    c = np.array([1.0, 16.0, 256.0]).reshape(3, 1) * 2.7e-4
+    expected = np.where(w < h, (w + c * h) / (1.0 + c), w)
+    pde._penalize(w, h, c)
+    assert np.array_equal(w, expected)
+
+
 def test_constant_cost_field_is_exact():
     inst = builtin_instance("no_obstacle_linear", {"c0": 1.0, "c1": 0.0})
     grid = sized(inst, ((-1.0, 1.0),), (21,))
@@ -426,21 +477,6 @@ def test_penalized_fields_monotone_in_weight_nodewise():
     ref = solve_obstacle_pde("lower", inst, grid)
     assert (f10.slices - f1.slices).min() >= -1e-12
     assert (ref.slices - f10.slices).min() >= -1e-12
-
-
-def correlated_game():
-    # a_01 = 0.32 != 0, a drift that is upwinded near the edges of the box,
-    # 2 x 2 controls and a cost rate that reads y and both components of z
-    root = np.array([[0.8, 0.0], [0.4, 0.6]])
-    return make_instance(
-        n=2, d=2, horizon=0.5,
-        b=lambda t, x, u, v: np.stack([3.0 * u[0] * x[:, 0], -2.0 * x[:, 1]], axis=1),
-        sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
-        f=lambda t, x, y, z, u, v: (-0.1 * y + 0.2 * v[0] * z[:, 0]
-                                    - 0.05 * np.abs(z[:, 1]) + u[0] * v[0]),
-        phi=lambda x: np.maximum(1.0 - np.abs(x[:, 0]) - 0.5 * np.abs(x[:, 1]), 0.0),
-        h=lambda t, x: 0.5 * np.maximum(0.8 - np.abs(x[:, 0] + x[:, 1]), 0.0) - 0.1 * t,
-        u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5]], growth=20.0)
 
 
 @pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)

@@ -94,6 +94,24 @@ def test_as_batch_accepts_large_finite_entries_and_rejects_non_finite():
             _as_batch([1.0, bad], (2,), "drift", 0.0, x, ())
 
 
+def test_as_batch_views_a_return_of_the_right_shape_read_only():
+    x = np.zeros((3, 1))
+    out = np.array([[1.0, -2.0], [0.5, 3.0], [4.0, -0.0]])
+    before = out.copy()
+    arr = _as_batch(out, (3, 2), "drift", 0.0, x, ())
+    assert np.shares_memory(arr, out)
+    assert not arr.flags.writeable
+    assert out.flags.writeable
+    np.testing.assert_array_equal(arr, before)
+    assert np.array_equal(np.signbit(arr), np.signbit(before))
+    # a scalar still broadcasts, read-only; a wrong shape is still refused
+    scalar = _as_batch(2.5, (3,), "cost rate", 0.0, x, ())
+    assert scalar.shape == (3,) and not scalar.flags.writeable
+    np.testing.assert_array_equal(scalar, [2.5, 2.5, 2.5])
+    with pytest.raises(EvaluationError, match="drift returned un-broadcastable value"):
+        _as_batch(np.ones((2, 2)), (3, 2), "drift", 0.0, x, ())
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_instances_validate(name):
     inst = builtin_instance(name)
