@@ -123,13 +123,16 @@ def dpp_residual(field, instance, t_index, delta_steps):
 def penalization_convergence(instance, grid, m_schedule):
     """Solve the penalized equation along ``m_schedule`` and compare.
 
-    Checks nodewise monotonicity in the penalty weight and reports the
-    sup-norm gaps to the reflected reference field over the inner
-    sub-box (all time slices).  The whole schedule is stepped in one
-    sweep, so no penalized field is ever stored: each slice is folded
-    into two running elementwise maxima, ``|reference - field|`` over
+    Checks nodewise monotonicity in the penalty weight on the interior
+    nodes, where the scheme solves (the faces hold the ``2 w1 - w2``
+    fill, which need not be monotone), and reports the sup-norm gaps to
+    the reflected reference field over the inner sub-box (all time
+    slices).  The whole schedule is stepped in one sweep, so no penalized
+    field is ever stored: each slice is folded into two running
+    elementwise maxima, ``|reference - field|`` over
     :meth:`~isaacslab.pde.SpaceTimeGrid.inner_box` and the step down
-    from each weight to the next over every node, held in buffers
+    from each weight to the next over
+    :meth:`~isaacslab.pde.SpaceTimeGrid.interior`, held in buffers
     allocated once and reduced once at the end.
     """
     m_schedule = tuple(float(m) for m in m_schedule)
@@ -138,15 +141,18 @@ def penalization_convergence(instance, grid, m_schedule):
     reference = solve_obstacle_pde("lower", instance, grid)
     box = grid.inner_box()
     fields_box = (slice(None),) + box
+    # the scheme solves the interior; the faces are an extrapolated fill
+    fields_interior = (slice(None),) + grid.interior()
     batch = len(m_schedule)
     gaps = np.zeros((batch,) + reference.slices[0][box].shape)
-    violations = np.zeros((max(batch - 1, 0),) + grid.shape)
+    violations = np.zeros((max(batch - 1, 0),) + reference.slices[0][grid.interior()].shape)
     gaps_k, violations_k = np.empty_like(gaps), np.empty_like(violations)
     for k, fields in sweep_penalized(instance, grid, m_schedule):
         np.abs(np.subtract(reference.slices[k][box], fields[fields_box], out=gaps_k),
                out=gaps_k)
         np.maximum(gaps, gaps_k, out=gaps)
-        np.maximum(violations, np.subtract(fields[:-1], fields[1:], out=violations_k),
+        inner = fields[fields_interior]
+        np.maximum(violations, np.subtract(inner[:-1], inner[1:], out=violations_k),
                    out=violations)
     sup_gaps = gaps.max(axis=tuple(range(1, gaps.ndim)))
     worst_violation = float(violations.max(initial=0.0))

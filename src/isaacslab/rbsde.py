@@ -12,9 +12,13 @@ Two schemes solve the constrained backward equation on a path bundle:
 
 Conditional expectations are least-squares fits on a polynomial basis of
 the current states (regression Monte Carlo: Longstaff & Schwartz 2001;
-Gobet, Lemor & Warin 2005).  Each regressed step forms the Gram matrix
-``G = A^T A`` of its design matrix ``A`` once, and both fits below solve
-their normal equations ``G c = A^T target`` on it.  Where ``G`` is rank
+Gobet, Lemor & Warin 2005).  Each regressed step fills the design matrix
+``A`` into one buffer per solve and forms its Gram matrix ``G = A^T A``
+once, and both fits below solve their normal equations ``G c = A^T
+target`` on it.  ``G[i, j]`` is the sample moment of the monomial
+``x^(a_i + a_j)``, so :meth:`RegressionBasis.gram` computes only the
+distinct moments, the constant and the top-degree columns of ``A`` times
+the others, where ``A.T @ A`` would form every product.  Where ``G`` is rank
 deficient or ``cond(G) > GRAM_COND_MAX``, read off the singular values
 that solve returns, the fit is redone by least squares on ``A`` itself,
 and where ``A`` is rank deficient too it falls back to the mean and sets
@@ -41,7 +45,9 @@ depend on the storage layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -54,6 +60,50 @@ TERMINAL_BARRIER_TOL = 1e-9
 # largest condition number of a Gram matrix A^T A whose normal equations are
 # solved; a fit on them loses about log10 cond(A^T A) digits, 8 at most
 GRAM_COND_MAX = 1e8
+# samples times monomials per block of RegressionBasis.gram: 1 MiB of design
+# matrix, so each block is read from cache by every product after the first
+GRAM_BLOCK = 1 << 17
+
+
+@lru_cache(maxsize=32)
+def _monomials(n, degree):
+    """Monomials of total degree <= ``degree`` in ``n`` coordinates.
+
+    Rows follow :meth:`RegressionBasis.features`: the constant, then each
+    degree's ``combinations_with_replacement`` of the coordinates.
+    Returns ``(products, top, index)``:
+
+    * ``products`` lists ``(parent row, coordinate)`` for each row of
+      degree >= 2, from row ``n + 1`` on: the row is its parent (the
+      combination minus its last factor) times that coordinate;
+    * ``top`` is the first row of degree ``degree``;
+    * ``index[i, j]`` points into the moments that
+      :meth:`RegressionBasis.gram` computes: the constant row times every
+      row (``p`` entries), then every row from 1 on times every top row,
+      row-major (``(p - 1) * (p - top)`` entries).  Rows ``i`` and ``j``
+      read the moment of the exponent sum ``a_i + a_j``, so ``index`` is
+      symmetric.  Sums of degree <= ``degree`` are rows themselves; any
+      larger one is a top-degree monomial plus one of degree >= 1.
+    """
+    combos = [combo for deg in range(1, degree + 1)
+              for combo in combinations_with_replacement(range(n), deg)]
+    row = {(): 0}
+    exponents = np.zeros((1 + len(combos), n), dtype=np.int64)
+    for j, combo in enumerate(combos, start=1):
+        row[combo] = j
+        np.add.at(exponents[j], list(combo), 1)
+    products = tuple((row[combo[:-1]], combo[-1]) for combo in combos if len(combo) > 1)
+    p = len(exponents)
+    top = p - comb(n + degree - 1, degree)
+    moment = {tuple(e): j for j, e in enumerate(exponents)}
+    for j in range(1, p):
+        for a in range(top, p):
+            moment.setdefault(tuple(exponents[a] + exponents[j]),
+                              p + (j - 1) * (p - top) + a - top)
+    sums = exponents[:, None, :] + exponents[None, :, :]
+    index = np.array([[moment[tuple(s)] for s in line] for line in sums], dtype=np.intp)
+    index.flags.writeable = False  # shared by every caller through the cache
+    return products, top, index
 
 
 @dataclass(frozen=True)
@@ -66,33 +116,71 @@ class RegressionBasis:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
-    def features(self, x):
+    def features(self, x, out=None):
         """Design matrix of all monomials with total degree <= degree.
 
         States are standardised batchwise before taking powers; this
         spans the same polynomial space but keeps the normal equations
         well conditioned for high degrees on wide state ranges.  The
         ``(M, p)`` matrix is the transpose of a C-contiguous ``(p, M)``
-        buffer.
+        buffer: ``out`` when given (a backward solve reuses one across its
+        steps), a new one otherwise.
         """
         m, n = x.shape
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        xs = np.ascontiguousarray(((x - mean) / scale).T)
-        combos = [combo for deg in range(1, self.degree + 1)
-                  for combo in combinations_with_replacement(range(n), deg)]
+        products, _, index = _monomials(n, self.degree)
         # one monomial per row, so every column of the design matrix is a
         # contiguous row of this buffer
-        rows = np.empty((1 + len(combos), m))
+        rows = np.empty((len(index), m)) if out is None else out
         rows[0] = 1.0
-        row = {(): 0}
-        # each monomial is its parent (the combo minus its last factor) times
-        # one coordinate, so rows equal the products 1 * x_a * x_b ... bit for bit
-        for j, combo in enumerate(combos, start=1):
-            np.multiply(rows[row[combo[:-1]]], xs[combo[-1]], out=rows[j])
-            row[combo] = j
+        if self.degree:
+            mean = x.mean(axis=0)
+            scale = x.std(axis=0)
+            scale = np.where(scale > 0.0, scale, 1.0)
+            # the degree-1 rows are the standardised coordinates themselves
+            xs = rows[1:n + 1]
+            np.divide(np.subtract(x.T, mean[:, None], out=xs), scale[:, None], out=xs)
+            # each higher row is its parent (the combination minus its last
+            # factor) times one coordinate, so every row equals the product
+            # 1 * x_a * x_b ... bit for bit
+            for j, (parent, axis) in enumerate(products, start=n + 1):
+                np.multiply(rows[parent], xs[axis], out=rows[j])
         return rows.T
+
+    def gram(self, A):
+        """Gram matrix ``A.T @ A`` of a design matrix from :meth:`features`.
+
+        Entry ``(i, j)`` is the sum over the samples of the monomial
+        ``x^(a_i + a_j)``, so entries with equal exponent sums are equal
+        and only the distinct sums are computed: the constant row times
+        every row, and every row from 1 on times the top-degree rows (one
+        matrix product), summed over blocks of samples that stay in
+        cache.  For one coordinate that is two matrix-vector products per
+        block.  The result is exactly symmetric and agrees with ``A.T @
+        A`` to rounding.
+        """
+        m, p = A.shape
+        _, top, index = _monomials(_coordinates(p, self.degree), self.degree)
+        rows = A.T
+        moments = np.zeros(p + (p - 1) * (p - top))
+        partial = np.empty_like(moments)
+        by_constant, by_top = partial[:p], partial[p:].reshape(p - 1, p - top)
+        width = max(1, GRAM_BLOCK // p)
+        for start in range(0, m, width):
+            block = rows[:, start:start + width]
+            np.matmul(block, block[0], out=by_constant)
+            np.matmul(block[1:], block[top:].T, out=by_top)
+            moments += partial
+        return moments[index]
+
+
+def _coordinates(p, degree):
+    """The number of coordinates whose basis of total degree ``degree`` has ``p`` rows."""
+    for n in range(1, p + 1):
+        if comb(n + degree, degree) >= p:
+            break
+    if comb(n + degree, degree) != p:
+        raise ValueError(f"no basis of degree {degree} has {p} monomials")
+    return n
 
 
 @dataclass(frozen=True)
@@ -177,6 +265,9 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     K = np.zeros((N + 1, M))
     Y[N] = terminal
     fallback = False
+    # the design matrix's (p, M) buffer, allocated by the first regressed step
+    rows = None
+    z_target = np.empty((M, d))
 
     for k in range(N - 1, -1, -1):
         t = times[k]
@@ -187,10 +278,12 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
             p = y_next.copy() if M == 1 else np.full(M, y_next.mean())
             z = np.zeros((M, d))
         else:
-            A = basis.features(xk)
-            gram = A.T @ A
+            A = basis.features(xk, out=rows)
+            rows = A.T
+            gram = basis.gram(A)
             p, fb1 = _conditional_fit(A, gram, y_next)
-            z, fb2 = _conditional_fit(A, gram, y_next[:, None] * dB[k] / dt)
+            np.multiply(y_next[:, None], dB[k], out=z_target)
+            z, fb2 = _conditional_fit(A, gram, np.divide(z_target, dt, out=z_target))
             fallback = fallback or fb1 or fb2
 
         yhat = np.empty(M)
@@ -205,13 +298,11 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
 
         hk = h_all[k]
         if penalty_m is None:
-            yk = np.maximum(yhat, hk)
-            K[k + 1] = yk - yhat
+            np.subtract(np.maximum(yhat, hk, out=Y[k]), yhat, out=K[k + 1])
         else:
             c = penalty_m * dt
-            yk = np.where(yhat < hk, (yhat + c * hk) / (1.0 + c), yhat)
-            K[k + 1] = c * np.maximum(hk - yk, 0.0)
-        Y[k] = yk
+            Y[k] = np.where(yhat < hk, (yhat + c * hk) / (1.0 + c), yhat)
+            K[k + 1] = c * np.maximum(hk - Y[k], 0.0)
         Z[k] = z
 
     # a running sum down the steps, row by row: several times faster than

@@ -4,10 +4,12 @@ Paths follow the explicit Euler scheme
 
     X[k+1] = X[k] + b(t_k, X[k], u_k, v_k) dt + sigma(t_k, X[k], u_k, v_k) dB_k
 
-on an equidistant mesh.  Brownian increments are drawn in one block from a
+on an equidistant mesh.  Brownian increments are drawn path-major from one
 seeded generator, so two bundles with the same ``(paths, steps, seed)``
 share their noise exactly (common random numbers) regardless of the
-initial point or the controls.
+initial point or the controls.  The draw goes in blocks of
+``NOISE_BLOCK_PATHS`` paths, one after another from the same generator,
+so it is the same stream as one ``(paths, steps, d)`` draw.
 
 Path arrays are stored step-major, so each Euler step reads and writes
 one contiguous ``(paths, n)`` row; ``PathBundle`` exposes them path-major
@@ -29,6 +31,8 @@ from .errors import DivergenceError, PreconditionError
 from .problems import eval_drift, eval_diffusion
 
 DIVERGENCE_BOUND = 1e9
+# paths per block of the noise draw: 400 kB per block at 50 steps and d = 1
+NOISE_BLOCK_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,16 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     dt = mesh.dt
     times = mesh.times()
     rng = np.random.default_rng(seed)
-    # drawn path-major, so the seeded stream is unchanged, then stored step-major
-    noise = rng.standard_normal((paths, N, d))
+    # drawn path-major, block after block of paths from the one generator, so
+    # the seeded stream is unchanged; each block is scaled into the step-major
+    # store while it is still in cache
     dB = np.empty((N, paths, d))
-    np.multiply(noise.transpose(1, 0, 2), np.sqrt(dt), out=dB)
-    del noise
+    block = np.empty((min(paths, NOISE_BLOCK_PATHS), N, d))
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, paths, NOISE_BLOCK_PATHS):
+        noise = block[:paths - start]
+        rng.standard_normal(out=noise)
+        np.multiply(noise.transpose(1, 0, 2), sqrt_dt, out=dB[:, start:start + len(noise)])
 
     states = np.empty((N + 1, paths, n))
     states[0] = x0
@@ -189,8 +198,9 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
             bv = eval_drift(instance, t, xg, up, vp)
             sv = eval_diffusion(instance, t, xg, up, vp)
             nxt[mask] = xg + bv * dt + np.einsum("mij,mj->mi", sv, dBk[mask])
-        bad = ~np.isfinite(nxt).all(axis=1) | (np.abs(nxt).max(axis=1) > DIVERGENCE_BOUND)
-        if bad.any():
+        # one reduction per step; NaN fails the comparison too
+        if not np.abs(nxt).max() <= DIVERGENCE_BOUND:
+            bad = ~np.isfinite(nxt).all(axis=1) | (np.abs(nxt).max(axis=1) > DIVERGENCE_BOUND)
             i = int(np.flatnonzero(bad)[0])
             raise DivergenceError(
                 f"path {i} diverged at step {k + 1} (t={times[k + 1]:.6g})",

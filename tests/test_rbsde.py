@@ -310,6 +310,36 @@ def test_features_are_products_of_standardised_columns():
     np.testing.assert_array_equal(A, np.stack(expected, axis=1))
 
 
+def test_features_fill_the_given_buffer():
+    x = np.random.default_rng(5).normal(size=(50, 2))
+    basis = RegressionBasis(degree=3)
+    buf = np.full((10, 50), np.nan)
+    A = basis.features(x, out=buf)
+    assert A.base is buf
+    assert np.array_equal(A, basis.features(x))
+
+
+@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 6, 10])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_from_moments_matches_the_product(monkeypatch, n, degree, block):
+    if block is not None:  # several sample blocks, the last one short
+        monkeypatch.setattr(rbsde, "GRAM_BLOCK", block)
+    x = np.random.default_rng(n + 10 * degree).normal(size=(301, n))
+    basis = RegressionBasis(degree=degree)
+    A = basis.features(x)
+    G = basis.gram(A)
+    reference = A.T @ A
+    assert G.shape == reference.shape == (A.shape[1],) * 2
+    assert np.array_equal(G, G.T)
+    assert np.abs(G - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_gram_rejects_a_column_count_of_no_basis():
+    with pytest.raises(ValueError):
+        RegressionBasis(degree=2).gram(np.ones((5, 4)))
+
+
 def test_solution_layout_and_contiguous_reductions():
     # Y, Z, K are path-major views of step-major storage; the reductions
     # the solution reports match the same formulas on C-contiguous copies
@@ -344,7 +374,7 @@ def _regression_steps(degree, steps=10, paths=4000, seed=7):
     for k in range(1, steps):
         A = basis.features(bundle.states[:, k])
         targets = (y_next, y_next[:, None] * bundle.dB[:, k] / bundle.mesh.dt)
-        yield A, A.T @ A, targets
+        yield A, basis.gram(A), targets
 
 
 def test_gram_fit_matches_svd_fit():
@@ -367,15 +397,18 @@ def test_ill_conditioned_gram_falls_back_to_svd_fit_bit_for_bit():
 
 
 class _CountingNumpy:
-    """numpy as seen by a module, with ``linalg.lstsq`` calls counted."""
+    """numpy as seen by a module, with ``linalg.lstsq`` calls counted and the
+    shape of each call's matrix recorded."""
 
     def __init__(self):
         self.lstsq_calls = 0
+        self.lstsq_shapes = []
         self.linalg = SimpleNamespace(lstsq=self._lstsq)
 
-    def _lstsq(self, *args, **kwargs):
+    def _lstsq(self, a, *args, **kwargs):
         self.lstsq_calls += 1
-        return np.linalg.lstsq(*args, **kwargs)
+        self.lstsq_shapes.append(a.shape)
+        return np.linalg.lstsq(a, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -393,6 +426,19 @@ def test_two_least_squares_solves_per_regressed_step(monkeypatch):
     sol = solve_reflected(inst, bundle, terminal, RegressionBasis(degree=6))
     assert not sol.regression_fallback
     assert counting.lstsq_calls == 2 * (steps - 1)
+
+
+def test_degree_ten_solve_falls_back_to_least_squares_on_the_design(monkeypatch):
+    # cond(G) > GRAM_COND_MAX at every regressed step: each fit on G is redone on A
+    counting = _CountingNumpy()
+    monkeypatch.setattr(rbsde, "np", counting)
+    inst = builtin_instance("american_put")
+    steps, paths = 6, 4000
+    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=7)
+    terminal = eval_terminal(inst, bundle.states[:, -1])
+    sol = solve_reflected(inst, bundle, terminal, RegressionBasis(degree=10))
+    assert not sol.regression_fallback
+    assert counting.lstsq_shapes == [(11, 11), (paths, 11)] * (2 * (steps - 1))
 
 
 def test_seeded_reflected_solves_repeat_bit_for_bit():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isaacslab import sde
 from isaacslab.errors import DivergenceError, PreconditionError
 from isaacslab.problems import builtin_instance
 from isaacslab.sde import ControlPath, TimeMesh, empirical_moments, simulate_paths
@@ -87,6 +88,24 @@ def test_divergence_error_names_path_and_step():
     assert err.value.step == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e12])
+def test_divergence_error_names_first_offending_path_and_step(monkeypatch, bad):
+    # paths 2 and 4 go bad in step 2 (the drift is monkeypatched past the
+    # coefficient gate, which would refuse a non-finite value itself)
+    def drift(instance, t, x, u, v):
+        b = np.zeros_like(x)
+        if t >= 0.25:
+            b[[2, 4]] = bad
+        return b
+
+    monkeypatch.setattr(sde, "eval_drift", drift)
+    with pytest.raises(DivergenceError) as err:
+        simulate_paths(make_instance(), np.zeros(1), TimeMesh(0.0, 1.0, 4), C0, C0,
+                       paths=6, seed=0)
+    assert err.value.path_index == 2
+    assert err.value.step == 2
+
+
 def test_bundle_shapes_and_contiguous_feedback_rows():
     # public arrays stay path-major; each state row a feedback rule sees is
     # one contiguous (M, n) block of the step-major storage
@@ -115,6 +134,18 @@ def test_noise_is_the_path_major_draw():
                             paths=6, seed=9)
     expected = np.random.default_rng(9).standard_normal((6, 8, 2)) * np.sqrt(mesh.dt)
     np.testing.assert_array_equal(bundle.dB, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("paths", [1, 1023, 1024, 1025, 5000])
+def test_blocked_noise_draw_is_one_path_major_draw(paths, d):
+    # blocks of NOISE_BLOCK_PATHS paths, one after another from one generator
+    assert sde.NOISE_BLOCK_PATHS == 1024
+    mesh = TimeMesh(0.0, 1.0, 3)
+    bundle = simulate_paths(make_instance(d=d), np.zeros(1), mesh, C0, C0,
+                            paths=paths, seed=9)
+    expected = np.random.default_rng(9).standard_normal((paths, 3, d)) * np.sqrt(mesh.dt)
+    assert np.array_equal(bundle.dB, expected)
 
 
 def test_piecewise_and_feedback_controls_recorded():
