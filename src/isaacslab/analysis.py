@@ -106,14 +106,10 @@ def dpp_residual(field, instance, t_index, delta_steps):
     grid = field.grid
     mask = grid.inner_mask()
     points = grid.nodes().reshape(grid.shape + (grid.ndim,))[mask]
-    base = field.slices[t_index][mask]
-    if delta_steps == 0:
-        residuals = np.zeros_like(base)
-    else:
-        sub_times = field.times[t_index : t_index + delta_steps + 1]
-        terminal = field.slices[t_index + delta_steps]
-        redo = _solve_field(field.kind, instance, grid, sub_times, terminal, None)
-        residuals = np.abs(redo.slices[0][mask] - base)
+    sub_times = field.times[t_index : t_index + delta_steps + 1]
+    terminal = field.slices[t_index + delta_steps]
+    redo = _solve_field(field.kind, instance, grid, sub_times, terminal, None)
+    residuals = np.abs(redo.slices[0][mask] - field.slices[t_index][mask])
     delta = float(field.times[t_index + delta_steps] - field.times[t_index])
     return DppReport(t=float(field.times[t_index]), delta=delta,
                      sample_points=points, residuals=residuals,
@@ -196,38 +192,36 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
     dt = field.dt
     nt = len(field.times) - 1
     lo_t, hi_t = (0.0, field.horizon) if t_window is None else t_window
-    base = [k for k in range(nt + 1) if lo_t - 1e-12 <= field.times[k] <= hi_t + 1e-12]
-    if not base:
+    times = field.times
+    base = np.flatnonzero((lo_t - 1e-12 <= times) & (times <= hi_t + 1e-12))
+    if not len(base):
         raise FitError("empty time window")
 
-    used_deltas, moduli, obstacle_moduli = [], [], []
-    for delta in deltas:
-        j = max(1, int(round(delta / dt)))
-        ks = [k for k in base if k + j <= nt]
-        if not ks:
-            continue
-        mod = 0.0
-        obs = 0.0
-        x_pts = ax[idx][:, None]
-        for k in ks:
-            w_lo = field.slices[k][idx]
-            w_hi = field.slices[k + j][idx]
-            mod = max(mod, float(np.abs(w_hi - w_lo).max()))
-            if instance is not None:
-                h_lo = eval_obstacle(instance, float(field.times[k]), x_pts)
-                h_hi = eval_obstacle(instance, float(field.times[k + j]), x_pts)
-                obs = max(obs, float(np.abs(h_hi - h_lo).max()))
-        used_deltas.append(j * dt)
-        moduli.append(mod)
-        obstacle_moduli.append(obs)
-    if len(used_deltas) < 3:
+    # each delta's pairs (k, k + j), with the time steps j it snaps to
+    pairs = [(j, base[base + j <= nt])
+             for j in (max(1, int(round(delta / dt))) for delta in deltas)]
+    pairs = [(j, ks) for j, ks in pairs if len(ks)]
+    if len(pairs) < 3:
         raise FitError("need at least three usable deltas inside the window")
+    samples = field.slices[:, idx]
+    # the obstacle at the sample nodes, once per slice that some pair reads
+    # (zero without an instance)
+    obstacle = np.zeros_like(samples)
+    if instance is not None:
+        x_pts = ax[idx][:, None]
+        for k in np.unique(np.concatenate([ks + s for j, ks in pairs for s in (0, j)])):
+            obstacle[k] = eval_obstacle(instance, float(times[k]), x_pts)
+
+    def modulus(values):
+        return tuple(float(np.abs(values[ks + j] - values[ks]).max()) for j, ks in pairs)
+
+    used_deltas, moduli = tuple(j * dt for j, _ in pairs), modulus(samples)
     logd = np.log(np.asarray(used_deltas))
     logm = np.log(np.maximum(np.asarray(moduli), 1e-300))
     slope, intercept = np.polyfit(logd, logm, 1)
     return TimeContinuityFit(exponent=float(slope), constant=float(np.exp(intercept)),
-                             deltas=tuple(used_deltas), moduli=tuple(moduli),
-                             obstacle_moduli=tuple(obstacle_moduli))
+                             deltas=used_deltas, moduli=moduli,
+                             obstacle_moduli=modulus(obstacle))
 
 
 def _snapped_stacks(field, instance, what):

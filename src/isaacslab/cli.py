@@ -13,8 +13,9 @@ Commands
     and the sizing of its grids against the stability bound), then probe
     the instance's standing assumptions.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical precondition
-(stability bound, divergence, contract violation), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error (a config whose arrays
+cannot be allocated included), 3 numerical precondition (stability
+bound, divergence, contract violation), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _run_american_oracle(config, grids, outdir):
     probe_x = float(params["K0"] if probe_x is None else probe_x)
     steps = int(config.options.get("binomial_steps", 2000))
     reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"],
-                        params["T"], steps, american=True)
+                        params["T"], steps)
 
     errors, nxs = [], []
     value = None
@@ -385,7 +386,8 @@ def main(argv=None):
                 "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, NotFoundError) as exc:
+    # a config whose arrays no address space holds is refused like a bad key
+    except (ConfigError, NotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CflError, DivergenceError, PreconditionError, EvaluationError,

@@ -1,9 +1,9 @@
 """Independent reference values used to check the solvers.
 
 These are deliberately simple, self-contained implementations: a
-Cox-Ross-Rubinstein binomial tree for put prices and the closed-form
-value of the degenerate constant-driver benchmark.  Nothing here shares
-code with the solvers they are used to test.
+Cox-Ross-Rubinstein binomial tree for American put prices and the
+closed-form value of the degenerate constant-driver benchmark.  Nothing
+here shares code with the solvers they are used to test.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import numpy as np
 from .errors import PreconditionError
 
 
-def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
-    """Cox-Ross-Rubinstein binomial put price.
+def crr_put(s0, strike, rate, vol, expiry, steps):
+    """Cox-Ross-Rubinstein binomial American put price.
 
     Parameters
     ----------
@@ -22,8 +22,6 @@ def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
         Spot, strike, continuously compounded rate, volatility, maturity.
     steps : int
         Tree depth.
-    american : bool
-        Allow early exercise when true; European otherwise.
     """
     dt = expiry / steps
     up = np.exp(vol * np.sqrt(dt))
@@ -39,10 +37,9 @@ def crr_put(s0, strike, rate, vol, expiry, steps, american=True):
     values = np.maximum(strike - prices, 0.0)
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1 : i + 2] + (1.0 - p) * values[: i + 1])
-        if american:
-            j = np.arange(i + 1)
-            prices = s0 * up ** j * down ** (i - j)
-            values = np.maximum(values, strike - prices)
+        j = np.arange(i + 1)
+        prices = s0 * up ** j * down ** (i - j)
+        values = np.maximum(values, strike - prices)
     return float(values[0])
 
 

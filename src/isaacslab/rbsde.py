@@ -273,9 +273,8 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         t = times[k]
         xk = states[k]
         y_next = Y[k + 1]
-        degenerate = M == 1 or float(np.ptp(xk, axis=0).max()) == 0.0
-        if degenerate:
-            p = y_next.copy() if M == 1 else np.full(M, y_next.mean())
+        if float(np.ptp(xk, axis=0).max()) == 0.0:
+            p = np.full(M, y_next.mean())
             z = np.zeros((M, d))
         else:
             A = basis.features(xk, out=rows)
@@ -342,20 +341,11 @@ def solve_penalized(instance, bundle, terminal, basis, m):
 def backward_semigroup(instance, bundle, eta, basis):
     """Value at the bundle's initial time for terminal data ``eta``.
 
-    ``eta`` must be given per path as a function of the terminal state
-    and must dominate the obstacle there.  With zero steps the terminal
-    data itself is returned.
+    This is the reflected solve's initial value, so ``eta`` is checked as
+    its terminal data: one value per path, as a function of the terminal
+    state, dominating the obstacle there.  A bundle of zero steps solves
+    nothing and returns ``eta.mean()``.
     """
-    eta = np.asarray(eta, dtype=float)
-    M = bundle.paths
-    if eta.shape != (M,):
-        raise PreconditionError(f"eta must have shape ({M},)")
-    t1 = bundle.mesh.t1
-    h_T = eval_obstacle(instance, t1, bundle.states[:, -1])
-    if np.any(eta < h_T - TERMINAL_BARRIER_TOL):
-        raise PreconditionError("eta below the obstacle at the subinterval end")
-    if bundle.mesh.steps == 0:
-        return float(eta.mean())
     return solve_reflected(instance, bundle, eta, basis).value()
 
 

@@ -83,7 +83,7 @@ def test_c01_degenerate_closed_form(tmp_path):
 
 
 def test_c02_american_put_against_binomial_tree():
-    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000, american=True)
+    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000)
     inst = builtin_instance("american_put")
     grid = sized(inst, ((20.0, 300.0),), (281,))
     start = time.time()

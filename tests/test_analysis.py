@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isaacslab import pde
+from isaacslab import analysis, pde
 from isaacslab.analysis import (
     response_feedback,
     dpp_residual,
@@ -17,7 +17,13 @@ from isaacslab.analysis import (
 )
 from isaacslab.errors import FitError, PreconditionError
 from isaacslab.pde import SpaceTimeGrid, solve_penalized_pde
-from isaacslab.problems import builtin_instance, eval_cost_rate, eval_diffusion, eval_drift
+from isaacslab.problems import (
+    builtin_instance,
+    eval_cost_rate,
+    eval_diffusion,
+    eval_drift,
+    eval_obstacle,
+)
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
@@ -200,6 +206,75 @@ def test_time_continuity_exact_affine_profiles():
     assert fit2.exponent == pytest.approx(1.0, abs=1e-6)
     # the obstacle itself moves at the same affine rate
     assert fit2.obstacle_moduli[0] == pytest.approx(0.2, abs=1e-9)
+
+
+def per_pair_profile(field, x_samples, delta_schedule, t_window=None, instance=None):
+    """Reference: the moduli pair by pair, the obstacle evaluated twice per pair.
+
+    Returns ``(deltas, moduli, obstacle_moduli, slices read)``.
+    """
+    ax = field.grid.axes()[0]
+    idx = np.unique(np.clip(np.searchsorted(ax, np.asarray(x_samples, dtype=float)),
+                            0, len(ax) - 1))
+    dt, nt = field.dt, len(field.times) - 1
+    lo_t, hi_t = (0.0, field.horizon) if t_window is None else t_window
+    base = [k for k in range(nt + 1) if lo_t - 1e-12 <= field.times[k] <= hi_t + 1e-12]
+    used_deltas, moduli, obstacle_moduli, read = [], [], [], set()
+    for delta in delta_schedule:
+        j = max(1, int(round(float(delta) / dt)))
+        ks = [k for k in base if k + j <= nt]
+        if not ks:
+            continue
+        mod = obs = 0.0
+        x_pts = ax[idx][:, None]
+        for k in ks:
+            read.update((k, k + j))
+            mod = max(mod, float(np.abs(field.slices[k + j][idx] - field.slices[k][idx]).max()))
+            if instance is not None:
+                h_lo = eval_obstacle(instance, float(field.times[k]), x_pts)
+                h_hi = eval_obstacle(instance, float(field.times[k + j]), x_pts)
+                obs = max(obs, float(np.abs(h_hi - h_lo).max()))
+        used_deltas.append(j * dt)
+        moduli.append(mod)
+        obstacle_moduli.append(obs)
+    return tuple(used_deltas), tuple(moduli), tuple(obstacle_moduli), read
+
+
+@pytest.mark.parametrize("name, window, obstacle", [
+    ("american_put", None, False),
+    ("american_put", None, True),
+    ("american_put", (0.0, 0.5), True),
+    ("american_put", (0.2, 0.3), True),
+    ("american_put", (0.2, 0.3), "moving"),
+    ("deterministic_stop", None, True),
+    ("deterministic_stop", (0.5, 0.95), "moving"),
+])
+def test_time_continuity_matches_the_per_pair_loop(monkeypatch, name, window, obstacle):
+    inst = builtin_instance(name)
+    if name == "american_put":
+        field = lower_value(inst, sized(inst, ((20.0, 300.0),), (141,)))
+        xs = field.grid.axes()[0][field.grid.inner_mask()]
+    else:
+        field = lower_value(inst, SpaceTimeGrid(box=((-1.0, 1.0),), nx=(21,), nt=400))
+        xs = [0.0, 0.5]
+    # "moving": an obstacle that moves in time and differs across the nodes
+    probe = {False: None, True: inst,
+             "moving": make_instance(h=lambda t, x: np.cos(5.0 * t) * x[:, 0] / 100.0 - 50.0),
+             }[obstacle]
+    deltas = (0.2, 0.1, 0.05, 0.025, 0.0)
+    expected = per_pair_profile(field, xs, deltas, window, probe)
+    calls = []
+
+    def counted(instance, t, x):
+        calls.append(t)
+        return eval_obstacle(instance, t, x)
+
+    monkeypatch.setattr(analysis, "eval_obstacle", counted)
+    fit = time_continuity_profile(field, xs, deltas, t_window=window, instance=probe)
+    assert (fit.deltas, fit.moduli, fit.obstacle_moduli) == expected[:3]
+    # once per slice that some pair reads, and never twice
+    read = sorted(float(field.times[k]) for k in expected[3]) if probe is not None else []
+    assert sorted(calls) == read
 
 
 def test_time_continuity_needs_three_deltas():

@@ -371,6 +371,8 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param(_with(_SOLVE, "grid", "nx", [1e300]), 2, id="solve-unindexable-grid"),
     # 2e18 nodes of one coordinate each: indexable, but 1.6e19 bytes
     pytest.param(_with(_SOLVE, "grid", "nx", [2e18]), 2, id="solve-unindexable-grid-bytes"),
+    # 1e17 nodes: indexable, but 711 PiB, which numpy refuses without touching memory
+    pytest.param(_with(_SOLVE, "grid", "nx", [1e17]), 2, id="solve-unallocatable-grid"),
     # linear extrapolation needs two interior nodes next to each face
     pytest.param(_with(_MINIMAX, "grid", "nx", [3]), 2, id="solve-extrapolation-on-three-nodes"),
     pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,
@@ -416,6 +418,9 @@ def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, 
     pytest.param(_with(_MINIMAX, "grid", None, {"box": [[-2, 2]], "nx": [3],
                                                 "boundary": "dirichlet_terminal_extension"}),
                  0, id="frozen-boundary-on-three-nodes"),
+    # validate passes 1e17 paths; run cannot allocate their 711 PiB of states
+    pytest.param(_with(_RBSDE, "mc", None, {"paths": 1e17, "steps": 1, "seed": 7}), 2,
+                 id="rbsde-unallocatable-paths"),
 ])
 def test_edge_parameters_end_in_documented_code(tmp_path, raw, code):
     cfg = write_config(tmp_path, "edge.json",

@@ -374,7 +374,7 @@ def test_american_put_matches_binomial_tree():
     inst = builtin_instance("american_put")
     grid = sized(inst, ((20.0, 300.0),), (141,))
     field = solve_obstacle_pde("lower", inst, grid)
-    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000, american=True)
+    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000)
     assert abs(field.interp(0, 100.0) - reference) / reference <= 0.01
 
 

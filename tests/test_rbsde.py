@@ -244,6 +244,21 @@ def test_backward_semigroup_empty_interval_returns_eta():
     assert backward_semigroup(inst, bundle, np.array([2.5]), BASIS) == 2.5
 
 
+def test_backward_semigroup_empty_interval_returns_the_mean_of_eta():
+    inst = builtin_instance("american_put")
+    bundle = _bundle(inst, 100.0, 0.3, 0.3, 0, paths=257, seed=4)
+    eta = 40.0 + np.random.default_rng(5).uniform(0.0, 1.0, 257)
+    assert backward_semigroup(inst, bundle, eta, BASIS) == eta.mean()
+
+
+@pytest.mark.parametrize("eta", [np.full(8, 0.2), np.full(7, 2.0)], ids=["below", "shape"])
+def test_backward_semigroup_empty_interval_checks_eta(eta):
+    inst = builtin_instance("deterministic_stop")
+    bundle = _bundle(inst, 0.0, 0.5, 0.5, 0, paths=8)
+    with pytest.raises(PreconditionError):
+        backward_semigroup(inst, bundle, eta, BASIS)
+
+
 def test_backward_semigroup_obstacle_pushes():
     inst = builtin_instance("deterministic_stop")
     bundle = _bundle(inst, 0.0, 0.0, 0.5, 100)
@@ -288,7 +303,7 @@ def test_cost_functional_american_put_near_binomial():
     # global polynomial fit keeps overshoot through the projection, so the
     # Monte Carlo value carries a few-percent upward bias at this degree
     inst = builtin_instance("american_put")
-    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000, american=True)
+    reference = crr_put(100.0, 100.0, 0.05, 0.2, 1.0, 2000)
     value = cost_functional(inst, 0.0, np.array([100.0]), C0, C0,
                             TimeMesh(0.0, 1.0, 25), paths=20_000,
                             basis=RegressionBasis(degree=6), seed=11)
