@@ -116,10 +116,9 @@ def _dump_field(field, directory, name):
         out.write(header + "\n")
         for k, values in enumerate(field.slices.reshape(len(field.times), -1)):
             out.write(str(k).join(["", *templates]) % tuple(values.tolist()))
-    return name
 
 
-def _run_solve(config, grids, outdir):
+def _run_solve(config, grids):
     grid = grids[0]
     which = config.options.get("which", "lower")
     field = solve_obstacle_pde(which, config.instance, grid)
@@ -135,13 +134,11 @@ def _run_solve(config, grids, outdir):
         "initial_min": float(field.slices[0].min()),
         "initial_max": float(field.slices[0].max()),
     }
-    files = []
-    if "csv" in config.formats:
-        files.append(_dump_field(field, outdir, "field.csv"))
-    return metrics, None, files
+    dumps = {"field.csv": field} if "csv" in config.formats else {}
+    return metrics, None, dumps
 
 
-def _run_penalization(config, grids, outdir):
+def _run_penalization(config, grids):
     grid = grids[0]
     table = penalization_convergence(config.instance, grid, config.m_schedule)
     metrics = {
@@ -152,10 +149,10 @@ def _run_penalization(config, grids, outdir):
     }
     schedule = {"parameter": "m", "values": list(table.m_schedule),
                 "metric": "sup_gap", "metric_values": list(table.sup_gaps)}
-    return metrics, schedule, []
+    return metrics, schedule, {}
 
 
-def _run_dpp(config, grids, outdir):
+def _run_dpp(config, grids):
     instance = config.instance
     grid = grids[0]
     field = solve_obstacle_pde(config.options.get("which", "lower"), instance, grid)
@@ -176,24 +173,23 @@ def _run_dpp(config, grids, outdir):
                "max_residual": max(residuals)}
     schedule = {"parameter": "delta", "values": deltas,
                 "metric": "max_residual", "metric_values": residuals}
-    return metrics, schedule, []
+    return metrics, schedule, {}
 
 
-def _run_compare_wu(config, grids, outdir):
+def _run_compare_wu(config, grids):
     instance = config.instance
     grid = grids[0]
     low = lower_value(instance, grid)
     up = upper_value(instance, grid)
     violation, gap = value_comparison(low, up)
     metrics = {"nt": grid.nt, "max_violation": violation, "max_gap": gap}
-    files = []
+    dumps = {}
     if "csv" in config.formats:
-        files.append(_dump_field(low, outdir, "field_lower.csv"))
-        files.append(_dump_field(up, outdir, "field_upper.csv"))
-    return metrics, None, files
+        dumps = {"field_lower.csv": low, "field_upper.csv": up}
+    return metrics, None, dumps
 
 
-def _run_american_oracle(config, grids, outdir):
+def _run_american_oracle(config, grids):
     instance = config.instance
     params = instance.params
     probe_x = config.options.get("probe_x")
@@ -214,10 +210,10 @@ def _run_american_oracle(config, grids, outdir):
                "probe_x": probe_x}
     schedule = {"parameter": "nx", "values": nxs,
                 "metric": "rel_error", "metric_values": errors}
-    return metrics, schedule, []
+    return metrics, schedule, {}
 
 
-def _run_rbsde_oracle(config, grids, outdir):
+def _run_rbsde_oracle(config, grids):
     instance = config.instance
     mesh = TimeMesh(0.0, instance.T, config.mc.steps)
     bundle = simulate_paths(instance, np.zeros(instance.n), mesh,
@@ -233,7 +229,7 @@ def _run_rbsde_oracle(config, grids, outdir):
                                      instance.T)
         metrics["reference"] = ref
         metrics["abs_error"] = abs(metrics["y0"] - ref)
-    return metrics, None, []
+    return metrics, None, {}
 
 
 _RUNNERS = {
@@ -249,17 +245,17 @@ _RUNNERS = {
 def run(config):
     """Run the configured experiment and write its outputs.
 
-    Creates the output directory, writes ``config.json`` (canonical
-    echo), ``metrics.json`` (digest, metrics and schedule; no volatile
-    fields, so reruns are byte-identical), ``run_info.json`` (timestamp)
-    and any field dumps or convergence tables, and returns the record.
-    An explicit ``grid.nt`` below the stability bound is refused before
-    anything is written.
+    The experiment runs first and returns its metrics, schedule and the
+    fields to dump.  Only then is the output directory created (an
+    existing one is written into, its files of the same names replaced)
+    and ``config.json`` (canonical echo), ``metrics.json`` (digest,
+    metrics and schedule; no volatile fields, so reruns are
+    byte-identical), ``run_info.json`` (timestamp) and any field dumps or
+    convergence tables written, so a run refused or failing before that
+    leaves no output directory behind.  Returns the record.
     """
     grids = _solved_grids(config)
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    metrics, schedule, files = _RUNNERS[config.experiment](config, grids, outdir)
+    metrics, schedule, dumps = _RUNNERS[config.experiment](config, grids)
 
     record = ResultRecord(
         experiment=config.experiment,
@@ -267,8 +263,12 @@ def run(config):
         config_digest=config.digest(),
         metrics=metrics,
         schedule=schedule,
-        files=tuple(files),
+        files=tuple(dumps),
     )
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, field in dumps.items():
+        _dump_field(field, outdir, name)
     (outdir / "config.json").write_text(
         json.dumps(config.canonical, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (outdir / "metrics.json").write_text(

@@ -13,19 +13,24 @@ Two schemes solve the constrained backward equation on a path bundle:
 Conditional expectations are least-squares fits on a polynomial basis of
 the current states (regression Monte Carlo: Longstaff & Schwartz 2001;
 Gobet, Lemor & Warin 2005).  Each regressed step fills the design matrix
-``A`` into one buffer per solve and forms its Gram matrix ``G = A^T A``
-once, and both fits below solve their normal equations ``G c = A^T
-target`` on it.  ``G[i, j]`` is the sample moment of the monomial
-``x^(a_i + a_j)``, so :meth:`RegressionBasis.gram` computes only the
-distinct moments, the constant and the top-degree columns of ``A`` times
-the others, where ``A.T @ A`` would form every product.  Where ``G`` is rank
-deficient or ``cond(G) > GRAM_COND_MAX``, read off the singular values
-that solve returns, the fit is redone by least squares on ``A`` itself,
-and where ``A`` is rank deficient too it falls back to the mean and sets
-``regression_fallback``.  When all paths share the same state (single
-path or degenerate diffusion) the estimator reduces to the plain mean
-and the gradient estimate to zero, which makes the deterministic test
-cases exact.  Backward induction per step:
+``A`` into one buffer per solve, and the two fits below each solve their
+normal equations ``G c = A^T target`` with the Gram matrix ``G = A^T A``.
+Both targets, ``Y_{k+1}`` and ``Y_{k+1} dB_k / dt``, sit in one ``(1 + d,
+M)`` buffer per solve, and one pass of :meth:`RegressionBasis.gram` over
+blocks of ``A`` forms ``G`` and both right-hand sides; one product of the
+coefficients with ``A`` then forms both rows of fitted values, into one
+more buffer per solve.  ``G[i, j]`` is the sample moment of the monomial
+``x^(a_i + a_j)``, so ``gram`` computes only the distinct moments, the
+constant and the top-degree columns of ``A`` times the others, where
+``A.T @ A`` would form every product.  Summed block by block, the right-hand sides and hence Y, Z and
+K round differently in their last bits from products over the whole of
+``A``.  Where ``G`` is rank deficient or ``cond(G) > GRAM_COND_MAX``, read
+off the singular values that solve returns, that fit is redone by least
+squares on ``A`` itself, and where ``A`` is rank deficient too it falls
+back to the mean and sets ``regression_fallback``.  When all paths share
+the same state (single path or degenerate diffusion) the estimator
+reduces to the plain mean and the gradient estimate to zero, which makes
+the deterministic test cases exact.  Backward induction per step:
 
     p    = E[Y_{k+1} | X_k]                     (regression)
     Z_k  = E[Y_{k+1} dB_k | X_k] / dt           (regression)
@@ -121,10 +126,13 @@ class RegressionBasis:
 
         States are standardised batchwise before taking powers; this
         spans the same polynomial space but keeps the normal equations
-        well conditioned for high degrees on wide state ranges.  The
-        ``(M, p)`` matrix is the transpose of a C-contiguous ``(p, M)``
-        buffer: ``out`` when given (a backward solve reuses one across its
-        steps), a new one otherwise.
+        well conditioned for high degrees on wide state ranges.  Each
+        coordinate's ``x - mean`` is formed once, in its degree-1 row, and
+        its scale is that row's root mean square (the population standard
+        deviation; a zero scale counts as one).  The ``(M, p)`` matrix is
+        the transpose of a C-contiguous ``(p, M)`` buffer: ``out`` when
+        given (a backward solve reuses one across its steps), a new one
+        otherwise.
         """
         m, n = x.shape
         products, _, index = _monomials(n, self.degree)
@@ -133,12 +141,11 @@ class RegressionBasis:
         rows = np.empty((len(index), m)) if out is None else out
         rows[0] = 1.0
         if self.degree:
-            mean = x.mean(axis=0)
-            scale = x.std(axis=0)
-            scale = np.where(scale > 0.0, scale, 1.0)
             # the degree-1 rows are the standardised coordinates themselves
             xs = rows[1:n + 1]
-            np.divide(np.subtract(x.T, mean[:, None], out=xs), scale[:, None], out=xs)
+            np.subtract(x.T, x.mean(axis=0)[:, None], out=xs)
+            scale = np.sqrt(np.square(xs).mean(axis=1))
+            xs /= np.where(scale > 0.0, scale, 1.0)[:, None]
             # each higher row is its parent (the combination minus its last
             # factor) times one coordinate, so every row equals the product
             # 1 * x_a * x_b ... bit for bit
@@ -146,31 +153,40 @@ class RegressionBasis:
                 np.multiply(rows[parent], xs[axis], out=rows[j])
         return rows.T
 
-    def gram(self, A):
-        """Gram matrix ``A.T @ A`` of a design matrix from :meth:`features`.
+    def gram(self, A, targets):
+        """Gram matrix ``A.T @ A`` of a design matrix from :meth:`features`,
+        and the right-hand sides ``A.T @ targets.T`` of ``(r, M)`` targets.
 
         Entry ``(i, j)`` is the sum over the samples of the monomial
         ``x^(a_i + a_j)``, so entries with equal exponent sums are equal
         and only the distinct sums are computed: the constant row times
         every row, and every row from 1 on times the top-degree rows (one
-        matrix product), summed over blocks of samples that stay in
-        cache.  For one coordinate that is two matrix-vector products per
-        block.  The result is exactly symmetric and agrees with ``A.T @
-        A`` to rounding.
+        matrix product).  The right-hand sides are one more product, of
+        the rows times the targets.  All of them are summed over blocks of
+        samples that stay in cache, so ``A`` is read once.  For one
+        coordinate that is two matrix-vector products and one product
+        with the targets per block.  The Gram matrix is exactly symmetric,
+        and both results agree with the plain products to rounding.
+        Returns ``(G, rhs)``, with ``rhs`` of shape ``(p, r)``.
         """
         m, p = A.shape
         _, top, index = _monomials(_coordinates(p, self.degree), self.degree)
         rows = A.T
-        moments = np.zeros(p + (p - 1) * (p - top))
+        # the distinct moments, then the right-hand sides, in one buffer
+        gram_end = p + (p - 1) * (p - top)
+        moments = np.zeros(gram_end + p * len(targets))
         partial = np.empty_like(moments)
-        by_constant, by_top = partial[:p], partial[p:].reshape(p - 1, p - top)
+        by_constant = partial[:p]
+        by_top = partial[p:gram_end].reshape(p - 1, p - top)
+        by_target = partial[gram_end:].reshape(p, len(targets))
         width = max(1, GRAM_BLOCK // p)
         for start in range(0, m, width):
             block = rows[:, start:start + width]
             np.matmul(block, block[0], out=by_constant)
             np.matmul(block[1:], block[top:].T, out=by_top)
+            np.matmul(block, targets[:, start:start + width].T, out=by_target)
             moments += partial
-        return moments[index]
+        return moments[index], moments[gram_end:].reshape(p, len(targets))
 
 
 def _coordinates(p, degree):
@@ -213,25 +229,41 @@ class BackwardSolution:
         return np.multiply(gaps, dK, order="C").sum(axis=1)
 
 
-def _conditional_fit(A, gram, targets):
-    """Least-squares fitted values of ``targets`` on the columns of ``A``.
+def _conditional_fits(A, gram, rhs, targets, out=None):
+    """Least-squares fitted values of the rows of ``targets`` on the columns of ``A``.
 
-    Solves the normal equations ``gram c = A^T targets`` with ``gram =
-    A^T A``.  When that solve finds ``gram`` rank deficient or its
-    singular values give a condition number above ``GRAM_COND_MAX``, the
-    fit is redone by ``lstsq`` on ``A`` itself, and where ``A`` is rank
-    deficient too it falls back to the mean.  Returns ``(fitted,
-    fell_back_to_mean)``.
+    ``targets`` is ``(1 + d, M)``: row 0 is fitted on its own, rows 1..d
+    together.  Each of the two fits solves its own normal equations
+    ``gram c = rhs`` with ``gram = A^T A`` and ``rhs = A^T targets^T``
+    (both from :meth:`RegressionBasis.gram`), and one product of the
+    coefficients with the design then forms every row of fitted values.
+    When a fit's solve finds ``gram`` rank deficient or its singular
+    values give a condition number above ``GRAM_COND_MAX``, that fit is
+    redone by ``lstsq`` on ``A`` itself and its rows are ``A @ coef``; where
+    ``A`` is rank deficient too they are the mean.  Returns ``(fitted,
+    fell_back_to_mean)``, with ``fitted`` of the shape of ``targets``:
+    ``out`` when given (a backward solve reuses one across its steps), a
+    new array otherwise.
     """
     p = A.shape[1]
-    coef, _, rank, sv = np.linalg.lstsq(gram, A.T @ targets, rcond=None)
-    if rank == p and sv[0] <= GRAM_COND_MAX * sv[-1]:
-        return A @ coef, False
-    coef, _, rank, _ = np.linalg.lstsq(A, targets, rcond=None)
-    if rank < p:
-        mean = targets.mean(axis=0)
-        return np.broadcast_to(mean, targets.shape).copy(), True
-    return A @ coef, False
+    coef = np.zeros((p, len(targets)))
+    redone = []
+    fell_back = False
+    for fit in (0, slice(1, None)):
+        c, _, rank, sv = np.linalg.lstsq(gram, rhs[:, fit], rcond=None)
+        if rank == p and sv[0] <= GRAM_COND_MAX * sv[-1]:
+            coef[:, fit] = c
+            continue
+        c, _, rank, _ = np.linalg.lstsq(A, targets[fit].T, rcond=None)
+        if rank < p:
+            redone.append((fit, targets[fit].mean(axis=-1, keepdims=True)))
+            fell_back = True
+        else:
+            redone.append((fit, (A @ c).T))
+    fitted = np.matmul(coef.T, A.T, out=out)
+    for fit, values in redone:
+        fitted[fit] = values
+    return fitted, fell_back
 
 
 def _solve_backward(instance, bundle, terminal, basis, penalty_m):
@@ -267,7 +299,10 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     fallback = False
     # the design matrix's (p, M) buffer, allocated by the first regressed step
     rows = None
-    z_target = np.empty((M, d))
+    # what each regressed step fits, Y_{k+1} and Y_{k+1} dB_k / dt, and the
+    # fitted values; like yhat, written whole at every step
+    targets, fitted = np.empty((1 + d, M)), np.empty((1 + d, M))
+    yhat = np.empty(M)
 
     for k in range(N - 1, -1, -1):
         t = times[k]
@@ -279,13 +314,13 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         else:
             A = basis.features(xk, out=rows)
             rows = A.T
-            gram = basis.gram(A)
-            p, fb1 = _conditional_fit(A, gram, y_next)
-            np.multiply(y_next[:, None], dB[k], out=z_target)
-            z, fb2 = _conditional_fit(A, gram, np.divide(z_target, dt, out=z_target))
-            fallback = fallback or fb1 or fb2
+            targets[0] = y_next
+            np.multiply(dB[k].T, y_next, out=targets[1:])
+            targets[1:] /= dt
+            fitted, fell_back = _conditional_fits(A, *basis.gram(A, targets), targets, fitted)
+            p, z = fitted[0], fitted[1:].T
+            fallback = fallback or fell_back
 
-        yhat = np.empty(M)
         for iu, iv, mask in _control_groups(u_path[k], v_path[k]):
             up = instance.u_grid.points[iu]
             vp = instance.v_grid.points[iv]

@@ -23,7 +23,7 @@ bit matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,15 +72,20 @@ class ControlPath:
     ``rule(step, t, x_batch)`` returns the grid indices applied at mesh
     step ``step``, shape (paths,) for ``x_batch`` of shape (paths, n).
     Feedback callables receive ``(t, x_batch)`` and must return integer
-    grid indices of shape (paths,).
+    grid indices of shape (paths,).  A constant control also carries its
+    grid index as ``index`` (``None`` for the others), so
+    :func:`simulate_paths` checks it and fills its index store once
+    instead of resolving it at every step.
     """
 
     rule: Callable
+    index: Optional[int] = None
 
     @staticmethod
     def constant(index=0):
         index = int(index)
-        return ControlPath(lambda step, t, x: np.full(x.shape[0], index, dtype=np.int64))
+        return ControlPath(lambda step, t, x: np.full(x.shape[0], index, dtype=np.int64),
+                           index)
 
     @staticmethod
     def piecewise(indices):
@@ -179,19 +184,21 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
 
     states = np.empty((N + 1, paths, n))
     states[0] = x0
-    # the narrowest unsigned type that holds every index: resolve() rejects the rest
-    u_idx = np.empty((N, paths), dtype=np.min_scalar_type(len(instance.u_grid) - 1))
-    v_idx = np.empty((N, paths), dtype=np.min_scalar_type(len(instance.v_grid) - 1))
+    u_idx, v_idx = (_index_store(control, len(grid), N, paths)
+                    for control, grid in ((u, instance.u_grid), (v, instance.v_grid)))
+    # two constant controls apply one pair to every path at every step
+    constant = u.index is not None and v.index is not None
+    one_pair = ((u.index, v.index, slice(None)),) if constant else None
 
     for k in range(N):
         t = times[k]
         xk = states[k]
-        ui = u.resolve(k, t, xk, len(instance.u_grid))
-        vi = v.resolve(k, t, xk, len(instance.v_grid))
-        u_idx[k] = ui
-        v_idx[k] = vi
+        if u.index is None:
+            u_idx[k] = u.resolve(k, t, xk, len(instance.u_grid))
+        if v.index is None:
+            v_idx[k] = v.resolve(k, t, xk, len(instance.v_grid))
         nxt, dBk = states[k + 1], dB[k]
-        for iu, iv, mask in _control_groups(ui, vi):
+        for iu, iv, mask in one_pair or _control_groups(u_idx[k], v_idx[k]):
             up = instance.u_grid.points[iu]
             vp = instance.v_grid.points[iv]
             xg = xk[mask]
@@ -210,6 +217,21 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     return PathBundle(mesh=mesh, states=states.transpose(1, 0, 2),
                       dB=dB.transpose(1, 0, 2), u_path=u_idx.T, v_path=v_idx.T,
                       seed=int(seed))
+
+
+def _index_store(control, grid_size, steps, paths):
+    """The ``(steps, paths)`` store of a control's grid indices.
+
+    It is held in the narrowest unsigned type that holds every index of
+    the grid (``resolve`` rejects the rest).  A constant control is
+    checked and filled here, once.
+    """
+    dtype = np.min_scalar_type(grid_size - 1)
+    if control.index is None:
+        return np.empty((steps, paths), dtype=dtype)
+    if not 0 <= control.index < grid_size:
+        raise PreconditionError("control index outside its grid")
+    return np.full((steps, paths), control.index, dtype=dtype)
 
 
 def _control_groups(ui, vi):

@@ -426,6 +426,8 @@ def test_edge_parameters_end_in_documented_code(tmp_path, raw, code):
     cfg = write_config(tmp_path, "edge.json",
                        _with(raw, "output", "directory", str(tmp_path / "out")))
     assert main(["run", cfg]) == code
+    if code != 0:  # a run that fails writes nothing, not even its directory
+        assert not (tmp_path / "out").exists()
 
 
 def test_emit_convergence_table_ratios():

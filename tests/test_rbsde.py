@@ -312,7 +312,9 @@ def test_cost_functional_american_put_near_binomial():
 
 def test_features_are_products_of_standardised_columns():
     x = np.random.default_rng(8).normal(loc=[1.0, -3.0], scale=[2.0, 0.5], size=(40, 2))
-    xs = (x - x.mean(axis=0)) / x.std(axis=0)
+    # one row per coordinate: x - mean, scaled by that row's root mean square
+    centred = np.ascontiguousarray((x - x.mean(axis=0)).T)
+    xs = (centred / np.sqrt(np.square(centred).mean(axis=1))[:, None]).T
     expected = [np.ones(40)]
     for deg in range(1, 4):
         for combo in combinations_with_replacement(range(2), deg):
@@ -340,19 +342,24 @@ def test_features_fill_the_given_buffer():
 def test_gram_from_moments_matches_the_product(monkeypatch, n, degree, block):
     if block is not None:  # several sample blocks, the last one short
         monkeypatch.setattr(rbsde, "GRAM_BLOCK", block)
-    x = np.random.default_rng(n + 10 * degree).normal(size=(301, n))
+    rng = np.random.default_rng(n + 10 * degree)
+    x = rng.normal(size=(301, n))
+    targets = rng.normal(size=(1 + n, 301))
     basis = RegressionBasis(degree=degree)
     A = basis.features(x)
-    G = basis.gram(A)
+    G, rhs = basis.gram(A, targets)
     reference = A.T @ A
     assert G.shape == reference.shape == (A.shape[1],) * 2
     assert np.array_equal(G, G.T)
     assert np.abs(G - reference).max() <= 1e-14 * np.abs(reference).max()
+    reference = A.T @ targets.T
+    assert rhs.shape == reference.shape == (A.shape[1], 1 + n)
+    assert np.abs(rhs - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_gram_rejects_a_column_count_of_no_basis():
     with pytest.raises(ValueError):
-        RegressionBasis(degree=2).gram(np.ones((5, 4)))
+        RegressionBasis(degree=2).gram(np.ones((5, 4)), np.ones((1, 5)))
 
 
 def test_solution_layout_and_contiguous_reductions():
@@ -380,34 +387,35 @@ def test_regression_fallback_flag_on_rank_deficiency():
 
 
 def _regression_steps(degree, steps=10, paths=4000, seed=7):
-    """Per regressed step of an american_put bundle: the design matrix, its
-    Gram matrix and the two targets the backward solve fits."""
+    """Per regressed step of an american_put bundle: the design matrix, the
+    fitted values the backward solve forms from it, and the two targets it
+    fits (Y and Y dB / dt)."""
     inst = builtin_instance("american_put")
     bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=seed)
     y_next = eval_terminal(inst, bundle.states[:, -1])
     basis = RegressionBasis(degree=degree)
     for k in range(1, steps):
         A = basis.features(bundle.states[:, k])
+        rows = np.vstack([y_next, (y_next[:, None] * bundle.dB[:, k]).T / bundle.mesh.dt])
+        gram, rhs = basis.gram(A, rows)
+        fitted, fell_back = rbsde._conditional_fits(A, gram, rhs, rows)
+        assert not fell_back
         targets = (y_next, y_next[:, None] * bundle.dB[:, k] / bundle.mesh.dt)
-        yield A, basis.gram(A), targets
+        yield A, gram, zip((fitted[0], fitted[1:].T), targets)
 
 
 def test_gram_fit_matches_svd_fit():
-    for A, gram, targets in _regression_steps(degree=6):
+    for A, gram, fits in _regression_steps(degree=6):
         assert np.linalg.cond(gram) <= rbsde.GRAM_COND_MAX  # the normal equations are used
-        for target in targets:
-            fitted, fell_back = rbsde._conditional_fit(A, gram, target)
+        for fitted, target in fits:
             reference = A @ np.linalg.lstsq(A, target, rcond=None)[0]
-            assert not fell_back
             assert np.abs(fitted - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
 def test_ill_conditioned_gram_falls_back_to_svd_fit_bit_for_bit():
-    for A, gram, targets in _regression_steps(degree=10):
+    for A, gram, fits in _regression_steps(degree=10):
         assert np.linalg.cond(gram) > rbsde.GRAM_COND_MAX
-        for target in targets:
-            fitted, fell_back = rbsde._conditional_fit(A, gram, target)
-            assert not fell_back
+        for fitted, target in fits:
             assert np.array_equal(fitted, A @ np.linalg.lstsq(A, target, rcond=None)[0])
 
 

@@ -179,6 +179,41 @@ def test_control_index_out_of_grid_raises():
                        ControlPath.constant(3), C0, paths=1, seed=0)
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_constant_control_outside_its_grid_raises(index):
+    inst = make_instance(u_points=[[0.0], [1.0]], v_points=[[0.0], [1.0]])
+    for u, v in ((ControlPath.constant(index), C0), (C0, ControlPath.constant(index))):
+        with pytest.raises(PreconditionError, match="outside its grid"):
+            simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 2), u, v, paths=3, seed=0)
+
+
+def _as_feedback(index):
+    return ControlPath.from_feedback(lambda t, x: np.full(len(x), index))
+
+
+@pytest.mark.parametrize("v_rule", ["constant", "split"])
+def test_constant_controls_give_the_feedback_bundle_bit_for_bit(v_rule):
+    # a constant control fills its index store once; a feedback rule of the
+    # same index is resolved step by step, and the bundles are the same
+    inst = make_instance(
+        b=lambda t, x, u, v: u - v + np.sin(x),
+        sigma=lambda t, x, u, v: (1.0 + u[0] + 2.0 * v[0]) * np.ones(x.shape + (1,)),
+        u_points=[[0.0], [0.5], [1.0]], v_points=[[0.0], [1.0]])
+    if v_rule == "constant":
+        v, v_reference = ControlPath.constant(1), _as_feedback(1)
+    else:
+        v = v_reference = ControlPath.from_feedback(lambda t, x: (x[:, 0] > 0.0).astype(int))
+    args = (inst, np.zeros(1), TimeMesh(0.0, 1.0, 8))
+    bundle = simulate_paths(*args, ControlPath.constant(2), v, paths=64, seed=5)
+    reference = simulate_paths(*args, _as_feedback(2), v_reference, paths=64, seed=5)
+    if v_rule == "split":
+        assert 0 < bundle.v_path[:, 1:].mean() < 1
+    for name in ("states", "dB", "u_path", "v_path"):
+        got, want = getattr(bundle, name), getattr(reference, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("control, message", [
     (ControlPath.piecewise([0, 0, 0]), "piecewise control has 3 steps, needs 4"),
     (ControlPath.from_feedback(lambda t, x: np.zeros((x.shape[0], 1), dtype=int)),
