@@ -51,10 +51,9 @@ from .errors import (
 )
 from .oracles import crr_put, degenerate_rbsde_value
 from .pde import cfl_required_nt, solve_obstacle_pde
-from .problems import BUILTIN_NAMES, validate_instance
+from .problems import BUILTIN_NAMES, eval_terminal, validate_instance
 from .rbsde import RegressionBasis, solve_reflected
 from .sde import ControlPath, TimeMesh, simulate_paths
-from .problems import eval_terminal
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _dump_field(field, directory, name):
 
 def _run_solve(config, grids):
     grid = grids[0]
-    which = config.options.get("which", "lower")
+    which = config.options["which"]
     field = solve_obstacle_pde(which, config.instance, grid)
     probe = config.options.get("probe_x")
     if probe is None:
@@ -155,7 +154,7 @@ def _run_penalization(config, grids):
 def _run_dpp(config, grids):
     instance = config.instance
     grid = grids[0]
-    field = solve_obstacle_pde(config.options.get("which", "lower"), instance, grid)
+    field = solve_obstacle_pde(config.options["which"], instance, grid)
     t_fraction = float(config.options.get("t_fraction", 0.5))
     t_index = int(round(t_fraction * grid.nt))
     deltas, residuals = [], []

@@ -23,7 +23,7 @@ bit matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -70,33 +70,30 @@ class ControlPath:
     """Computable control subclass: constant, piecewise or state feedback.
 
     ``rule(step, t, x_batch)`` returns the grid indices applied at mesh
-    step ``step``, shape (paths,) for ``x_batch`` of shape (paths, n).
-    Feedback callables receive ``(t, x_batch)`` and must return integer
-    grid indices of shape (paths,).  A constant control also carries its
-    grid index as ``index`` (``None`` for the others), so
-    :func:`simulate_paths` checks it and fills its index store once
-    instead of resolving it at every step.
+    step ``step`` to ``x_batch`` of shape (paths, n): either one Python
+    ``int`` that applies to every path (constant and piecewise controls)
+    or an integer array of shape (paths,).  Feedback callables receive
+    ``(t, x_batch)`` and must return integer grid indices of shape
+    (paths,).
     """
 
     rule: Callable
-    index: Optional[int] = None
 
     @staticmethod
     def constant(index=0):
         index = int(index)
-        return ControlPath(lambda step, t, x: np.full(x.shape[0], index, dtype=np.int64),
-                           index)
+        return ControlPath(lambda step, t, x: index)
 
     @staticmethod
     def piecewise(indices):
-        arr = np.asarray(indices, dtype=np.int64)
+        arr = [int(i) for i in indices]
 
         def rule(step, t, x):
             if step >= len(arr):
                 raise PreconditionError(
                     f"piecewise control has {len(arr)} steps, needs {step + 1}"
                 )
-            return np.full(x.shape[0], arr[step], dtype=np.int64)
+            return arr[step]
 
         return ControlPath(rule)
 
@@ -106,9 +103,11 @@ class ControlPath:
 
     def resolve(self, step, t, x_batch, grid_size):
         idx = self.rule(step, t, x_batch)
-        if idx.shape != (x_batch.shape[0],):
+        one = isinstance(idx, int)
+        if not one and idx.shape != (x_batch.shape[0],):
             raise PreconditionError("feedback control must return one index per path")
-        if idx.min() < 0 or idx.max() >= grid_size:
+        lo, hi = (idx, idx) if one else (idx.min(), idx.max())
+        if lo < 0 or hi >= grid_size:
             raise PreconditionError("control index outside its grid")
         return idx
 
@@ -146,7 +145,10 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     mesh : TimeMesh
     u, v : ControlPath
         Controls for the two players, resolved step by step (feedback
-        controls see the current state batch).
+        controls see the current state batch).  A step where both resolve
+        to an ``int`` moves every path with one control pair; otherwise the
+        paths are grouped by the pair they apply.  A zero-step mesh
+        resolves no control.
     paths : int
         Number of Monte Carlo paths M.
     seed : int
@@ -184,21 +186,21 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
 
     states = np.empty((N + 1, paths, n))
     states[0] = x0
-    u_idx, v_idx = (_index_store(control, len(grid), N, paths)
-                    for control, grid in ((u, instance.u_grid), (v, instance.v_grid)))
-    # two constant controls apply one pair to every path at every step
-    constant = u.index is not None and v.index is not None
-    one_pair = ((u.index, v.index, slice(None)),) if constant else None
+    # control indices in the narrowest unsigned type that holds every index
+    # of their grid (``resolve`` rejects the rest)
+    u_idx, v_idx = (np.empty((N, paths), dtype=np.min_scalar_type(len(grid) - 1))
+                    for grid in (instance.u_grid, instance.v_grid))
 
     for k in range(N):
         t = times[k]
         xk = states[k]
-        if u.index is None:
-            u_idx[k] = u.resolve(k, t, xk, len(instance.u_grid))
-        if v.index is None:
-            v_idx[k] = v.resolve(k, t, xk, len(instance.v_grid))
+        ui = u_idx[k] = u.resolve(k, t, xk, len(instance.u_grid))
+        vi = v_idx[k] = v.resolve(k, t, xk, len(instance.v_grid))
         nxt, dBk = states[k + 1], dB[k]
-        for iu, iv, mask in one_pair or _control_groups(u_idx[k], v_idx[k]):
+        # two ints apply one pair to every path
+        one_pair = isinstance(ui, int) and isinstance(vi, int)
+        groups = ((ui, vi, slice(None)),) if one_pair else _control_groups(u_idx[k], v_idx[k])
+        for iu, iv, mask in groups:
             up = instance.u_grid.points[iu]
             vp = instance.v_grid.points[iv]
             xg = xk[mask]
@@ -217,21 +219,6 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     return PathBundle(mesh=mesh, states=states.transpose(1, 0, 2),
                       dB=dB.transpose(1, 0, 2), u_path=u_idx.T, v_path=v_idx.T,
                       seed=int(seed))
-
-
-def _index_store(control, grid_size, steps, paths):
-    """The ``(steps, paths)`` store of a control's grid indices.
-
-    It is held in the narrowest unsigned type that holds every index of
-    the grid (``resolve`` rejects the rest).  A constant control is
-    checked and filled here, once.
-    """
-    dtype = np.min_scalar_type(grid_size - 1)
-    if control.index is None:
-        return np.empty((steps, paths), dtype=dtype)
-    if not 0 <= control.index < grid_size:
-        raise PreconditionError("control index outside its grid")
-    return np.full((steps, paths), control.index, dtype=dtype)
 
 
 def _control_groups(ui, vi):

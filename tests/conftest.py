@@ -7,6 +7,7 @@ import pytest
 
 from isaacslab.pde import SpaceTimeGrid, cfl_required_nt
 from isaacslab.problems import Coefficients, ControlGrid, GameInstance
+from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
 
 def make_instance(n=1, d=1, horizon=1.0, b=None, sigma=None, f=None, phi=None,
@@ -34,6 +35,22 @@ def declare_homogeneous(instance, flag=True):
     """``instance`` with ``Coefficients.time_homogeneous`` set to ``flag``."""
     coeffs = dataclasses.replace(instance.coeffs, time_homogeneous=flag)
     return dataclasses.replace(instance, coeffs=coeffs)
+
+
+def make_bundle(inst, x0, t0, t1, steps, paths=1, seed=1):
+    """Euler paths of ``inst`` from ``x0`` on ``[t0, t1]`` under the control pair (0, 0)."""
+    c0 = ControlPath.constant(0)
+    return simulate_paths(inst, np.atleast_1d(x0), TimeMesh(t0, t1, steps), c0, c0, paths, seed)
+
+
+def obstacle_table(values, t0, dt):
+    """Obstacle that reads ``values`` at mesh step ``round((t - t0) / dt)``, constant in space."""
+    values = np.asarray(values, dtype=float)
+
+    def h(t, x):
+        return np.full(x.shape[0], values[int(round((t - t0) / dt))])
+
+    return h
 
 
 def mixed_dominance_game():

@@ -31,7 +31,7 @@ from isaacslab.rbsde import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import make_instance, sized
+from conftest import make_bundle, make_instance, obstacle_table, sized
 
 C0 = ControlPath.constant(0)
 BASIS2 = RegressionBasis(degree=2)
@@ -49,20 +49,6 @@ def _report(num, description, ok, detail=""):
     state = "PASS" if ok else "FAIL"
     print(f"[{state}] criterion {num:02d}: {description} {detail}".rstrip())
     assert ok, f"criterion {num:02d} failed: {description} {detail}"
-
-
-def _bundle(inst, x0, t0, t1, steps, paths=1, seed=1):
-    return simulate_paths(inst, np.atleast_1d(x0), TimeMesh(t0, t1, steps),
-                          C0, C0, paths, seed)
-
-
-def _lookup_obstacle(values, t0, dt):
-    values = np.asarray(values, dtype=float)
-
-    def h(t, x):
-        return np.full(x.shape[0], values[int(round((t - t0) / dt))])
-
-    return h
 
 
 def test_c01_degenerate_closed_form(tmp_path):
@@ -134,8 +120,8 @@ def test_c04_discrete_comparison_fifty_triples():
         inst = make_instance(
             f=lambda t, x, y, z, u, v, s=shift: np.full(x.shape[0],
                                                         s + 0.2 * np.sin(4 * t)),
-            h=_lookup_obstacle(hvals, 0.0, 1.0 / steps))
-        bundle = _bundle(inst, 0.0, 0.0, 1.0, steps)
+            h=obstacle_table(hvals, 0.0, 1.0 / steps))
+        bundle = make_bundle(inst, 0.0, 0.0, 1.0, steps)
         xi = np.array([hvals[-1] + rng.uniform(0.0, 0.5)])
         base = solve_reflected(inst, bundle, xi, BASIS2)
         kind = rng.integers(0, 3)
@@ -159,7 +145,7 @@ def test_c04_discrete_comparison_fifty_triples():
     # degenerate diffusion, many paths, penalized scheme: raise terminal
     inst = builtin_instance("lemma45")
     for _ in range(15):
-        bundle = _bundle(inst, 0.0, 0.0, 1.0, 64, paths=16,
+        bundle = make_bundle(inst, 0.0, 0.0, 1.0, 64, paths=16,
                          seed=int(rng.integers(1 << 30)))
         xi1 = rng.uniform(-0.5, 0.0, 16)
         xi2 = xi1 + rng.uniform(0.0, 1.0, 16)
@@ -171,7 +157,7 @@ def test_c04_discrete_comparison_fifty_triples():
     put = builtin_instance("american_put")
     basis0 = RegressionBasis(degree=0)
     for i in range(15):
-        bundle = _bundle(put, 100.0, 0.0, 1.0, 25, paths=256,
+        bundle = make_bundle(put, 100.0, 0.0, 1.0, 25, paths=256,
                          seed=int(rng.integers(1 << 30)))
         xi = eval_terminal(put, bundle.states[:, -1])
         base = solve_reflected(put, bundle, xi, basis0)
@@ -206,15 +192,15 @@ def test_c05_skorokhod_complementarity_battery():
     k_ok = True
     cases = []
     put = builtin_instance("american_put")
-    bundle = _bundle(put, 100.0, 0.0, 1.0, 50, paths=512, seed=9)
+    bundle = make_bundle(put, 100.0, 0.0, 1.0, 50, paths=512, seed=9)
     cases.append((put, bundle, eval_terminal(put, bundle.states[:, -1])))
     stop = builtin_instance("deterministic_stop")
-    cases.append((stop, _bundle(stop, 0.0, 0.0, 1.0, 200), np.zeros(1)))
+    cases.append((stop, make_bundle(stop, 0.0, 0.0, 1.0, 200), np.zeros(1)))
     for _ in range(10):
         steps = int(rng.integers(5, 60))
         hvals = rng.uniform(-1.0, 1.0, steps + 1)
-        inst = make_instance(h=_lookup_obstacle(hvals, 0.0, 1.0 / steps))
-        cases.append((inst, _bundle(inst, 0.0, 0.0, 1.0, steps),
+        inst = make_instance(h=obstacle_table(hvals, 0.0, 1.0 / steps))
+        cases.append((inst, make_bundle(inst, 0.0, 0.0, 1.0, steps),
                       np.array([hvals[-1] + rng.uniform(0, 1)])))
     for inst, bundle, terminal in cases:
         sol = solve_reflected(inst, bundle, terminal, BASIS2)
@@ -252,7 +238,7 @@ def test_c06_dynamic_programming_identity():
     grid_value = float(field.interp(t_index, 100.0))
     values = []
     for seed in range(8):
-        bundle = _bundle(inst, 100.0, t0, t1, 50, paths=10_000, seed=100 + seed)
+        bundle = make_bundle(inst, 100.0, t0, t1, 50, paths=10_000, seed=100 + seed)
         eta = field.interp(t_index + d_steps, bundle.states[:, -1, 0])
         values.append(backward_semigroup(inst, bundle, eta, BASIS2))
     values = np.array(values)
@@ -348,7 +334,7 @@ def test_c10_forward_moment_estimates():
     from isaacslab.sde import empirical_moments
     moments = []
     for delta in deltas:
-        bundle = _bundle(inst, 100.0, 0.0, delta, 64, paths=10_000, seed=3)
+        bundle = make_bundle(inst, 100.0, 0.0, delta, 64, paths=10_000, seed=3)
         moments.append(empirical_moments(bundle, 2)[1])
     slope = float(np.polyfit(np.log(deltas), np.log(moments), 1)[0])
     mesh = TimeMesh(0.0, 1.0, 50)
@@ -371,8 +357,8 @@ def test_c11_snell_oracle_equivalence():
     for _ in range(20):
         steps = int(rng.integers(3, 50))
         hvals = rng.uniform(-2.0, 2.0, steps + 1)
-        inst = make_instance(h=_lookup_obstacle(hvals, 0.0, 1.0 / steps))
-        bundle = _bundle(inst, 0.0, 0.0, 1.0, steps)
+        inst = make_instance(h=obstacle_table(hvals, 0.0, 1.0 / steps))
+        bundle = make_bundle(inst, 0.0, 0.0, 1.0, steps)
         terminal = float(hvals[-1] + rng.uniform(0.0, 1.0))
         sol = solve_reflected(inst, bundle, np.array([terminal]), BASIS2)
         if sol.Y[0, 0] == snell_oracle(hvals, terminal):

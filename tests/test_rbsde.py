@@ -18,33 +18,17 @@ from isaacslab.rbsde import (
     solve_penalized,
     solve_reflected,
 )
-from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
+from isaacslab.sde import ControlPath, TimeMesh
 
-from conftest import make_instance
+from conftest import make_bundle, make_instance, obstacle_table
 
 C0 = ControlPath.constant(0)
 BASIS = RegressionBasis(degree=2)
 
 
-def _bundle(inst, x0, t0, t1, steps, paths=1, seed=1):
-    mesh = TimeMesh(t0, t1, steps)
-    return simulate_paths(inst, np.atleast_1d(x0), mesh, C0, C0, paths, seed)
-
-
-def _interp_obstacle(values, t0, dt):
-    """Obstacle lookup table in time, constant in space."""
-    values = np.asarray(values, dtype=float)
-
-    def h(t, x):
-        k = int(round((t - t0) / dt))
-        return np.full(x.shape[0], values[k])
-
-    return h
-
-
 def test_constant_driver_value_no_reflection():
     inst = builtin_instance("no_obstacle_linear", {"c0": 1.0, "c1": 0.0})
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 50, paths=4096, seed=11)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 50, paths=4096, seed=11)
     sol = solve_reflected(inst, bundle, np.zeros(4096), BASIS)
     assert sol.value() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(sol.K, 0.0)
@@ -55,7 +39,7 @@ def test_constant_driver_value_no_reflection():
 
 def test_deterministic_stop_exact_reflection():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.3, 0.0, 1.0, 10)
+    bundle = make_bundle(inst, 0.3, 0.0, 1.0, 10)
     sol = solve_reflected(inst, bundle, np.zeros(1), BASIS)
     np.testing.assert_allclose(sol.Y[0], 1.0 - bundle.mesh.times(), atol=1e-14)
     np.testing.assert_allclose(np.diff(sol.K[0]), bundle.mesh.dt, atol=1e-14)
@@ -63,7 +47,7 @@ def test_deterministic_stop_exact_reflection():
 
 def test_degenerate_benchmark_closed_form():
     inst = builtin_instance("lemma45")
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 1000)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 1000)
     sol = solve_reflected(inst, bundle, np.zeros(1), BASIS)
     assert sol.value() == pytest.approx(degenerate_rbsde_value(1.0, 1.0, 1.0),
                                         abs=1e-3)
@@ -74,7 +58,7 @@ def test_degenerate_benchmark_closed_form():
 def test_degenerate_benchmark_closed_form_at_zero_feedback():
     # C = 0 leaves the constant cost rate -theta / 2: the closed form's limit
     inst = builtin_instance("lemma45", {"C": 0.0, "theta": 1.0})
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 100)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 100)
     sol = solve_reflected(inst, bundle, np.zeros(1), BASIS)
     assert degenerate_rbsde_value(0.0, 1.0, 1.0) == -0.5
     assert sol.value() == pytest.approx(-0.5, abs=1e-12)
@@ -82,7 +66,7 @@ def test_degenerate_benchmark_closed_form_at_zero_feedback():
 
 def test_penalized_zero_weight_is_unreflected():
     inst = builtin_instance("no_obstacle_linear", {"c0": 1.0, "c1": 0.0})
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 40, paths=256, seed=3)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 40, paths=256, seed=3)
     sol = solve_penalized(inst, bundle, np.zeros(256), BASIS, m=0.0)
     assert sol.value() == pytest.approx(1.0, abs=1e-12)
     assert sol.scheme == "penalized" and sol.penalty == 0.0
@@ -90,7 +74,7 @@ def test_penalized_zero_weight_is_unreflected():
 
 def test_penalized_monotone_in_weight_against_reflected():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 1000)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 1000)
     values = [solve_penalized(inst, bundle, np.zeros(1), BASIS, m).value()
               for m in (1.0, 10.0, 100.0)]
     reference = solve_reflected(inst, bundle, np.zeros(1), BASIS).value()
@@ -101,8 +85,8 @@ def test_penalized_monotone_in_weight_against_reflected():
 def test_penalized_step_closed_form():
     # one step with yhat = -2, obstacle 0, m dt = 1 gives (-2 + 0) / 2 = -1
     horizon = 1.0
-    inst = make_instance(h=_interp_obstacle([0.0, -5.0], 0.0, horizon))
-    bundle = _bundle(inst, 0.0, 0.0, horizon, 1)
+    inst = make_instance(h=obstacle_table([0.0, -5.0], 0.0, horizon))
+    bundle = make_bundle(inst, 0.0, 0.0, horizon, 1)
     sol = solve_penalized(inst, bundle, np.array([-2.0]), BASIS, m=1.0)
     assert sol.Y[0, 0] == pytest.approx(-1.0, abs=0)
     assert sol.K[0, -1] == pytest.approx(1.0, abs=1e-15)  # m dt (y-h)^-
@@ -110,14 +94,14 @@ def test_penalized_step_closed_form():
 
 def test_terminal_below_obstacle_is_rejected():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 5)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 5)
     with pytest.raises(PreconditionError):
         solve_reflected(inst, bundle, np.array([-1.0]), BASIS)
 
 
 def test_skorokhod_complementarity_exact():
     inst = builtin_instance("american_put")
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, 50, paths=512, seed=9)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, 50, paths=512, seed=9)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_reflected(inst, bundle, terminal, BASIS)
     assert np.abs(sol.skorokhod_sums()).max() == 0.0
@@ -132,7 +116,7 @@ def _random_deterministic_problem(rng, steps=32):
     hvals = rng.uniform(-1.0, 1.0, steps + 1)
     inst = make_instance(
         f=lambda t, x, y, z, u, v: np.full(x.shape[0], 0.3 * np.sin(3.0 * t)),
-        h=_interp_obstacle(hvals, 0.0, dt),
+        h=obstacle_table(hvals, 0.0, dt),
     )
     terminal = hvals[-1] + rng.uniform(0.0, 1.0)
     return inst, hvals, terminal
@@ -142,7 +126,7 @@ def test_comparison_raising_data_never_decreases_values(rng):
     # deterministic single-path problems: ordering is exact nodewise
     for _ in range(10):
         inst, hvals, terminal = _random_deterministic_problem(rng)
-        bundle = _bundle(inst, 0.0, 0.0, 1.0, 32)
+        bundle = make_bundle(inst, 0.0, 0.0, 1.0, 32)
         base = solve_reflected(inst, bundle, np.array([terminal]), BASIS)
 
         bump_xi = rng.uniform(0.0, 0.5)
@@ -168,7 +152,7 @@ def test_comparison_raising_data_never_decreases_values(rng):
 def test_comparison_penalized_terminal_ordering(rng):
     # degenerate diffusion: the conditional-mean estimator preserves order
     inst = builtin_instance("lemma45")
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 64, paths=16, seed=4)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 64, paths=16, seed=4)
     xi1 = rng.uniform(-0.5, 0.0, 16)
     xi2 = xi1 + rng.uniform(0.0, 1.0, 16)
     for m in (1.0, 25.0):
@@ -182,7 +166,7 @@ def test_penalized_chain_below_reflected_shared_bundle():
     # monotone mean estimator (degree 0) on a diffusive bundle
     inst = builtin_instance("american_put")
     basis0 = RegressionBasis(degree=0)
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, 25, paths=512, seed=6)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, 25, paths=512, seed=6)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     y_prev = None
     for m in (1.0, 4.0, 16.0, 64.0):
@@ -198,7 +182,7 @@ def test_linear_growth_envelope_across_initial_points():
     inst = builtin_instance("american_put")
     ratios = []
     for x0 in (0.0, 1.0, -1.0, 10.0, -10.0):
-        bundle = _bundle(inst, x0, 0.0, 1.0, 25, paths=256, seed=8)
+        bundle = make_bundle(inst, x0, 0.0, 1.0, 25, paths=256, seed=8)
         terminal = eval_terminal(inst, bundle.states[:, -1])
         sol = solve_reflected(inst, bundle, terminal, BASIS)
         ratios.append(abs(sol.value()) / (1.0 + abs(x0)))
@@ -214,7 +198,7 @@ def test_snell_oracle_trivial_cases():
 
 def test_snell_oracle_matches_solver_on_deterministic_stop():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.0, 1.0, 10)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 10)
     sol = solve_reflected(inst, bundle, np.zeros(1), BASIS)
     hvals = 1.0 - bundle.mesh.times()
     assert sol.Y[0, 0] == snell_oracle(hvals, 0.0) == 1.0
@@ -225,8 +209,8 @@ def test_snell_equivalence_randomized(rng):
     for _ in range(5):
         steps = int(rng.integers(3, 40))
         hvals = rng.uniform(-2.0, 2.0, steps + 1)
-        inst = make_instance(h=_interp_obstacle(hvals, 0.0, 1.0 / steps))
-        bundle = _bundle(inst, 0.0, 0.0, 1.0, steps)
+        inst = make_instance(h=obstacle_table(hvals, 0.0, 1.0 / steps))
+        bundle = make_bundle(inst, 0.0, 0.0, 1.0, steps)
         terminal = float(hvals[-1] + rng.uniform(0.0, 1.0))
         sol = solve_reflected(inst, bundle, np.array([terminal]), BASIS)
         assert sol.Y[0, 0] == snell_oracle(hvals, terminal)
@@ -234,19 +218,19 @@ def test_snell_equivalence_randomized(rng):
 
 def test_backward_semigroup_constant_data():
     inst = make_instance()
-    bundle = _bundle(inst, 0.0, 0.2, 0.7, 10)
+    bundle = make_bundle(inst, 0.0, 0.2, 0.7, 10)
     assert backward_semigroup(inst, bundle, np.array([4.0]), BASIS) == 4.0
 
 
 def test_backward_semigroup_empty_interval_returns_eta():
     inst = make_instance()
-    bundle = _bundle(inst, 0.0, 0.5, 0.5, 0)
+    bundle = make_bundle(inst, 0.0, 0.5, 0.5, 0)
     assert backward_semigroup(inst, bundle, np.array([2.5]), BASIS) == 2.5
 
 
 def test_backward_semigroup_empty_interval_returns_the_mean_of_eta():
     inst = builtin_instance("american_put")
-    bundle = _bundle(inst, 100.0, 0.3, 0.3, 0, paths=257, seed=4)
+    bundle = make_bundle(inst, 100.0, 0.3, 0.3, 0, paths=257, seed=4)
     eta = 40.0 + np.random.default_rng(5).uniform(0.0, 1.0, 257)
     assert backward_semigroup(inst, bundle, eta, BASIS) == eta.mean()
 
@@ -254,21 +238,21 @@ def test_backward_semigroup_empty_interval_returns_the_mean_of_eta():
 @pytest.mark.parametrize("eta", [np.full(8, 0.2), np.full(7, 2.0)], ids=["below", "shape"])
 def test_backward_semigroup_empty_interval_checks_eta(eta):
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.5, 0.5, 0, paths=8)
+    bundle = make_bundle(inst, 0.0, 0.5, 0.5, 0, paths=8)
     with pytest.raises(PreconditionError):
         backward_semigroup(inst, bundle, eta, BASIS)
 
 
 def test_backward_semigroup_obstacle_pushes():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.0, 0.5, 100)
+    bundle = make_bundle(inst, 0.0, 0.0, 0.5, 100)
     value = backward_semigroup(inst, bundle, np.array([0.5]), BASIS)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_backward_semigroup_rejects_eta_below_obstacle():
     inst = builtin_instance("deterministic_stop")
-    bundle = _bundle(inst, 0.0, 0.0, 0.5, 10)
+    bundle = make_bundle(inst, 0.0, 0.0, 0.5, 10)
     with pytest.raises(PreconditionError):
         backward_semigroup(inst, bundle, np.array([0.2]), BASIS)
 
@@ -276,11 +260,11 @@ def test_backward_semigroup_rejects_eta_below_obstacle():
 def test_flow_property_splice_matches_full_solve():
     # value at an intermediate time fed back through the semigroup
     inst = builtin_instance("lemma45")
-    full = solve_reflected(inst, _bundle(inst, 0.0, 0.0, 1.0, 1000),
+    full = solve_reflected(inst, make_bundle(inst, 0.0, 0.0, 1.0, 1000),
                            np.zeros(1), BASIS).value()
-    mid = solve_reflected(inst, _bundle(inst, 0.0, 0.4, 1.0, 600),
+    mid = solve_reflected(inst, make_bundle(inst, 0.0, 0.4, 1.0, 600),
                           np.zeros(1), BASIS).value()
-    spliced = backward_semigroup(inst, _bundle(inst, 0.0, 0.0, 0.4, 400),
+    spliced = backward_semigroup(inst, make_bundle(inst, 0.0, 0.0, 0.4, 400),
                                  np.array([mid]), BASIS)
     assert spliced == pytest.approx(full, abs=1e-12)
 
@@ -366,7 +350,7 @@ def test_solution_layout_and_contiguous_reductions():
     # Y, Z, K are path-major views of step-major storage; the reductions
     # the solution reports match the same formulas on C-contiguous copies
     inst = builtin_instance("american_put")
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, 20, paths=300, seed=4)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, 20, paths=300, seed=4)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_penalized(inst, bundle, terminal, RegressionBasis(degree=3), 50.0)
     assert sol.Y.shape == sol.K.shape == sol.obstacle_samples.shape == (300, 21)
@@ -380,7 +364,7 @@ def test_solution_layout_and_contiguous_reductions():
 
 def test_regression_fallback_flag_on_rank_deficiency():
     inst = builtin_instance("american_put")
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, 5, paths=2, seed=3)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, 5, paths=2, seed=3)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_reflected(inst, bundle, terminal, BASIS)  # 2 paths < 3 features
     assert sol.regression_fallback
@@ -391,7 +375,7 @@ def _regression_steps(degree, steps=10, paths=4000, seed=7):
     fitted values the backward solve forms from it, and the two targets it
     fits (Y and Y dB / dt)."""
     inst = builtin_instance("american_put")
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=seed)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=seed)
     y_next = eval_terminal(inst, bundle.states[:, -1])
     basis = RegressionBasis(degree=degree)
     for k in range(1, steps):
@@ -444,7 +428,7 @@ def test_two_least_squares_solves_per_regressed_step(monkeypatch):
     monkeypatch.setattr(rbsde, "np", counting)
     inst = builtin_instance("american_put")
     steps = 10
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=4000, seed=7)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, steps, paths=4000, seed=7)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_reflected(inst, bundle, terminal, RegressionBasis(degree=6))
     assert not sol.regression_fallback
@@ -457,7 +441,7 @@ def test_degree_ten_solve_falls_back_to_least_squares_on_the_design(monkeypatch)
     monkeypatch.setattr(rbsde, "np", counting)
     inst = builtin_instance("american_put")
     steps, paths = 6, 4000
-    bundle = _bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=7)
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, steps, paths=paths, seed=7)
     terminal = eval_terminal(inst, bundle.states[:, -1])
     sol = solve_reflected(inst, bundle, terminal, RegressionBasis(degree=10))
     assert not sol.regression_fallback
@@ -468,7 +452,7 @@ def test_seeded_reflected_solves_repeat_bit_for_bit():
     inst = builtin_instance("american_put")
     solutions = []
     for _ in range(2):
-        bundle = _bundle(inst, 100.0, 0.0, 1.0, 10, paths=4000, seed=7)
+        bundle = make_bundle(inst, 100.0, 0.0, 1.0, 10, paths=4000, seed=7)
         terminal = eval_terminal(inst, bundle.states[:, -1])
         solutions.append(solve_reflected(inst, bundle, terminal, RegressionBasis(degree=6)))
     for name in ("Y", "Z", "K"):

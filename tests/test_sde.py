@@ -182,25 +182,31 @@ def test_control_index_out_of_grid_raises():
 @pytest.mark.parametrize("index", [-1, 2])
 def test_constant_control_outside_its_grid_raises(index):
     inst = make_instance(u_points=[[0.0], [1.0]], v_points=[[0.0], [1.0]])
-    for u, v in ((ControlPath.constant(index), C0), (C0, ControlPath.constant(index))):
-        with pytest.raises(PreconditionError, match="outside its grid"):
-            simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 2), u, v, paths=3, seed=0)
+    # the piecewise control leaves its grid at its second step
+    for bad in (ControlPath.constant(index), ControlPath.piecewise([0, index])):
+        for u, v in ((bad, C0), (C0, bad)):
+            with pytest.raises(PreconditionError, match="outside its grid"):
+                simulate_paths(inst, np.zeros(1), TimeMesh(0.0, 1.0, 2), u, v, paths=3, seed=0)
 
 
 def _as_feedback(index):
     return ControlPath.from_feedback(lambda t, x: np.full(len(x), index))
 
 
-@pytest.mark.parametrize("v_rule", ["constant", "split"])
+@pytest.mark.parametrize("v_rule", ["constant", "split", "piecewise"])
 def test_constant_controls_give_the_feedback_bundle_bit_for_bit(v_rule):
-    # a constant control fills its index store once; a feedback rule of the
-    # same index is resolved step by step, and the bundles are the same
+    # constant and piecewise controls return one index for every path, a
+    # feedback rule one index per path, and the bundles are the same
     inst = make_instance(
         b=lambda t, x, u, v: u - v + np.sin(x),
         sigma=lambda t, x, u, v: (1.0 + u[0] + 2.0 * v[0]) * np.ones(x.shape + (1,)),
         u_points=[[0.0], [0.5], [1.0]], v_points=[[0.0], [1.0]])
     if v_rule == "constant":
         v, v_reference = ControlPath.constant(1), _as_feedback(1)
+    elif v_rule == "piecewise":
+        seq = [1, 0, 0, 1, 1, 1, 0, 1]
+        v = ControlPath.piecewise(seq)
+        v_reference = ControlPath(lambda step, t, x: np.full(len(x), seq[step]))
     else:
         v = v_reference = ControlPath.from_feedback(lambda t, x: (x[:, 0] > 0.0).astype(int))
     args = (inst, np.zeros(1), TimeMesh(0.0, 1.0, 8))
