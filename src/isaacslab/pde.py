@@ -29,15 +29,17 @@ against that step's own coefficients.  One effect lies outside the
 rule: a cost rate that reads the gradient ``z`` enters through central
 quotients that are not upwinded.
 
-Each step evolves the previous slice and then applies either the
-obstacle projection ``max(., h)`` or the semi-implicit penalty update,
-at every node.  Boundary nodes follow the grid policy: linear
-extrapolation from the two nearest interior nodes (default, consistent
-with linear growth of the value) or freezing at the terminal data.  A
-batch of fields, one per penalty weight, is stepped in one sweep that
-evaluates the cost rate and the obstacle once per step for the whole
-batch, and a slice that is not finite stops the sweep with a divergence
-error.
+Each step evolves the previous slice by one product of every pair's
+weight table with a read-only view of every node's neighbourhood
+(:func:`_windows`, built once per sweep), summed in stencil order, and
+then applies either the obstacle projection ``max(., h)`` or the
+semi-implicit penalty update, at every node.  Boundary nodes follow the
+grid policy: linear extrapolation from the two nearest interior nodes
+(default, consistent with linear growth of the value) or freezing at
+the terminal data.  A batch of fields, one per penalty weight, is
+stepped in one sweep that evaluates the cost rate and the obstacle once
+per step for the whole batch, and a slice that is not finite stops the
+sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: per control pair it gates b and sigma once on the given
@@ -213,16 +215,17 @@ def _monotone_rate(stencil, lipschitz):
     pairs; NaN or inf when the coefficients overflow.  No dt mends a
     negative neighbour weight: it raises :class:`PreconditionError`.
     """
-    for _, weights in stencil:
-        for o, weight in enumerate(weights):
-            # a diagonal weight is never negative, so o is an axis neighbour, on axis o // 2
-            if (weight < 0.0).any():
-                raise PreconditionError(
-                    f"the mixed-derivative stencil is not monotone on axis {o // 2} at any "
-                    f"time step: a neighbour weighs {float(weight.min()):.3e} per unit time, "
-                    f"as a_ii / dx_i^2 falls below sum |a_ij| / (dx_i dx_j); change the "
-                    f"spacings")
-    return float(np.max([np.max(lipschitz - centre) for centre, _ in stencil]))
+    centre, *neighbours = _cells(stencil.ndim - 2)
+    for o, cell in enumerate(neighbours):
+        weight = stencil[(slice(None), *cell)]
+        # a diagonal weight is never negative, so o is an axis neighbour, on axis o // 2
+        if (weight < 0.0).any():
+            raise PreconditionError(
+                f"the mixed-derivative stencil is not monotone on axis {o // 2} at any "
+                f"time step: a neighbour weighs {float(weight.min()):.3e} per unit time, "
+                f"as a_ii / dx_i^2 falls below sum |a_ij| / (dx_i dx_j); change the "
+                f"spacings")
+    return float(np.max(lipschitz - stencil[(slice(None), *centre)]))
 
 
 def _bound_and_nt(horizon, rate):
@@ -281,6 +284,29 @@ def _neighbours(ndim):
     return shifted(), axes, pairs
 
 
+@lru_cache(maxsize=None)
+def _cells(ndim):
+    """The :func:`_windows` cells of the centre and of the :func:`_neighbours`
+    blocks, in order: cell ``c`` holds the node at offset ``c - 1``."""
+    centre, axes, pairs = _neighbours(ndim)
+    return [tuple(s.start or 0 for s in block[1:])
+            for block in chain([centre], *axes, *pairs.values())]
+
+
+def _windows(store, ndim):
+    """A read-only view of the 3^ndim neighbourhood of every interior node of every slot.
+
+    ``store`` is ``(slots, *batch, *shape)`` with ``ndim`` spatial axes,
+    the view ``(slots, *(3,) * ndim, *batch, *interior)`` with
+    ``windows[j][c][..., i]`` the entry ``store[j][..., i + c]``.
+    """
+    lead, space = store.ndim - ndim, store.strides[store.ndim - ndim:]
+    interior = tuple(k - 2 for k in store.shape[lead:])
+    return np.lib.stride_tricks.as_strided(
+        store, store.shape[:1] + (3,) * ndim + store.shape[1:lead] + interior,
+        store.strides[:1] + space + store.strides[1:lead] + space, writeable=False)
+
+
 def _differences(w, dx):
     """Central difference quotients of ``w`` at its interior nodes, flattened.
 
@@ -332,34 +358,34 @@ def _pair_tables(instance, t, x, fields):
     return tables
 
 
-def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
+def _generator_stack(instance, t, x_rows, y, grad, tables, sigmas, parts):
     """Generator values for every control pair, shape (nu, nv, B * m).
 
     ``y`` and each of ``grad`` hold B fields at the nodes ``x_rows``
-    (B * m rows, field by field), and ``tables`` are their
-    :func:`_pair_tables`.  ``parts`` yields, pair by pair, the
-    second-order plus drift part; the cost rate is added, evaluated once
+    (B * m rows, field by field), ``tables`` are their
+    :func:`_pair_tables` and ``sigmas`` the tables' diffusions stacked,
+    (P, B * m, n, d).  The cost rate is added in place to the pairs'
+    second-order plus drift parts ``parts`` (P, B * m), evaluated once
     per pair on all rows with ``z = q sigma``, where ``grad`` holds the
     columns of the gradient ``q``, one per axis.
     """
-    vals = np.empty((len(tables), y.size))
-    for row, (up, vp, _, _, sv), part in zip(vals, tables, parts):
-        z = grad[0][:, None] * sv[:, 0, :]
-        for i in range(1, len(grad)):
-            z = z + grad[i][:, None] * sv[:, i, :]
-        np.add(part, eval_cost_rate(instance, t, x_rows, y, z, up, vp), out=row)
-    return vals.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
+    z = grad[0][:, None] * sigmas[:, :, 0, :]
+    for i in range(1, len(grad)):
+        z = z + grad[i][:, None] * sigmas[:, :, i, :]
+    for row, (up, vp, *_), zp in zip(parts, tables, z):
+        row += eval_cost_rate(instance, t, x_rows, y, zp, up, vp)
+    return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
 def _stencil_weights(tables, dx):
     """The weight table of the explicit step, which depends on ``(a, b)`` only.
 
-    Per pair ``(centre, weights)``: the second-order plus drift part of
-    the generator at a node is ``centre * w + sum_o weights[o] * w[o]``
-    over the neighbour offsets of :func:`_neighbours`, in its order: up
-    and down each axis, then (+, +), (-, -), (+, -), (-, +) on each axis
-    pair.  The drift quotient on axis ``i`` is central where the
-    diffusion net of the mixed terms covers the drift on the cell,
+    Shaped like a :func:`_windows` slot with a leading pair axis, ``(P,
+    *(3,) * ndim, rows)``: pair ``p``'s second-order plus drift part at
+    a node is the sum over the :func:`_cells` of its window, in their
+    order, of ``table[p][c]`` times the value in cell ``c``.  The drift
+    quotient on axis ``i`` is central where the diffusion net of the
+    mixed terms covers the drift on the cell,
 
         slack_i = a_ii - sum_{j != i} |a_ij| dx_i / dx_j >= |b_i| dx_i,
 
@@ -368,8 +394,8 @@ def _stencil_weights(tables, dx):
     weights sum to zero, their first moment is ``b`` and their second
     ``a``, plus ``|b_i| dx_i`` on the diagonal of an upwinded axis.
     """
-    table = []
-    for _, _, a, b, _ in tables:
+    table = np.zeros((len(tables),) + (3,) * len(dx) + (len(tables[0][2]),))
+    for pair, (_, _, a, b, _) in zip(table, tables):
         mixed = {(i, j): a[:, i, j] for i, j in combinations(range(len(dx)), 2)}
         slack = [a[:, i, i] for i in range(len(dx))]
         for (i, j), aij in mixed.items():
@@ -392,26 +418,33 @@ def _stencil_weights(tables, dx):
             minus = np.where(aij >= 0.0, 0.0, corner)
             weights += [plus, plus, minus, minus]
             centre = centre + np.abs(aij) / (dx[i] * dx[j])
-        table.append((centre, weights))
+        for cell, weight in zip(_cells(len(dx)), [centre, *weights]):
+            pair[cell] = weight
     return table
 
 
-def _step_slice(which, instance, t, dt, w, x_rows, dx, tables, stencil):
-    """One explicit backward step; returns updated interior values, flattened.
+def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, sigmas, out):
+    """One explicit backward step from ``window``, a :func:`_windows` slot, into ``out``.
 
-    ``tables`` and ``stencil`` are the step's :func:`_pair_tables` and
-    their :func:`_stencil_weights`; the shifted blocks of ``w`` are
-    raveled once and shared by every pair.
+    ``tables`` are the step's :func:`_pair_tables`, ``weights`` their
+    :func:`_stencil_weights` in the window's shape and ``sigmas`` their
+    diffusions stacked.  One product weighs every cell for every pair,
+    and the cells are summed in stencil order, so each pair's part
+    rounds as the sum of its weights times its neighbours from the
+    centre on.
     """
-    centre, axes, pairs = _neighbours(len(dx))
-    wc = w[centre].ravel()
-    shifted = [w[o].ravel() for o in chain(*axes, *pairs.values())]
-    # the axis neighbours come first, up then down on each axis
-    grad = [(up - down) / (2.0 * h) for up, down, h in zip(shifted[0::2], shifted[1::2], dx)]
-    parts = (sum((c * s for c, s in zip(weights, shifted)), centre_weight * wc)
-             for centre_weight, weights in stencil)
-    vals = _generator_stack(instance, t, x_rows, wc, grad, tables, parts)
-    return wc + dt * _minimax(which, vals)
+    cells = _cells(len(dx))
+    weighed = weights * window
+    parts = weighed[(slice(None), *cells[0])] + weighed[(slice(None), *cells[1])]
+    for cell in cells[2:]:
+        parts += weighed[(slice(None), *cell)]
+    wc = window[cells[0]]
+    # the axis neighbours follow the centre, up then down on each axis
+    grad = [((window[up] - window[down]) / (2.0 * h)).ravel()
+            for up, down, h in zip(cells[1::2], cells[2::2], dx)]
+    vals = _generator_stack(instance, t, x_rows, wc.ravel(), grad, tables, sigmas,
+                            parts.reshape(len(parts), -1))
+    np.add(wc, dt * _minimax(which, vals).reshape(wc.shape), out=out)
 
 
 def _fill_boundary(w, grid, terminal):
@@ -472,6 +505,7 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         weights = np.reshape(weights, batch + (1,) * grid.ndim)
     times = np.asarray(times, dtype=float).tolist()
     slots = len(store)
+    windows = _windows(store, grid.ndim)
     steps = len(times) - 1
     store[steps % slots] = terminal
     yield steps, store[steps % slots]
@@ -482,12 +516,14 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         if k == steps - 1 or not homogeneous:
             tables = _pair_tables(instance, t, x_int, fields)
             stencil = _stencil_weights(tables, dx)
+            table = stencil.reshape(stencil.shape[:-1] + interior_shape)
+            sigmas = np.stack([sv for *_, sv in tables])
         if not homogeneous:
             rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
             _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
-        w[interior] = _step_slice(which, instance, t, dt, store[(k + 1) % slots], x_rows,
-                                  dx, tables, stencil).reshape(interior_shape)
+        _step_slice(which, instance, t, dt, windows[(k + 1) % slots], x_rows, dx, tables,
+                    table, sigmas, w[interior])
         _fill_boundary(w, grid, terminal)
         h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
         if weights is None:
@@ -571,9 +607,10 @@ def _hamiltonian_stack(instance, t, x, y, q, xmat, tables):
 
     ``tables`` are the :func:`_pair_tables` of ``x``.
     """
-    parts = (0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
-             for _, _, a, b, _ in tables)
-    return _generator_stack(instance, t, x, y, q.T, tables, parts)
+    parts = np.stack([0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
+                      for _, _, a, b, _ in tables])
+    sigmas = np.stack([sv for *_, sv in tables])
+    return _generator_stack(instance, t, x, y, q.T, tables, sigmas, parts)
 
 
 def _argopt(which, vals):

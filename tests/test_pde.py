@@ -27,6 +27,7 @@ from isaacslab.pde import (
 from isaacslab.problems import (
     BUILTIN_NAMES,
     builtin_instance,
+    eval_cost_rate,
     eval_drift,
     eval_obstacle,
     eval_terminal,
@@ -180,11 +181,9 @@ def test_correlated_stencil_gives_every_neighbour_a_nonnegative_weight():
     inst, grid = stencil_case("correlated_2d")
     tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
     stencil = pde._stencil_weights(tables, grid.dx())
-    assert len(stencil) == 4
-    for _, weights in stencil:
-        assert len(weights) == 2 * 2 + 4 and weights[0].shape == (99,)
-        for weight in weights:
-            assert weight.min() >= 0.0
+    assert stencil.shape == (4, 3, 3, 99)
+    for cell in pde._cells(2)[1:]:
+        assert stencil[(slice(None), *cell)].min() >= 0.0
 
 
 def stencil_case(case):
@@ -229,8 +228,10 @@ def test_stencil_weights_are_locally_consistent(case, upwinds):
     offsets = neighbour_offsets(dx)
     tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
     upwinded = 0
-    for (_, _, a, b, _), (centre, weights) in zip(tables, pde._stencil_weights(tables, dx)):
-        w = np.stack(weights, axis=1)                                  # (m, offsets)
+    centre_cell, *cells = pde._cells(n)
+    for (_, _, a, b, _), table in zip(tables, pde._stencil_weights(tables, dx)):
+        centre = table[centre_cell]
+        w = np.stack([table[cell] for cell in cells], axis=1)          # (m, offsets)
         scale = np.abs(w).sum(axis=1) + np.abs(centre)
         np.testing.assert_allclose(centre + w.sum(axis=1), 0.0, atol=1e-12 * scale.max())
         first = w @ offsets
@@ -271,8 +272,22 @@ def quotient_step(which, inst, t, dt, w, grid, tables):
             part = part + a[:, i, j] * np.where(a[:, i, j] >= 0.0, plus, minus)
         parts.append(part)
     grad = [(wp - wm) / (2.0 * h) for (wp, wm), h in zip(near, dx)]
-    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables, parts)
+    sigmas = np.stack([sv for *_, sv in tables])
+    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables, sigmas,
+                                np.stack(parts))
     return wc + dt * pde._minimax(which, vals)
+
+
+def stacked_step(which, inst, t, dt, w, grid, tables):
+    """``pde._step_slice`` from the slice ``w`` through a one-slot window,
+    with the step's own stacks; returns the new interior, flattened."""
+    out = np.empty(w[grid.interior()].shape)
+    table = pde._stencil_weights(tables, grid.dx())
+    pde._step_slice(which, inst, t, dt, pde._windows(w[None], grid.ndim)[0],
+                    grid.interior_nodes(), grid.dx(), tables,
+                    table.reshape(table.shape[:-1] + out.shape),
+                    np.stack([sv for *_, sv in tables]), out)
+    return out.ravel()
 
 
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
@@ -281,16 +296,128 @@ def test_weight_table_step_matches_the_quotient_step(case):
     # coefficients times quotients, by far less than 1e-12 of the field
     inst, grid = stencil_case(case)
     field = solve_obstacle_pde("lower", inst, grid)
-    x_int, dx = grid.interior_nodes(), grid.dx()
+    x_int = grid.interior_nodes()
     for k in (grid.nt - 1, grid.nt // 2, 0):
         t, dt = field.times[k], field.times[k + 1] - field.times[k]
         w = field.slices[k + 1]
         tables = pde._pair_tables(inst, t, x_int, 1)
-        stencil = pde._stencil_weights(tables, dx)
         for which in HAMILTONIANS:
-            step = pde._step_slice(which, inst, t, dt, w, x_int, dx, tables, stencil)
+            step = stacked_step(which, inst, t, dt, w, grid, tables)
             np.testing.assert_allclose(step, quotient_step(which, inst, t, dt, w, grid, tables),
                                        rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("ndim, batch", [(1, ()), (1, (2,)), (2, ()), (2, (3,))])
+def test_window_cells_are_the_neighbour_blocks_in_stencil_order(rng, ndim, batch):
+    shape = (7, 6)[:ndim]
+    store = rng.normal(size=(3,) + batch + shape)
+    windows = pde._windows(store, ndim)
+    assert windows.shape == (3,) + (3,) * ndim + batch + tuple(k - 2 for k in shape)
+    centre, axes, pairs = pde._neighbours(ndim)
+    blocks = [centre, *itertools.chain(*axes, *pairs.values())]
+    cells = pde._cells(ndim)
+    # in one and two dimensions the stencil fills its window
+    assert len(set(cells)) == len(blocks) == 3 ** ndim
+    store[1] += 1.0  # a view: later writes to the store show through
+    for window, w in zip(windows, store):
+        for cell, block in zip(cells, blocks):
+            assert np.array_equal(window[cell], w[block])
+    with pytest.raises(ValueError, match="read-only"):
+        windows[0][cells[0]] += 1.0
+
+
+def per_pair_step(which, inst, t, dt, w, x_rows, dx, tables, stencil):
+    """The explicit step pair by pair, a bitwise reference for the stacked
+    one: the shifted blocks of ``w`` raveled once, each pair's part summed
+    from the centre on and its ``z`` formed on its own."""
+    centre, axes, pairs = pde._neighbours(len(dx))
+    wc = w[centre].ravel()
+    shifted = [w[o].ravel() for o in itertools.chain(*axes, *pairs.values())]
+    grad = [(up - down) / (2.0 * h) for up, down, h in zip(shifted[0::2], shifted[1::2], dx)]
+    vals = np.empty((len(tables), wc.size))
+    centre_cell, *cells = pde._cells(len(dx))
+    for row, (up, vp, _, _, sv), table in zip(vals, tables, stencil):
+        part = sum((table[c] * s for c, s in zip(cells, shifted)), table[centre_cell] * wc)
+        z = grad[0][:, None] * sv[:, 0, :]
+        for i in range(1, len(grad)):
+            z = z + grad[i][:, None] * sv[:, i, :]
+        np.add(part, eval_cost_rate(inst, t, x_rows, wc, z, up, vp), out=row)
+    vals = vals.reshape(len(inst.u_grid), len(inst.v_grid), wc.size)
+    return wc + dt * pde._minimax(which, vals)
+
+
+def per_pair_sweep(which, inst, grid, penalties=None):
+    """Every slice of a sweep stepped by :func:`per_pair_step`, then filled
+    and projected (or penalized, one weight per field) as the solver does."""
+    times, terminal = pde._times_and_terminal(inst, grid)
+    if penalties is not None:
+        terminal = np.broadcast_to(terminal, (len(penalties),) + grid.shape)
+        penalties = np.reshape(penalties, (-1,) + (1,) * grid.ndim)
+    interior = (Ellipsis,) + grid.interior()
+    fields = 1 if penalties is None else len(penalties)
+    x_int = grid.interior_nodes()
+    x_rows = np.concatenate([x_int] * fields)
+    slices = [terminal]
+    for k in range(grid.nt - 1, -1, -1):
+        t, dt = times[k], times[k + 1] - times[k]
+        if k == grid.nt - 1 or not inst.coeffs.time_homogeneous:
+            tables = pde._pair_tables(inst, t, x_int, fields)
+            stencil = pde._stencil_weights(tables, grid.dx())
+        w = np.zeros(terminal.shape)
+        w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
+                                    stencil).reshape(w[interior].shape)
+        pde._fill_boundary(w, grid, terminal)
+        h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
+        if penalties is None:
+            np.maximum(w, h, out=w)
+        else:
+            pde._penalize(w, h, penalties * dt)
+        slices.append(w)
+    return slices[::-1]
+
+
+def signed_correlation_game():
+    """``correlated_game`` with ``a_01 = 0.32 u``: mixed terms of both signs."""
+    inst = correlated_game()
+
+    def sigma(t, x, u, v):
+        return np.broadcast_to(np.array([[0.8, 0.0], [0.4 * u[0], 0.6]]), x.shape + (2,)).copy()
+
+    return dataclasses.replace(inst, coeffs=dataclasses.replace(inst.coeffs, sigma=sigma))
+
+
+STACKED_CASES = {
+    "american_put": lambda: (builtin_instance("american_put"), ((20.0, 300.0),), (57,)),
+    "minimax_2x2": lambda: (builtin_instance("minimax_gap"), ((-2.0, 2.0),), (41,)),
+    "minimax_3x3": lambda: (builtin_instance("minimax_gap", {
+        "u_points": [[-1.0], [0.0], [1.0]], "v_points": [[-1.0], [0.5], [1.0]]}),
+        ((-2.0, 2.0),), (41,)),
+    "correlated_2d": lambda: (signed_correlation_game(), ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    "correlated_2d_timed": lambda: (declare_homogeneous(signed_correlation_game(), False),
+                                    ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
+    inst, box, nx = STACKED_CASES[case]()
+    grid = sized(inst, box, nx, boundary)
+    if case.startswith("correlated"):
+        a01 = np.stack([a[:, 0, 1] for _, _, a, _, _ in pde._pair_tables(inst, 0.0,
+                                                                           grid.nodes(), 1)])
+        assert a01.min() < 0.0 < a01.max()
+    for which in HAMILTONIANS:
+        field = solve_obstacle_pde(which, inst, grid)
+        for mine, reference in zip(field.slices, per_pair_sweep(which, inst, grid), strict=True):
+            assert np.array_equal(mine, reference)
+    schedule = [1.0, 8.0, 64.0]
+    reference = per_pair_sweep("lower", inst, grid, schedule)
+    steps = 0
+    for k, slices in sweep_penalized(inst, grid, schedule):
+        assert np.array_equal(slices, reference[k])
+        steps += 1
+    assert steps == grid.nt + 1
 
 
 def test_hamiltonian_identity_trace():
