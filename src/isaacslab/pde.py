@@ -8,14 +8,14 @@ backwards in time on a truncated box, where H scans the finite control
 grids: the lower Hamiltonian maximises over the first player's grid the
 minimum over the second player's, the upper Hamiltonian swaps the order.
 
-The scheme is explicit, and one weight table per control pair is both
-its step and what its stability rule checks.  :func:`_stencil_weights`
-gives, per node, the centre weight and a weight per unit dt for each
-neighbour: up and down each axis (the three-point second quotient, and
-a first quotient that is central where the diffusion, net of the mixed
-terms, covers the drift on the cell and upwind elsewhere), then the four
-diagonal neighbours of each axis pair (the sign-split seven-point mixed
-quotient).  The step is monotone (Barles & Souganidis) when every
+The scheme is explicit, and one weight table over every control pair is
+both its step and what its stability rule checks.  :func:`_stencil_weights`
+gives, per pair and node, the centre weight and a weight per unit dt for
+each neighbour: up and down each axis (the three-point second quotient,
+and a first quotient that is central where the diffusion, net of the
+mixed terms, covers the drift on the cell and upwind elsewhere), then the
+four diagonal neighbours of each axis pair (the sign-split seven-point
+mixed quotient).  The step is monotone (Barles & Souganidis) when every
 neighbour weight is nonnegative, which no dt changes, and ``dt <= 1 /
 max(L_y - centre)`` over every node and control pair, with ``L_y`` the
 ``declared_lipschitz`` of the cost rate in the value.
@@ -29,8 +29,8 @@ against that step's own coefficients.  One effect lies outside the
 rule: a cost rate that reads the gradient ``z`` enters through central
 quotients that are not upwinded.
 
-Each step evolves the previous slice by one product of every pair's
-weight table with a read-only view of every node's neighbourhood
+Each step evolves the previous slice by one product of the weight
+table with a read-only view of every node's neighbourhood
 (:func:`_windows`, built once per sweep), summed in stencil order, and
 then applies either the obstacle projection ``max(., h)`` or the
 semi-implicit penalty update, at every node.  Boundary nodes follow the
@@ -42,13 +42,14 @@ per step for the whole batch, and a slice that is not finite stops the
 sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
-diffusion: per control pair it gates b and sigma once on the given
+diffusion: it gates b and sigma once per control pair on the given
 nodes (all of them for the stability rule, the interior ones for a
-solve) and forms sigma sigma^T.  A solve builds these tables, and the
-weight table with them, at its first step when the instance declares
-time-homogeneous dynamics (``Coefficients.time_homogeneous``) and at
-every step otherwise; the queries of a stored field
-(:func:`_field_stacks`) do the same.
+solve) and stacks them, with sigma sigma^T, over the pairs.  A solve
+builds these stacks, and the weight table with them, at its first step
+when the instance declares time-homogeneous dynamics
+(``Coefficients.time_homogeneous``) and at every step otherwise; the
+queries of a stored field (:func:`_field_stacks`) do the same, and read
+its slices through one neighbourhood view.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -260,37 +261,22 @@ def _check_dt(dt, bound, nt, where=""):
         )
 
 
-_OFFSET_SLICES = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
-
-
-@lru_cache(maxsize=None)
-def _neighbours(ndim):
-    """Index tuples of the interior block and of its shifted copies.
-
-    Returns ``(centre, axes, pairs)``: ``axes[i]`` holds the blocks one
-    node up and one node down axis ``i``, and ``pairs[i, j]`` for
-    ``i < j`` the diagonal blocks shifted (+, +), (-, -), (+, -), (-, +).
-    The tuples index the trailing ``ndim`` axes, so leading batch axes
-    pass through.
-    """
-    def shifted(*moves):
-        offsets = dict(moves)
-        return (Ellipsis,) + tuple(_OFFSET_SLICES[offsets.get(k, 0)] for k in range(ndim))
-
-    axes = [(shifted((i, 1)), shifted((i, -1))) for i in range(ndim)]
-    pairs = {(i, j): (shifted((i, 1), (j, 1)), shifted((i, -1), (j, -1)),
-                      shifted((i, 1), (j, -1)), shifted((i, -1), (j, 1)))
-             for i, j in combinations(range(ndim), 2)}
-    return shifted(), axes, pairs
-
-
 @lru_cache(maxsize=None)
 def _cells(ndim):
-    """The :func:`_windows` cells of the centre and of the :func:`_neighbours`
-    blocks, in order: cell ``c`` holds the node at offset ``c - 1``."""
-    centre, axes, pairs = _neighbours(ndim)
-    return [tuple(s.start or 0 for s in block[1:])
-            for block in chain([centre], *axes, *pairs.values())]
+    """The :func:`_windows` cells of the stencil, in its order.
+
+    Cell ``c`` holds the node at offset ``c - 1``: the centre, up then
+    down each axis, then the diagonal neighbours (+, +), (-, -), (+, -),
+    (-, +) of each axis pair ``i < j``.
+    """
+    def cell(*moves):
+        offsets = dict(moves)
+        return tuple(1 + offsets.get(k, 0) for k in range(ndim))
+
+    axes = [cell((i, sign)) for i in range(ndim) for sign in (1, -1)]
+    pairs = [cell((i, si), (j, sj)) for i, j in combinations(range(ndim), 2)
+             for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    return (cell(), *axes, *pairs)
 
 
 def _windows(store, ndim):
@@ -305,26 +291,6 @@ def _windows(store, ndim):
     return np.lib.stride_tricks.as_strided(
         store, store.shape[:1] + (3,) * ndim + store.shape[1:lead] + interior,
         store.strides[:1] + space + store.strides[1:lead] + space, writeable=False)
-
-
-def _differences(w, dx):
-    """Central difference quotients of ``w`` at its interior nodes, flattened.
-
-    Returns ``(wc, d2, central, cross)``: the interior values, per axis
-    the three-point second quotient and the central first quotient, and
-    per axis pair ``i < j`` the four-point central mixed quotient
-    ``cross[i, j]``.
-    """
-    centre, axes, pairs = _neighbours(len(dx))
-    wc = w[centre]
-    d2, central = [], []
-    for h, (up, down) in zip(dx, axes):
-        wp, wm = w[up], w[down]
-        d2.append(((wp - 2.0 * wc + wm) / (h * h)).ravel())
-        central.append(((wp - wm) / (2.0 * h)).ravel())
-    cross = {(i, j): ((w[pp] + w[mm] - w[pm] - w[mp]) / (4.0 * dx[i] * dx[j])).ravel()
-             for (i, j), (pp, mm, pm, mp) in pairs.items()}
-    return wc.ravel(), d2, central, cross
 
 
 def _minimax(which, pair_values):
@@ -342,37 +308,38 @@ def _minimax(which, pair_values):
 def _pair_tables(instance, t, x, fields):
     """Drift and diffusion of every control pair on the nodes ``x`` at time ``t``.
 
-    Returns one ``(u, v, a, b, sigma)`` per pair, u-major, with
-    ``a = sigma sigma^T``; each array is repeated for ``fields`` fields,
-    so ``a``, ``b`` and ``sigma`` have B * m rows, field by field.
+    Returns ``(controls, a, b, sigma)``: ``controls`` the P pairs ``(u,
+    v)``, u-major, and the pairs' coefficients stacked over them, ``a =
+    sigma sigma^T`` (P, rows, n, n), ``b`` (P, rows, n) and ``sigma``
+    (P, rows, n, d).  Each pair's drift is gated before its diffusion.
+    The rows are the nodes repeated for ``fields`` fields, so B * m
+    rows, field by field.
     """
-    tables = []
-    for up in instance.u_grid.points:
-        for vp in instance.v_grid.points:
-            bv = eval_drift(instance, t, x, up, vp)
-            sv = eval_diffusion(instance, t, x, up, vp)
-            a = np.einsum("mik,mjk->mij", sv, sv)
-            if fields > 1:
-                a, bv, sv = (np.concatenate([arr] * fields) for arr in (a, bv, sv))
-            tables.append((up, vp, a, bv, sv))
-    return tables
+    controls = tuple(product(instance.u_grid.points, instance.v_grid.points))
+    b, sigma = (np.stack(arrs) for arrs in zip(*[
+        (eval_drift(instance, t, x, up, vp), eval_diffusion(instance, t, x, up, vp))
+        for up, vp in controls]))
+    a = np.einsum("pmik,pmjk->pmij", sigma, sigma)
+    if fields > 1:
+        a, b, sigma = (np.concatenate([arr] * fields, axis=1) for arr in (a, b, sigma))
+    return controls, a, b, sigma
 
 
-def _generator_stack(instance, t, x_rows, y, grad, tables, sigmas, parts):
+def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
     """Generator values for every control pair, shape (nu, nv, B * m).
 
     ``y`` and each of ``grad`` hold B fields at the nodes ``x_rows``
-    (B * m rows, field by field), ``tables`` are their
-    :func:`_pair_tables` and ``sigmas`` the tables' diffusions stacked,
-    (P, B * m, n, d).  The cost rate is added in place to the pairs'
+    (B * m rows, field by field) and ``tables`` are their
+    :func:`_pair_tables`.  The cost rate is added in place to the pairs'
     second-order plus drift parts ``parts`` (P, B * m), evaluated once
     per pair on all rows with ``z = q sigma``, where ``grad`` holds the
     columns of the gradient ``q``, one per axis.
     """
-    z = grad[0][:, None] * sigmas[:, :, 0, :]
+    controls, _, _, sigma = tables
+    z = grad[0][:, None] * sigma[:, :, 0, :]
     for i in range(1, len(grad)):
-        z = z + grad[i][:, None] * sigmas[:, :, i, :]
-    for row, (up, vp, *_), zp in zip(parts, tables, z):
+        z = z + grad[i][:, None] * sigma[:, :, i, :]
+    for row, (up, vp), zp in zip(parts, controls, z):
         row += eval_cost_rate(instance, t, x_rows, y, zp, up, vp)
     return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
@@ -380,12 +347,13 @@ def _generator_stack(instance, t, x_rows, y, grad, tables, sigmas, parts):
 def _stencil_weights(tables, dx):
     """The weight table of the explicit step, which depends on ``(a, b)`` only.
 
-    Shaped like a :func:`_windows` slot with a leading pair axis, ``(P,
-    *(3,) * ndim, rows)``: pair ``p``'s second-order plus drift part at
-    a node is the sum over the :func:`_cells` of its window, in their
-    order, of ``table[p][c]`` times the value in cell ``c``.  The drift
-    quotient on axis ``i`` is central where the diffusion net of the
-    mixed terms covers the drift on the cell,
+    Every pair of the :func:`_pair_tables` ``tables`` at once, shaped
+    like a :func:`_windows` slot with a leading pair axis, ``(P, *(3,) *
+    ndim, rows)``: pair ``p``'s second-order plus drift part at a node is
+    the sum over the :func:`_cells` of its window, in their order, of
+    ``table[p][c]`` times the value in cell ``c``.  The drift quotient
+    on axis ``i`` is central where the diffusion net of the mixed terms
+    covers the drift on the cell,
 
         slack_i = a_ii - sum_{j != i} |a_ij| dx_i / dx_j >= |b_i| dx_i,
 
@@ -394,44 +362,43 @@ def _stencil_weights(tables, dx):
     weights sum to zero, their first moment is ``b`` and their second
     ``a``, plus ``|b_i| dx_i`` on the diagonal of an upwinded axis.
     """
-    table = np.zeros((len(tables),) + (3,) * len(dx) + (len(tables[0][2]),))
-    for pair, (_, _, a, b, _) in zip(table, tables):
-        mixed = {(i, j): a[:, i, j] for i, j in combinations(range(len(dx)), 2)}
-        slack = [a[:, i, i] for i in range(len(dx))]
-        for (i, j), aij in mixed.items():
-            slack[i] = slack[i] - np.abs(aij) * (dx[i] / dx[j])
-            slack[j] = slack[j] - np.abs(aij) * (dx[j] / dx[i])
-        centre, weights = 0.0, []
-        for i, h in enumerate(dx):
-            bh = b[:, i] * h
-            central = slack[i] >= np.abs(bh)
-            # times 2 dx_i^2: a central quotient moves b_i dx_i from one neighbour
-            # to the other, an upwind one adds 2 |b_i| dx_i downwind
-            up = np.where(central, slack[i] + bh, slack[i] + 2.0 * np.maximum(bh, 0.0))
-            down = np.where(central, slack[i] - bh, slack[i] - 2.0 * np.minimum(bh, 0.0))
-            weights += [up / (2.0 * h * h), down / (2.0 * h * h)]
-            centre = centre - a[:, i, i] / (h * h) - np.where(central, 0.0, np.abs(b[:, i]) / h)
-        for (i, j), aij in mixed.items():
-            # (+, +) and (-, -) where a_ij >= 0, (+, -) and (-, +) elsewhere
-            corner = np.abs(aij) / (2.0 * dx[i] * dx[j])
-            plus = np.where(aij >= 0.0, corner, 0.0)
-            minus = np.where(aij >= 0.0, 0.0, corner)
-            weights += [plus, plus, minus, minus]
-            centre = centre + np.abs(aij) / (dx[i] * dx[j])
-        for cell, weight in zip(_cells(len(dx)), [centre, *weights]):
-            pair[cell] = weight
+    _, a, b, _ = tables
+    mixed = {(i, j): a[..., i, j] for i, j in combinations(range(len(dx)), 2)}
+    slack = [a[..., i, i] for i in range(len(dx))]
+    for (i, j), aij in mixed.items():
+        slack[i] = slack[i] - np.abs(aij) * (dx[i] / dx[j])
+        slack[j] = slack[j] - np.abs(aij) * (dx[j] / dx[i])
+    centre, weights = 0.0, []
+    for i, h in enumerate(dx):
+        bh = b[..., i] * h
+        central = slack[i] >= np.abs(bh)
+        # times 2 dx_i^2: a central quotient moves b_i dx_i from one neighbour
+        # to the other, an upwind one adds 2 |b_i| dx_i downwind
+        up = np.where(central, slack[i] + bh, slack[i] + 2.0 * np.maximum(bh, 0.0))
+        down = np.where(central, slack[i] - bh, slack[i] - 2.0 * np.minimum(bh, 0.0))
+        weights += [up / (2.0 * h * h), down / (2.0 * h * h)]
+        centre = centre - a[..., i, i] / (h * h) - np.where(central, 0.0, np.abs(b[..., i]) / h)
+    for (i, j), aij in mixed.items():
+        # (+, +) and (-, -) where a_ij >= 0, (+, -) and (-, +) elsewhere
+        corner = np.abs(aij) / (2.0 * dx[i] * dx[j])
+        plus = np.where(aij >= 0.0, corner, 0.0)
+        minus = np.where(aij >= 0.0, 0.0, corner)
+        weights += [plus, plus, minus, minus]
+        centre = centre + np.abs(aij) / (dx[i] * dx[j])
+    table = np.zeros(b.shape[:1] + (3,) * len(dx) + b.shape[1:2])
+    for cell, weight in zip(_cells(len(dx)), [centre, *weights]):
+        table[(slice(None), *cell)] = weight
     return table
 
 
-def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, sigmas, out):
+def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, out):
     """One explicit backward step from ``window``, a :func:`_windows` slot, into ``out``.
 
-    ``tables`` are the step's :func:`_pair_tables`, ``weights`` their
-    :func:`_stencil_weights` in the window's shape and ``sigmas`` their
-    diffusions stacked.  One product weighs every cell for every pair,
-    and the cells are summed in stencil order, so each pair's part
-    rounds as the sum of its weights times its neighbours from the
-    centre on.
+    ``tables`` are the step's :func:`_pair_tables` and ``weights`` their
+    :func:`_stencil_weights` in the window's shape.  One product weighs
+    every cell for every pair, and the cells are summed in stencil
+    order, so each pair's part rounds as the sum of its weights times
+    its neighbours from the centre on.
     """
     cells = _cells(len(dx))
     weighed = weights * window
@@ -442,7 +409,7 @@ def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, sig
     # the axis neighbours follow the centre, up then down on each axis
     grad = [((window[up] - window[down]) / (2.0 * h)).ravel()
             for up, down, h in zip(cells[1::2], cells[2::2], dx)]
-    vals = _generator_stack(instance, t, x_rows, wc.ravel(), grad, tables, sigmas,
+    vals = _generator_stack(instance, t, x_rows, wc.ravel(), grad, tables,
                             parts.reshape(len(parts), -1))
     np.add(wc, dt * _minimax(which, vals).reshape(wc.shape), out=out)
 
@@ -517,13 +484,12 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
             tables = _pair_tables(instance, t, x_int, fields)
             stencil = _stencil_weights(tables, dx)
             table = stencil.reshape(stencil.shape[:-1] + interior_shape)
-            sigmas = np.stack([sv for *_, sv in tables])
         if not homogeneous:
             rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
             _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
         _step_slice(which, instance, t, dt, windows[(k + 1) % slots], x_rows, dx, tables,
-                    table, sigmas, w[interior])
+                    table, w[interior])
         _fill_boundary(w, grid, terminal)
         h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
         if weights is None:
@@ -607,10 +573,9 @@ def _hamiltonian_stack(instance, t, x, y, q, xmat, tables):
 
     ``tables`` are the :func:`_pair_tables` of ``x``.
     """
-    parts = np.stack([0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
-                      for _, _, a, b, _ in tables])
-    sigmas = np.stack([sv for *_, sv in tables])
-    return _generator_stack(instance, t, x, y, q.T, tables, sigmas, parts)
+    _, a, b, _ = tables
+    parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
+    return _generator_stack(instance, t, x, y, q.T, tables, parts)
 
 
 def _argopt(which, vals):
@@ -668,26 +633,35 @@ def _field_stacks(field, instance):
 
     Returns ``stack(t, k) -> (x, w, vals)``: the interior nodes, slice
     ``k`` on them, and the (nu, nv, m) generator values of every control
-    pair at time ``t`` with the slice's central difference data.  The
-    pair tables of drift and diffusion are built at the first call for
-    time-homogeneous dynamics and at every call otherwise.
+    pair at time ``t`` with the slice's central difference data, read
+    off the cells of slot ``k`` of one :func:`_windows` view of the
+    stored slices.  The pair tables of drift and diffusion are built at
+    the first call for time-homogeneous dynamics and at every call
+    otherwise.
     """
     grid = field.grid
     x = grid.interior_nodes()
+    dx = grid.dx()
+    windows = _windows(field.slices, grid.ndim)
     tables = None
 
     def stack(t, k):
         nonlocal tables
-        wc, d2, central, cross = _differences(field.slices[k], grid.dx())
+        wc, *near = (windows[k][cell].ravel() for cell in _cells(grid.ndim))
+        q = np.empty((wc.size, grid.ndim))
         xmat = np.empty((wc.size, grid.ndim, grid.ndim))
-        for i, d2_i in enumerate(d2):
-            xmat[:, i, i] = d2_i
-        for (i, j), mixed in cross.items():
-            xmat[:, i, j] = xmat[:, j, i] = mixed
+        for i, h in enumerate(dx):
+            wp, wm = near[2 * i], near[2 * i + 1]
+            xmat[:, i, i] = (wp - 2.0 * wc + wm) / (h * h)
+            q[:, i] = (wp - wm) / (2.0 * h)
+        # the diagonal cells follow the axis ones, four per axis pair
+        corners = near[2 * grid.ndim:]
+        for p, (i, j) in enumerate(combinations(range(grid.ndim), 2)):
+            pp, mm, pm, mp = corners[4 * p:4 * p + 4]
+            xmat[:, i, j] = xmat[:, j, i] = (pp + mm - pm - mp) / (4.0 * dx[i] * dx[j])
         if tables is None or not instance.coeffs.time_homogeneous:
             tables = _pair_tables(instance, t, x, 1)
-        return x, wc, _hamiltonian_stack(instance, t, x, wc, np.stack(central, axis=1),
-                                         xmat, tables)
+        return x, wc, _hamiltonian_stack(instance, t, x, wc, q, xmat, tables)
 
     return stack
 

@@ -449,8 +449,9 @@ def builtin_instance(name, params=None):
         raise ValueError(f"unknown parameters for {name!r}: {', '.join(unknown)}")
     resolved = {key: np.atleast_2d(value) if key.endswith("_points") else float(value)
                 for key, value in {**defaults, **given}.items()}
-    coeffs = build(resolved)
+    # the grids first: they refuse an empty grid that a builder would reduce
     u_grid, v_grid = (ControlGrid(resolved[key], key[0]) if key in resolved
                       else ControlGrid.singleton() for key in ("u_points", "v_points"))
+    coeffs = build(resolved)
     return GameInstance(n=1, d=1, T=resolved["T"], coeffs=coeffs, u_grid=u_grid,
                         v_grid=v_grid, label=name, params=resolved)

@@ -395,6 +395,19 @@ def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["u_points", "v_points"])
+def test_empty_control_grid_exits_2_naming_the_grid(tmp_path, capsys, key):
+    # minimax_gap's coefficients reduce |u_points| and |v_points|: an empty grid
+    # used to exit 2 with numpy's "zero-size array to reduction operation"
+    raw = _with(_MINIMAX, "instance", "params", {key: []})
+    cfg = write_config(tmp_path, "empty.json",
+                       _with(raw, "output", "directory", str(tmp_path / "out")))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert "control grid must be nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, monkeypatch):
     # no builtin is two-dimensional, so the parser is handed a correlated 2-D
     # game; on cells five times wider than high no time step is monotone

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from isaacslab import pde
+from isaacslab import analysis, pde
 from isaacslab.analysis import feedback_from_field, response_feedback
 from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
@@ -28,6 +28,7 @@ from isaacslab.problems import (
     BUILTIN_NAMES,
     builtin_instance,
     eval_cost_rate,
+    eval_diffusion,
     eval_drift,
     eval_obstacle,
     eval_terminal,
@@ -229,7 +230,7 @@ def test_stencil_weights_are_locally_consistent(case, upwinds):
     tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
     upwinded = 0
     centre_cell, *cells = pde._cells(n)
-    for (_, _, a, b, _), table in zip(tables, pde._stencil_weights(tables, dx)):
+    for a, b, table in zip(tables[1], tables[2], pde._stencil_weights(tables, dx)):
         centre = table[centre_cell]
         w = np.stack([table[cell] for cell in cells], axis=1)          # (m, offsets)
         scale = np.abs(w).sum(axis=1) + np.abs(centre)
@@ -247,17 +248,103 @@ def test_stencil_weights_are_locally_consistent(case, upwinds):
     assert (upwinded > 0) == upwinds
 
 
+OFFSET_SLICES = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
+
+
+def neighbour_blocks(ndim):
+    """Index tuples of the interior block and of its shifted copies, a
+    reference for the window cells: ``(centre, axes, pairs)``, with
+    ``axes[i]`` the blocks one node up and one node down axis ``i`` and
+    ``pairs[i, j]`` the diagonal blocks (+, +), (-, -), (+, -), (-, +)."""
+    def shifted(*moves):
+        offsets = dict(moves)
+        return (Ellipsis,) + tuple(OFFSET_SLICES[offsets.get(k, 0)] for k in range(ndim))
+
+    axes = [(shifted((i, 1)), shifted((i, -1))) for i in range(ndim)]
+    pairs = {(i, j): (shifted((i, 1), (j, 1)), shifted((i, -1), (j, -1)),
+                      shifted((i, 1), (j, -1)), shifted((i, -1), (j, 1)))
+             for i, j in itertools.combinations(range(ndim), 2)}
+    return shifted(), axes, pairs
+
+
+def per_pair_tables(inst, t, x, fields):
+    """Drift and diffusion pair by pair, a reference for the stacked tables:
+    one ``(u, v, a, b, sigma)`` per pair, u-major, each array repeated for
+    ``fields`` fields."""
+    tables = []
+    for up in inst.u_grid.points:
+        for vp in inst.v_grid.points:
+            bv = eval_drift(inst, t, x, up, vp)
+            sv = eval_diffusion(inst, t, x, up, vp)
+            a = np.einsum("mik,mjk->mij", sv, sv)
+            if fields > 1:
+                a, bv, sv = (np.concatenate([arr] * fields) for arr in (a, bv, sv))
+            tables.append((up, vp, a, bv, sv))
+    return tables
+
+
+def differences(w, dx):
+    """Central difference quotients of ``w`` at its interior nodes from the
+    shifted blocks, flattened: ``(wc, d2, central, cross)``, with per axis
+    the second and the first quotient and per axis pair the mixed one."""
+    centre, axes, pairs = neighbour_blocks(len(dx))
+    wc = w[centre]
+    d2, central = [], []
+    for h, (up, down) in zip(dx, axes):
+        wp, wm = w[up], w[down]
+        d2.append(((wp - 2.0 * wc + wm) / (h * h)).ravel())
+        central.append(((wp - wm) / (2.0 * h)).ravel())
+    cross = {(i, j): ((w[pp] + w[mm] - w[pm] - w[mp]) / (4.0 * dx[i] * dx[j])).ravel()
+             for (i, j), (pp, mm, pm, mp) in pairs.items()}
+    return wc.ravel(), d2, central, cross
+
+
+def per_pair_hamiltonian(inst, t, x, y, q, xmat, tables):
+    """Generator values at ``(q, xmat)`` pair by pair from
+    :func:`per_pair_tables`, shape (nu, nv, m)."""
+    vals = np.empty((len(tables), y.size))
+    for row, (up, vp, a, b, sv) in zip(vals, tables):
+        z = q[:, :1] * sv[:, 0, :]
+        for i in range(1, q.shape[1]):
+            z = z + q[:, i:i + 1] * sv[:, i, :]
+        part = 0.5 * np.einsum("mij,mij->m", a, xmat) + np.einsum("mi,mi->m", q, b)
+        np.add(part, eval_cost_rate(inst, t, x, y, z, up, vp), out=row)
+    return vals.reshape(len(inst.u_grid), len(inst.v_grid), y.size)
+
+
+def per_pair_field_stacks(field, inst):
+    """``pde._field_stacks`` from the shifted blocks and the per-pair tables."""
+    grid = field.grid
+    x = grid.interior_nodes()
+    tables = None
+
+    def stack(t, k):
+        nonlocal tables
+        wc, d2, central, cross = differences(field.slices[k], grid.dx())
+        xmat = np.empty((wc.size, grid.ndim, grid.ndim))
+        for i, d2_i in enumerate(d2):
+            xmat[:, i, i] = d2_i
+        for (i, j), mixed in cross.items():
+            xmat[:, i, j] = xmat[:, j, i] = mixed
+        if tables is None or not inst.coeffs.time_homogeneous:
+            tables = per_pair_tables(inst, t, x, 1)
+        return x, wc, per_pair_hamiltonian(inst, t, x, wc, np.stack(central, axis=1), xmat,
+                                           tables)
+
+    return stack
+
+
 def quotient_step(which, inst, t, dt, w, grid, tables):
     """The explicit step in difference-quotient form, a reference for the
     weight table: per axis the three-point second quotient and a central,
     forward or backward first quotient, per axis pair the sign-split
     seven-point mixed quotient."""
     dx = grid.dx()
-    centre, axes, pairs = pde._neighbours(grid.ndim)
+    centre, axes, pairs = neighbour_blocks(grid.ndim)
     wc = w[centre].ravel()
     near = [(w[up].ravel(), w[down].ravel()) for up, down in axes]
     parts = []
-    for _, _, a, b, _ in tables:
+    for a, b in zip(tables[1], tables[2]):
         part = 0.0
         slack = diffusion_slack(a, dx)
         for i, ((wp, wm), h) in enumerate(zip(near, dx)):
@@ -272,8 +359,7 @@ def quotient_step(which, inst, t, dt, w, grid, tables):
             part = part + a[:, i, j] * np.where(a[:, i, j] >= 0.0, plus, minus)
         parts.append(part)
     grad = [(wp - wm) / (2.0 * h) for (wp, wm), h in zip(near, dx)]
-    sigmas = np.stack([sv for *_, sv in tables])
-    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables, sigmas,
+    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables,
                                 np.stack(parts))
     return wc + dt * pde._minimax(which, vals)
 
@@ -285,8 +371,7 @@ def stacked_step(which, inst, t, dt, w, grid, tables):
     table = pde._stencil_weights(tables, grid.dx())
     pde._step_slice(which, inst, t, dt, pde._windows(w[None], grid.ndim)[0],
                     grid.interior_nodes(), grid.dx(), tables,
-                    table.reshape(table.shape[:-1] + out.shape),
-                    np.stack([sv for *_, sv in tables]), out)
+                    table.reshape(table.shape[:-1] + out.shape), out)
     return out.ravel()
 
 
@@ -313,7 +398,7 @@ def test_window_cells_are_the_neighbour_blocks_in_stencil_order(rng, ndim, batch
     store = rng.normal(size=(3,) + batch + shape)
     windows = pde._windows(store, ndim)
     assert windows.shape == (3,) + (3,) * ndim + batch + tuple(k - 2 for k in shape)
-    centre, axes, pairs = pde._neighbours(ndim)
+    centre, axes, pairs = neighbour_blocks(ndim)
     blocks = [centre, *itertools.chain(*axes, *pairs.values())]
     cells = pde._cells(ndim)
     # in one and two dimensions the stencil fills its window
@@ -330,13 +415,14 @@ def per_pair_step(which, inst, t, dt, w, x_rows, dx, tables, stencil):
     """The explicit step pair by pair, a bitwise reference for the stacked
     one: the shifted blocks of ``w`` raveled once, each pair's part summed
     from the centre on and its ``z`` formed on its own."""
-    centre, axes, pairs = pde._neighbours(len(dx))
+    centre, axes, pairs = neighbour_blocks(len(dx))
     wc = w[centre].ravel()
     shifted = [w[o].ravel() for o in itertools.chain(*axes, *pairs.values())]
     grad = [(up - down) / (2.0 * h) for up, down, h in zip(shifted[0::2], shifted[1::2], dx)]
-    vals = np.empty((len(tables), wc.size))
+    controls, _, _, sigma = tables
+    vals = np.empty((len(controls), wc.size))
     centre_cell, *cells = pde._cells(len(dx))
-    for row, (up, vp, _, _, sv), table in zip(vals, tables, stencil):
+    for row, (up, vp), sv, table in zip(vals, controls, sigma, stencil):
         part = sum((table[c] * s for c, s in zip(cells, shifted)), table[centre_cell] * wc)
         z = grad[0][:, None] * sv[:, 0, :]
         for i in range(1, len(grad)):
@@ -404,8 +490,7 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
     inst, box, nx = STACKED_CASES[case]()
     grid = sized(inst, box, nx, boundary)
     if case.startswith("correlated"):
-        a01 = np.stack([a[:, 0, 1] for _, _, a, _, _ in pde._pair_tables(inst, 0.0,
-                                                                           grid.nodes(), 1)])
+        a01 = pde._pair_tables(inst, 0.0, grid.nodes(), 1)[1][..., 0, 1]
         assert a01.min() < 0.0 < a01.max()
     for which in HAMILTONIANS:
         field = solve_obstacle_pde(which, inst, grid)
@@ -418,6 +503,75 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
         assert np.array_equal(slices, reference[k])
         steps += 1
     assert steps == grid.nt + 1
+
+
+@pytest.mark.parametrize("fields", [1, 3])
+@pytest.mark.parametrize("case", ["american_put", "minimax_3x3", "correlated_2d"])
+def test_pair_tables_are_the_per_pair_tables_stacked(case, fields):
+    inst, box, nx = STACKED_CASES[case]()
+    x = SpaceTimeGrid(box=box, nx=nx, nt=1).interior_nodes()
+    controls, a, b, sigma = pde._pair_tables(inst, 0.25, x, fields)
+    reference = per_pair_tables(inst, 0.25, x, fields)
+    assert a.shape == (len(reference), fields * len(x), inst.n, inst.n)
+    assert len(controls) == len(reference)
+    for (u, v), ap, bp, sp, (ru, rv, ra, rb, rs) in zip(controls, a, b, sigma, reference):
+        assert np.array_equal(u, ru) and np.array_equal(v, rv)
+        assert np.array_equal(ap, ra) and np.array_equal(bp, rb) and np.array_equal(sp, rs)
+
+
+def random_game(rng, n, d):
+    """A game with state-dependent drift and diffusion of random scale, 2 x 3
+    controls and a cost rate that reads y and every component of z."""
+    scale_b, scale_s = rng.normal(size=n), rng.normal(size=(n, d))
+    return make_instance(
+        n=n, d=d,
+        b=lambda t, x, u, v: np.sin(x + u[0]) * scale_b + v[0],
+        sigma=lambda t, x, u, v: (1.0 + 0.3 * np.cos(x[:, :1, None] * v[0])) * scale_s + u[0],
+        f=lambda t, x, y, z, u, v: u[0] * y + v[0] * z.sum(axis=1),
+        u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5], [2.0]])
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_stacked_products_are_the_per_pair_products(rng, n, d):
+    # a = sigma sigma^T and the generator's contractions, stacked over the
+    # pairs, round as the per-pair einsums do
+    inst = random_game(rng, n, d)
+    x = rng.uniform(-2.0, 2.0, size=(37, n))
+    tables = pde._pair_tables(inst, 0.3, x, 1)
+    reference = per_pair_tables(inst, 0.3, x, 1)
+    assert all(np.array_equal(ap, ra) for ap, (_, _, ra, _, _) in zip(tables[1], reference))
+    y, q, xmat = rng.normal(size=37), rng.normal(size=(37, n)), rng.normal(size=(37, n, n))
+    assert np.array_equal(pde._hamiltonian_stack(inst, 0.3, x, y, q, xmat, tables),
+                          per_pair_hamiltonian(inst, 0.3, x, y, q, xmat, reference))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("case", ["american_put", "minimax_3x3", "correlated_2d"])
+def test_field_stacks_are_the_shifted_block_stacks_bit_for_bit(monkeypatch, case, homogeneous):
+    inst, box, nx = STACKED_CASES[case]()
+    inst = declare_homogeneous(inst, homogeneous)
+    grid = sized(inst, box, nx)
+    for which in HAMILTONIANS:
+        field = solve_obstacle_pde(which, inst, grid)
+        mine, reference = pde._field_stacks(field, inst), per_pair_field_stacks(field, inst)
+        for k in (0, 1, grid.nt // 2, grid.nt - 1):
+            t = float(field.times[k])
+            for got, expected in zip(mine(t, k), reference(t, k), strict=True):
+                assert np.array_equal(got, expected)
+        # the residual and the feedback indices of a run on the reference helpers
+        runs = []
+        for stacks in (pde._field_stacks, per_pair_field_stacks):
+            monkeypatch.setattr(pde, "_field_stacks", stacks)
+            monkeypatch.setattr(analysis, "_field_stacks", stacks)
+            run = [complementarity_residual(field, inst)[1]]
+            if grid.ndim == 1:
+                u, v = feedback_from_field(field, inst)
+                nodes = grid.nodes()
+                run += [ctrl.rule(0, t, nodes) for t in field.times[::5] for ctrl in (u, v)]
+            runs.append(run)
+        monkeypatch.undo()
+        for got, expected in zip(*runs, strict=True):
+            assert np.array_equal(got, expected)
 
 
 def test_hamiltonian_identity_trace():
