@@ -37,9 +37,10 @@ semi-implicit penalty update, at every node.  Boundary nodes follow the
 grid policy: linear extrapolation from the two nearest interior nodes
 (default, consistent with linear growth of the value) or freezing at
 the terminal data.  A batch of fields, one per penalty weight, is
-stepped in one sweep that evaluates the cost rate and the obstacle once
-per step for the whole batch, and a slice that is not finite stops the
-sweep with a divergence error.
+stepped in one sweep that evaluates the cost rate once per step and the
+obstacle once per step (once per sweep when the instance declares it
+static, ``Coefficients.static_obstacle``) for the whole batch, and a
+slice that is not finite stops the sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: it gates b and sigma once per control pair on the given
@@ -447,10 +448,11 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     slices, shape ``(B, *grid.shape)``.  ``weights`` is None for the
     obstacle projection ``max(., h)``, or the penalty weight (one per
     field) of the semi-implicit penalty update.  Every step evaluates
-    the obstacle once and each control pair's cost rate once for the
-    whole batch; the pair tables of drift and diffusion are built at the
-    first step for time-homogeneous dynamics and at every step otherwise,
-    where a step longer than its own tables allow raises :class:`CflError`.
+    each control pair's cost rate once for the whole batch; the obstacle,
+    held at the batch's shape, and the pair tables of drift and diffusion
+    are built at the first step for a static obstacle and time-homogeneous
+    dynamics and at every step otherwise, where a step longer than its own
+    tables allow raises :class:`CflError`.
     Slice ``k`` is written to ``store[k % len(store)]``: a store with
     one slot per time keeps every slice, one with two slots only the
     latest two.  In two dimensions the boundary fill of the first axis
@@ -469,7 +471,9 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     interior_shape = batch + tuple(k - 2 for k in shape)
     dx = grid.dx()
     if weights is not None:
-        weights = np.reshape(weights, batch + (1,) * grid.ndim)
+        # held at the batch's shape, as is the obstacle: same-shape operands
+        # make the penalty update cheaper than broadcast ones
+        weights = np.repeat(weights, math.prod(shape)).reshape(terminal.shape)
     times = np.asarray(times, dtype=float).tolist()
     slots = len(store)
     windows = _windows(store, grid.ndim)
@@ -491,11 +495,12 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
         _step_slice(which, instance, t, dt, windows[(k + 1) % slots], x_rows, dx, tables,
                     table, w[interior])
         _fill_boundary(w, grid, terminal)
-        h_k = eval_obstacle(instance, t, nodes_all).reshape(shape)
+        if k == steps - 1 or not instance.coeffs.static_obstacle:
+            h = np.broadcast_to(eval_obstacle(instance, t, nodes_all).reshape(shape), w.shape).copy()
         if weights is None:
-            np.maximum(w, h_k, out=w)
+            np.maximum(w, h, out=w)
         else:
-            _penalize(w, h_k, weights * dt)
+            _penalize(w, h, weights * dt)
         if np.count_nonzero(np.isfinite(w)) != w.size:  # cheaper than .all()
             raise DivergenceError(
                 f"value field turned non-finite at time step {k} (t = {t:.6g}); "
@@ -671,7 +676,8 @@ def complementarity_residual(field, instance, inner_only=False):
 
     At each interior node evaluates
     ``r = min(w - h, -dw/dt - H(t, x, w, Dw, D2w))`` with forward time
-    quotients and central space quotients.  Returns the supremum of
+    quotients, central space quotients and h read at every slice (at
+    the first alone for a static obstacle).  Returns the supremum of
     ``|r|`` together with the per-slice maxima.  ``inner_only`` restricts
     the spatial maxima to the central sub-box, away from the truncation
     boundary.  Note the residual is a genuine independent measure: it
@@ -691,7 +697,8 @@ def complementarity_residual(field, instance, inner_only=False):
         t = float(field.times[k])
         dt = float(field.times[k + 1] - field.times[k])
         x_int, wc, vals = stack(t, k)
-        h_int = eval_obstacle(instance, t, x_int)
+        if k == 0 or not instance.coeffs.static_obstacle:
+            h_int = eval_obstacle(instance, t, x_int)
         dwdt = (field.slices[k + 1][interior].ravel() - wc) / dt
         r = np.minimum(wc - h_int, -dwdt - _minimax(field.kind, vals))
         per_slice[k] = float(np.abs(r[keep]).max())

@@ -18,7 +18,9 @@ turns any failure into an ``EvaluationError`` carrying the point.
 
 Dynamics declared time-homogeneous (``Coefficients.time_homogeneous``:
 b and sigma do not read ``t``) are evaluated once per grid solve rather
-than once per step; :func:`validate_instance` probes the declaration.
+than once per step, and an obstacle declared static
+(``Coefficients.static_obstacle``: h does not read ``t``) once per grid
+sweep; :func:`validate_instance` probes both declarations.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -84,8 +86,10 @@ class Coefficients:
     (and, for the cost rate, in value and gradient arguments);
     ``declared_growth`` bounds the linear-growth constants.
     ``time_homogeneous`` declares that b and sigma do not depend on t, so
-    the grid solver may evaluate them once per solve.  All three are
-    checked by probing in :func:`validate_instance`, not symbolically.
+    the grid solver may evaluate them once per solve; ``static_obstacle``
+    declares the same of h, which the grid solver then evaluates once per
+    sweep.  All four are checked by probing in :func:`validate_instance`,
+    not symbolically.
     """
 
     b: Callable
@@ -96,6 +100,7 @@ class Coefficients:
     declared_lipschitz: float
     declared_growth: float
     time_homogeneous: bool = False
+    static_obstacle: bool = False
 
     def __post_init__(self):
         if self.declared_lipschitz <= 0:
@@ -229,7 +234,8 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     * linear-growth bounds against ``declared_growth``,
     * the barrier condition ``h(T, x) <= phi(x)``,
     * for dynamics declared time-homogeneous, equality of b and sigma at
-      each probe's own time with their values at t = 0.
+      each probe's own time with their values at t = 0, and for an
+      obstacle declared static, the same equality of h.
 
     The probes are seeded uniform draws, so the report is deterministic for
     fixed ``(instance, probe_count, seed)``.
@@ -293,9 +299,12 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
                                dx, lambda i: (float(ts[i]), tuple(xs[i]), tuple(xps[i])))
     h_T = eval_obstacle(instance, instance.T, xs)
     record("barrier:terminal", h_T > phi_a + 1e-12, h_T - phi_a, lambda i: tuple(xs[i]))
+    t_0 = np.zeros_like(ts)
+    if instance.coeffs.static_obstacle:
+        moved = np.abs(h_a - per_row(eval_obstacle, (xs,), times=t_0))
+        record("static_obstacle", moved > 0.0, moved, lambda i: (float(ts[i]), tuple(xs[i])))
 
     lin = 1.0 + np.linalg.norm(xs, axis=1)
-    t_0 = np.zeros_like(ts)
     denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
     for iu, u in enumerate(instance.u_grid.points):
         for iv, v in enumerate(instance.v_grid.points):
@@ -352,7 +361,7 @@ def _american_put(p):
         h=lambda t, x: payoff(x),
         declared_lipschitz=max(1.0, r, vol),
         declared_growth=2.0 * strike + 1.0,
-        time_homogeneous=True,
+        time_homogeneous=True, static_obstacle=True,
     )
 
 
@@ -366,7 +375,7 @@ def _lemma45(p):
         h=lambda t, x: np.full(x.shape[0], -rho),
         declared_lipschitz=max(c, 1.0),
         declared_growth=0.5 * theta + rho + 1.0,
-        time_homogeneous=True,
+        time_homogeneous=True, static_obstacle=True,
     )
 
 
@@ -381,7 +390,7 @@ def _minimax_gap(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(floor) + vol + bound + 1.0,
-        time_homogeneous=True,
+        time_homogeneous=True, static_obstacle=True,
     )
 
 
@@ -396,7 +405,7 @@ def _no_obstacle_linear(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(c0) + abs(c1) + abs(floor) + vol + 1.0,
-        time_homogeneous=True,
+        time_homogeneous=True, static_obstacle=True,
     )
 
 
@@ -415,7 +424,8 @@ def _deterministic_stop(p):
 
 
 # name -> (coefficient builder, defaults of every parameter it reads);
-# entries named ``*_points`` are control grids, all others floats.
+# entries named ``*_points`` are control grids of one-number points, all
+# others floats.
 _BUILDERS = {
     "american_put": (_american_put, {"r": 0.05, "sigma0": 0.2, "K0": 100.0, "T": 1.0}),
     "lemma45": (_lemma45, {"C": 1.0, "theta": 1.0, "rho": 1.0, "T": 1.0}),
@@ -428,6 +438,17 @@ _BUILDERS = {
 }
 
 
+def _control_points(key, value):
+    """The control grid ``key`` as a (k, 1) array; :class:`ControlGrid` refuses it empty."""
+    try:
+        points = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        points = None
+    if points is None or points.size and (points.ndim != 2 or points.shape[1] != 1):
+        raise ValueError(f"{key} must be a list of one-number lists, such as [[-1.0], [1.0]]")
+    return np.atleast_2d(points)
+
+
 def builtin_instance(name, params=None):
     """Return a named benchmark instance.
 
@@ -435,8 +456,9 @@ def builtin_instance(name, params=None):
     ``sigma0``, ``K0`` for ``american_put`` or ``C``, ``theta``, ``rho``
     for ``lemma45``); the instance's ``params`` holds every parameter
     with its default resolved.  Unknown names raise
-    :class:`NotFoundError` listing the valid ones; unknown parameters
-    raise :class:`ConfigError`-style ``ValueError``.
+    :class:`NotFoundError` listing the valid ones; unknown parameters,
+    and a ``*_points`` grid that is not a list of one-number lists,
+    raise :class:`ConfigError`-style ``ValueError`` naming them.
     """
     if name not in _BUILDERS:
         raise NotFoundError(
@@ -447,7 +469,7 @@ def builtin_instance(name, params=None):
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {', '.join(unknown)}")
-    resolved = {key: np.atleast_2d(value) if key.endswith("_points") else float(value)
+    resolved = {key: _control_points(key, value) if key.endswith("_points") else float(value)
                 for key, value in {**defaults, **given}.items()}
     # the grids first: they refuse an empty grid that a builder would reduce
     u_grid, v_grid = (ControlGrid(resolved[key], key[0]) if key in resolved

@@ -37,6 +37,12 @@ def declare_homogeneous(instance, flag=True):
     return dataclasses.replace(instance, coeffs=coeffs)
 
 
+def declare_static_obstacle(instance, flag=True):
+    """``instance`` with ``Coefficients.static_obstacle`` set to ``flag``."""
+    coeffs = dataclasses.replace(instance.coeffs, static_obstacle=flag)
+    return dataclasses.replace(instance, coeffs=coeffs)
+
+
 def make_bundle(inst, x0, t0, t1, steps, paths=1, seed=1):
     """Euler paths of ``inst`` from ``x0`` on ``[t0, t1]`` under the control pair (0, 0)."""
     c0 = ControlPath.constant(0)

@@ -17,12 +17,14 @@ def load_spans():
 
 def test_benchmark_spans_install_on_live_modules():
     # install raises on a binding that is gone or still unwrapped elsewhere,
-    # which would otherwise surface only in a traced benchmark run
+    # which would otherwise surface only in a traced benchmark run; the penalty
+    # sweep's obstacle span reads pde.eval_obstacle alone, once per sweep
     spans = load_spans()
     originals = {(module, attr): getattr(module, attr) for module, attr in (
         (analysis, "solve_obstacle_pde"), (analysis, "solve_penalized_pde"),
         (cli, "lower_value"), (cli, "upper_value"), (cli, "penalization_convergence"),
-        (pde, "eval_drift"), (pde, "eval_cost_rate"), (problems, "_as_batch"))}
+        (pde, "eval_drift"), (pde, "eval_cost_rate"), (pde, "eval_obstacle"),
+        (problems, "_as_batch"))}
     tracer = spans.Tracer()
     try:
         spans.install(tracer)

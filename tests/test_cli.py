@@ -408,6 +408,20 @@ def test_empty_control_grid_exits_2_naming_the_grid(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["u_points", "v_points"])
+@pytest.mark.parametrize("points", [[-1.0, 1.0], [[-1.0, 1.0]], [[-1.0], [1.0, 2.0]], 1.0])
+def test_control_points_other_than_one_number_lists_exit_2_naming_the_key(tmp_path, capsys,
+                                                                           key, points):
+    # a flat [-1.0, 1.0] used to pass validate and solve with one control, u = -1
+    raw = _with(_MINIMAX, "instance", "params", {key: points})
+    cfg = write_config(tmp_path, "flat.json",
+                       _with(raw, "output", "directory", str(tmp_path / "out")))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"{key} must be a list of one-number lists" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, monkeypatch):
     # no builtin is two-dimensional, so the parser is handed a correlated 2-D
     # game; on cells five times wider than high no time step is monotone

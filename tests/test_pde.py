@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from isaacslab import analysis, pde
-from isaacslab.analysis import feedback_from_field, response_feedback
+from isaacslab.analysis import (
+    feedback_from_field,
+    lower_value,
+    penalization_convergence,
+    response_feedback,
+    upper_value,
+)
 from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
 from isaacslab.pde import (
@@ -38,6 +44,7 @@ from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 from conftest import (
     correlated_game,
     declare_homogeneous,
+    declare_static_obstacle,
     make_instance,
     mixed_dominance_game,
     sized,
@@ -812,6 +819,60 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, bou
     for (k, tabulated), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
                                               sweep_penalized(per_step, grid, schedule)):
         assert k == j and np.array_equal(tabulated, evaluated)
+
+
+STATIC_OBSTACLES = ("american_put", "lemma45", "minimax_gap", "no_obstacle_linear")
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("name", STATIC_OBSTACLES)
+def test_static_obstacle_solves_match_per_step_evaluation_bit_for_bit(name, boundary):
+    # an obstacle evaluated once per sweep gives the same fields, residuals
+    # and penalty sweep as evaluating it at every step
+    declared = builtin_instance(name)
+    box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
+    grid = sized(declared, box, (41,), boundary)
+    per_step = declare_static_obstacle(declared, False)
+    assert declared.coeffs.static_obstacle
+    for which in HAMILTONIANS:
+        fields = [solve_obstacle_pde(which, inst, grid) for inst in (declared, per_step)]
+        assert np.array_equal(fields[0].slices, fields[1].slices)
+        residuals = [complementarity_residual(f, inst)[1]
+                     for f, inst in zip(fields, (declared, per_step))]
+        assert np.array_equal(*residuals)
+    schedule = [0.0, 4.0, 64.0]
+    for (k, held), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
+                                         sweep_penalized(per_step, grid, schedule), strict=True):
+        assert k == j and np.array_equal(held, evaluated)
+
+
+@pytest.mark.parametrize("name, static", [
+    ("american_put", True), ("american_put", False), ("minimax_gap", True),
+    ("minimax_gap", False), ("deterministic_stop", False)])
+def test_static_obstacle_evaluated_once_per_sweep(monkeypatch, name, static):
+    inst = builtin_instance(name)
+    assert inst.coeffs.static_obstacle == (name in STATIC_OBSTACLES)
+    inst = declare_static_obstacle(inst, static)
+    box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
+    grid = sized(inst, box, (41,))
+    times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
+    calls = []
+    monkeypatch.setattr(pde, "eval_obstacle",
+                        lambda *args: calls.append(args[1]) or eval_obstacle(*args))
+    # two sweeps each: the reflected reference and the penalty batch of a
+    # penalization run, the lower and the upper field of compare_wu
+    if name == "american_put":
+        penalization_convergence(inst, grid, [1.0, 4.0, 16.0])
+    else:
+        field = lower_value(inst, grid)
+        upper_value(inst, grid)
+    per_sweep = [times[-2]] if static else list(times[-2::-1])
+    assert calls == per_sweep * 2
+    if name != "american_put":
+        # the residual reads the obstacle at its first slice, t = 0, or at every slice
+        calls.clear()
+        complementarity_residual(field, inst)
+        assert calls == ([0.0] if static else list(times[:-1]))
 
 
 def feedback_bundles(field, inst):

@@ -13,7 +13,7 @@ from isaacslab.problems import (
     validate_instance,
 )
 
-from conftest import declare_homogeneous, make_instance
+from conftest import declare_homogeneous, declare_static_obstacle, make_instance
 
 
 def test_control_grid_rejects_duplicates_and_empty():
@@ -81,6 +81,31 @@ def test_validate_flags_time_dependent_drift_declared_homogeneous():
     # b(t, x) - b(0, x) = t x is nonzero at every probe
     assert len(moved) == 16 and len(report.violations) == 16
     assert all(observed > 0.0 for _, _, observed in moved)
+
+
+def test_validate_flags_time_dependent_obstacle_declared_static():
+    inst = make_instance(h=lambda t, x: t - x[:, 0], phi=lambda x: np.maximum(1.0 - x[:, 0], 0.0))
+    assert validate_instance(inst, probe_count=16, seed=2).passed
+    report = validate_instance(declare_static_obstacle(inst), probe_count=16, seed=2)
+    moved = [v for v in report.violations if v[0] == "static_obstacle"]
+    # h(t, x) - h(0, x) = t is nonzero at every probe
+    assert len(moved) == 16 and len(report.violations) == 16
+    assert all(observed > 0.0 for _, _, observed in moved)
+
+
+def test_builtins_declare_a_static_obstacle_unless_it_reads_t():
+    # deterministic_stop's obstacle is T - t
+    static = {name: builtin_instance(name).coeffs.static_obstacle for name in BUILTIN_NAMES}
+    assert static == {name: name != "deterministic_stop" for name in BUILTIN_NAMES}
+
+
+@pytest.mark.parametrize("key", ["u_points", "v_points"])
+@pytest.mark.parametrize("points", [[-1.0, 1.0], [[-1.0, 1.0]], [[-1.0], [1.0, 2.0]], 1.0,
+                                    [[[-1.0]], [[1.0]]], "ab"])
+def test_builtin_refuses_control_points_that_are_not_one_number_lists(key, points):
+    # a flat [-1.0, 1.0] used to become one control point with two components
+    with pytest.raises(ValueError, match=f"{key} must be a list of one-number lists"):
+        builtin_instance("minimax_gap", {key: points})
 
 
 def test_as_batch_accepts_large_finite_entries_and_rejects_non_finite():
