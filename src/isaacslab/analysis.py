@@ -204,11 +204,13 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
     if len(pairs) < 3:
         raise FitError("need at least three usable deltas inside the window")
     samples = field.slices[:, idx]
-    # the obstacle at the sample nodes, once per slice that some pair reads
-    # (zero without an instance)
+    # the obstacle at the sample nodes, once per slice that some pair reads,
+    # or once for every slice when it is static (zero without an instance)
     obstacle = np.zeros_like(samples)
-    if instance is not None:
-        x_pts = ax[idx][:, None]
+    x_pts = ax[idx][:, None]
+    if instance is not None and instance.coeffs.static_obstacle:
+        obstacle[:] = eval_obstacle(instance, 0.0, x_pts)
+    elif instance is not None:
         for k in np.unique(np.concatenate([ks + s for j, ks in pairs for s in (0, j)])):
             obstacle[k] = eval_obstacle(instance, float(times[k]), x_pts)
 

@@ -37,20 +37,21 @@ semi-implicit penalty update, at every node.  Boundary nodes follow the
 grid policy: linear extrapolation from the two nearest interior nodes
 (default, consistent with linear growth of the value) or freezing at
 the terminal data.  A batch of fields, one per penalty weight, is
-stepped in one sweep that evaluates the cost rate once per step and the
-obstacle once per step (once per sweep when the instance declares it
-static, ``Coefficients.static_obstacle``) for the whole batch, and a
-slice that is not finite stops the sweep with a divergence error.
+stepped in one sweep: each step makes one cost-rate call on the rows of
+every control pair and field and evaluates the obstacle once (once per
+sweep when it is declared static, ``Coefficients.static_obstacle``), and
+a slice that is not finite stops the sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
-diffusion: it gates b and sigma once per control pair on the given
-nodes (all of them for the stability rule, the interior ones for a
-solve) and stacks them, with sigma sigma^T, over the pairs.  A solve
-builds these stacks, and the weight table with them, at its first step
-when the instance declares time-homogeneous dynamics
-(``Coefficients.time_homogeneous``) and at every step otherwise; the
-queries of a stored field (:func:`_field_stacks`) do the same, and read
-its slices through one neighbourhood view.
+diffusion: one call of each on the given nodes (all of them for the
+stability rule, the interior ones for a solve) repeated for every
+control pair and field, each row under its pair's controls, stacked
+with sigma sigma^T over the pairs.  A solve builds these stacks, and the
+weight table with them, at its first step when the instance declares
+time-homogeneous dynamics (``Coefficients.time_homogeneous``) and at
+every step otherwise; the queries of a stored field
+(:func:`_field_stacks`) do the same, and read its slices through one
+neighbourhood view.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -307,41 +308,43 @@ def _minimax(which, pair_values):
 
 
 def _pair_tables(instance, t, x, fields):
-    """Drift and diffusion of every control pair on the nodes ``x`` at time ``t``.
+    """Drift and diffusion of every control pair on ``fields`` copies of the nodes ``x``.
 
-    Returns ``(controls, a, b, sigma)``: ``controls`` the P pairs ``(u,
-    v)``, u-major, and the pairs' coefficients stacked over them, ``a =
-    sigma sigma^T`` (P, rows, n, n), ``b`` (P, rows, n) and ``sigma``
-    (P, rows, n, d).  Each pair's drift is gated before its diffusion.
-    The rows are the nodes repeated for ``fields`` fields, so B * m
-    rows, field by field.
+    Returns ``(rows, a, b, sigma)``: ``rows`` the states and both
+    controls of P * B * m rows, u-major, then field, then node (read-only
+    views where no copy is needed, as with one pair and one field), and
+    the coefficients of one drift and one diffusion call on them stacked
+    over the pairs, ``a = sigma sigma^T`` (P, B * m, n, n), ``b`` (P, B *
+    m, n) and ``sigma`` (P, B * m, n, d).
     """
-    controls = tuple(product(instance.u_grid.points, instance.v_grid.points))
-    b, sigma = (np.stack(arrs) for arrs in zip(*[
-        (eval_drift(instance, t, x, up, vp), eval_diffusion(instance, t, x, up, vp))
-        for up, vp in controls]))
-    a = np.einsum("pmik,pmjk->pmij", sigma, sigma)
-    if fields > 1:
-        a, b, sigma = (np.concatenate([arr] * fields, axis=1) for arr in (a, b, sigma))
-    return controls, a, b, sigma
+    us, vs = instance.u_grid.points, instance.v_grid.points
+    lead = (len(us), len(vs), fields, len(x))
+    rows = tuple(np.broadcast_to(arr, lead + arr.shape[-1:]).reshape(-1, arr.shape[-1])
+                 for arr in (x, us[:, None, None, None], vs[:, None, None]))
+    stack = (len(us) * len(vs), fields * len(x))
+    b = eval_drift(instance, t, *rows).reshape(stack + (instance.n,))
+    sigma = eval_diffusion(instance, t, *rows).reshape(stack + (instance.n, instance.d))
+    return rows, np.einsum("pmik,pmjk->pmij", sigma, sigma), b, sigma
 
 
-def _generator_stack(instance, t, x_rows, y, grad, tables, parts):
+def _generator_stack(instance, t, y, grad, tables, parts):
     """Generator values for every control pair, shape (nu, nv, B * m).
 
-    ``y`` and each of ``grad`` hold B fields at the nodes ``x_rows``
-    (B * m rows, field by field) and ``tables`` are their
-    :func:`_pair_tables`.  The cost rate is added in place to the pairs'
-    second-order plus drift parts ``parts`` (P, B * m), evaluated once
-    per pair on all rows with ``z = q sigma``, where ``grad`` holds the
-    columns of the gradient ``q``, one per axis.
+    ``y`` and each of ``grad`` hold B fields at the nodes of ``tables``
+    (B * m rows, field by field), their :func:`_pair_tables`.  The cost
+    rate is added in place to the pairs' second-order plus drift parts
+    ``parts`` (P, B * m), evaluated in one call on the P * B * m rows of
+    the tables with ``z = q sigma``, where ``grad`` holds the columns of
+    the gradient ``q``, one per axis.
     """
-    controls, _, _, sigma = tables
+    (x, u, v), _, _, sigma = tables
     z = grad[0][:, None] * sigma[:, :, 0, :]
     for i in range(1, len(grad)):
         z = z + grad[i][:, None] * sigma[:, :, i, :]
-    for row, (up, vp), zp in zip(parts, controls, z):
-        row += eval_cost_rate(instance, t, x_rows, y, zp, up, vp)
+    # with one pair y itself: a broadcast_to view costs microseconds per step
+    y_rows = y if len(parts) == 1 else np.concatenate([y] * len(parts))
+    f = eval_cost_rate(instance, t, x, y_rows, z.reshape(len(x), -1), u, v)
+    parts += f.reshape(parts.shape)
     return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
@@ -392,7 +395,7 @@ def _stencil_weights(tables, dx):
     return table
 
 
-def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, out):
+def _step_slice(which, instance, t, dt, window, dx, tables, weights, out):
     """One explicit backward step from ``window``, a :func:`_windows` slot, into ``out``.
 
     ``tables`` are the step's :func:`_pair_tables` and ``weights`` their
@@ -410,8 +413,7 @@ def _step_slice(which, instance, t, dt, window, x_rows, dx, tables, weights, out
     # the axis neighbours follow the centre, up then down on each axis
     grad = [((window[up] - window[down]) / (2.0 * h)).ravel()
             for up, down, h in zip(cells[1::2], cells[2::2], dx)]
-    vals = _generator_stack(instance, t, x_rows, wc.ravel(), grad, tables,
-                            parts.reshape(len(parts), -1))
+    vals = _generator_stack(instance, t, wc.ravel(), grad, tables, parts.reshape(len(parts), -1))
     np.add(wc, dt * _minimax(which, vals).reshape(wc.shape), out=out)
 
 
@@ -447,12 +449,12 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     ``terminal`` is one slice of shape ``grid.shape`` or a batch of B
     slices, shape ``(B, *grid.shape)``.  ``weights`` is None for the
     obstacle projection ``max(., h)``, or the penalty weight (one per
-    field) of the semi-implicit penalty update.  Every step evaluates
-    each control pair's cost rate once for the whole batch; the obstacle,
-    held at the batch's shape, and the pair tables of drift and diffusion
-    are built at the first step for a static obstacle and time-homogeneous
-    dynamics and at every step otherwise, where a step longer than its own
-    tables allow raises :class:`CflError`.
+    field) of the semi-implicit penalty update.  Every step makes one
+    cost-rate call on the rows of every control pair and field; the
+    obstacle, held at the batch's shape, and the pair tables of drift and
+    diffusion are built at the first step for a static obstacle and
+    time-homogeneous dynamics and at every step otherwise, where a step
+    longer than its own tables allow raises :class:`CflError`.
     Slice ``k`` is written to ``store[k % len(store)]``: a store with
     one slot per time keeps every slice, one with two slots only the
     latest two.  In two dimensions the boundary fill of the first axis
@@ -466,7 +468,6 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     nodes_all = grid.nodes()
     x_int = grid.interior_nodes()
     fields = math.prod(batch)
-    x_rows = np.concatenate([x_int] * fields) if fields > 1 else x_int
     interior = (Ellipsis,) + grid.interior()
     interior_shape = batch + tuple(k - 2 for k in shape)
     dx = grid.dx()
@@ -492,8 +493,8 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
             rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
             _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
-        _step_slice(which, instance, t, dt, windows[(k + 1) % slots], x_rows, dx, tables,
-                    table, w[interior])
+        _step_slice(which, instance, t, dt, windows[(k + 1) % slots], dx, tables, table,
+                    w[interior])
         _fill_boundary(w, grid, terminal)
         if k == steps - 1 or not instance.coeffs.static_obstacle:
             h = np.broadcast_to(eval_obstacle(instance, t, nodes_all).reshape(shape), w.shape).copy()
@@ -573,14 +574,14 @@ def sweep_penalized(instance, grid, m_schedule):
                   weights, np.zeros((2,) + shape))
 
 
-def _hamiltonian_stack(instance, t, x, y, q, xmat, tables):
+def _hamiltonian_stack(instance, t, y, q, xmat, tables):
     """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
-    ``tables`` are the :func:`_pair_tables` of ``x``.
+    ``tables`` are the :func:`_pair_tables` of the m nodes.
     """
     _, a, b, _ = tables
     parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
-    return _generator_stack(instance, t, x, y, q.T, tables, parts)
+    return _generator_stack(instance, t, y, q.T, tables, parts)
 
 
 def _argopt(which, vals):
@@ -628,7 +629,7 @@ def eval_hamiltonian(which, instance, t, x, y, q, xmat):
     q = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
     xmat = np.atleast_2d(np.asarray(xmat, dtype=float))[None, :, :]
     yb = np.atleast_1d(float(y))
-    vals = _hamiltonian_stack(instance, t, x, yb, q, xmat, _pair_tables(instance, t, x, 1))
+    vals = _hamiltonian_stack(instance, t, yb, q, xmat, _pair_tables(instance, t, x, 1))
     value, iu, iv = _argopt(which, vals)
     return float(value[0]), int(iu[0]), int(iv[0])
 
@@ -666,7 +667,7 @@ def _field_stacks(field, instance):
             xmat[:, i, j] = xmat[:, j, i] = (pp + mm - pm - mp) / (4.0 * dx[i] * dx[j])
         if tables is None or not instance.coeffs.time_homogeneous:
             tables = _pair_tables(instance, t, x, 1)
-        return x, wc, _hamiltonian_stack(instance, t, x, wc, q, xmat, tables)
+        return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables)
 
     return stack
 

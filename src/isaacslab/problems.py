@@ -11,10 +11,15 @@ above.  Coefficients are plain callables evaluated on batches of states:
     h(t, x)              -> obstacle,   shape (m,)
 
 where ``t`` is a scalar time, ``x`` has shape (m, n), ``y`` shape (m,),
-``z`` shape (m, d) and ``u``, ``v`` are single control vectors.  Returns
-may be scalars or broadcastable arrays.  The ``eval_*`` helpers share one
-gate, ``_evaluate``: it calls the coefficient, normalises the shape and
-turns any failure into an ``EvaluationError`` carrying the point.
+``z`` shape (m, d) and ``u``, ``v`` shape (m, k), one control point per
+row, so that one call serves rows under every control pair.  A row's
+value must depend on that row alone (``u[:, 0]``, not ``u[0]``), which
+:class:`GameInstance` checks.  Control rows, and states, may be
+read-only views: a control shared by every row is a ``broadcast_to`` of
+its point.  Returns may be scalars or broadcastable arrays.  The
+``eval_*`` helpers share one gate, ``_evaluate``: it calls the
+coefficient, normalises the shape and turns any failure into an
+``EvaluationError`` carrying the first row's point.
 
 Dynamics declared time-homogeneous (``Coefficients.time_homogeneous``:
 b and sigma do not read ``t``) are evaluated once per grid solve rather
@@ -127,14 +132,20 @@ class GameInstance:
             raise ValueError("state and noise dimensions must be >= 1")
         if self.T <= 0:
             raise ValueError("horizon must be positive")
-        # Smoke-evaluate every coefficient once so shape bugs surface early.
-        x = np.zeros((1, self.n))
-        u = self.u_grid.points[0]
-        v = self.v_grid.points[0]
+        # Smoke-evaluate every coefficient so shape bugs surface early, on one
+        # row per control pair; each row must equal its pair evaluated alone.
+        nu, nv = len(self.u_grid), len(self.v_grid)
+        u, v = np.repeat(self.u_grid.points, nv, axis=0), np.tile(self.v_grid.points, (nu, 1))
+        x, y, z = np.zeros((nu * nv, self.n)), np.ones(nu * nv), np.ones((nu * nv, self.d))
         for t in (0.0, self.T):
-            eval_drift(self, t, x, u, v)
-            eval_diffusion(self, t, x, u, v)
-            eval_cost_rate(self, t, x, np.zeros(1), np.zeros((1, self.d)), u, v)
+            for what, evaluate, args in (("drift", eval_drift, (x, u, v)),
+                                         ("diffusion", eval_diffusion, (x, u, v)),
+                                         ("cost rate", eval_cost_rate, (x, y, z, u, v))):
+                rows = evaluate(self, t, *args)
+                if any(not np.array_equal(row, evaluate(self, t, *(a[i:i + 1] for a in args))[0])
+                       for i, row in enumerate(rows)):
+                    raise ValueError(f"the {what} reads another row's control: u and v "
+                                     f"hold one control point per state row")
             eval_obstacle(self, t, x)
         eval_terminal(self, x)
 
@@ -153,9 +164,9 @@ class ValidationReport:
 
 
 def _failure(what, t, x, controls):
-    """The error of a failed evaluation at ``(t, x[0], u, v)``, minus what the call lacks."""
-    x0 = np.asarray(x)[0] if len(x) else None
-    point = ((x0,) if t is None else (float(t), x0)) + controls
+    """The error of a failed evaluation at ``(t, x[0], u[0], v[0])``, minus what the call lacks."""
+    x0, *rows = (np.asarray(a)[0] if len(x) else None for a in (x, *controls))
+    point = ((x0,) if t is None else (float(t), x0)) + tuple(rows)
     return EvaluationError(f"{what} at {point}", point=point)
 
 
@@ -306,8 +317,8 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
 
     lin = 1.0 + np.linalg.norm(xs, axis=1)
     denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
-    for iu, u in enumerate(instance.u_grid.points):
-        for iv, v in enumerate(instance.v_grid.points):
+    for iu, u in enumerate(instance.u_grid.points[:, None]):
+        for iv, v in enumerate(instance.v_grid.points[:, None]):
             def pair(i):
                 return float(ts[i]), tuple(xs[i]), tuple(xps[i]), iu, iv
 
@@ -385,7 +396,7 @@ def _minimax_gap(p):
     return Coefficients(
         b=lambda t, x, u, v: np.zeros_like(x),
         sigma=lambda t, x, u, v: np.full(x.shape + (1,), vol),
-        f=lambda t, x, y, z, u, v: np.full(x.shape[0], u[0] * v[0]),
+        f=lambda t, x, y, z, u, v: u[:, 0] * v[:, 0],
         phi=lambda x: np.zeros(x.shape[0]),
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,

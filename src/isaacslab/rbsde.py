@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .problems import eval_cost_rate, eval_obstacle, eval_terminal
-from .sde import TimeMesh, simulate_paths, _control_groups
+from .sde import TimeMesh, simulate_paths, _control_rows
 
 TERMINAL_BARRIER_TOL = 1e-9
 # largest condition number of a Gram matrix A^T A whose normal equations are
@@ -300,9 +300,8 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     # the design matrix's (p, M) buffer, allocated by the first regressed step
     rows = None
     # what each regressed step fits, Y_{k+1} and Y_{k+1} dB_k / dt, and the
-    # fitted values; like yhat, written whole at every step
+    # fitted values, written whole at every step
     targets, fitted = np.empty((1 + d, M)), np.empty((1 + d, M))
-    yhat = np.empty(M)
 
     for k in range(N - 1, -1, -1):
         t = times[k]
@@ -321,14 +320,10 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
             p, z = fitted[0], fitted[1:].T
             fallback = fallback or fell_back
 
-        for iu, iv, mask in _control_groups(u_path[k], v_path[k]):
-            up = instance.u_grid.points[iu]
-            vp = instance.v_grid.points[iv]
-            xg, pg, zg = xk[mask], p[mask], z[mask]
-            f1 = eval_cost_rate(instance, t, xg, pg, zg, up, vp)
-            y0 = pg + dt * f1
-            f2 = eval_cost_rate(instance, t, xg, y0, zg, up, vp)
-            yhat[mask] = pg + dt * f2
+        up = _control_rows(instance.u_grid, u_path[k], M)
+        vp = _control_rows(instance.v_grid, v_path[k], M)
+        y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
+        yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp)
 
         hk = h_all[k]
         if penalty_m is None:

@@ -145,9 +145,9 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
     mesh : TimeMesh
     u, v : ControlPath
         Controls for the two players, resolved step by step (feedback
-        controls see the current state batch).  A step where both resolve
-        to an ``int`` moves every path with one control pair; otherwise the
-        paths are grouped by the pair they apply.  A zero-step mesh
+        controls see the current state batch).  Each step makes one drift
+        and one diffusion call on every path, with each path's control
+        points as rows (see :func:`_control_rows`).  A zero-step mesh
         resolves no control.
     paths : int
         Number of Monte Carlo paths M.
@@ -196,17 +196,12 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
         xk = states[k]
         ui = u_idx[k] = u.resolve(k, t, xk, len(instance.u_grid))
         vi = v_idx[k] = v.resolve(k, t, xk, len(instance.v_grid))
-        nxt, dBk = states[k + 1], dB[k]
-        # two ints apply one pair to every path
-        one_pair = isinstance(ui, int) and isinstance(vi, int)
-        groups = ((ui, vi, slice(None)),) if one_pair else _control_groups(u_idx[k], v_idx[k])
-        for iu, iv, mask in groups:
-            up = instance.u_grid.points[iu]
-            vp = instance.v_grid.points[iv]
-            xg = xk[mask]
-            bv = eval_drift(instance, t, xg, up, vp)
-            sv = eval_diffusion(instance, t, xg, up, vp)
-            nxt[mask] = xg + bv * dt + np.einsum("mij,mj->mi", sv, dBk[mask])
+        up = _control_rows(instance.u_grid, ui, paths)
+        vp = _control_rows(instance.v_grid, vi, paths)
+        bv = eval_drift(instance, t, xk, up, vp)
+        sv = eval_diffusion(instance, t, xk, up, vp)
+        nxt = states[k + 1]
+        nxt[:] = xk + bv * dt + np.einsum("mij,mj->mi", sv, dB[k])
         # one reduction per step; NaN fails the comparison too
         if not np.abs(nxt).max() <= DIVERGENCE_BOUND:
             bad = ~np.isfinite(nxt).all(axis=1) | (np.abs(nxt).max(axis=1) > DIVERGENCE_BOUND)
@@ -221,14 +216,16 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
                       seed=int(seed))
 
 
-def _control_groups(ui, vi):
-    """Yield (u_index, v_index, path mask) for each applied control pair."""
-    if ui.min() == ui.max() and vi.min() == vi.max():
-        yield int(ui[0]), int(vi[0]), slice(None)
-        return
-    pairs = np.unique(np.stack([ui, vi], axis=1), axis=0)
-    for iu, iv in pairs:
-        yield int(iu), int(iv), (ui == iu) & (vi == iv)
+def _control_rows(grid, index, paths):
+    """One step's control points, one row per path, from one ``int`` or one index per path.
+
+    A read-only broadcast view when every path applies one index, a gather otherwise.
+    """
+    if not isinstance(index, int) and index.min() == index.max():
+        index = int(index[0])
+    if isinstance(index, int):
+        return np.broadcast_to(grid.points[index], (paths, grid.dim))
+    return grid.points[index]
 
 
 def empirical_moments(bundle, p):

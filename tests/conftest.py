@@ -73,10 +73,10 @@ def correlated_game():
     root = np.array([[0.8, 0.0], [0.4, 0.6]])
     return make_instance(
         n=2, d=2, horizon=0.5,
-        b=lambda t, x, u, v: np.stack([3.0 * u[0] * x[:, 0], -2.0 * x[:, 1]], axis=1),
+        b=lambda t, x, u, v: np.stack([3.0 * u[:, 0] * x[:, 0], -2.0 * x[:, 1]], axis=1),
         sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
-        f=lambda t, x, y, z, u, v: (-0.1 * y + 0.2 * v[0] * z[:, 0]
-                                    - 0.05 * np.abs(z[:, 1]) + u[0] * v[0]),
+        f=lambda t, x, y, z, u, v: (-0.1 * y + 0.2 * v[:, 0] * z[:, 0]
+                                    - 0.05 * np.abs(z[:, 1]) + u[:, 0] * v[:, 0]),
         phi=lambda x: np.maximum(1.0 - np.abs(x[:, 0]) - 0.5 * np.abs(x[:, 1]), 0.0),
         h=lambda t, x: 0.5 * np.maximum(0.8 - np.abs(x[:, 0] + x[:, 1]), 0.0) - 0.1 * t,
         u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5]], growth=20.0)

@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, output files, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import isaacslab
+from isaacslab import pde, problems
 from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
@@ -420,6 +422,47 @@ def test_control_points_other_than_one_number_lists_exit_2_naming_the_key(tmp_pa
         assert main([command, cfg]) == 2
         assert f"{key} must be a list of one-number lists" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_builtin_reading_the_first_rows_control_exits_2(tmp_path, capsys, monkeypatch):
+    # minimax_gap's cost rate as written for one control point per call
+    build, defaults = problems._BUILDERS["minimax_gap"]
+
+    def first_row(p):
+        return dataclasses.replace(
+            build(p), f=lambda t, x, y, z, u, v: np.full(x.shape[0], u[0] * v[0]))
+
+    monkeypatch.setitem(problems._BUILDERS, "minimax_gap", (first_row, defaults))
+    cfg = write_config(tmp_path, "old.json",
+                       _with(_MINIMAX, "output", "directory", str(tmp_path / "out")))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert "the cost rate reads another row's control" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_wu_makes_one_drift_call_per_table_build(tmp_path, monkeypatch):
+    calls = {"eval_drift": 0, "eval_cost_rate": 0}
+    for name in calls:
+        evaluate = getattr(pde, name)
+
+        def counted(*args, name=name, evaluate=evaluate):
+            calls[name] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(pde, name, counted)
+    cfg = write_config(tmp_path, "cw.json", {
+        "experiment": "compare_wu",
+        "instance": {"name": "minimax_gap"},
+        "grid": {"box": [[-2, 2]], "nx": [41]},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["run", cfg]) == 0
+    nt = json.loads((tmp_path / "out" / "metrics.json").read_text())["metrics"]["nt"]
+    # the stability rule sizes the grid and checks it in each of the two
+    # solves, and each solve tabulates the dynamics once; every step of
+    # both solves makes one cost-rate call over the four control pairs
+    assert calls == {"eval_drift": 5, "eval_cost_rate": 2 * nt}
 
 
 def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, monkeypatch):

@@ -274,19 +274,24 @@ def neighbour_blocks(ndim):
     return shifted(), axes, pairs
 
 
+def pair_rows(inst, rows):
+    """Every control pair, u-major, each point broadcast to ``rows`` rows."""
+    return [(np.broadcast_to(up, (rows, up.size)), np.broadcast_to(vp, (rows, vp.size)))
+            for up in inst.u_grid.points for vp in inst.v_grid.points]
+
+
 def per_pair_tables(inst, t, x, fields):
     """Drift and diffusion pair by pair, a reference for the stacked tables:
-    one ``(u, v, a, b, sigma)`` per pair, u-major, each array repeated for
-    ``fields`` fields."""
+    one ``(u, v, a, b, sigma)`` per pair, u-major, the control rows and each
+    array repeated for ``fields`` fields."""
     tables = []
-    for up in inst.u_grid.points:
-        for vp in inst.v_grid.points:
-            bv = eval_drift(inst, t, x, up, vp)
-            sv = eval_diffusion(inst, t, x, up, vp)
-            a = np.einsum("mik,mjk->mij", sv, sv)
-            if fields > 1:
-                a, bv, sv = (np.concatenate([arr] * fields) for arr in (a, bv, sv))
-            tables.append((up, vp, a, bv, sv))
+    for up, vp in pair_rows(inst, len(x)):
+        bv = eval_drift(inst, t, x, up, vp)
+        sv = eval_diffusion(inst, t, x, up, vp)
+        a = np.einsum("mik,mjk->mij", sv, sv)
+        if fields > 1:
+            a, bv, sv, up, vp = (np.concatenate([arr] * fields) for arr in (a, bv, sv, up, vp))
+        tables.append((up, vp, a, bv, sv))
     return tables
 
 
@@ -366,8 +371,7 @@ def quotient_step(which, inst, t, dt, w, grid, tables):
             part = part + a[:, i, j] * np.where(a[:, i, j] >= 0.0, plus, minus)
         parts.append(part)
     grad = [(wp - wm) / (2.0 * h) for (wp, wm), h in zip(near, dx)]
-    vals = pde._generator_stack(inst, t, grid.interior_nodes(), wc, grad, tables,
-                                np.stack(parts))
+    vals = pde._generator_stack(inst, t, wc, grad, tables, np.stack(parts))
     return wc + dt * pde._minimax(which, vals)
 
 
@@ -376,8 +380,7 @@ def stacked_step(which, inst, t, dt, w, grid, tables):
     with the step's own stacks; returns the new interior, flattened."""
     out = np.empty(w[grid.interior()].shape)
     table = pde._stencil_weights(tables, grid.dx())
-    pde._step_slice(which, inst, t, dt, pde._windows(w[None], grid.ndim)[0],
-                    grid.interior_nodes(), grid.dx(), tables,
+    pde._step_slice(which, inst, t, dt, pde._windows(w[None], grid.ndim)[0], grid.dx(), tables,
                     table.reshape(table.shape[:-1] + out.shape), out)
     return out.ravel()
 
@@ -426,10 +429,10 @@ def per_pair_step(which, inst, t, dt, w, x_rows, dx, tables, stencil):
     wc = w[centre].ravel()
     shifted = [w[o].ravel() for o in itertools.chain(*axes, *pairs.values())]
     grad = [(up - down) / (2.0 * h) for up, down, h in zip(shifted[0::2], shifted[1::2], dx)]
-    controls, _, _, sigma = tables
-    vals = np.empty((len(controls), wc.size))
+    sigma = tables[3]
+    vals = np.empty((len(sigma), wc.size))
     centre_cell, *cells = pde._cells(len(dx))
-    for row, (up, vp), sv, table in zip(vals, controls, sigma, stencil):
+    for row, (up, vp), sv, table in zip(vals, pair_rows(inst, wc.size), sigma, stencil):
         part = sum((table[c] * s for c, s in zip(cells, shifted)), table[centre_cell] * wc)
         z = grad[0][:, None] * sv[:, 0, :]
         for i in range(1, len(grad)):
@@ -474,7 +477,9 @@ def signed_correlation_game():
     inst = correlated_game()
 
     def sigma(t, x, u, v):
-        return np.broadcast_to(np.array([[0.8, 0.0], [0.4 * u[0], 0.6]]), x.shape + (2,)).copy()
+        root = np.zeros(x.shape + (2,))
+        root[:, 0, 0], root[:, 1, 0], root[:, 1, 1] = 0.8, 0.4 * u[:, 0], 0.6
+        return root
 
     return dataclasses.replace(inst, coeffs=dataclasses.replace(inst.coeffs, sigma=sigma))
 
@@ -517,11 +522,13 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
 def test_pair_tables_are_the_per_pair_tables_stacked(case, fields):
     inst, box, nx = STACKED_CASES[case]()
     x = SpaceTimeGrid(box=box, nx=nx, nt=1).interior_nodes()
-    controls, a, b, sigma = pde._pair_tables(inst, 0.25, x, fields)
+    rows, a, b, sigma = pde._pair_tables(inst, 0.25, x, fields)
     reference = per_pair_tables(inst, 0.25, x, fields)
     assert a.shape == (len(reference), fields * len(x), inst.n, inst.n)
-    assert len(controls) == len(reference)
-    for (u, v), ap, bp, sp, (ru, rv, ra, rb, rs) in zip(controls, a, b, sigma, reference):
+    # the rows of the cost rate: pair by pair, then field by field
+    xs, us, vs = (arr.reshape(len(reference), fields * len(x), -1) for arr in rows)
+    for xp, u, v, ap, bp, sp, (ru, rv, ra, rb, rs) in zip(xs, us, vs, a, b, sigma, reference):
+        assert np.array_equal(xp, np.concatenate([x] * fields))
         assert np.array_equal(u, ru) and np.array_equal(v, rv)
         assert np.array_equal(ap, ra) and np.array_equal(bp, rb) and np.array_equal(sp, rs)
 
@@ -532,9 +539,10 @@ def random_game(rng, n, d):
     scale_b, scale_s = rng.normal(size=n), rng.normal(size=(n, d))
     return make_instance(
         n=n, d=d,
-        b=lambda t, x, u, v: np.sin(x + u[0]) * scale_b + v[0],
-        sigma=lambda t, x, u, v: (1.0 + 0.3 * np.cos(x[:, :1, None] * v[0])) * scale_s + u[0],
-        f=lambda t, x, y, z, u, v: u[0] * y + v[0] * z.sum(axis=1),
+        b=lambda t, x, u, v: np.sin(x + u) * scale_b + v,
+        sigma=lambda t, x, u, v: (
+            (1.0 + 0.3 * np.cos(x[:, :1, None] * v[:, :, None])) * scale_s + u[:, :, None]),
+        f=lambda t, x, y, z, u, v: u[:, 0] * y + v[:, 0] * z.sum(axis=1),
         u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5], [2.0]])
 
 
@@ -548,7 +556,7 @@ def test_stacked_products_are_the_per_pair_products(rng, n, d):
     reference = per_pair_tables(inst, 0.3, x, 1)
     assert all(np.array_equal(ap, ra) for ap, (_, _, ra, _, _) in zip(tables[1], reference))
     y, q, xmat = rng.normal(size=37), rng.normal(size=(37, n)), rng.normal(size=(37, n, n))
-    assert np.array_equal(pde._hamiltonian_stack(inst, 0.3, x, y, q, xmat, tables),
+    assert np.array_equal(pde._hamiltonian_stack(inst, 0.3, y, q, xmat, tables),
                           per_pair_hamiltonian(inst, 0.3, x, y, q, xmat, reference))
 
 
@@ -611,7 +619,7 @@ def test_hamiltonian_american_put_arithmetic():
 def test_hamiltonian_tie_breaks_to_lowest_index():
     # cost rate ignores the first player: every u attains the max, index 0 wins
     inst = make_instance(u_points=[[-1.0], [1.0]], v_points=[[-1.0], [1.0]],
-                         f=lambda t, x, y, z, u, v: np.full(x.shape[0], v[0]))
+                         f=lambda t, x, y, z, u, v: v[:, 0])
     val, iu, iv = eval_hamiltonian("lower", inst, 0.0, [0.0], 0.0, [0.0], [[0.0]])
     assert (val, iu, iv) == (-1.0, 0, 0)
 
@@ -885,23 +893,23 @@ def feedback_bundles(field, inst):
     return [simulate_paths(inst, x0, mesh, u, v, 16, 3) for u, v in drivers]
 
 
-def test_drift_evaluated_once_per_control_pair_per_solve(monkeypatch):
+def test_drift_evaluated_once_per_table_build(monkeypatch):
     inst = builtin_instance("minimax_gap")
     per_step = declare_homogeneous(inst, False)
     grid = sized(inst, ((-2.0, 2.0),), (21,))
     calls = []
     monkeypatch.setattr(pde, "eval_drift",
-                        lambda *args: calls.append(args[1]) or eval_drift(*args))
+                        lambda *args: calls.append((args[1], len(args[2]))) or eval_drift(*args))
     pairs = len(inst.u_grid) * len(inst.v_grid)
     field = solve_obstacle_pde("lower", inst, grid)
-    # the stability rule samples every pair at t = 0, the sweep at its first step
-    assert calls == [0.0] * pairs + [field.times[-2]] * pairs
+    # one call on every pair's rows: the stability rule's at t = 0 on all
+    # nodes, the sweep's at its first step on the interior ones
+    assert calls == [(0.0, pairs * 21), (field.times[-2], pairs * 19)]
     calls.clear()
     solve_obstacle_pde("lower", per_step, grid)
-    # otherwise the rule samples t = 0 and t = T, and each step evaluates
-    # every pair at its own time
-    assert calls == ([0.0] * pairs + [inst.T] * pairs
-                     + [t for t in field.times[-2::-1] for _ in range(pairs)])
+    # otherwise the rule samples t = 0 and t = T, and each step builds its own
+    assert calls == ([(0.0, pairs * 21), (inst.T, pairs * 21)]
+                     + [(t, pairs * 19) for t in field.times[-2::-1]])
 
 
 def test_unstable_solve_raises_divergence_at_first_non_finite_slice():

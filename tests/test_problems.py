@@ -161,7 +161,7 @@ def test_lemma45_driver_at_origin():
     # driver value C(|y|+|z|) - theta/2 at y = z = 0
     inst = builtin_instance("lemma45")
     val = inst.coeffs.f(0.0, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
-                        inst.u_grid.points[0], inst.v_grid.points[0])
+                        inst.u_grid.points[:1], inst.v_grid.points[:1])
     assert val[0] == pytest.approx(-0.5, abs=0)
 
 
@@ -193,3 +193,25 @@ def test_evaluation_error_carries_offending_point():
     with pytest.raises(EvaluationError) as err:
         validate_instance(inst, probe_count=8, seed=0)
     assert err.value.point is not None
+
+
+# u and v hold one control point per state row, so u[0] is the first row's
+# point: on one row per pair of a 2 x 2 grid such a coefficient gives every
+# row the first pair's value
+@pytest.mark.parametrize("what, coefficient", [
+    ("drift", {"b": lambda t, x, u, v: np.full(x.shape, u[0] * v[0])}),
+    ("diffusion", {"sigma": lambda t, x, u, v: np.full(x.shape + (1,), 1.0 + u[0] * v[0])}),
+    ("cost rate", {"f": lambda t, x, y, z, u, v: np.full(x.shape[0], u[0] * v[0])}),
+])
+def test_coefficient_reading_the_first_rows_control_is_refused(what, coefficient):
+    with pytest.raises(ValueError, match=f"the {what} reads another row's control"):
+        make_instance(u_points=[[-1.0], [1.0]], v_points=[[-1.0], [1.0]], **coefficient)
+    # one control pair has no other row to read
+    make_instance(**coefficient)
+
+
+def test_every_builtin_meets_the_per_row_control_contract():
+    for name in BUILTIN_NAMES:
+        builtin_instance(name)
+    builtin_instance("minimax_gap", {"u_points": [[-1.0], [0.0], [2.0]],
+                                     "v_points": [[0.5], [1.0]]})

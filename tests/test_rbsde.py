@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from isaacslab import rbsde
+from isaacslab import rbsde, sde
 from isaacslab.errors import PreconditionError
 from isaacslab.oracles import crr_put, degenerate_rbsde_value
 from isaacslab.problems import builtin_instance, eval_terminal
@@ -18,7 +18,7 @@ from isaacslab.rbsde import (
     solve_penalized,
     solve_reflected,
 )
-from isaacslab.sde import ControlPath, TimeMesh
+from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
 from conftest import make_bundle, make_instance, obstacle_table
 
@@ -464,3 +464,58 @@ def test_mesh_must_span_t_to_horizon():
     with pytest.raises(PreconditionError):
         cost_functional(inst, 0.0, np.zeros(1), C0, C0, TimeMesh(0.0, 0.5, 10),
                         paths=1, basis=BASIS, seed=0)
+
+
+def group_by_group(evaluate, pairs_seen):
+    """``evaluate`` called once per applied control pair on that pair's rows,
+    with the pair's point broadcast over them: a reference for one call on
+    rows under mixed controls.  Appends the pair count of each call."""
+    def grouped(instance, t, x, *args):
+        *data, u, v = args
+        uv = np.concatenate([u, v], axis=1)
+        pairs = np.unique(uv, axis=0)
+        pairs_seen.append(len(pairs))
+        out = None
+        for pair in pairs:
+            mask = (uv == pair).all(axis=1)
+            rows = int(mask.sum())
+            part = evaluate(instance, t, x[mask], *(a[mask] for a in data),
+                            np.broadcast_to(pair[:u.shape[1]], (rows, u.shape[1])),
+                            np.broadcast_to(pair[u.shape[1]:], (rows, v.shape[1])))
+            if out is None:
+                out = np.empty((len(x),) + part.shape[1:])
+            out[mask] = part
+        return out
+
+    return grouped
+
+
+def test_mixed_pair_steps_are_the_group_by_group_steps_bit_for_bit(monkeypatch):
+    # feedback controls that split the paths over three pairs of a 2 x 2 grid;
+    # the cost rate reads both controls, y and z
+    inst = make_instance(
+        b=lambda t, x, u, v: 0.5 * u - 0.25 * v * x,
+        sigma=lambda t, x, u, v: (1.0 + 0.5 * u * v)[:, :, None] * np.ones(x.shape + (1,)),
+        f=lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] - 0.2 * u[:, 0] * y + v[:, 0] * z[:, 0],
+        h=lambda t, x: -np.abs(x[:, 0]),
+        u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5]])
+    u = ControlPath.from_feedback(lambda t, x: (x[:, 0] > 0.0).astype(int))
+    v = ControlPath.from_feedback(lambda t, x: (x[:, 0] > 0.4).astype(int))
+    mesh = TimeMesh(0.0, 1.0, 12)
+
+    def solve():
+        bundle = simulate_paths(inst, np.zeros(1), mesh, u, v, 256, 3)
+        terminal = np.zeros(bundle.paths)
+        return bundle, solve_reflected(inst, bundle, terminal, BASIS)
+
+    bundle, solution = solve()
+    seen = []
+    monkeypatch.setattr(sde, "eval_drift", group_by_group(sde.eval_drift, seen))
+    monkeypatch.setattr(sde, "eval_diffusion", group_by_group(sde.eval_diffusion, seen))
+    monkeypatch.setattr(rbsde, "eval_cost_rate", group_by_group(rbsde.eval_cost_rate, seen))
+    reference_bundle, reference = solve()
+    assert max(seen) == 3
+    for name in ("states", "u_path", "v_path"):
+        assert np.array_equal(getattr(bundle, name), getattr(reference_bundle, name))
+    for name in ("Y", "Z", "K"):
+        assert np.array_equal(getattr(solution, name), getattr(reference, name))

@@ -199,7 +199,7 @@ def test_constant_controls_give_the_feedback_bundle_bit_for_bit(v_rule):
     # feedback rule one index per path, and the bundles are the same
     inst = make_instance(
         b=lambda t, x, u, v: u - v + np.sin(x),
-        sigma=lambda t, x, u, v: (1.0 + u[0] + 2.0 * v[0]) * np.ones(x.shape + (1,)),
+        sigma=lambda t, x, u, v: (1.0 + u + 2.0 * v)[:, :, None] * np.ones(x.shape + (1,)),
         u_points=[[0.0], [0.5], [1.0]], v_points=[[0.0], [1.0]])
     if v_rule == "constant":
         v, v_reference = ControlPath.constant(1), _as_feedback(1)
