@@ -5,7 +5,9 @@ Commands
 ``isaacslab run <config.json> [--seed S] [--output DIR]``
     Run the configured experiment, write a config echo, a metrics file
     and optional field dumps / convergence tables into the output
-    directory.
+    directory.  Each field dump is formatted by up to one process per
+    usable CPU (forked children, all reaped before the dump returns);
+    its bytes do not depend on that count.
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
@@ -15,7 +17,8 @@ Commands
 
 Exit codes: 0 success, 2 configuration error (a config whose arrays
 cannot be allocated included), 3 numerical precondition (stability
-bound, divergence, contract violation), 4 I/O failure.
+bound, divergence, contract violation), 4 I/O failure (a failed field
+dump included; it leaves no partial file).
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -99,22 +105,86 @@ def _probe_initial(field, x_probe):
     return float(field.slices[0].ravel()[j])
 
 
+# Fewest values a forked worker formats: forking and reaping one costs about
+# 3.5 ms for a 48 MB process, the time to format about 5 000 values.
+_WORKER_MIN_VALUES = 5000
+
+
+def _write_slices(out, rows, templates, start, stop):
+    for k in range(start, stop):
+        out.write(str(k).join(["", *templates]) % tuple(rows[k].tolist()))
+
+
 def _dump_field(field, directory, name):
     """Write ``t_index,flat_node_index,x_0,...,value`` rows, one time slice per block.
 
     Integers are written as such and floats with 17 significant digits,
     so every value reads back exactly.  Each node's row after the time
     index is a ``%`` template, so a slice is one ``join`` and one format.
+
+    The slices are cut into W contiguous runs, W being the number of
+    usable CPUs capped by the slice count and by ``_WORKER_MIN_VALUES``
+    values per run.  This process formats run 0 into the file; runs 1 to
+    W - 1 are formatted by forked children, each into an unlinked
+    temporary file, and appended in order by a kernel copy.  The bytes do
+    not depend on W.  A child that fails makes this raise
+    :class:`OSError` naming the file; on any failure the children are
+    killed and reaped and the file is removed.
     """
     n = field.grid.ndim
     header = ",".join(["t_index", "flat_node_index"]
                       + [f"x_{i}" for i in range(n)] + ["value"])
     templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
                  for j, coords in enumerate(field.grid.nodes().tolist())]
-    with open(Path(directory) / name, "w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        for k, values in enumerate(field.slices.reshape(len(field.times), -1)):
-            out.write(str(k).join(["", *templates]) % tuple(values.tolist()))
+    rows = field.slices.reshape(len(field.times), -1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, len(rows), rows.size // _WORKER_MIN_VALUES))
+    bounds = [len(rows) * w // workers for w in range(workers + 1)]
+    path = Path(directory) / name
+    parts, children = [], []
+    with open(path, "w", encoding="utf-8") as out:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                parts.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on forking beside numpy's BLAS threads;
+                    # the child formats strings only and never enters BLAS
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                    if pid == 0:
+                        # the child ends here, flushing no buffer it inherited
+                        code = 1
+                        try:
+                            _write_slices(parts[-1], rows, templates, start, stop)
+                            parts[-1].flush()
+                            code = 0
+                        finally:
+                            os._exit(code)
+                children.append(pid)
+            out.write(header + "\n")
+            _write_slices(out, rows, templates, 0, bounds[1])
+            out.flush()
+            for pid, part in zip(list(children), parts):
+                _, status = os.waitpid(pid, 0)
+                children.remove(pid)
+                if status:
+                    raise OSError(f"a worker formatting {path} failed")
+                size, sent = os.fstat(part.fileno()).st_size, 0
+                while sent < size:
+                    sent += os.sendfile(out.fileno(), part.fileno(), sent, size - sent)
+        except BaseException:
+            import signal  # here, not at the top: loading it costs ~1 ms of every start
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            path.unlink(missing_ok=True)
+            raise
+        finally:
+            for pid in children:
+                os.waitpid(pid, 0)
+            for part in parts:
+                part.close()
 
 
 def _run_solve(config, grids):

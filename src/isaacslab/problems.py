@@ -62,7 +62,8 @@ class ControlGrid:
     label: str = ""
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # C order, so that ``sde._control_rows`` can view one row as a buffer
+        pts = np.atleast_2d(np.ascontiguousarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("control grid must be nonempty")
         if pts.ndim != 2:

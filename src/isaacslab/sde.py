@@ -219,12 +219,18 @@ def simulate_paths(instance, x0, mesh, u, v, paths, seed):
 def _control_rows(grid, index, paths):
     """One step's control points, one row per path, from one ``int`` or one index per path.
 
-    A read-only broadcast view when every path applies one index, a gather otherwise.
+    A read-only view with a zero row stride when every path applies one
+    index (built directly: ``np.broadcast_to`` costs about three times as
+    much per call), a gather otherwise.
     """
     if not isinstance(index, int) and index.min() == index.max():
         index = int(index[0])
     if isinstance(index, int):
-        return np.broadcast_to(grid.points[index], (paths, grid.dim))
+        points = grid.points
+        rows = np.ndarray((paths, grid.dim), points.dtype, points,
+                          index * points.strides[0], (0, points.itemsize))
+        rows.flags.writeable = False
+        return rows
     return grid.points[index]
 
 

@@ -1,17 +1,20 @@
 """Config parsing, experiment dispatch, output files, exit codes."""
 
 import dataclasses
+import errno
 import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isaacslab
-from isaacslab import pde, problems
+from isaacslab import cli, pde, problems
 from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
@@ -190,17 +193,52 @@ def test_run_solve_writes_field_dump_with_exact_columns(tmp_path):
     assert len(dump) - 1 == (metrics["nt"] + 1) * grid_nodes
 
 
-@pytest.mark.parametrize("box, nx", [(((-1.0, 2.5),), (7,)),
-                                     (((-1.0, 1.0), (0.1, 3.0)), (4, 5))])
-def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, box, nx):
+def force_dump_workers(monkeypatch, cpus):
+    """Give field dumps ``cpus`` usable CPUs and no minimum run size.
+
+    Returns the list of forks the dumps make.  Each fork first warns as
+    Python 3.12+ does when other threads run, which the dump must absorb.
+    """
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                      "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 1)
+    return forks
+
+
+def dumps_at_each_worker_count(monkeypatch, field, directory):
+    """The bytes of ``field``'s dump made with 1, 2 and 3 usable CPUs."""
+    dumps = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forks = force_dump_workers(patch, cpus)
+            _dump_field(field, directory, "field.csv")
+        assert len(forks) == min(cpus, len(field.times)) - 1
+        dumps.append((directory / "field.csv").read_bytes())
+    return dumps
+
+
+@pytest.mark.parametrize("box, nx, nt", [
+    pytest.param(((-1.0, 2.5),), (7,), 3, id="box0-nx0"),
+    pytest.param(((-1.0, 1.0), (0.1, 3.0)), (4, 5), 3, id="box1-nx1"),
+    pytest.param(((-1.0, 2.5),), (7,), 1, id="two-slices")])
+def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, box, nx, nt):
     # reference: the np.savetxt layout the dump has always had
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=3)
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=nt)
     rng = np.random.default_rng(5)
     slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
     slices.flat[:4] = [0.0, -0.0, 1.0, 1e-300]
     field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
                        slices=slices, kind="lower")
-    _dump_field(field, tmp_path, "field.csv")
     n = grid.ndim
     t_index, node = np.meshgrid(np.arange(grid.nt + 1), np.arange(slices[0].size),
                                 indexing="ij")
@@ -210,14 +248,17 @@ def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, box, nx):
                       + [f"x_{i}" for i in range(n)] + ["value"])
     np.savetxt(tmp_path / "reference.csv", data, fmt=["%d", "%d"] + ["%.17g"] * (n + 1),
                delimiter=",", header=header, comments="")
-    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert dumps_at_each_worker_count(monkeypatch, field, tmp_path) == [reference] * 3
 
 
-@pytest.mark.parametrize("box, nx", [(((-1.0, 2.5),), (5,)),
-                                     (((-1.0, 1.0), (0.1, 3.0)), (4, 5))])
-def test_field_dump_templates_match_per_row_formatting(tmp_path, box, nx):
+@pytest.mark.parametrize("box, nx, nt", [
+    pytest.param(((-1.0, 2.5),), (5,), 11, id="box0-nx0"),
+    pytest.param(((-1.0, 1.0), (0.1, 3.0)), (4, 5), 11, id="box1-nx1"),
+    pytest.param(((-1.0, 2.5),), (5,), 1, id="two-slices")])
+def test_field_dump_templates_match_per_row_formatting(tmp_path, monkeypatch, box, nx, nt):
     # one %-template per node gives the bytes of formatting every row on its own
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=11)
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=nt)
     rng = np.random.default_rng(9)
     slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
     special = [-0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 1e16, 0.0]
@@ -225,14 +266,84 @@ def test_field_dump_templates_match_per_row_formatting(tmp_path, box, nx):
     slices.flat[-len(special):] = special
     field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
                        slices=slices, kind="lower")
-    _dump_field(field, tmp_path, "field.csv")
     lines = [",".join(["t_index", "flat_node_index"]
                       + [f"x_{i}" for i in range(grid.ndim)] + ["value"]) + "\n"]
     nodes = grid.nodes().tolist()
     for k, values in enumerate(slices.reshape(grid.nt + 1, -1).tolist()):
         for j, (coords, v) in enumerate(zip(nodes, values)):
             lines.append(f"{k},{j}," + "".join(f"{c:.17g}," for c in coords) + f"{v:.17g}\n")
-    assert (tmp_path / "field.csv").read_text(encoding="utf-8") == "".join(lines)
+    reference = "".join(lines).encode("utf-8")
+    assert dumps_at_each_worker_count(monkeypatch, field, tmp_path) == [reference] * 3
+
+
+def test_field_dump_runs_are_sized_from_the_cpu_count(tmp_path, monkeypatch):
+    # the minimum run size caps the workers; a small dump forks none
+    forks = force_dump_workers(monkeypatch, 4)
+    monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 10)
+    grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(5,), nt=9)
+    field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, 10),
+                       slices=np.zeros((10, 5)), kind="lower")
+    _dump_field(field, tmp_path, "field.csv")
+    assert len(forks) == 3  # min(4 CPUs, 10 slices, 50 // 10 values) = 4 runs
+    forks.clear()
+    monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 26)
+    _dump_field(field, tmp_path, "field.csv")
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_dump_exits_4_leaving_no_file_and_no_process(tmp_path, monkeypatch, capsys,
+                                                            failing):
+    force_dump_workers(monkeypatch, 3)
+    real_write = cli._write_slices
+
+    def write_slices(out, rows, templates, start, stop):
+        if failing == "worker" and start > 0:
+            raise ValueError("formatting failed")
+        if failing == "parent" and start == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if failing == "parent":
+            time.sleep(30)  # a worker the failing parent must kill
+        real_write(out, rows, templates, start, stop)
+
+    monkeypatch.setattr(cli, "_write_slices", write_slices)
+    cfg = write_config(tmp_path, "solve.json", {
+        "experiment": "solve",
+        "instance": {"name": "no_obstacle_linear"},
+        "grid": {"box": [[-1, 1]], "nx": [11]},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["csv", "json"]},
+    })
+    start = time.perf_counter()
+    assert main(["run", cfg]) == 4
+    assert time.perf_counter() - start < 20
+    err = capsys.readouterr().err
+    assert "field.csv" in err if failing == "worker" else "No space left" in err
+    assert not (tmp_path / "out" / "field.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_run_with_field_dumps_prints_each_line_once(tmp_path):
+    # stdout is a pipe, so a line printed before the dump still sits in its
+    # buffer when the dump forks; a worker must neither flush it nor return
+    src = str(Path(isaacslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    config = Path(__file__).resolve().parent.parent / "configs" / "solve_put.json"
+    code = ("import os\n"
+            "import sys\n"
+            "from isaacslab.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine\n"
+            "print('before the run')\n"
+            f"sys.exit(main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["before the run", "experiment: solve"]
+    assert len(lines) == len(set(lines))
+    assert out.stderr == ""
+    assert (tmp_path / "field.csv").stat().st_size > 0
 
 
 def test_seed_override_changes_digest(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from isaacslab import sde
 from isaacslab.errors import DivergenceError, PreconditionError
-from isaacslab.problems import builtin_instance
+from isaacslab.problems import ControlGrid, builtin_instance
 from isaacslab.sde import ControlPath, TimeMesh, empirical_moments, simulate_paths
 
 from conftest import make_instance
@@ -218,6 +218,20 @@ def test_constant_controls_give_the_feedback_bundle_bit_for_bit(v_rule):
         got, want = getattr(bundle, name), getattr(reference, name)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("index", [2, np.full(5, 2, dtype=np.uint8),
+                                   np.array([0, 2, 1, 2, 0], dtype=np.uint8)],
+                         ids=["int", "one-index-row", "mixed-row"])
+def test_control_rows_are_the_gathered_points(index):
+    # one index gives a read-only view with a zero row stride, a mixed row a
+    # gather; the points arrive in Fortran order
+    grid = ControlGrid(np.arange(6.0).reshape(2, 3).T, "u")
+    rows = sde._control_rows(grid, index, 5)
+    assert np.array_equal(rows, grid.points[np.broadcast_to(index, 5)])
+    one_index = not isinstance(index, np.ndarray) or index.min() == index.max()
+    assert (rows.strides[0] == 0) == one_index
+    assert rows.flags.writeable != one_index
 
 
 @pytest.mark.parametrize("control, message", [
