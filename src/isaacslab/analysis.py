@@ -205,10 +205,10 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
         raise FitError("need at least three usable deltas inside the window")
     samples = field.slices[:, idx]
     # the obstacle at the sample nodes, once per slice that some pair reads,
-    # or once for every slice when it is static (zero without an instance)
+    # or once for every slice of a time-homogeneous instance (zero without one)
     obstacle = np.zeros_like(samples)
     x_pts = ax[idx][:, None]
-    if instance is not None and instance.coeffs.static_obstacle:
+    if instance is not None and instance.coeffs.time_homogeneous:
         obstacle[:] = eval_obstacle(instance, 0.0, x_pts)
     elif instance is not None:
         for k in np.unique(np.concatenate([ks + s for j, ks in pairs for s in (0, j)])):

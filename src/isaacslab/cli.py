@@ -11,9 +11,10 @@ Commands
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
-    Make every check ``run`` makes before it solves (``config.parse_config``
-    and the sizing of its grids against the stability bound), then probe
-    the instance's standing assumptions.
+    Make every check ``run`` makes before it solves (``config.parse_config``,
+    the sizing of its grids against the stability bound and the
+    experiment's own pre-solve work), then probe the instance's standing
+    assumptions.
 
 Exit codes: 0 success, 2 configuration error (a config whose arrays
 cannot be allocated included), 3 numerical precondition (stability
@@ -74,26 +75,45 @@ class ResultRecord:
     files: tuple
 
 
-def _solved_grids(config):
-    """The grids ``run`` solves on, sized.
+def _presolve(config):
+    """What ``run`` computes, and may refuse, before it solves.
 
-    One per ``schedules.nx`` entry for ``american_oracle``, none for
-    ``rbsde_oracle`` and ``config.grid`` for the other experiments.  An
-    automatic ``nt`` is set to the smallest the stability bound admits;
-    an explicit ``grid.nt`` below the bound raises :class:`CflError`.
+    Returns the grids it solves on, sized, and the experiment's own data:
+    a ``dpp`` run's time index and the steps of each delta, cut to fit
+    after it, or an ``american_oracle`` run's probe, tree depth and
+    binomial put value.  The grids are one per ``schedules.nx`` entry for
+    ``american_oracle``, none for ``rbsde_oracle`` and ``config.grid`` for
+    the other experiments.  An automatic ``nt`` is set to the smallest
+    the stability bound admits; an explicit ``grid.nt`` below the bound
+    raises :class:`CflError`.
     """
     if config.experiment == "rbsde_oracle":
-        return []
+        return [], None
     if config.experiment == "american_oracle":
         grids = [dataclasses.replace(config.grid, nx=(nx,)) for nx in config.nx_schedule]
     else:
         grids = [config.grid]
     if config.grid_nt_auto:
-        return [dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
-                for grid in grids]
-    for grid in grids:
-        pde._check_cfl(config.instance, grid)
-    return grids
+        grids = [dataclasses.replace(grid, nt=cfl_required_nt(config.instance, grid))
+                 for grid in grids]
+    else:
+        for grid in grids:
+            pde._check_cfl(config.instance, grid)
+    options, nt = config.options, grids[0].nt
+    if config.experiment == "dpp":
+        t_index = int(round(float(options.get("t_fraction", 0.5)) * nt))
+        # every delta re-solves at least one step, so either all fit or none does
+        if t_index >= nt:
+            raise PreconditionError("no usable (t, delta) pair inside the horizon")
+        return grids, (t_index, [min(max(1, int(round(frac * nt))), nt - t_index)
+                                 for frac in config.delta_fractions])
+    if config.experiment == "american_oracle":
+        params = config.instance.params
+        probe_x = float(params["K0"] if options.get("probe_x") is None else options["probe_x"])
+        steps = int(options.get("binomial_steps", 2000))
+        return grids, (probe_x, steps, crr_put(probe_x, params["K0"], params["r"],
+                                               params["sigma0"], params["T"], steps))
+    return grids, None
 
 
 def _probe_initial(field, x_probe):
@@ -187,7 +207,7 @@ def _dump_field(field, directory, name):
                 part.close()
 
 
-def _run_solve(config, grids):
+def _run_solve(config, grids, _):
     grid = grids[0]
     which = config.options["which"]
     field = solve_obstacle_pde(which, config.instance, grid)
@@ -207,7 +227,7 @@ def _run_solve(config, grids):
     return metrics, None, dumps
 
 
-def _run_penalization(config, grids):
+def _run_penalization(config, grids, _):
     grid = grids[0]
     table = penalization_convergence(config.instance, grid, config.m_schedule)
     metrics = {
@@ -221,23 +241,11 @@ def _run_penalization(config, grids):
     return metrics, schedule, {}
 
 
-def _run_dpp(config, grids):
-    instance = config.instance
-    grid = grids[0]
+def _run_dpp(config, grids, pairs):
+    instance, grid, (t_index, steps) = config.instance, grids[0], pairs
     field = solve_obstacle_pde(config.options["which"], instance, grid)
-    t_fraction = float(config.options.get("t_fraction", 0.5))
-    t_index = int(round(t_fraction * grid.nt))
-    deltas, residuals = [], []
-    for frac in config.delta_fractions:
-        steps = max(1, int(round(frac * grid.nt)))
-        steps = min(steps, grid.nt - t_index)
-        if steps < 1:
-            continue
-        report = dpp_residual(field, instance, t_index, steps)
-        deltas.append(report.delta)
-        residuals.append(report.max_residual)
-    if not residuals:
-        raise PreconditionError("no usable (t, delta) pair inside the horizon")
+    reports = [dpp_residual(field, instance, t_index, k) for k in steps]
+    deltas, residuals = [r.delta for r in reports], [r.max_residual for r in reports]
     metrics = {"nt": grid.nt, "t_index": t_index,
                "max_residual": max(residuals)}
     schedule = {"parameter": "delta", "values": deltas,
@@ -245,32 +253,22 @@ def _run_dpp(config, grids):
     return metrics, schedule, {}
 
 
-def _run_compare_wu(config, grids):
+def _run_compare_wu(config, grids, _):
     instance = config.instance
     grid = grids[0]
     low = lower_value(instance, grid)
     up = upper_value(instance, grid)
     violation, gap = value_comparison(low, up)
     metrics = {"nt": grid.nt, "max_violation": violation, "max_gap": gap}
-    dumps = {}
-    if "csv" in config.formats:
-        dumps = {"field_lower.csv": low, "field_upper.csv": up}
+    dumps = {"field_lower.csv": low, "field_upper.csv": up} if "csv" in config.formats else {}
     return metrics, None, dumps
 
 
-def _run_american_oracle(config, grids):
-    instance = config.instance
-    params = instance.params
-    probe_x = config.options.get("probe_x")
-    probe_x = float(params["K0"] if probe_x is None else probe_x)
-    steps = int(config.options.get("binomial_steps", 2000))
-    reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"],
-                        params["T"], steps)
-
-    errors, nxs = [], []
-    value = None
+def _run_american_oracle(config, grids, binomial):
+    probe_x, steps, reference = binomial
+    errors, nxs, value = [], [], None
     for grid in grids:
-        field = solve_obstacle_pde("lower", instance, grid)
+        field = solve_obstacle_pde("lower", config.instance, grid)
         value = _probe_initial(field, probe_x)
         nxs.append(grid.nx[0])
         errors.append(abs(value - reference) / abs(reference))
@@ -282,7 +280,7 @@ def _run_american_oracle(config, grids):
     return metrics, schedule, {}
 
 
-def _run_rbsde_oracle(config, grids):
+def _run_rbsde_oracle(config, grids, _):
     instance = config.instance
     mesh = TimeMesh(0.0, instance.T, config.mc.steps)
     bundle = simulate_paths(instance, np.zeros(instance.n), mesh,
@@ -323,8 +321,7 @@ def run(config):
     convergence tables written, so a run refused or failing before that
     leaves no output directory behind.  Returns the record.
     """
-    grids = _solved_grids(config)
-    metrics, schedule, dumps = _RUNNERS[config.experiment](config, grids)
+    metrics, schedule, dumps = _RUNNERS[config.experiment](config, *_presolve(config))
 
     record = ResultRecord(
         experiment=config.experiment,
@@ -422,7 +419,7 @@ def _cmd_list_instances(args):
 
 def _cmd_validate(args):
     config = load_config(args.config)
-    _solved_grids(config)  # refuses what run refuses
+    _presolve(config)  # refuses what run refuses
     seed = config.mc.seed if config.mc is not None else 0
     report = validate_instance(config.instance, probe_count=128, seed=seed)
     if report.passed:

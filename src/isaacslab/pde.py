@@ -20,7 +20,7 @@ neighbour weight is nonnegative, which no dt changes, and ``dt <= 1 /
 max(L_y - centre)`` over every node and control pair, with ``L_y`` the
 ``declared_lipschitz`` of the cost rate in the value.
 :func:`_monotone_rate` checks both on the coefficients at t = 0 and
-t = T (t = 0 alone for time-homogeneous dynamics): where the mixed term
+t = T (t = 0 alone for a time-homogeneous instance): where the mixed term
 outweighs the diagonal one a neighbour weight is negative and the grid
 is refused.  :func:`cfl_required_nt` gives the smallest admissible
 number of steps, and every solve refuses a grid that breaks the rule;
@@ -38,20 +38,20 @@ grid policy: linear extrapolation from the two nearest interior nodes
 (default, consistent with linear growth of the value) or freezing at
 the terminal data.  A batch of fields, one per penalty weight, is
 stepped in one sweep: each step makes one cost-rate call on the rows of
-every control pair and field and evaluates the obstacle once (once per
-sweep when it is declared static, ``Coefficients.static_obstacle``), and
-a slice that is not finite stops the sweep with a divergence error.
+every control pair and field, and a slice that is not finite stops the
+sweep with a divergence error.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: one call of each on the given nodes (all of them for the
 stability rule, the interior ones for a solve) repeated for every
 control pair and field, each row under its pair's controls, stacked
-with sigma sigma^T over the pairs.  A solve builds these stacks, and the
-weight table with them, at its first step when the instance declares
-time-homogeneous dynamics (``Coefficients.time_homogeneous``) and at
-every step otherwise; the queries of a stored field
-(:func:`_field_stacks`) do the same, and read its slices through one
-neighbourhood view.
+with sigma sigma^T over the pairs.  A solve builds these stacks, the
+weight table with them and the obstacle at its first step when the
+instance declares that b, sigma and h do not read t
+(``Coefficients.time_homogeneous``) and at every step otherwise; the
+queries of a stored field (:func:`_field_stacks`,
+:func:`complementarity_residual`) do the same, and read its slices
+through one neighbourhood view.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _stability(instance, grid):
 
     The bound is ``1 / R``, with ``R`` the largest :func:`_monotone_rate`
     of the weight table over every node and control pair, sampled at t = 0
-    and t = T (at t = 0 alone for time-homogeneous dynamics).  Returns
+    and t = T (at t = 0 alone for a time-homogeneous instance).  Returns
     ``(bound, nt)``.  Raises :class:`PreconditionError` when a squared
     spacing is zero or overflows, when no time step makes the mixed
     stencil monotone, and when the bound is zero or not finite (an
@@ -451,10 +451,10 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
     obstacle projection ``max(., h)``, or the penalty weight (one per
     field) of the semi-implicit penalty update.  Every step makes one
     cost-rate call on the rows of every control pair and field; the
-    obstacle, held at the batch's shape, and the pair tables of drift and
-    diffusion are built at the first step for a static obstacle and
-    time-homogeneous dynamics and at every step otherwise, where a step
-    longer than its own tables allow raises :class:`CflError`.
+    pair tables of drift and diffusion and the obstacle, held at the
+    batch's shape, are built at the first step for a time-homogeneous
+    instance and at every step otherwise, where a step longer than its
+    own tables allow raises :class:`CflError`.
     Slice ``k`` is written to ``store[k % len(store)]``: a store with
     one slot per time keeps every slice, one with two slots only the
     latest two.  In two dimensions the boundary fill of the first axis
@@ -489,15 +489,15 @@ def _sweep(which, instance, grid, times, terminal, weights, store):
             tables = _pair_tables(instance, t, x_int, fields)
             stencil = _stencil_weights(tables, dx)
             table = stencil.reshape(stencil.shape[:-1] + interior_shape)
-        if not homogeneous:
-            rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
-            _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
+            h = np.broadcast_to(eval_obstacle(instance, t, nodes_all).reshape(shape),
+                                terminal.shape).copy()
+            if not homogeneous:
+                rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
+                _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
         w = store[k % slots]
         _step_slice(which, instance, t, dt, windows[(k + 1) % slots], dx, tables, table,
                     w[interior])
         _fill_boundary(w, grid, terminal)
-        if k == steps - 1 or not instance.coeffs.static_obstacle:
-            h = np.broadcast_to(eval_obstacle(instance, t, nodes_all).reshape(shape), w.shape).copy()
         if weights is None:
             np.maximum(w, h, out=w)
         else:
@@ -642,7 +642,7 @@ def _field_stacks(field, instance):
     pair at time ``t`` with the slice's central difference data, read
     off the cells of slot ``k`` of one :func:`_windows` view of the
     stored slices.  The pair tables of drift and diffusion are built at
-    the first call for time-homogeneous dynamics and at every call
+    the first call for a time-homogeneous instance and at every call
     otherwise.
     """
     grid = field.grid
@@ -678,10 +678,10 @@ def complementarity_residual(field, instance, inner_only=False):
     At each interior node evaluates
     ``r = min(w - h, -dw/dt - H(t, x, w, Dw, D2w))`` with forward time
     quotients, central space quotients and h read at every slice (at
-    the first alone for a static obstacle).  Returns the supremum of
-    ``|r|`` together with the per-slice maxima.  ``inner_only`` restricts
-    the spatial maxima to the central sub-box, away from the truncation
-    boundary.  Note the residual is a genuine independent measure: it
+    the first alone for a time-homogeneous instance).  Returns the
+    supremum of ``|r|`` together with the per-slice maxima.
+    ``inner_only`` restricts the spatial maxima to the central sub-box,
+    away from the truncation boundary.  Note the residual is a genuine independent measure: it
     does not vanish where the terminal data is not smooth (for a kinked
     payoff the last slices carry an O(1/dx) spike), so convergence is
     read on slices away from the terminal layer.
@@ -698,7 +698,7 @@ def complementarity_residual(field, instance, inner_only=False):
         t = float(field.times[k])
         dt = float(field.times[k + 1] - field.times[k])
         x_int, wc, vals = stack(t, k)
-        if k == 0 or not instance.coeffs.static_obstacle:
+        if k == 0 or not instance.coeffs.time_homogeneous:
             h_int = eval_obstacle(instance, t, x_int)
         dwdt = (field.slices[k + 1][interior].ravel() - wc) / dt
         r = np.minimum(wc - h_int, -dwdt - _minimax(field.kind, vals))

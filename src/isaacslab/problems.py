@@ -21,11 +21,11 @@ its point.  Returns may be scalars or broadcastable arrays.  The
 coefficient, normalises the shape and turns any failure into an
 ``EvaluationError`` carrying the first row's point.
 
-Dynamics declared time-homogeneous (``Coefficients.time_homogeneous``:
-b and sigma do not read ``t``) are evaluated once per grid solve rather
-than once per step, and an obstacle declared static
-(``Coefficients.static_obstacle``: h does not read ``t``) once per grid
-sweep; :func:`validate_instance` probes both declarations.
+An instance declared time-homogeneous (``Coefficients.time_homogeneous``:
+b, sigma and h do not read ``t``) has them evaluated once per grid solve
+rather than once per step.  :class:`GameInstance` refuses a declaration
+that its values at t = 0 and t = T contradict, and
+:func:`validate_instance` probes it at every sampled time.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -91,11 +91,9 @@ class Coefficients:
     ``declared_lipschitz`` bounds the Lipschitz constants in the state
     (and, for the cost rate, in value and gradient arguments);
     ``declared_growth`` bounds the linear-growth constants.
-    ``time_homogeneous`` declares that b and sigma do not depend on t, so
-    the grid solver may evaluate them once per solve; ``static_obstacle``
-    declares the same of h, which the grid solver then evaluates once per
-    sweep.  All four are checked by probing in :func:`validate_instance`,
-    not symbolically.
+    ``time_homogeneous`` declares that b, sigma and h do not depend on t,
+    so the grid solver may evaluate them once per solve.  All three are
+    checked by probing in :func:`validate_instance`, not symbolically.
     """
 
     b: Callable
@@ -106,7 +104,6 @@ class Coefficients:
     declared_lipschitz: float
     declared_growth: float
     time_homogeneous: bool = False
-    static_obstacle: bool = False
 
     def __post_init__(self):
         if self.declared_lipschitz <= 0:
@@ -138,16 +135,22 @@ class GameInstance:
         nu, nv = len(self.u_grid), len(self.v_grid)
         u, v = np.repeat(self.u_grid.points, nv, axis=0), np.tile(self.v_grid.points, (nu, 1))
         x, y, z = np.zeros((nu * nv, self.n)), np.ones(nu * nv), np.ones((nu * nv, self.d))
+        values = {}
         for t in (0.0, self.T):
             for what, evaluate, args in (("drift", eval_drift, (x, u, v)),
                                          ("diffusion", eval_diffusion, (x, u, v)),
                                          ("cost rate", eval_cost_rate, (x, y, z, u, v))):
-                rows = evaluate(self, t, *args)
+                values[what, t] = rows = evaluate(self, t, *args)
                 if any(not np.array_equal(row, evaluate(self, t, *(a[i:i + 1] for a in args))[0])
                        for i, row in enumerate(rows)):
                     raise ValueError(f"the {what} reads another row's control: u and v "
                                      f"hold one control point per state row")
-            eval_obstacle(self, t, x)
+            values["obstacle", t] = eval_obstacle(self, t, x)
+        # a declaration these values contradict would freeze them at one step
+        for what in ("drift", "diffusion", "obstacle") if self.coeffs.time_homogeneous else ():
+            if not np.array_equal(values[what, 0.0], values[what, self.T]):
+                raise ValueError(f"the {what} differs at t = 0 and t = T = {self.T:g}, but "
+                                 f"the instance declares time_homogeneous")
         eval_terminal(self, x)
 
 
@@ -245,9 +248,8 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
       with 5% slack),
     * linear-growth bounds against ``declared_growth``,
     * the barrier condition ``h(T, x) <= phi(x)``,
-    * for dynamics declared time-homogeneous, equality of b and sigma at
-      each probe's own time with their values at t = 0, and for an
-      obstacle declared static, the same equality of h.
+    * for an instance declared time-homogeneous, equality of b, sigma and
+      h at each probe's own time with their values at t = 0.
 
     The probes are seeded uniform draws, so the report is deterministic for
     fixed ``(instance, probe_count, seed)``.
@@ -312,9 +314,10 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     h_T = eval_obstacle(instance, instance.T, xs)
     record("barrier:terminal", h_T > phi_a + 1e-12, h_T - phi_a, lambda i: tuple(xs[i]))
     t_0 = np.zeros_like(ts)
-    if instance.coeffs.static_obstacle:
+    if instance.coeffs.time_homogeneous:
         moved = np.abs(h_a - per_row(eval_obstacle, (xs,), times=t_0))
-        record("static_obstacle", moved > 0.0, moved, lambda i: (float(ts[i]), tuple(xs[i])))
+        record("time_homogeneous:obstacle", moved > 0.0, moved,
+               lambda i: (float(ts[i]), tuple(xs[i])))
 
     lin = 1.0 + np.linalg.norm(xs, axis=1)
     denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
@@ -373,7 +376,7 @@ def _american_put(p):
         h=lambda t, x: payoff(x),
         declared_lipschitz=max(1.0, r, vol),
         declared_growth=2.0 * strike + 1.0,
-        time_homogeneous=True, static_obstacle=True,
+        time_homogeneous=True,
     )
 
 
@@ -387,7 +390,7 @@ def _lemma45(p):
         h=lambda t, x: np.full(x.shape[0], -rho),
         declared_lipschitz=max(c, 1.0),
         declared_growth=0.5 * theta + rho + 1.0,
-        time_homogeneous=True, static_obstacle=True,
+        time_homogeneous=True,
     )
 
 
@@ -402,7 +405,7 @@ def _minimax_gap(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(floor) + vol + bound + 1.0,
-        time_homogeneous=True, static_obstacle=True,
+        time_homogeneous=True,
     )
 
 
@@ -417,7 +420,7 @@ def _no_obstacle_linear(p):
         h=lambda t, x: np.full(x.shape[0], floor),
         declared_lipschitz=1.0,
         declared_growth=abs(c0) + abs(c1) + abs(floor) + vol + 1.0,
-        time_homogeneous=True, static_obstacle=True,
+        time_homogeneous=True,
     )
 
 
@@ -431,7 +434,6 @@ def _deterministic_stop(p):
         h=lambda t, x: np.full(x.shape[0], horizon - t),
         declared_lipschitz=1.0,
         declared_growth=horizon + 1.0,
-        time_homogeneous=True,
     )
 
 

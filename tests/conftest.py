@@ -37,9 +37,10 @@ def declare_homogeneous(instance, flag=True):
     return dataclasses.replace(instance, coeffs=coeffs)
 
 
-def declare_static_obstacle(instance, flag=True):
-    """``instance`` with ``Coefficients.static_obstacle`` set to ``flag``."""
-    coeffs = dataclasses.replace(instance.coeffs, static_obstacle=flag)
+def frozen_obstacle(instance):
+    """``instance`` with its obstacle held at its values at t = 0."""
+    h = instance.coeffs.h
+    coeffs = dataclasses.replace(instance.coeffs, h=lambda t, x: h(0.0, x))
     return dataclasses.replace(instance, coeffs=coeffs)
 
 

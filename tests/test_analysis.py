@@ -273,9 +273,9 @@ def test_time_continuity_matches_the_per_pair_loop(monkeypatch, name, window, ob
     fit = time_continuity_profile(field, xs, deltas, t_window=window, instance=probe)
     assert (fit.deltas, fit.moduli, fit.obstacle_moduli) == expected[:3]
     # once per slice that some pair reads, and never twice; once in all for
-    # a static obstacle (american_put's), whose moduli are then exactly 0
+    # a time-homogeneous instance (american_put), whose moduli are then exactly 0
     read = sorted(float(field.times[k]) for k in expected[3]) if probe is not None else []
-    if probe is not None and probe.coeffs.static_obstacle:
+    if probe is not None and probe.coeffs.time_homogeneous:
         assert fit.obstacle_moduli == (0.0,) * len(fit.deltas)
         read = [0.0]
     assert sorted(calls) == read

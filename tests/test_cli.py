@@ -15,6 +15,7 @@ import pytest
 
 import isaacslab
 from isaacslab import cli, pde, problems
+from isaacslab.analysis import lower_value, upper_value
 from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
@@ -191,6 +192,22 @@ def test_run_solve_writes_field_dump_with_exact_columns(tmp_path):
     grid_nodes = 11
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())["metrics"]
     assert len(dump) - 1 == (metrics["nt"] + 1) * grid_nodes
+
+
+def test_run_compare_wu_dumps_the_lower_and_the_upper_field(tmp_path):
+    config = parse_config({
+        "experiment": "compare_wu",
+        "instance": {"name": "minimax_gap"},
+        "grid": {"box": [[-2, 2]], "nx": [21]},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json", "csv"]},
+    })
+    run(config)
+    names = ["field_lower.csv", "field_upper.csv"]
+    assert json.loads((tmp_path / "out" / "run_info.json").read_text())["files"] == names
+    grid = cli._presolve(config)[0][0]
+    for name, solve in zip(names, (lower_value, upper_value)):
+        _dump_field(solve(config.instance, grid), tmp_path, name)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def force_dump_workers(monkeypatch, cpus):
@@ -497,6 +514,13 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     # 2e18 paths of one step: 4e18 entries, but 3.2e19 bytes
     pytest.param(_with(_RBSDE, "mc", None, {"paths": 2e18, "steps": 1, "seed": 7}), 2,
                  id="rbsde-unindexable-path-bytes"),
+    # one step (automatic nt on deterministic_stop), and t_index = 1 leaves no delta after it
+    pytest.param({"experiment": "dpp", "instance": {"name": "deterministic_stop"},
+                  "grid": {"box": [[-1, 1]], "nx": [11]}, "options": {"t_fraction": 0.999}},
+                 3, id="dpp-no-delta-inside-the-horizon"),
+    # the binomial reference refuses a flat tree
+    pytest.param(_with(_ORACLE, "instance", "params", {"sigma0": 0}), 3,
+                 id="oracle-degenerate-binomial-tree"),
 ])
 def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     cfg = write_config(tmp_path, "cfg.json",

@@ -44,7 +44,7 @@ from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 from conftest import (
     correlated_game,
     declare_homogeneous,
-    declare_static_obstacle,
+    frozen_obstacle,
     make_instance,
     mixed_dominance_game,
     sized,
@@ -127,6 +127,12 @@ def test_cfl_flag_and_refusal():
 def test_step_sized_by_the_stencil_monotonicity(name, box, nx, nt):
     # dt <= 1 / (a / dx^2 + L_y) for these driftless or central-drift grids
     assert sized(builtin_instance(name), box, (nx,)).nt == nt
+
+
+def test_step_count_rounds_up_past_a_ceil_that_undershoots():
+    # 0.1 / (1 / 750) rounds to 75.0, but 0.1 / 75 exceeds 1 / 750
+    assert math.ceil(0.1 / (1.0 / 750.0)) == 75 and 0.1 / 75 > 1.0 / 750.0
+    assert pde._bound_and_nt(0.1, 750.0) == (1.0 / 750.0, 76)
 
 
 def drift_dominated(drift, time_homogeneous=True):
@@ -564,7 +570,8 @@ def test_stacked_products_are_the_per_pair_products(rng, n, d):
 @pytest.mark.parametrize("case", ["american_put", "minimax_3x3", "correlated_2d"])
 def test_field_stacks_are_the_shifted_block_stacks_bit_for_bit(monkeypatch, case, homogeneous):
     inst, box, nx = STACKED_CASES[case]()
-    inst = declare_homogeneous(inst, homogeneous)
+    # correlated_2d's obstacle reads t: a declared one is held at t = 0
+    inst = declare_homogeneous(frozen_obstacle(inst) if homogeneous else inst, homogeneous)
     grid = sized(inst, box, nx)
     for which in HAMILTONIANS:
         field = solve_obstacle_pde(which, inst, grid)
@@ -798,14 +805,17 @@ def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundar
 @pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d",))
 def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
-    # drift and diffusion tabulated once per solve give the same fields,
-    # residuals, feedback paths and penalty sweep as evaluating them at
-    # every step
+    # drift, diffusion and obstacle evaluated once per solve give the same
+    # fields, residuals, feedback paths and penalty sweep as evaluating them
+    # at every step; an obstacle that reads t (correlated_2d's and
+    # deterministic_stop's) is held at t = 0 to declare it
     if case == "correlated_2d":
-        declared = declare_homogeneous(correlated_game())
+        declared = declare_homogeneous(frozen_obstacle(correlated_game()))
         grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
     else:
         declared = builtin_instance(case)
+        if not declared.coeffs.time_homogeneous:
+            declared = declare_homogeneous(frozen_obstacle(declared))
         box = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),)
         grid = sized(declared, box, (41,), boundary)
     per_step = declare_homogeneous(declared, False)
@@ -829,38 +839,13 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, bou
         assert k == j and np.array_equal(tabulated, evaluated)
 
 
-STATIC_OBSTACLES = ("american_put", "lemma45", "minimax_gap", "no_obstacle_linear")
-
-
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
-@pytest.mark.parametrize("name", STATIC_OBSTACLES)
-def test_static_obstacle_solves_match_per_step_evaluation_bit_for_bit(name, boundary):
-    # an obstacle evaluated once per sweep gives the same fields, residuals
-    # and penalty sweep as evaluating it at every step
-    declared = builtin_instance(name)
-    box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
-    grid = sized(declared, box, (41,), boundary)
-    per_step = declare_static_obstacle(declared, False)
-    assert declared.coeffs.static_obstacle
-    for which in HAMILTONIANS:
-        fields = [solve_obstacle_pde(which, inst, grid) for inst in (declared, per_step)]
-        assert np.array_equal(fields[0].slices, fields[1].slices)
-        residuals = [complementarity_residual(f, inst)[1]
-                     for f, inst in zip(fields, (declared, per_step))]
-        assert np.array_equal(*residuals)
-    schedule = [0.0, 4.0, 64.0]
-    for (k, held), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
-                                         sweep_penalized(per_step, grid, schedule), strict=True):
-        assert k == j and np.array_equal(held, evaluated)
-
-
-@pytest.mark.parametrize("name, static", [
+@pytest.mark.parametrize("name, homogeneous", [
     ("american_put", True), ("american_put", False), ("minimax_gap", True),
     ("minimax_gap", False), ("deterministic_stop", False)])
-def test_static_obstacle_evaluated_once_per_sweep(monkeypatch, name, static):
+def test_time_homogeneous_obstacle_evaluated_once_per_sweep(monkeypatch, name, homogeneous):
     inst = builtin_instance(name)
-    assert inst.coeffs.static_obstacle == (name in STATIC_OBSTACLES)
-    inst = declare_static_obstacle(inst, static)
+    assert inst.coeffs.time_homogeneous == (name != "deterministic_stop")
+    inst = declare_homogeneous(inst, homogeneous)
     box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
     grid = sized(inst, box, (41,))
     times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
@@ -874,13 +859,13 @@ def test_static_obstacle_evaluated_once_per_sweep(monkeypatch, name, static):
     else:
         field = lower_value(inst, grid)
         upper_value(inst, grid)
-    per_sweep = [times[-2]] if static else list(times[-2::-1])
+    per_sweep = [times[-2]] if homogeneous else list(times[-2::-1])
     assert calls == per_sweep * 2
     if name != "american_put":
         # the residual reads the obstacle at its first slice, t = 0, or at every slice
         calls.clear()
         complementarity_residual(field, inst)
-        assert calls == ([0.0] if static else list(times[:-1]))
+        assert calls == ([0.0] if homogeneous else list(times[:-1]))
 
 
 def feedback_bundles(field, inst):

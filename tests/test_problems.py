@@ -13,7 +13,7 @@ from isaacslab.problems import (
     validate_instance,
 )
 
-from conftest import declare_homogeneous, declare_static_obstacle, make_instance
+from conftest import declare_homogeneous, make_instance
 
 
 def test_control_grid_rejects_duplicates_and_empty():
@@ -84,19 +84,28 @@ def test_validate_flags_time_dependent_drift_declared_homogeneous():
 
 
 def test_validate_flags_time_dependent_obstacle_declared_static():
-    inst = make_instance(h=lambda t, x: t - x[:, 0], phi=lambda x: np.maximum(1.0 - x[:, 0], 0.0))
+    # h agrees at t = 0 and t = T = 1, where the instance checks it, and moves between
+    inst = make_instance(h=lambda t, x: t * (1.0 - t) - x[:, 0],
+                         phi=lambda x: np.maximum(1.0 - x[:, 0], 0.0))
     assert validate_instance(inst, probe_count=16, seed=2).passed
-    report = validate_instance(declare_static_obstacle(inst), probe_count=16, seed=2)
-    moved = [v for v in report.violations if v[0] == "static_obstacle"]
-    # h(t, x) - h(0, x) = t is nonzero at every probe
+    report = validate_instance(declare_homogeneous(inst), probe_count=16, seed=2)
+    moved = [v for v in report.violations if v[0] == "time_homogeneous:obstacle"]
+    # h(t, x) - h(0, x) = t (1 - t) is nonzero at every probe
     assert len(moved) == 16 and len(report.violations) == 16
     assert all(observed > 0.0 for _, _, observed in moved)
 
 
-def test_builtins_declare_a_static_obstacle_unless_it_reads_t():
-    # deterministic_stop's obstacle is T - t
-    static = {name: builtin_instance(name).coeffs.static_obstacle for name in BUILTIN_NAMES}
-    assert static == {name: name != "deterministic_stop" for name in BUILTIN_NAMES}
+@pytest.mark.parametrize("what, build", [
+    ("drift", lambda: make_instance(b=lambda t, x, u, v: t + x)),
+    ("diffusion", lambda: make_instance(sigma=lambda t, x, u, v: np.full(x.shape + (1,), 1.0 + t))),
+    ("obstacle", lambda: builtin_instance("deterministic_stop")),
+], ids=["drift", "diffusion", "obstacle"])
+def test_declaring_a_coefficient_that_reads_t_homogeneous_raises_naming_it(what, build):
+    # deterministic_stop's obstacle is T - t: a declaration would hold it at its first step
+    inst = build()
+    assert not inst.coeffs.time_homogeneous
+    with pytest.raises(ValueError, match=f"^the {what} differs at t = 0 and t = T = 1, "):
+        declare_homogeneous(inst)
 
 
 @pytest.mark.parametrize("key", ["u_points", "v_points"])
@@ -140,7 +149,8 @@ def test_as_batch_views_a_return_of_the_right_shape_read_only():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_instances_validate(name):
     inst = builtin_instance(name)
-    assert inst.coeffs.time_homogeneous
+    # deterministic_stop's obstacle is T - t
+    assert inst.coeffs.time_homogeneous == (name != "deterministic_stop")
     report = validate_instance(inst, probe_count=64, seed=5)
     assert report.passed, report.violations[:3]
 
