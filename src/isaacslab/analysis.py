@@ -29,6 +29,10 @@ from .pde import (
 from .problems import eval_obstacle
 from .sde import ControlPath
 
+# the bytes of the block of penalized slices that penalization_convergence
+# folds at once
+FOLD_BYTES = 1 << 17
+
 
 @dataclass(frozen=True)
 class DppReport:
@@ -124,32 +128,43 @@ def penalization_convergence(instance, grid, m_schedule):
     fill, which need not be monotone), and reports the sup-norm gaps to
     the reflected reference field over the inner sub-box (all time
     slices).  The whole schedule is stepped in one sweep, so no penalized
-    field is ever stored: each slice is folded into two running
+    field is ever stored: the slices are copied into a block of at most
+    ``FOLD_BYTES`` and each full block is folded into two running
     elementwise maxima, ``|reference - field|`` over
     :meth:`~isaacslab.pde.SpaceTimeGrid.inner_box` and the step down
     from each weight to the next over
-    :meth:`~isaacslab.pde.SpaceTimeGrid.interior`, held in buffers
-    allocated once and reduced once at the end.
+    :meth:`~isaacslab.pde.SpaceTimeGrid.interior`, reduced once at the
+    end.  A maximum is exact, so the block size changes no result.
     """
     m_schedule = tuple(float(m) for m in m_schedule)
     if any(b <= a for a, b in zip(m_schedule, m_schedule[1:])):
         raise PreconditionError("m_schedule must be strictly increasing")
     reference = solve_obstacle_pde("lower", instance, grid)
-    box = grid.inner_box()
-    fields_box = (slice(None),) + box
+    # (slice, field, *space) for the block, (slice, 1, *space) for the reference
+    box = (slice(None), slice(None)) + grid.inner_box()
     # the scheme solves the interior; the faces are an extrapolated fill
-    fields_interior = (slice(None),) + grid.interior()
+    interior = (slice(None), slice(None)) + grid.interior()
     batch = len(m_schedule)
-    gaps = np.zeros((batch,) + reference.slices[0][box].shape)
-    violations = np.zeros((max(batch - 1, 0),) + reference.slices[0][grid.interior()].shape)
+    depth = max(1, FOLD_BYTES // max(1, batch * reference.slices[0].nbytes))
+    block = np.empty((depth, batch) + grid.shape)
+    steps = np.empty(block[:, 1:][interior].shape)
+    gaps, violations = np.zeros(block[box].shape[1:]), np.zeros(steps.shape[1:])
     gaps_k, violations_k = np.empty_like(gaps), np.empty_like(violations)
+
+    def fold(k, n):
+        """Fold slices ``k, ..., k + n - 1``, held in ``block[:n]``; the gaps overwrite them."""
+        fields = block[:n]
+        np.subtract(fields[:, :-1][interior], fields[:, 1:][interior], out=steps[:n])
+        np.maximum(violations, steps[:n].max(axis=0, out=violations_k), out=violations)
+        gap = np.subtract(reference.slices[k:k + n, None][box], fields[box], out=fields[box])
+        np.maximum(gaps, np.abs(gap, out=gap).max(axis=0, out=gaps_k), out=gaps)
+
+    # the sweep yields k = nt, ..., 0: slice k goes to row k % depth, and a
+    # block is folded once its row 0 is filled
     for k, fields in sweep_penalized(instance, grid, m_schedule):
-        np.abs(np.subtract(reference.slices[k][box], fields[fields_box], out=gaps_k),
-               out=gaps_k)
-        np.maximum(gaps, gaps_k, out=gaps)
-        inner = fields[fields_interior]
-        np.maximum(violations, np.subtract(inner[:-1], inner[1:], out=violations_k),
-                   out=violations)
+        block[k % depth] = fields
+        if k % depth == 0:
+            fold(k, min(depth, grid.nt + 1 - k))
     sup_gaps = gaps.max(axis=tuple(range(1, gaps.ndim)))
     worst_violation = float(violations.max(initial=0.0))
     return ConvergenceTable(m_schedule=m_schedule, sup_gaps=tuple(map(float, sup_gaps)),

@@ -31,23 +31,28 @@ quotients that are not upwinded.
 
 Each step evolves the previous slice by one product of the weight
 table with a read-only view of every node's neighbourhood
-(:func:`_windows`, built once per sweep), summed in stencil order, and
-then applies either the obstacle projection ``max(., h)`` or the
-semi-implicit penalty update, at every node.  Boundary nodes follow the
-grid policy: linear extrapolation from the two nearest interior nodes
-(default, consistent with linear growth of the value) or freezing at
-the terminal data.  A batch of fields, one per penalty weight, is
-stepped in one sweep: each step makes one cost-rate call on the rows of
-every control pair and field, and a slice that is not finite stops the
-sweep with a divergence error.
+(:func:`_windows`), summed in stencil order, and then applies either
+the obstacle projection ``max(., h)`` or the semi-implicit penalty
+update, at every node.  Boundary nodes follow the grid policy: linear
+extrapolation from the two nearest interior nodes (default, consistent
+with linear growth of the value) or freezing at the terminal data.  A
+batch of fields, one per penalty weight, is stepped in one sweep: each
+step makes one cost-rate call on the rows of every control pair and
+field, and a slice that is not finite stops the sweep with a divergence
+error.  A sweep steps between the two slots of a zeroed ring, batch
+axis last, through one :class:`_StepPlan`: every view a step reads or
+writes and every work buffer, built once, with the penalty's ``c h``
+and ``1 + c`` kept per distinct dt.  A step then makes only the ufunc
+calls of its arithmetic, with ``out=``, so its cost is that arithmetic
+plus a fixed count of calls.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
-diffusion: one call of each on the given nodes (all of them for the
-stability rule, the interior ones for a solve) repeated for every
-control pair and field, each row under its pair's controls, stacked
-with sigma sigma^T over the pairs.  A solve builds these stacks, the
-weight table with them and the obstacle at its first step when the
-instance declares that b, sigma and h do not read t
+diffusion: one call of each on the given state rows (every node for
+the stability rule; in a sweep the interior nodes, each once per
+field) repeated for every control pair, each row under its pair's
+controls, stacked with sigma sigma^T over the pairs.  A sweep builds
+these stacks, the weight table with them and the obstacle at its first
+step when the instance declares that b, sigma and h do not read t
 (``Coefficients.time_homogeneous``) and at every step otherwise; the
 queries of a stored field (:func:`_field_stacks`,
 :func:`complementarity_residual`) do the same, and read its slices
@@ -202,7 +207,7 @@ def _stability(instance, grid):
                                 f"finite number")
     nodes = grid.nodes()
     times = (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T)
-    rates = [_monotone_rate(_stencil_weights(_pair_tables(instance, t, nodes, 1), dx),
+    rates = [_monotone_rate(_stencil_weights(_pair_tables(instance, t, nodes), dx),
                             instance.coeffs.declared_lipschitz) for t in times]
     return _bound_and_nt(instance.T, float(np.max(rates)))
 
@@ -284,68 +289,70 @@ def _cells(ndim):
 def _windows(store, ndim):
     """A read-only view of the 3^ndim neighbourhood of every interior node of every slot.
 
-    ``store`` is ``(slots, *batch, *shape)`` with ``ndim`` spatial axes,
-    the view ``(slots, *(3,) * ndim, *batch, *interior)`` with
-    ``windows[j][c][..., i]`` the entry ``store[j][..., i + c]``.
+    ``store`` is ``(slots, *shape, *batch)`` with ``ndim`` spatial axes,
+    the view ``(slots, *(3,) * ndim, *interior, *batch)`` with
+    ``windows[j][c][i]`` the entry ``store[j][i + c]``.
     """
-    lead, space = store.ndim - ndim, store.strides[store.ndim - ndim:]
-    interior = tuple(k - 2 for k in store.shape[lead:])
+    space = store.strides[1:1 + ndim]
+    interior = tuple(k - 2 for k in store.shape[1:1 + ndim])
     return np.lib.stride_tricks.as_strided(
-        store, store.shape[:1] + (3,) * ndim + store.shape[1:lead] + interior,
-        store.strides[:1] + space + store.strides[1:lead] + space, writeable=False)
+        store, store.shape[:1] + (3,) * ndim + interior + store.shape[1 + ndim:],
+        store.strides[:1] + space + space + store.strides[1 + ndim:], writeable=False)
 
 
-def _minimax(which, pair_values):
+def _minimax(which, pair_values, inner=None, out=None):
     """Reduce an (nu, nv, rows) stack of generator values to (rows,).
 
     With one control pair both orders return its row, a view of the stack.
+    ``inner`` and ``out`` take the inner reduction, (nu, rows) for the
+    lower order and (nv, rows) for the upper, and the result; None
+    allocates them.
     """
     if pair_values.shape[:2] == (1, 1):
         return pair_values[0, 0]
     if which == "lower":
-        return pair_values.min(axis=1).max(axis=0)
-    return pair_values.max(axis=0).min(axis=0)
+        return pair_values.min(axis=1, out=inner).max(axis=0, out=out)
+    return pair_values.max(axis=0, out=inner).min(axis=0, out=out)
 
 
-def _pair_tables(instance, t, x, fields):
-    """Drift and diffusion of every control pair on ``fields`` copies of the nodes ``x``.
+def _pair_tables(instance, t, x):
+    """Drift and diffusion of every control pair on the state rows ``x``.
 
     Returns ``(rows, a, b, sigma)``: ``rows`` the states and both
-    controls of P * B * m rows, u-major, then field, then node (read-only
-    views where no copy is needed, as with one pair and one field), and
-    the coefficients of one drift and one diffusion call on them stacked
-    over the pairs, ``a = sigma sigma^T`` (P, B * m, n, n), ``b`` (P, B *
-    m, n) and ``sigma`` (P, B * m, n, d).
+    controls of P * m rows, u-major, then state (read-only views where
+    no copy is needed, as with one pair), and the coefficients of one
+    drift and one diffusion call on them stacked over the pairs, ``a =
+    sigma sigma^T`` (P, m, n, n), ``b`` (P, m, n) and ``sigma`` (P, m,
+    n, d).
     """
     us, vs = instance.u_grid.points, instance.v_grid.points
-    lead = (len(us), len(vs), fields, len(x))
+    lead = (len(us), len(vs), len(x))
     rows = tuple(np.broadcast_to(arr, lead + arr.shape[-1:]).reshape(-1, arr.shape[-1])
-                 for arr in (x, us[:, None, None, None], vs[:, None, None]))
-    stack = (len(us) * len(vs), fields * len(x))
+                 for arr in (x, us[:, None, None], vs[:, None]))
+    stack = (len(us) * len(vs), len(x))
     b = eval_drift(instance, t, *rows).reshape(stack + (instance.n,))
     sigma = eval_diffusion(instance, t, *rows).reshape(stack + (instance.n, instance.d))
     return rows, np.einsum("pmik,pmjk->pmij", sigma, sigma), b, sigma
 
 
-def _generator_stack(instance, t, y, grad, tables, parts):
-    """Generator values for every control pair, shape (nu, nv, B * m).
+def _add_cost_rate(instance, t, rows, y, z, grad, sigma, term, parts):
+    """Add the cost rate of every control pair to ``parts`` (P, B * m) in place.
 
-    ``y`` and each of ``grad`` hold B fields at the nodes of ``tables``
-    (B * m rows, field by field), their :func:`_pair_tables`.  The cost
-    rate is added in place to the pairs' second-order plus drift parts
-    ``parts`` (P, B * m), evaluated in one call on the P * B * m rows of
-    the tables with ``z = q sigma``, where ``grad`` holds the columns of
-    the gradient ``q``, one per axis.
+    ``rows`` are the ``(x, u, v)`` rows of :func:`_pair_tables`, ``y``
+    the value on them and ``grad`` the columns ``(B * m, 1)`` of the
+    gradient ``q``, one per axis.  ``z = q sigma`` is formed in ``z`` (P,
+    B * m, d) from ``sigma``, the diffusion's rows ``(P, B * m, d)`` one
+    per axis, with ``term`` (``z``'s shape, or None in one dimension)
+    holding each further axis's product, and the cost rate is one call
+    on the P * B * m rows.
     """
-    (x, u, v), _, _, sigma = tables
-    z = grad[0][:, None] * sigma[:, :, 0, :]
-    for i in range(1, len(grad)):
-        z = z + grad[i][:, None] * sigma[:, :, i, :]
-    # with one pair y itself: a broadcast_to view costs microseconds per step
-    y_rows = y if len(parts) == 1 else np.concatenate([y] * len(parts))
-    f = eval_cost_rate(instance, t, x, y_rows, z.reshape(len(x), -1), u, v)
-    parts += f.reshape(parts.shape)
-    return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
+    np.multiply(grad[0], sigma[0], out=z)
+    for g, s in zip(grad[1:], sigma[1:]):
+        np.multiply(g, s, out=term)
+        np.add(z, term, out=z)
+    x, u, v = rows
+    f = eval_cost_rate(instance, t, x, y, z.reshape(len(x), -1), u, v)
+    np.add(parts, f.reshape(parts.shape), out=parts)
 
 
 def _stencil_weights(tables, dx):
@@ -395,124 +402,183 @@ def _stencil_weights(tables, dx):
     return table
 
 
-def _step_slice(which, instance, t, dt, window, dx, tables, weights, out):
-    """One explicit backward step from ``window``, a :func:`_windows` slot, into ``out``.
+class _StepPlan:
+    """The views and work buffers of one sweep's explicit steps, built once.
 
-    ``tables`` are the step's :func:`_pair_tables` and ``weights`` their
-    :func:`_stencil_weights` in the window's shape.  One product weighs
-    every cell for every pair, and the cells are summed in stencil
-    order, so each pair's part rounds as the sum of its weights times
-    its neighbours from the centre on.
+    The sweep steps between the two slots of a zeroed ring ``(2, *shape,
+    *batch)``, slice ``k`` in slot ``k % 2``.  The batch axis is last, so
+    that the neighbour cells of a batch are contiguous blocks, like those
+    of one field; :attr:`slices` are the slots viewed ``(*batch,
+    *shape)``.  Per slot the plan holds the interior, the
+    :func:`_windows` slot with its centre cell and the up and down cells
+    of each axis, and the boundary faces with what fills them.
+    :meth:`tabulate` builds the tables of one time: the pair tables, the
+    weight table in the window's shape, the diffusion's rows per axis
+    and the obstacle at the ring's slot shape.  The work buffers (the
+    product of table and window with its cells, the pairs' parts, the
+    gradient columns, the rows of y and z, the update and the penalty's
+    scratch) are allocated once, so that :meth:`step` and :meth:`settle`
+    make only the ufunc calls of the arithmetic, with ``out=``.
     """
-    cells = _cells(len(dx))
-    weighed = weights * window
-    parts = weighed[(slice(None), *cells[0])] + weighed[(slice(None), *cells[1])]
-    for cell in cells[2:]:
-        parts += weighed[(slice(None), *cell)]
-    wc = window[cells[0]]
-    # the axis neighbours follow the centre, up then down on each axis
-    grad = [((window[up] - window[down]) / (2.0 * h)).ravel()
-            for up, down, h in zip(cells[1::2], cells[2::2], dx)]
-    vals = _generator_stack(instance, t, wc.ravel(), grad, tables, parts.reshape(len(parts), -1))
-    np.add(wc, dt * _minimax(which, vals).reshape(wc.shape), out=out)
 
+    def __init__(self, which, instance, grid, terminal, weights):
+        ndim = grid.ndim
+        batch = terminal.shape[:terminal.ndim - ndim]
+        inner = tuple(k - 2 for k in grid.shape) + batch
+        rows = math.prod(inner)
+        nu, nv = len(instance.u_grid), len(instance.v_grid)
+        self.which, self.instance, self.grid = which, instance, grid
+        self.nodes, self.inner = grid.nodes(), inner
+        # the interior nodes, each once per field, node by node
+        self.x = np.repeat(grid.interior_nodes(), math.prod(batch), axis=0)
+        self.ring = np.zeros((2,) + grid.shape + batch)
+        front, back = tuple(range(len(batch))), tuple(range(ndim, ndim + len(batch)))
+        self.slices = [np.moveaxis(w, back, front) for w in self.ring]
+        terminal = np.moveaxis(terminal, front, back)
+        windows = _windows(self.ring, ndim)
+        cells = _cells(ndim)
+        self.frozen = grid.boundary == "dirichlet_terminal_extension"
+        self.slots = []
+        for w, window in zip(self.ring, windows):
+            centre, *near = (window[cell] for cell in cells)
+            # the axis neighbours follow the centre, up then down on each axis
+            axes = list(zip(near[0:2 * ndim:2], near[1:2 * ndim:2]))
+            # each spatial axis moved to the front, of the slot and of the
+            # terminal slices: face-major views, whose integer index is a scalar
+            # for one field in one dimension, cheaper to fill than a 0-d array
+            faces = [(np.moveaxis(w, a, 0), np.moveaxis(terminal, a, 0)) for a in range(ndim)]
+            self.slots.append((w, w[grid.interior()], window, centre, axes, faces))
+        self.product = np.empty((nu * nv,) + windows.shape[1:])
+        first, second, *rest = (self.product[(slice(None), *cell)] for cell in cells)
+        self.terms = first, second, rest
+        self.parts = np.empty((nu * nv,) + inner)
+        self.vals = self.parts.reshape(nu, nv, rows)
+        self.reduced = np.empty((nu if which == "lower" else nv, rows))
+        self.value = np.empty(rows)
+        self.grad = np.empty((ndim,) + inner)
+        self.halves = [2.0 * h for h in grid.dx()]
+        self.y = np.empty((nu * nv,) + inner)
+        self.z = np.empty((nu * nv, rows, instance.d))
+        self.update = np.empty(inner)
+        self.h = np.empty(self.ring.shape[1:])
+        self.mask = np.empty(self.ring.shape[1:], dtype=bool)
+        self.weights = self.scratch = None
+        if weights is not None:
+            # held at the slot's shape, as is the obstacle: same-shape operands
+            # make the penalty update cheaper than broadcast ones
+            self.weights = np.broadcast_to(np.asarray(weights, dtype=float), self.h.shape).copy()
+            self.scratch = np.empty(self.h.shape)
+        self.constants = {}
 
-def _fill_boundary(w, grid, terminal):
-    """Boundary faces of the spatial (trailing) axes, axis by axis.
+    def tabulate(self, t):
+        """Build the tables of time ``t`` and return its :func:`_stencil_weights`."""
+        rows, _, _, sigma = tables = _pair_tables(self.instance, t, self.x)
+        stencil = _stencil_weights(tables, self.grid.dx())
+        self.table = stencil.reshape(stencil.shape[:-1] + self.inner)
+        # the arguments of _add_cost_rate after the time
+        self.generator = (rows, self.y.reshape(-1), self.z,
+                          [g.reshape(-1, 1) for g in self.grad],
+                          [sigma[:, :, i] for i in range(self.grid.ndim)],
+                          np.empty_like(self.z) if self.grid.ndim > 1 else None,
+                          self.parts.reshape(len(self.parts), -1))
+        obstacle = eval_obstacle(self.instance, t, self.nodes)
+        np.copyto(self.h, obstacle.reshape(self.grid.shape + (1,) * (self.h.ndim - self.grid.ndim)))
+        self.constants.clear()
+        return stencil
 
-    Frozen at ``terminal`` (same shape as ``w``) or extrapolated linearly
-    from the two nearest interior nodes.
-    """
-    frozen = grid.boundary == "dirichlet_terminal_extension"
-    for axis in range(w.ndim - grid.ndim, w.ndim):
-        face = w.swapaxes(0, axis)
-        if frozen:
-            data = terminal.swapaxes(0, axis)
-            face[0] = data[0]
-            face[-1] = data[-1]
+    def step(self, k, t, dt):
+        """Write slice ``k``'s interior, one explicit step back from slice ``k + 1``.
+
+        One product weighs every cell for every pair, and the cells are
+        summed in stencil order, so each pair's part rounds as the sum of
+        its weights times its neighbours from the centre on.
+        """
+        _, _, window, centre, axes, _ = self.slots[(k + 1) % 2]
+        parts, (first, second, rest) = self.parts, self.terms
+        np.multiply(self.table, window, out=self.product)
+        np.add(first, second, out=parts)
+        for term in rest:
+            np.add(parts, term, out=parts)
+        for g, (up, down), half in zip(self.grad, axes, self.halves):
+            np.subtract(up, down, out=g)
+            np.divide(g, half, out=g)
+        np.copyto(self.y, centre)
+        _add_cost_rate(self.instance, t, *self.generator)
+        value = _minimax(self.which, self.vals, self.reduced, self.value)
+        np.multiply(value.reshape(self.inner), dt, out=self.update)
+        np.add(centre, self.update, out=self.slots[k % 2][1])
+
+    def settle(self, k, dt):
+        """Fill slice ``k``'s faces, then project or penalize it; True when it is finite.
+
+        The penalty update makes ``(w + c h) / (1 + c)`` of a node below
+        the obstacle, ``c`` the weight times dt, with ``c h`` and ``1 + c``
+        kept per distinct dt until the next table build.
+        """
+        w, _, _, _, _, faces = self.slots[k % 2]
+        h = self.h
+        for face, data in faces:
+            if self.frozen:
+                face[0], face[-1] = data[0], data[-1]
+            else:
+                face[0] = 2.0 * face[1] - face[2]
+                face[-1] = 2.0 * face[-2] - face[-3]
+        if self.weights is None:
+            np.maximum(w, h, out=w)
         else:
-            face[0] = 2.0 * face[1] - face[2]
-            face[-1] = 2.0 * face[-2] - face[-3]
+            if dt not in self.constants:
+                c = self.weights * dt
+                self.constants[dt] = (c * h, 1.0 + c)
+            ch, shrink = self.constants[dt]
+            np.divide(np.add(w, ch, out=self.scratch), shrink, out=self.scratch)
+            np.copyto(w, self.scratch, where=np.less(w, h, out=self.mask))
+        return np.count_nonzero(np.isfinite(w, out=self.mask)) == w.size  # cheaper than .all()
 
 
-def _penalize(w, h, c):
-    """The semi-implicit penalty update of ``w`` in place, ``c`` the weight times dt.
-
-    Where ``w < h`` the node becomes ``(w + c h) / (1 + c)``; elsewhere it is kept.
-    """
-    np.copyto(w, (w + c * h) / (1.0 + c), where=w < h)
-
-
-def _sweep(which, instance, grid, times, terminal, weights, store):
+def _sweep(which, instance, grid, times, terminal, weights):
     """Step ``terminal`` backwards over ``times``, one slice at a time.
 
     ``terminal`` is one slice of shape ``grid.shape`` or a batch of B
     slices, shape ``(B, *grid.shape)``.  ``weights`` is None for the
     obstacle projection ``max(., h)``, or the penalty weight (one per
-    field) of the semi-implicit penalty update.  Every step makes one
-    cost-rate call on the rows of every control pair and field; the
-    pair tables of drift and diffusion and the obstacle, held at the
-    batch's shape, are built at the first step for a time-homogeneous
-    instance and at every step otherwise, where a step longer than its
-    own tables allow raises :class:`CflError`.
-    Slice ``k`` is written to ``store[k % len(store)]``: a store with
-    one slot per time keeps every slice, one with two slots only the
-    latest two.  In two dimensions the boundary fill of the first axis
-    reads the slot's old entries on the second axis's faces before that
-    axis overwrites them, so a store must start finite (zeroed).  Yields
-    ``(k, slice)`` for ``k = nt, ..., 0`` and raises
-    :class:`DivergenceError` on the first slice that is not finite.
+    field) of the semi-implicit penalty update.  The sweep owns a zeroed
+    two-slot ring and builds one :class:`_StepPlan` over it.  Every step
+    makes one cost-rate call on the rows of every control pair and
+    field; the plan's tables (drift and diffusion of every pair, the
+    weight table, and the obstacle at the ring's slot shape) are built
+    at the first step for a time-homogeneous instance and at every step
+    otherwise, where a step longer than its own tables allow raises
+    :class:`CflError`.  Yields ``(k, slice)`` for ``k = nt, ..., 0``,
+    the slice a view of the ring, shaped like ``terminal``, that the
+    step after next overwrites, and raises :class:`DivergenceError` on
+    the first slice that is not finite.
     """
-    shape = grid.shape
-    batch = terminal.shape[:terminal.ndim - grid.ndim]
-    nodes_all = grid.nodes()
-    x_int = grid.interior_nodes()
-    fields = math.prod(batch)
-    interior = (Ellipsis,) + grid.interior()
-    interior_shape = batch + tuple(k - 2 for k in shape)
-    dx = grid.dx()
-    if weights is not None:
-        # held at the batch's shape, as is the obstacle: same-shape operands
-        # make the penalty update cheaper than broadcast ones
-        weights = np.repeat(weights, math.prod(shape)).reshape(terminal.shape)
+    plan = _StepPlan(which, instance, grid, terminal, weights)
     times = np.asarray(times, dtype=float).tolist()
-    slots = len(store)
-    windows = _windows(store, grid.ndim)
     steps = len(times) - 1
-    store[steps % slots] = terminal
-    yield steps, store[steps % slots]
+    plan.slices[steps % 2][...] = terminal
+    yield steps, plan.slices[steps % 2]
     homogeneous = instance.coeffs.time_homogeneous
     for k in range(steps - 1, -1, -1):
         t = times[k]
         dt = times[k + 1] - t
         if k == steps - 1 or not homogeneous:
-            tables = _pair_tables(instance, t, x_int, fields)
-            stencil = _stencil_weights(tables, dx)
-            table = stencil.reshape(stencil.shape[:-1] + interior_shape)
-            h = np.broadcast_to(eval_obstacle(instance, t, nodes_all).reshape(shape),
-                                terminal.shape).copy()
+            stencil = plan.tabulate(t)
             if not homogeneous:
                 rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
                 _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
-        w = store[k % slots]
-        _step_slice(which, instance, t, dt, windows[(k + 1) % slots], dx, tables, table,
-                    w[interior])
-        _fill_boundary(w, grid, terminal)
-        if weights is None:
-            np.maximum(w, h, out=w)
-        else:
-            _penalize(w, h, weights * dt)
-        if np.count_nonzero(np.isfinite(w)) != w.size:  # cheaper than .all()
+        plan.step(k, t, dt)
+        if not plan.settle(k, dt):
             raise DivergenceError(
                 f"value field turned non-finite at time step {k} (t = {t:.6g}); "
                 f"the explicit scheme is unstable on this grid", step=k)
-        yield k, w
+        yield k, plan.slices[k % 2]
 
 
 def _solve_field(which, instance, grid, times, terminal_slice, penalty_m):
-    slices = np.zeros((len(times),) + grid.shape)
-    for _ in _sweep(which, instance, grid, times, terminal_slice, penalty_m, slices):
-        pass
+    slices = np.empty((len(times),) + grid.shape)
+    for k, w in _sweep(which, instance, grid, times, terminal_slice, penalty_m):
+        slices[k] = w
     kind = which if penalty_m is None else "penalized"
     return ValueField(grid=grid, times=np.asarray(times, dtype=float).copy(),
                       slices=slices, kind=kind, penalty=penalty_m)
@@ -560,8 +626,8 @@ def sweep_penalized(instance, grid, m_schedule):
     ``(k, slices)`` for ``k = nt, ..., 0``: ``slices[i]`` is slice ``k``
     of the field with weight ``m_schedule[i]`` and equals that slice of
     :func:`solve_penalized_pde` bit for bit.  Only the latest two slices
-    are held, so read each one before resuming the iterator.  An empty
-    schedule yields nothing.
+    are held, and ``slices`` is a strided view of them, so read each one
+    before resuming the iterator.  An empty schedule yields nothing.
     """
     weights = [float(m) for m in m_schedule]
     if any(m < 0 for m in weights):
@@ -570,8 +636,7 @@ def sweep_penalized(instance, grid, m_schedule):
     if not weights:
         return iter(())
     shape = (len(weights),) + grid.shape
-    return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape),
-                  weights, np.zeros((2,) + shape))
+    return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape), weights)
 
 
 def _hamiltonian_stack(instance, t, y, q, xmat, tables):
@@ -579,9 +644,13 @@ def _hamiltonian_stack(instance, t, y, q, xmat, tables):
 
     ``tables`` are the :func:`_pair_tables` of the m nodes.
     """
-    _, a, b, _ = tables
+    rows, a, b, sigma = tables
     parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
-    return _generator_stack(instance, t, y, q.T, tables, parts)
+    z = np.empty(sigma.shape[:2] + sigma.shape[3:])
+    _add_cost_rate(instance, t, rows, np.concatenate([y] * len(parts)), z,
+                   [q[:, i, None] for i in range(q.shape[1])],
+                   [sigma[:, :, i] for i in range(q.shape[1])], np.empty_like(z), parts)
+    return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
 def _argopt(which, vals):
@@ -629,7 +698,7 @@ def eval_hamiltonian(which, instance, t, x, y, q, xmat):
     q = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
     xmat = np.atleast_2d(np.asarray(xmat, dtype=float))[None, :, :]
     yb = np.atleast_1d(float(y))
-    vals = _hamiltonian_stack(instance, t, yb, q, xmat, _pair_tables(instance, t, x, 1))
+    vals = _hamiltonian_stack(instance, t, yb, q, xmat, _pair_tables(instance, t, x))
     value, iu, iv = _argopt(which, vals)
     return float(value[0]), int(iu[0]), int(iv[0])
 
@@ -666,7 +735,7 @@ def _field_stacks(field, instance):
             pp, mm, pm, mp = corners[4 * p:4 * p + 4]
             xmat[:, i, j] = xmat[:, j, i] = (pp + mm - pm - mp) / (4.0 * dx[i] * dx[j])
         if tables is None or not instance.coeffs.time_homogeneous:
-            tables = _pair_tables(instance, t, x, 1)
+            tables = _pair_tables(instance, t, x)
         return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables)
 
     return stack

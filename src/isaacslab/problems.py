@@ -24,8 +24,9 @@ coefficient, normalises the shape and turns any failure into an
 An instance declared time-homogeneous (``Coefficients.time_homogeneous``:
 b, sigma and h do not read ``t``) has them evaluated once per grid solve
 rather than once per step.  :class:`GameInstance` refuses a declaration
-that its values at t = 0 and t = T contradict, and
-:func:`validate_instance` probes it at every sampled time.
+that its values at t = 0 and t = T, on the states x = 0 and x = 1,
+contradict, and :func:`validate_instance` probes it at every sampled
+time.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -131,10 +132,14 @@ class GameInstance:
         if self.T <= 0:
             raise ValueError("horizon must be positive")
         # Smoke-evaluate every coefficient so shape bugs surface early, on one
-        # row per control pair; each row must equal its pair evaluated alone.
+        # row per control pair at x = 0 and one at x = 1, where a coefficient
+        # that reads t only through a product with x moves too; each row must
+        # equal its pair evaluated alone.
         nu, nv = len(self.u_grid), len(self.v_grid)
-        u, v = np.repeat(self.u_grid.points, nv, axis=0), np.tile(self.v_grid.points, (nu, 1))
-        x, y, z = np.zeros((nu * nv, self.n)), np.ones(nu * nv), np.ones((nu * nv, self.d))
+        u = np.tile(np.repeat(self.u_grid.points, nv, axis=0), (2, 1))
+        v = np.tile(self.v_grid.points, (2 * nu, 1))
+        x = np.repeat([[0.0], [1.0]], nu * nv, axis=0) * np.ones(self.n)
+        y, z = np.ones(2 * nu * nv), np.ones((2 * nu * nv, self.d))
         values = {}
         for t in (0.0, self.T):
             for what, evaluate, args in (("drift", eval_drift, (x, u, v)),

@@ -193,7 +193,7 @@ def test_correlated_stencil_gives_every_neighbour_a_nonnegative_weight():
     # central drift quotient chosen on a_ii alone left 22 of the 99 interior
     # nodes with an axis-1 neighbour weight of -0.575 for every pair
     inst, grid = stencil_case("correlated_2d")
-    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
+    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes())
     stencil = pde._stencil_weights(tables, grid.dx())
     assert stencil.shape == (4, 3, 3, 99)
     for cell in pde._cells(2)[1:]:
@@ -240,7 +240,7 @@ def test_stencil_weights_are_locally_consistent(case, upwinds):
     dx = np.array(grid.dx())
     n = len(dx)
     offsets = neighbour_offsets(dx)
-    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes(), 1)
+    tables = pde._pair_tables(inst, 0.0, grid.interior_nodes())
     upwinded = 0
     centre_cell, *cells = pde._cells(n)
     for a, b, table in zip(tables[1], tables[2], pde._stencil_weights(tables, dx)):
@@ -377,18 +377,21 @@ def quotient_step(which, inst, t, dt, w, grid, tables):
             part = part + a[:, i, j] * np.where(a[:, i, j] >= 0.0, plus, minus)
         parts.append(part)
     grad = [(wp - wm) / (2.0 * h) for (wp, wm), h in zip(near, dx)]
-    vals = pde._generator_stack(inst, t, wc, grad, tables, np.stack(parts))
+    (x, u, v), _, _, sigma = tables
+    z = sum(g[:, None] * sigma[:, :, i] for i, g in enumerate(grad))
+    f = eval_cost_rate(inst, t, x, np.concatenate([wc] * len(parts)), z.reshape(len(x), -1), u, v)
+    vals = (np.stack(parts) + f.reshape(len(parts), -1)).reshape(len(inst.u_grid), -1, wc.size)
     return wc + dt * pde._minimax(which, vals)
 
 
-def stacked_step(which, inst, t, dt, w, grid, tables):
-    """``pde._step_slice`` from the slice ``w`` through a one-slot window,
-    with the step's own stacks; returns the new interior, flattened."""
-    out = np.empty(w[grid.interior()].shape)
-    table = pde._stencil_weights(tables, grid.dx())
-    pde._step_slice(which, inst, t, dt, pde._windows(w[None], grid.ndim)[0], grid.dx(), tables,
-                    table.reshape(table.shape[:-1] + out.shape), out)
-    return out.ravel()
+def stacked_step(which, inst, t, dt, w, grid):
+    """One ``pde._StepPlan.step`` to slot 0 from the slice ``w`` in slot 1,
+    on the tables of time ``t``; returns the new interior, flattened."""
+    plan = pde._StepPlan(which, inst, grid, w, None)
+    plan.slices[1][...] = w
+    plan.tabulate(t)
+    plan.step(0, t, dt)
+    return plan.slices[0][grid.interior()].ravel()
 
 
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
@@ -401,9 +404,9 @@ def test_weight_table_step_matches_the_quotient_step(case):
     for k in (grid.nt - 1, grid.nt // 2, 0):
         t, dt = field.times[k], field.times[k + 1] - field.times[k]
         w = field.slices[k + 1]
-        tables = pde._pair_tables(inst, t, x_int, 1)
+        tables = pde._pair_tables(inst, t, x_int)
         for which in HAMILTONIANS:
-            step = stacked_step(which, inst, t, dt, w, grid, tables)
+            step = stacked_step(which, inst, t, dt, w, grid)
             np.testing.assert_allclose(step, quotient_step(which, inst, t, dt, w, grid, tables),
                                        rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
@@ -411,18 +414,21 @@ def test_weight_table_step_matches_the_quotient_step(case):
 @pytest.mark.parametrize("ndim, batch", [(1, ()), (1, (2,)), (2, ()), (2, (3,))])
 def test_window_cells_are_the_neighbour_blocks_in_stencil_order(rng, ndim, batch):
     shape = (7, 6)[:ndim]
-    store = rng.normal(size=(3,) + batch + shape)
+    store = rng.normal(size=(3,) + shape + batch)
     windows = pde._windows(store, ndim)
-    assert windows.shape == (3,) + (3,) * ndim + batch + tuple(k - 2 for k in shape)
+    assert windows.shape == (3,) + (3,) * ndim + tuple(k - 2 for k in shape) + batch
     centre, axes, pairs = neighbour_blocks(ndim)
     blocks = [centre, *itertools.chain(*axes, *pairs.values())]
     cells = pde._cells(ndim)
     # in one and two dimensions the stencil fills its window
     assert len(set(cells)) == len(blocks) == 3 ** ndim
     store[1] += 1.0  # a view: later writes to the store show through
+    # the blocks index a batch-first slot
+    front, back = tuple(range(len(batch))), tuple(range(ndim, ndim + len(batch)))
     for window, w in zip(windows, store):
+        lead = np.moveaxis(w, back, front)
         for cell, block in zip(cells, blocks):
-            assert np.array_equal(window[cell], w[block])
+            assert np.array_equal(window[cell], np.moveaxis(lead[block], front, back))
     with pytest.raises(ValueError, match="read-only"):
         windows[0][cells[0]] += 1.0
 
@@ -448,10 +454,27 @@ def per_pair_step(which, inst, t, dt, w, x_rows, dx, tables, stencil):
     return wc + dt * pde._minimax(which, vals)
 
 
-def per_pair_sweep(which, inst, grid, penalties=None):
-    """Every slice of a sweep stepped by :func:`per_pair_step`, then filled
-    and projected (or penalized, one weight per field) as the solver does."""
-    times, terminal = pde._times_and_terminal(inst, grid)
+def filled(w, grid, terminal):
+    """``w`` with the faces of each spatial axis in turn frozen at
+    ``terminal`` or extrapolated linearly from the two nodes inward."""
+    for axis in range(w.ndim - grid.ndim, w.ndim):
+        face, data = np.moveaxis(w, axis, 0), np.moveaxis(terminal, axis, 0)
+        if grid.boundary == "dirichlet_terminal_extension":
+            face[0], face[-1] = data[0], data[-1]
+        else:
+            face[0] = 2.0 * face[1] - face[2]
+            face[-1] = 2.0 * face[-2] - face[-3]
+    return w
+
+
+def per_pair_sweep(which, inst, grid, penalties=None, times=None):
+    """Every slice of a sweep over ``times`` (the grid's uniform mesh by
+    default) stepped by :func:`per_pair_step`, filled, and projected or
+    penalized in closed form, one weight per field."""
+    if times is None:
+        times, terminal = pde._times_and_terminal(inst, grid)
+    else:
+        terminal = eval_terminal(inst, grid.nodes()).reshape(grid.shape)
     if penalties is not None:
         terminal = np.broadcast_to(terminal, (len(penalties),) + grid.shape)
         penalties = np.reshape(penalties, (-1,) + (1,) * grid.ndim)
@@ -460,20 +483,21 @@ def per_pair_sweep(which, inst, grid, penalties=None):
     x_int = grid.interior_nodes()
     x_rows = np.concatenate([x_int] * fields)
     slices = [terminal]
-    for k in range(grid.nt - 1, -1, -1):
+    for k in range(len(times) - 2, -1, -1):
         t, dt = times[k], times[k + 1] - times[k]
-        if k == grid.nt - 1 or not inst.coeffs.time_homogeneous:
-            tables = pde._pair_tables(inst, t, x_int, fields)
+        if k == len(times) - 2 or not inst.coeffs.time_homogeneous:
+            tables = pde._pair_tables(inst, t, x_rows)
             stencil = pde._stencil_weights(tables, grid.dx())
         w = np.zeros(terminal.shape)
         w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
                                     stencil).reshape(w[interior].shape)
-        pde._fill_boundary(w, grid, terminal)
+        w = filled(w, grid, terminal)
         h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
         if penalties is None:
-            np.maximum(w, h, out=w)
+            w = np.maximum(w, h)
         else:
-            pde._penalize(w, h, penalties * dt)
+            c = penalties * dt
+            w = np.where(w < h, (w + c * h) / (1.0 + c), w)
         slices.append(w)
     return slices[::-1]
 
@@ -496,9 +520,14 @@ STACKED_CASES = {
     "minimax_3x3": lambda: (builtin_instance("minimax_gap", {
         "u_points": [[-1.0], [0.0], [1.0]], "v_points": [[-1.0], [0.5], [1.0]]}),
         ((-2.0, 2.0),), (41,)),
-    "correlated_2d": lambda: (signed_correlation_game(), ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
-    "correlated_2d_timed": lambda: (declare_homogeneous(signed_correlation_game(), False),
-                                    ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    # the obstacle reads t: held at t = 0 to declare the game homogeneous
+    "correlated_2d": lambda: (declare_homogeneous(frozen_obstacle(signed_correlation_game())),
+                              ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    "correlated_2d_timed": lambda: (signed_correlation_game(), ((-2.0, 2.0), (-2.0, 2.0)),
+                                    (13, 11)),
+    # per-step tables in one dimension, with an obstacle T - t that reads t
+    "deterministic_stop": lambda: (builtin_instance("deterministic_stop", {"T": 6.0}),
+                                   ((-1.0, 1.0),), (41,)),
 }
 
 
@@ -508,7 +537,7 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
     inst, box, nx = STACKED_CASES[case]()
     grid = sized(inst, box, nx, boundary)
     if case.startswith("correlated"):
-        a01 = pde._pair_tables(inst, 0.0, grid.nodes(), 1)[1][..., 0, 1]
+        a01 = pde._pair_tables(inst, 0.0, grid.nodes())[1][..., 0, 1]
         assert a01.min() < 0.0 < a01.max()
     for which in HAMILTONIANS:
         field = solve_obstacle_pde(which, inst, grid)
@@ -523,15 +552,36 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
     assert steps == grid.nt + 1
 
 
+@pytest.mark.parametrize("case", ["american_put", "correlated_2d_timed", "deterministic_stop"])
+def test_penalized_sweep_over_irregular_times_is_the_closed_form_update(rng, case):
+    # steps of three lengths in random order: the penalty constants kept per
+    # dt, and dropped with the tables of an undeclared instance, give each
+    # step's closed-form update
+    inst, box, nx = STACKED_CASES[case]()
+    grid = sized(inst, box, nx)
+    dts = rng.choice([0.5, 0.75, 1.0], size=2 * grid.nt) * (inst.T / grid.nt)
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    assert len(np.unique(np.diff(times))) >= 3
+    schedule = [1.0, 8.0, 64.0]
+    reference = per_pair_sweep("lower", inst, grid, schedule, times)
+    terminal = eval_terminal(inst, grid.nodes()).reshape(grid.shape)
+    batch = np.broadcast_to(terminal, (len(schedule),) + grid.shape)
+    visited = []
+    for k, slices in _sweep("lower", inst, grid, times, batch, schedule):
+        assert np.array_equal(slices, reference[k])
+        visited.append(k)
+    assert visited == list(range(len(dts), -1, -1))
+
+
 @pytest.mark.parametrize("fields", [1, 3])
 @pytest.mark.parametrize("case", ["american_put", "minimax_3x3", "correlated_2d"])
 def test_pair_tables_are_the_per_pair_tables_stacked(case, fields):
     inst, box, nx = STACKED_CASES[case]()
     x = SpaceTimeGrid(box=box, nx=nx, nt=1).interior_nodes()
-    rows, a, b, sigma = pde._pair_tables(inst, 0.25, x, fields)
+    rows, a, b, sigma = pde._pair_tables(inst, 0.25, np.concatenate([x] * fields))
     reference = per_pair_tables(inst, 0.25, x, fields)
     assert a.shape == (len(reference), fields * len(x), inst.n, inst.n)
-    # the rows of the cost rate: pair by pair, then field by field
+    # the rows of the cost rate: pair by pair, then the given states in order
     xs, us, vs = (arr.reshape(len(reference), fields * len(x), -1) for arr in rows)
     for xp, u, v, ap, bp, sp, (ru, rv, ra, rb, rs) in zip(xs, us, vs, a, b, sigma, reference):
         assert np.array_equal(xp, np.concatenate([x] * fields))
@@ -558,7 +608,7 @@ def test_stacked_products_are_the_per_pair_products(rng, n, d):
     # pairs, round as the per-pair einsums do
     inst = random_game(rng, n, d)
     x = rng.uniform(-2.0, 2.0, size=(37, n))
-    tables = pde._pair_tables(inst, 0.3, x, 1)
+    tables = pde._pair_tables(inst, 0.3, x)
     reference = per_pair_tables(inst, 0.3, x, 1)
     assert all(np.array_equal(ap, ra) for ap, (_, _, ra, _, _) in zip(tables[1], reference))
     y, q, xmat = rng.normal(size=37), rng.normal(size=(37, n)), rng.normal(size=(37, n, n))
@@ -570,7 +620,7 @@ def test_stacked_products_are_the_per_pair_products(rng, n, d):
 @pytest.mark.parametrize("case", ["american_put", "minimax_3x3", "correlated_2d"])
 def test_field_stacks_are_the_shifted_block_stacks_bit_for_bit(monkeypatch, case, homogeneous):
     inst, box, nx = STACKED_CASES[case]()
-    # correlated_2d's obstacle reads t: a declared one is held at t = 0
+    # a declared instance holds its obstacle at t = 0, as correlated_2d's does
     inst = declare_homogeneous(frozen_obstacle(inst) if homogeneous else inst, homogeneous)
     grid = sized(inst, box, nx)
     for which in HAMILTONIANS:
@@ -644,15 +694,29 @@ def test_singleton_minimax_is_both_reductions(rng, rows):
 
 
 def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
-    # three weights on one obstacle; nodes below, above and exactly on it
-    h = rng.normal(size=40)
+    # three weights on one obstacle; nodes below, above and exactly on it,
+    # faces frozen at the first slice; the constants of a repeated dt are
+    # kept, those of a new one made
+    grid = SpaceTimeGrid(box=((0.0, 1.0),), nx=(40,), nt=1,
+                         boundary="dirichlet_terminal_extension")
+    inst = make_instance(h=lambda t, x: np.sin(7.0 * x[:, 0]))
+    h = np.sin(7.0 * grid.nodes()[:, 0])
     w = h + rng.normal(size=(3, 40))
     w[:, ::5] = h[::5]
     assert (w < h).any() and (w > h).any() and (w == h).any()
-    c = np.array([1.0, 16.0, 256.0]).reshape(3, 1) * 2.7e-4
-    expected = np.where(w < h, (w + c * h) / (1.0 + c), w)
-    pde._penalize(w, h, c)
-    assert np.array_equal(w, expected)
+    weights = np.array([1.0, 16.0, 256.0]).reshape(3, 1)
+    terminal = w.copy()
+    plan = pde._StepPlan("lower", inst, grid, terminal, weights.ravel())
+    plan.tabulate(0.0)
+    plan.slices[0][...] = w
+    for dt in (2.7e-4, 2.7e-4, 1.3e-4):
+        w[:, [0, -1]] = terminal[:, [0, -1]]
+        c = weights * dt
+        expected = np.where(w < h, (w + c * h) / (1.0 + c), w)
+        assert plan.settle(0, dt)
+        assert np.array_equal(plan.slices[0], expected)
+        w = expected
+    assert sorted(plan.constants) == [1.3e-4, 2.7e-4]
 
 
 def test_constant_cost_field_is_exact():
@@ -907,9 +971,7 @@ def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
     terminal = eval_terminal(inst, grid.nodes()).reshape(grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            # a full store, one slot per time, as a single-field solve uses
-            for _ in _sweep("lower", inst, grid, times, terminal, None,
-                            np.empty((len(times),) + grid.shape)):
+            for _ in _sweep("lower", inst, grid, times, terminal, None):
                 pass
         step = err.value.step
         assert 0 < step < grid.nt - 1
@@ -918,8 +980,7 @@ def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
         batch = np.broadcast_to(terminal, (2,) + grid.shape)
         visited = []
         with pytest.raises(DivergenceError) as err:
-            for k, fields in _sweep("lower", inst, grid, times, batch, [1.0, 4.0],
-                                    np.empty((2,) + batch.shape)):
+            for k, fields in _sweep("lower", inst, grid, times, batch, [1.0, 4.0]):
                 assert np.isfinite(fields).all()
                 visited.append(k)
     assert err.value.step == visited[-1] - 1
@@ -932,8 +993,7 @@ def test_sweep_accepts_finite_slices_whose_sum_overflows():
     grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(41,), nt=4)
     times = np.linspace(0.0, inst.T, grid.nt + 1)
     terminal = np.full(grid.shape, 1e307)
-    slices = [w.copy() for _, w in _sweep("lower", inst, grid, times, terminal, None,
-                                           np.zeros((2,) + grid.shape))]
+    slices = [w.copy() for _, w in _sweep("lower", inst, grid, times, terminal, None)]
     assert len(slices) == grid.nt + 1
     assert all(np.array_equal(w, terminal) for w in slices)
 

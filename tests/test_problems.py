@@ -74,11 +74,14 @@ def test_validate_is_deterministic():
 
 
 def test_validate_flags_time_dependent_drift_declared_homogeneous():
-    inst = make_instance(b=lambda t, x, u, v: t * x, h=lambda t, x: np.full(x.shape[0], -1.0))
+    # the drift vanishes at x = 0 and x = 1, where the instance checks it, and
+    # moves with t elsewhere (t x declared homogeneous is refused at build)
+    inst = make_instance(b=lambda t, x, u, v: 0.02 * t * x * (x - 1.0),
+                         h=lambda t, x: np.full(x.shape[0], -1.0))
     assert validate_instance(inst, probe_count=16, seed=2).passed
     report = validate_instance(declare_homogeneous(inst), probe_count=16, seed=2)
     moved = [v for v in report.violations if v[0] == "time_homogeneous:dynamics"]
-    # b(t, x) - b(0, x) = t x is nonzero at every probe
+    # b(t, x) - b(0, x) = 0.02 t x (x - 1) is nonzero at every probe
     assert len(moved) == 16 and len(report.violations) == 16
     assert all(observed > 0.0 for _, _, observed in moved)
 
@@ -99,9 +102,12 @@ def test_validate_flags_time_dependent_obstacle_declared_static():
     ("drift", lambda: make_instance(b=lambda t, x, u, v: t + x)),
     ("diffusion", lambda: make_instance(sigma=lambda t, x, u, v: np.full(x.shape + (1,), 1.0 + t))),
     ("obstacle", lambda: builtin_instance("deterministic_stop")),
-], ids=["drift", "diffusion", "obstacle"])
+    ("drift", lambda: make_instance(b=lambda t, x, u, v: t * x)),
+    ("obstacle", lambda: make_instance(h=lambda t, x: t * x[:, 0] - 1.0)),
+], ids=["drift", "diffusion", "obstacle", "drift_times_state", "obstacle_times_state"])
 def test_declaring_a_coefficient_that_reads_t_homogeneous_raises_naming_it(what, build):
-    # deterministic_stop's obstacle is T - t: a declaration would hold it at its first step
+    # deterministic_stop's obstacle is T - t: a declaration would hold it at its
+    # first step; t x and t x - 1 read t only away from x = 0
     inst = build()
     assert not inst.coeffs.time_homogeneous
     with pytest.raises(ValueError, match=f"^the {what} differs at t = 0 and t = T = 1, "):
