@@ -133,8 +133,8 @@ class GameInstance:
             raise ValueError("horizon must be positive")
         # Smoke-evaluate every coefficient so shape bugs surface early, on one
         # row per control pair at x = 0 and one at x = 1, where a coefficient
-        # that reads t only through a product with x moves too; each row must
-        # equal its pair evaluated alone.
+        # that reads t only through a product with x moves too; each row at
+        # x = 0 must equal its pair evaluated alone.
         nu, nv = len(self.u_grid), len(self.v_grid)
         u = np.tile(np.repeat(self.u_grid.points, nv, axis=0), (2, 1))
         v = np.tile(self.v_grid.points, (2 * nu, 1))
@@ -147,7 +147,7 @@ class GameInstance:
                                          ("cost rate", eval_cost_rate, (x, y, z, u, v))):
                 values[what, t] = rows = evaluate(self, t, *args)
                 if any(not np.array_equal(row, evaluate(self, t, *(a[i:i + 1] for a in args))[0])
-                       for i, row in enumerate(rows)):
+                       for i, row in enumerate(rows[:nu * nv])):
                     raise ValueError(f"the {what} reads another row's control: u and v "
                                      f"hold one control point per state row")
             values["obstacle", t] = eval_obstacle(self, t, x)
