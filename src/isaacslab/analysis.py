@@ -129,8 +129,9 @@ def penalization_convergence(instance, grid, m_schedule):
     the reflected reference field over the inner sub-box (all time
     slices).  The whole schedule is stepped in one sweep, so no penalized
     field is ever stored: the slices are copied into a block of at most
-    ``FOLD_BYTES`` and each full block is folded into two running
-    elementwise maxima, ``|reference - field|`` over
+    ``FOLD_BYTES``, laid out like the sweep's ring (field axis last) so
+    that each copy keeps its order, and each full block is folded, read
+    through a moved view, into two running elementwise maxima, ``|reference - field|`` over
     :meth:`~isaacslab.pde.SpaceTimeGrid.inner_box` and the step down
     from each weight to the next over
     :meth:`~isaacslab.pde.SpaceTimeGrid.interior`, reduced once at the
@@ -146,18 +147,20 @@ def penalization_convergence(instance, grid, m_schedule):
     interior = (slice(None), slice(None)) + grid.interior()
     batch = len(m_schedule)
     depth = max(1, FOLD_BYTES // max(1, batch * reference.slices[0].nbytes))
-    block = np.empty((depth, batch) + grid.shape)
-    steps = np.empty(block[:, 1:][interior].shape)
-    gaps, violations = np.zeros(block[box].shape[1:]), np.zeros(steps.shape[1:])
+    block = np.moveaxis(np.empty((depth,) + grid.shape + (batch,)), -1, 1)
+    # the fold's differences go to field-major buffers: written back into the
+    # strided block they would cost more than the transposing copies saved
+    steps, gap = np.empty(block[:, 1:][interior].shape), np.empty(block[box].shape)
+    gaps, violations = np.zeros(gap.shape[1:]), np.zeros(steps.shape[1:])
     gaps_k, violations_k = np.empty_like(gaps), np.empty_like(violations)
 
     def fold(k, n):
-        """Fold slices ``k, ..., k + n - 1``, held in ``block[:n]``; the gaps overwrite them."""
+        """Fold slices ``k, ..., k + n - 1``, held in ``block[:n]``."""
         fields = block[:n]
         np.subtract(fields[:, :-1][interior], fields[:, 1:][interior], out=steps[:n])
         np.maximum(violations, steps[:n].max(axis=0, out=violations_k), out=violations)
-        gap = np.subtract(reference.slices[k:k + n, None][box], fields[box], out=fields[box])
-        np.maximum(gaps, np.abs(gap, out=gap).max(axis=0, out=gaps_k), out=gaps)
+        diff = np.subtract(reference.slices[k:k + n, None][box], fields[box], out=gap[:n])
+        np.maximum(gaps, np.abs(diff, out=diff).max(axis=0, out=gaps_k), out=gaps)
 
     # the sweep yields k = nt, ..., 0: slice k goes to row k % depth, and a
     # block is folded once its row 0 is filled

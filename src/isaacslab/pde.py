@@ -26,8 +26,9 @@ is refused.  :func:`cfl_required_nt` gives the smallest admissible
 number of steps, and every solve refuses a grid that breaks the rule;
 without declared time-homogeneity the sweep also checks each step
 against that step's own coefficients.  One effect lies outside the
-rule: a cost rate that reads the gradient ``z`` enters through central
-quotients that are not upwinded.
+rule for an instance whose cost rate reads the gradient ``z``
+(``Coefficients.cost_rate_reads``): z enters through central quotients
+that are not upwinded.
 
 Each step evolves the previous slice by one product of the weight
 table with a read-only view of every node's neighbourhood
@@ -36,15 +37,20 @@ the obstacle projection ``max(., h)`` or the semi-implicit penalty
 update, at every node.  Boundary nodes follow the grid policy: linear
 extrapolation from the two nearest interior nodes (default, consistent
 with linear growth of the value) or freezing at the terminal data.  A
-batch of fields, one per penalty weight, is stepped in one sweep: each
-step makes one cost-rate call on the rows of every control pair and
-field, and a slice that is not finite stops the sweep with a divergence
-error.  A sweep steps between the two slots of a zeroed ring, batch
-axis last, through one :class:`_StepPlan`: every view a step reads or
-writes and every work buffer, built once, with the penalty's ``c h``
-and ``1 + c`` kept per distinct dt.  A step then makes only the ufunc
-calls of its arithmetic, with ``out=``, so its cost is that arithmetic
-plus a fixed count of calls.
+batch of fields, one per penalty weight, is stepped in one sweep, and a
+slice that is not finite stops the sweep with a divergence error.  The
+cost rate is one call per step on the rows of every control pair and
+field, with the value ``y`` and ``z = q sigma`` (``q`` the central
+gradient) where ``Coefficients.cost_rate_reads`` declares that it reads
+them and zeros elsewhere: a step forms no gradient for a cost rate that
+does not read z and copies no value for one that does not read y.  One
+that reads neither, on a time-homogeneous instance, is called once per
+table build instead.  A sweep steps between the two slots of a zeroed
+ring, batch axis last, through one :class:`_StepPlan`: every view a
+step reads or writes and every work buffer, built once, with the
+penalty's ``c h`` and ``1 + c`` kept per distinct dt.  A step then makes
+only the ufunc calls of its arithmetic, with ``out=``, so its cost is
+that arithmetic plus a fixed count of calls.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: one call of each on the given state rows (every node for
@@ -52,11 +58,12 @@ the stability rule; in a sweep the interior nodes, each once per
 field) repeated for every control pair, each row under its pair's
 controls, stacked with sigma sigma^T over the pairs.  A sweep builds
 these stacks, the weight table with them and the obstacle at its first
-step when the instance declares that b, sigma and h do not read t
+step when the instance declares that b, sigma, f and h do not read t
 (``Coefficients.time_homogeneous``) and at every step otherwise; the
 queries of a stored field (:func:`_field_stacks`,
-:func:`complementarity_residual`) do the same, and read its slices
-through one neighbourhood view.
+:func:`complementarity_residual`) do the same, tabulate the cost rate
+by the same rule as a sweep, and read its slices through one
+neighbourhood view.
 """
 
 from __future__ import annotations
@@ -335,24 +342,45 @@ def _pair_tables(instance, t, x):
     return rows, np.einsum("pmik,pmjk->pmij", sigma, sigma), b, sigma
 
 
-def _add_cost_rate(instance, t, rows, y, z, grad, sigma, term, parts):
-    """Add the cost rate of every control pair to ``parts`` (P, B * m) in place.
+@lru_cache(maxsize=None)
+def _zeros(shape):
+    """A read-only zero array of ``shape``: a cost rate's argument that it does not read."""
+    return np.broadcast_to(0.0, shape)
+
+
+def _fixed_cost_rate(instance, t, rows):
+    """The cost rate on ``rows`` when it reads neither y, z nor t, else None.
+
+    Such a cost rate takes the same values at every step of a solve.
+    """
+    if instance.coeffs.cost_rate_reads or not instance.coeffs.time_homogeneous:
+        return None
+    return _cost_rate(instance, t, rows, None, None, None, None, None)
+
+
+def _cost_rate(instance, t, rows, y, z, grad, sigma, term):
+    """The cost rate of every control pair on ``rows``, one call, shape (P * B * m,).
 
     ``rows`` are the ``(x, u, v)`` rows of :func:`_pair_tables`, ``y``
     the value on them and ``grad`` the columns ``(B * m, 1)`` of the
     gradient ``q``, one per axis.  ``z = q sigma`` is formed in ``z`` (P,
     B * m, d) from ``sigma``, the diffusion's rows ``(P, B * m, d)`` one
     per axis, with ``term`` (``z``'s shape, or None in one dimension)
-    holding each further axis's product, and the cost rate is one call
-    on the P * B * m rows.
+    holding each further axis's product.  Where
+    ``Coefficients.cost_rate_reads`` declares that f does not read y, or
+    z, zeros take its place and the arguments that would give it go
+    unread.
     """
-    np.multiply(grad[0], sigma[0], out=z)
-    for g, s in zip(grad[1:], sigma[1:]):
-        np.multiply(g, s, out=term)
-        np.add(z, term, out=z)
     x, u, v = rows
-    f = eval_cost_rate(instance, t, x, y, z.reshape(len(x), -1), u, v)
-    np.add(parts, f.reshape(parts.shape), out=parts)
+    reads = instance.coeffs.cost_rate_reads
+    if "z" in reads:
+        np.multiply(grad[0], sigma[0], out=z)
+        for g, s in zip(grad[1:], sigma[1:]):
+            np.multiply(g, s, out=term)
+            np.add(z, term, out=z)
+    return eval_cost_rate(instance, t, x, y if "y" in reads else _zeros((len(x),)),
+                          z.reshape(len(x), -1) if "z" in reads else _zeros((len(x), instance.d)),
+                          u, v)
 
 
 def _stencil_weights(tables, dx):
@@ -413,12 +441,14 @@ class _StepPlan:
     :func:`_windows` slot with its centre cell and the up and down cells
     of each axis, and the boundary faces with what fills them.
     :meth:`tabulate` builds the tables of one time: the pair tables, the
-    weight table in the window's shape, the diffusion's rows per axis
-    and the obstacle at the ring's slot shape.  The work buffers (the
+    weight table in the window's shape, the diffusion's rows per axis,
+    the cost rate where :func:`_fixed_cost_rate` fixes it, and the
+    obstacle at the ring's slot shape.  The work buffers (the
     product of table and window with its cells, the pairs' parts, the
-    gradient columns, the rows of y and z, the update and the penalty's
-    scratch) are allocated once, so that :meth:`step` and :meth:`settle`
-    make only the ufunc calls of the arithmetic, with ``out=``.
+    gradient columns and the rows of y and z where the cost rate reads
+    them, the update and the penalty's scratch) are allocated once, so
+    that :meth:`step` and :meth:`settle` make only the ufunc calls of
+    the arithmetic, with ``out=``.
     """
 
     def __init__(self, which, instance, grid, terminal, weights):
@@ -455,10 +485,14 @@ class _StepPlan:
         self.vals = self.parts.reshape(nu, nv, rows)
         self.reduced = np.empty((nu if which == "lower" else nv, rows))
         self.value = np.empty(rows)
-        self.grad = np.empty((ndim,) + inner)
-        self.halves = [2.0 * h for h in grid.dx()]
-        self.y = np.empty((nu * nv,) + inner)
-        self.z = np.empty((nu * nv, rows, instance.d))
+        # the value and gradient arguments of a cost rate that reads them
+        reads = instance.coeffs.cost_rate_reads
+        self.y = np.empty((nu * nv,) + inner) if "y" in reads else None
+        self.grad = self.z = None
+        if "z" in reads:
+            self.grad = np.empty((ndim,) + inner)
+            self.halves = [2.0 * h for h in grid.dx()]
+            self.z = np.empty((nu * nv, rows, instance.d))
         self.update = np.empty(inner)
         self.h = np.empty(self.ring.shape[1:])
         self.mask = np.empty(self.ring.shape[1:], dtype=bool)
@@ -475,12 +509,15 @@ class _StepPlan:
         rows, _, _, sigma = tables = _pair_tables(self.instance, t, self.x)
         stencil = _stencil_weights(tables, self.grid.dx())
         self.table = stencil.reshape(stencil.shape[:-1] + self.inner)
-        # the arguments of _add_cost_rate after the time
-        self.generator = (rows, self.y.reshape(-1), self.z,
-                          [g.reshape(-1, 1) for g in self.grad],
-                          [sigma[:, :, i] for i in range(self.grid.ndim)],
-                          np.empty_like(self.z) if self.grid.ndim > 1 else None,
-                          self.parts.reshape(len(self.parts), -1))
+        # the arguments of _cost_rate after the time, None where it reads none
+        z, ndim = self.z, self.grid.ndim
+        self.generator = (rows, None if self.y is None else self.y.reshape(-1), z,
+                          None if z is None else [g.reshape(-1, 1) for g in self.grad],
+                          [sigma[:, :, i] for i in range(ndim)],
+                          None if z is None or ndim == 1 else np.empty_like(z))
+        self.rate = _fixed_cost_rate(self.instance, t, rows)
+        if self.rate is not None:
+            self.rate = self.rate.reshape(self.parts.shape)
         obstacle = eval_obstacle(self.instance, t, self.nodes)
         np.copyto(self.h, obstacle.reshape(self.grid.shape + (1,) * (self.h.ndim - self.grid.ndim)))
         self.constants.clear()
@@ -499,11 +536,16 @@ class _StepPlan:
         np.add(first, second, out=parts)
         for term in rest:
             np.add(parts, term, out=parts)
-        for g, (up, down), half in zip(self.grad, axes, self.halves):
-            np.subtract(up, down, out=g)
-            np.divide(g, half, out=g)
-        np.copyto(self.y, centre)
-        _add_cost_rate(self.instance, t, *self.generator)
+        if self.grad is not None:
+            for g, (up, down), half in zip(self.grad, axes, self.halves):
+                np.subtract(up, down, out=g)
+                np.divide(g, half, out=g)
+        if self.y is not None:
+            np.copyto(self.y, centre)
+        rate = self.rate
+        if rate is None:
+            rate = _cost_rate(self.instance, t, *self.generator).reshape(parts.shape)
+        np.add(parts, rate, out=parts)
         value = _minimax(self.which, self.vals, self.reduced, self.value)
         np.multiply(value.reshape(self.inner), dt, out=self.update)
         np.add(centre, self.update, out=self.slots[k % 2][1])
@@ -544,14 +586,15 @@ def _sweep(which, instance, grid, times, terminal, weights):
     field) of the semi-implicit penalty update.  The sweep owns a zeroed
     two-slot ring and builds one :class:`_StepPlan` over it.  Every step
     makes one cost-rate call on the rows of every control pair and
-    field; the plan's tables (drift and diffusion of every pair, the
-    weight table, and the obstacle at the ring's slot shape) are built
-    at the first step for a time-homogeneous instance and at every step
-    otherwise, where a step longer than its own tables allow raises
-    :class:`CflError`.  Yields ``(k, slice)`` for ``k = nt, ..., 0``,
-    the slice a view of the ring, shaped like ``terminal``, that the
-    step after next overwrites, and raises :class:`DivergenceError` on
-    the first slice that is not finite.
+    field, unless :func:`_fixed_cost_rate` fixes it; the plan's tables
+    (drift and diffusion of every pair, the weight table, and the
+    obstacle at the ring's slot shape) are built at the first step for
+    a time-homogeneous instance and at every step otherwise, where a
+    step longer than its own tables allow raises :class:`CflError`.
+    Yields ``(k, slice)`` for ``k = nt, ..., 0``, the slice a view of the
+    ring, shaped like ``terminal``, that the step after next overwrites,
+    and raises :class:`DivergenceError` on the first slice that is not
+    finite.
     """
     plan = _StepPlan(which, instance, grid, terminal, weights)
     times = np.asarray(times, dtype=float).tolist()
@@ -639,17 +682,21 @@ def sweep_penalized(instance, grid, m_schedule):
     return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape), weights)
 
 
-def _hamiltonian_stack(instance, t, y, q, xmat, tables):
+def _hamiltonian_stack(instance, t, y, q, xmat, tables, rate=None):
     """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
-    ``tables`` are the :func:`_pair_tables` of the m nodes.
+    ``tables`` are the :func:`_pair_tables` of the m nodes.  ``rate`` is
+    the cost rate on their rows where it is already known, as
+    :func:`_fixed_cost_rate` gives it; None evaluates it at ``(y, q)``.
     """
     rows, a, b, sigma = tables
     parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
-    z = np.empty(sigma.shape[:2] + sigma.shape[3:])
-    _add_cost_rate(instance, t, rows, np.concatenate([y] * len(parts)), z,
-                   [q[:, i, None] for i in range(q.shape[1])],
-                   [sigma[:, :, i] for i in range(q.shape[1])], np.empty_like(z), parts)
+    if rate is None:
+        z = np.empty(sigma.shape[:2] + sigma.shape[3:])
+        rate = _cost_rate(instance, t, rows, np.concatenate([y] * len(parts)), z,
+                          [q[:, i, None] for i in range(q.shape[1])],
+                          [sigma[:, :, i] for i in range(q.shape[1])], np.empty_like(z))
+    np.add(parts, rate.reshape(parts.shape), out=parts)
     return parts.reshape(len(instance.u_grid), len(instance.v_grid), y.size)
 
 
@@ -710,18 +757,19 @@ def _field_stacks(field, instance):
     ``k`` on them, and the (nu, nv, m) generator values of every control
     pair at time ``t`` with the slice's central difference data, read
     off the cells of slot ``k`` of one :func:`_windows` view of the
-    stored slices.  The pair tables of drift and diffusion are built at
-    the first call for a time-homogeneous instance and at every call
+    stored slices.  The pair tables of drift and diffusion, with the
+    cost rate where :func:`_fixed_cost_rate` fixes it, are built at the
+    first call for a time-homogeneous instance and at every call
     otherwise.
     """
     grid = field.grid
     x = grid.interior_nodes()
     dx = grid.dx()
     windows = _windows(field.slices, grid.ndim)
-    tables = None
+    tables = rate = None
 
     def stack(t, k):
-        nonlocal tables
+        nonlocal tables, rate
         wc, *near = (windows[k][cell].ravel() for cell in _cells(grid.ndim))
         q = np.empty((wc.size, grid.ndim))
         xmat = np.empty((wc.size, grid.ndim, grid.ndim))
@@ -736,7 +784,8 @@ def _field_stacks(field, instance):
             xmat[:, i, j] = xmat[:, j, i] = (pp + mm - pm - mp) / (4.0 * dx[i] * dx[j])
         if tables is None or not instance.coeffs.time_homogeneous:
             tables = _pair_tables(instance, t, x)
-        return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables)
+            rate = _fixed_cost_rate(instance, t, tables[0])
+        return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables, rate)
 
     return stack
 

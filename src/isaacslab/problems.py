@@ -14,19 +14,23 @@ where ``t`` is a scalar time, ``x`` has shape (m, n), ``y`` shape (m,),
 ``z`` shape (m, d) and ``u``, ``v`` shape (m, k), one control point per
 row, so that one call serves rows under every control pair.  A row's
 value must depend on that row alone (``u[:, 0]``, not ``u[0]``), which
-:class:`GameInstance` checks.  Control rows, and states, may be
-read-only views: a control shared by every row is a ``broadcast_to`` of
-its point.  Returns may be scalars or broadcastable arrays.  The
+:class:`GameInstance` checks.  Control rows, states, and a value or
+gradient argument that the cost rate does not read, may be read-only
+views: a control shared by every row is a ``broadcast_to`` of its point.
+Returns may be scalars or broadcastable arrays.  The
 ``eval_*`` helpers share one gate, ``_evaluate``: it calls the
 coefficient, normalises the shape and turns any failure into an
 ``EvaluationError`` carrying the first row's point.
 
 An instance declared time-homogeneous (``Coefficients.time_homogeneous``:
-b, sigma and h do not read ``t``) has them evaluated once per grid solve
-rather than once per step.  :class:`GameInstance` refuses a declaration
-that its values at t = 0 and t = T, on the states x = 0 and x = 1,
-contradict, and :func:`validate_instance` probes it at every sampled
-time.
+b, sigma, f and h do not read ``t``) has b, sigma and h evaluated once
+per grid solve rather than once per step, and
+``Coefficients.cost_rate_reads`` names which of y and z the cost rate
+reads, so that the solvers skip what only the others need.
+:class:`GameInstance` refuses either declaration where its values at
+t = 0 and t = T, on the states x = 0 and x = 1 with y and z at 1 and
+each at 0 in turn, contradict it, and :func:`validate_instance` probes
+both at every sampled point.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -53,6 +57,8 @@ BUILTIN_NAMES = (
 # Lipschitz constants by 5% before a violation is recorded.
 LIPSCHITZ_SLACK = 1.05
 DEFAULT_PROBE_BOX_HALFWIDTH = 10.0
+# the arguments of the cost rate that Coefficients.cost_rate_reads may name
+COST_RATE_ARGUMENTS = ("y", "z")
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,12 @@ class Coefficients:
     ``declared_lipschitz`` bounds the Lipschitz constants in the state
     (and, for the cost rate, in value and gradient arguments);
     ``declared_growth`` bounds the linear-growth constants.
-    ``time_homogeneous`` declares that b, sigma and h do not depend on t,
-    so the grid solver may evaluate them once per solve.  All three are
-    checked by probing in :func:`validate_instance`, not symbolically.
+    ``time_homogeneous`` declares that b, sigma, f and h do not depend on
+    t, so the grid solver may evaluate them once per solve.
+    ``cost_rate_reads`` names the arguments among ``("y", "z")`` that f
+    depends on, both by default; the solvers hand f zeros for the others
+    and skip what only they need.  All four are checked by probing in
+    :func:`validate_instance`, not symbolically.
     """
 
     b: Callable
@@ -105,8 +114,14 @@ class Coefficients:
     declared_lipschitz: float
     declared_growth: float
     time_homogeneous: bool = False
+    cost_rate_reads: tuple = COST_RATE_ARGUMENTS
 
     def __post_init__(self):
+        reads = tuple(self.cost_rate_reads)
+        if not set(reads) <= set(COST_RATE_ARGUMENTS):
+            raise ValueError(f"cost_rate_reads must be a subset of {COST_RATE_ARGUMENTS}")
+        object.__setattr__(self, "cost_rate_reads",
+                           tuple(a for a in COST_RATE_ARGUMENTS if a in reads))
         if self.declared_lipschitz <= 0:
             raise ValueError("declared_lipschitz must be positive")
         if self.declared_growth <= 0:
@@ -134,7 +149,8 @@ class GameInstance:
         # Smoke-evaluate every coefficient so shape bugs surface early, on one
         # row per control pair at x = 0 and one at x = 1, where a coefficient
         # that reads t only through a product with x moves too; each row at
-        # x = 0 must equal its pair evaluated alone.
+        # x = 0 must equal its pair evaluated alone.  The cost rate takes
+        # y = z = 1 there, and y = 0 or z = 0 where it is declared not to read it.
         nu, nv = len(self.u_grid), len(self.v_grid)
         u = np.tile(np.repeat(self.u_grid.points, nv, axis=0), (2, 1))
         v = np.tile(self.v_grid.points, (2 * nu, 1))
@@ -152,10 +168,22 @@ class GameInstance:
                                      f"hold one control point per state row")
             values["obstacle", t] = eval_obstacle(self, t, x)
         # a declaration these values contradict would freeze them at one step
-        for what in ("drift", "diffusion", "obstacle") if self.coeffs.time_homogeneous else ():
+        homogeneous = ("drift", "diffusion", "cost rate", "obstacle")
+        for what in homogeneous if self.coeffs.time_homogeneous else ():
             if not np.array_equal(values[what, 0.0], values[what, self.T]):
                 raise ValueError(f"the {what} differs at t = 0 and t = T = {self.T:g}, but "
                                  f"the instance declares time_homogeneous")
+        # ... or hand the cost rate a zero it reads
+        reads = self.coeffs.cost_rate_reads
+        for arg, zeroed in (("y", (0.0 * y, z)), ("z", (y, 0.0 * z))):
+            if arg in reads:
+                continue
+            for t in (0.0, self.T):
+                if not np.array_equal(eval_cost_rate(self, t, x, *zeroed, u, v),
+                                      values["cost rate", t]):
+                    raise ValueError(f"the cost rate differs at {arg} = 0 and {arg} = 1 "
+                                     f"(t = {t:g}), but the instance declares "
+                                     f"cost_rate_reads = {reads}")
         eval_terminal(self, x)
 
 
@@ -253,8 +281,11 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
       with 5% slack),
     * linear-growth bounds against ``declared_growth``,
     * the barrier condition ``h(T, x) <= phi(x)``,
-    * for an instance declared time-homogeneous, equality of b, sigma and
-      h at each probe's own time with their values at t = 0.
+    * for an instance declared time-homogeneous, equality of b, sigma, f
+      and h at each probe's own time with their values at t = 0,
+    * for a cost rate declared not to read y (or z), equality of f at the
+      probe's value (gradient) and at the other value (gradient) of its
+      pair, recorded as ``cost_rate_reads:y`` (``cost_rate_reads:z``).
 
     The probes are seeded uniform draws, so the report is deterministic for
     fixed ``(instance, probe_count, seed)``.
@@ -354,6 +385,14 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
             f_b = per_row(eval_cost_rate, (xps, yps, zps), u, v)
             est["running_cost"] = max(est["running_cost"], quotient(
                 "lipschitz:running_cost", np.abs(f_a - f_b), denom_f, pair))
+            # ... unmoved by an argument it is declared not to read, and by t
+            for arg, columns in (("y", (xs, yps, zs)), ("z", (xs, ys, zps))):
+                if arg not in instance.coeffs.cost_rate_reads:
+                    moved = np.abs(f_a - per_row(eval_cost_rate, columns, u, v))
+                    record(f"cost_rate_reads:{arg}", moved > 0.0, moved, point)
+            if instance.coeffs.time_homogeneous:
+                moved = np.abs(f_a - per_row(eval_cost_rate, (xs, ys, zs), u, v, times=t_0))
+                record("time_homogeneous:running_cost", moved > 0.0, moved, point)
 
             # Linear growth of dynamics and of costs at zero value/gradient.
             f_0 = per_row(eval_cost_rate, (xs, np.zeros_like(ys), np.zeros_like(zs)), u, v)
@@ -382,6 +421,7 @@ def _american_put(p):
         declared_lipschitz=max(1.0, r, vol),
         declared_growth=2.0 * strike + 1.0,
         time_homogeneous=True,
+        cost_rate_reads=("y",),
     )
 
 
@@ -396,6 +436,7 @@ def _lemma45(p):
         declared_lipschitz=max(c, 1.0),
         declared_growth=0.5 * theta + rho + 1.0,
         time_homogeneous=True,
+        cost_rate_reads=("y", "z"),
     )
 
 
@@ -411,6 +452,7 @@ def _minimax_gap(p):
         declared_lipschitz=1.0,
         declared_growth=abs(floor) + vol + bound + 1.0,
         time_homogeneous=True,
+        cost_rate_reads=(),
     )
 
 
@@ -426,6 +468,7 @@ def _no_obstacle_linear(p):
         declared_lipschitz=1.0,
         declared_growth=abs(c0) + abs(c1) + abs(floor) + vol + 1.0,
         time_homogeneous=True,
+        cost_rate_reads=(),
     )
 
 
@@ -439,6 +482,7 @@ def _deterministic_stop(p):
         h=lambda t, x: np.full(x.shape[0], horizon - t),
         declared_lipschitz=1.0,
         declared_growth=horizon + 1.0,
+        cost_rate_reads=(),
     )
 
 

@@ -38,6 +38,9 @@ the deterministic test cases exact.  Backward induction per step:
     yhat = p + dt f(t_k, X_k, y0, Z_k, u, v)    (correct once)
     Y_k  = projection / penalty applied to yhat
 
+A cost rate declared not to read y (``Coefficients.cost_rate_reads``)
+makes the corrector return ``y0``, so it is not evaluated: ``yhat = y0``.
+
 The solve reads the bundle's step-major storage (see ``sde``) and keeps
 Y, Z, K and the obstacle samples step-major too, so every step works on
 contiguous rows; ``BackwardSolution`` exposes them path-major as
@@ -276,6 +279,7 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     d = instance.d
     times = bundle.mesh.times()
     dt = bundle.mesh.dt
+    reads_y = "y" in instance.coeffs.cost_rate_reads
 
     h_all = np.empty((N + 1, M))
     for k in range(N + 1):
@@ -323,7 +327,8 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         up = _control_rows(instance.u_grid, u_path[k], M)
         vp = _control_rows(instance.v_grid, v_path[k], M)
         y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
-        yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp)
+        # a cost rate that does not read y gives the corrector the predictor's value
+        yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp) if reads_y else y0
 
         hk = h_all[k]
         if penalty_m is None:

@@ -37,6 +37,12 @@ def declare_homogeneous(instance, flag=True):
     return dataclasses.replace(instance, coeffs=coeffs)
 
 
+def declare_reads(instance, reads):
+    """``instance`` with ``Coefficients.cost_rate_reads`` set to ``reads``."""
+    coeffs = dataclasses.replace(instance.coeffs, cost_rate_reads=reads)
+    return dataclasses.replace(instance, coeffs=coeffs)
+
+
 def frozen_obstacle(instance):
     """``instance`` with its obstacle held at its values at t = 0."""
     h = instance.coeffs.h

@@ -27,7 +27,7 @@ from isaacslab.problems import (
 from isaacslab.rbsde import RegressionBasis, cost_functional
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import correlated_game, make_instance, sized
+from conftest import correlated_game, declare_reads, make_instance, sized
 
 
 def test_singleton_controls_make_both_values_identical():
@@ -321,17 +321,21 @@ def test_feedback_pair_shares_one_hamiltonian_scan_per_query(monkeypatch):
     # controls taken from two separate pairs share no scan
     apart, apart_calls = simulate(feedback_from_field(field, inst)[0],
                                   feedback_from_field(field, inst)[1])
-    # one cost-rate call per query scans every control pair
-    assert shared_calls["cost_rate"] == 20
-    assert apart_calls["cost_rate"] == 2 * shared_calls["cost_rate"]
-    # time-homogeneous dynamics are tabulated once per field, not per query
-    assert shared_calls["drift"] == shared_calls["diffusion"] == 1
-    assert apart_calls["drift"] == apart_calls["diffusion"] == 2
+    # time-homogeneous dynamics are tabulated once per field, not per query,
+    # and so is minimax_gap's cost rate, which reads neither y nor z
+    assert shared_calls == {"drift": 1, "diffusion": 1, "cost_rate": 1}
+    assert apart_calls == {"drift": 2, "diffusion": 2, "cost_rate": 2}
     for name in ("states", "dB", "u_path", "v_path"):
         assert np.array_equal(getattr(shared, name), getattr(apart, name))
     # the best response reads the same once-tabulated stacks
     _, response_calls = simulate(ControlPath.constant(1), response_feedback(field, inst, 1))
-    assert response_calls == {"drift": 1, "diffusion": 1, "cost_rate": 20}
+    assert response_calls == {"drift": 1, "diffusion": 1, "cost_rate": 1}
+    # a cost rate declared to read y and z is evaluated once per query, on
+    # every control pair, and gives the same paths
+    read, read_calls = simulate(*feedback_from_field(field, declare_reads(inst, ("y", "z"))))
+    assert read_calls == {"drift": 1, "diffusion": 1, "cost_rate": 20}
+    for name in ("states", "dB", "u_path", "v_path"):
+        assert np.array_equal(getattr(shared, name), getattr(read, name))
 
 
 def test_feedback_is_sandwiched_by_fixed_controls():

@@ -595,9 +595,39 @@ def test_compare_wu_makes_one_drift_call_per_table_build(tmp_path, monkeypatch):
     assert main(["run", cfg]) == 0
     nt = json.loads((tmp_path / "out" / "metrics.json").read_text())["metrics"]["nt"]
     # the stability rule sizes the grid and checks it in each of the two
-    # solves, and each solve tabulates the dynamics once; every step of
-    # both solves makes one cost-rate call over the four control pairs
-    assert calls == {"eval_drift": 5, "eval_cost_rate": 2 * nt}
+    # solves, and each solve tabulates the dynamics once, and with them the
+    # cost rate, which reads neither y, z nor t, in one call over the four
+    # control pairs
+    assert nt > 1
+    assert calls == {"eval_drift": 5, "eval_cost_rate": 2}
+
+
+@pytest.mark.parametrize("declared, message", [
+    ({"cost_rate_reads": ()}, "the cost rate differs at y = 0 and y = 1"),
+    ({"cost_rate_reads": ("y",)}, "the cost rate differs at z = 0 and z = 1"),
+    ({"time_homogeneous": True}, "the cost rate differs at t = 0 and t = T = 1"),
+], ids=["y", "z", "t"])
+def test_validate_and_run_refuse_a_contradicted_cost_rate_declaration(tmp_path, capsys,
+                                                                      monkeypatch, declared,
+                                                                      message):
+    # minimax_gap with a cost rate that reads t, y and z: the builder's
+    # declaration is refused when the config builds the instance
+    build, defaults = problems._BUILDERS["minimax_gap"]
+
+    def contradicted(p):
+        return dataclasses.replace(build(p), **{
+            "f": lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] + t * (y + z[:, 0]),
+            "time_homogeneous": False, "cost_rate_reads": ("y", "z"), **declared})
+
+    monkeypatch.setitem(problems._BUILDERS, "minimax_gap", (contradicted, defaults))
+    cfg = write_config(tmp_path, "declared.json",
+                       _with(_MINIMAX, "output", "directory", str(tmp_path / "out")))
+    assert main(["validate", cfg]) == 2
+    refused = capsys.readouterr().err
+    assert message in refused
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == refused
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from isaacslab.pde import (
 )
 from isaacslab.problems import (
     BUILTIN_NAMES,
+    COST_RATE_ARGUMENTS,
     builtin_instance,
     eval_cost_rate,
     eval_diffusion,
@@ -44,6 +45,7 @@ from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 from conftest import (
     correlated_game,
     declare_homogeneous,
+    declare_reads,
     frozen_obstacle,
     make_instance,
     mixed_dominance_game,
@@ -514,6 +516,17 @@ def signed_correlation_game():
     return dataclasses.replace(inst, coeffs=dataclasses.replace(inst.coeffs, sigma=sigma))
 
 
+def with_cost_rate(instance, f, reads):
+    """``instance`` with the cost rate ``f``, declared to read ``reads``."""
+    coeffs = dataclasses.replace(instance.coeffs, f=f, cost_rate_reads=reads)
+    return dataclasses.replace(instance, coeffs=coeffs)
+
+
+def homogeneous_correlation_game():
+    """``signed_correlation_game`` with its obstacle held at t = 0, declared homogeneous."""
+    return declare_homogeneous(frozen_obstacle(signed_correlation_game()))
+
+
 STACKED_CASES = {
     "american_put": lambda: (builtin_instance("american_put"), ((20.0, 300.0),), (57,)),
     "minimax_2x2": lambda: (builtin_instance("minimax_gap"), ((-2.0, 2.0),), (41,)),
@@ -521,8 +534,18 @@ STACKED_CASES = {
         "u_points": [[-1.0], [0.0], [1.0]], "v_points": [[-1.0], [0.5], [1.0]]}),
         ((-2.0, 2.0),), (41,)),
     # the obstacle reads t: held at t = 0 to declare the game homogeneous
-    "correlated_2d": lambda: (declare_homogeneous(frozen_obstacle(signed_correlation_game())),
-                              ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    "correlated_2d": lambda: (homogeneous_correlation_game(), ((-2.0, 2.0), (-2.0, 2.0)),
+                              (13, 11)),
+    # cost rates declared to read y alone, and neither y nor z: the step forms
+    # no gradient, and the second tabulates its cost rate once per sweep
+    "correlated_2d_y": lambda: (with_cost_rate(
+        homogeneous_correlation_game(),
+        lambda t, x, y, z, u, v: -0.1 * y + u[:, 0] * v[:, 0] * x[:, 1], ("y",)),
+        ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    "correlated_2d_free": lambda: (with_cost_rate(
+        homogeneous_correlation_game(),
+        lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] * x[:, 0] - 0.2 * x[:, 1] ** 2, ()),
+        ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
     "correlated_2d_timed": lambda: (signed_correlation_game(), ((-2.0, 2.0), (-2.0, 2.0)),
                                     (13, 11)),
     # per-step tables in one dimension, with an obstacle T - t that reads t
@@ -867,15 +890,19 @@ def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundar
 
 
 @pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
-@pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d",))
+@pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d", "correlated_2d_free"))
 def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
-    # drift, diffusion and obstacle evaluated once per solve give the same
-    # fields, residuals, feedback paths and penalty sweep as evaluating them
-    # at every step; an obstacle that reads t (correlated_2d's and
-    # deterministic_stop's) is held at t = 0 to declare it
+    # drift, diffusion and obstacle evaluated once per solve, and a cost rate
+    # that reads neither y nor z too, give the same fields, residuals,
+    # feedback paths and penalty sweep as evaluating them at every step; an
+    # obstacle that reads t (correlated_2d's and deterministic_stop's) is
+    # held at t = 0 to declare it
     if case == "correlated_2d":
         declared = declare_homogeneous(frozen_obstacle(correlated_game()))
         grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
+    elif case == "correlated_2d_free":
+        declared, box, nx = STACKED_CASES[case]()
+        grid = sized(declared, box, nx, boundary)
     else:
         declared = builtin_instance(case)
         if not declared.coeffs.time_homogeneous:
@@ -930,6 +957,88 @@ def test_time_homogeneous_obstacle_evaluated_once_per_sweep(monkeypatch, name, h
         calls.clear()
         complementarity_residual(field, inst)
         assert calls == ([0.0] if homogeneous else list(times[:-1]))
+
+
+def same_bits(one, other):
+    """Equal arrays whose zeros also carry the same signs."""
+    return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("case", BUILTIN_NAMES + ("minimax_3x3", "correlated_2d_y",
+                                                  "correlated_2d_free"))
+def test_declared_cost_rate_arguments_change_no_bit(case, boundary):
+    # a cost rate declared not to read z (no gradient formed), not to read y
+    # (no value copied), or neither on a homogeneous instance (tabulated once
+    # per sweep and per field query) gives the fields, residuals, feedback
+    # paths and penalty sweep of the same instance declared to read both,
+    # sign bits included: minimax_3x3's u = 0 rows give f = -0.0
+    if case in BUILTIN_NAMES:
+        declared = builtin_instance(case)
+        box, nx = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),), (41,)
+    else:
+        declared, box, nx = STACKED_CASES[case]()
+    grid = sized(declared, box, nx, boundary)
+    undeclared = declare_reads(declared, COST_RATE_ARGUMENTS)
+    pair = (declared, undeclared)
+    for which in HAMILTONIANS:
+        fields = [solve_obstacle_pde(which, inst, grid) for inst in pair]
+        assert same_bits(fields[0].slices, fields[1].slices)
+        residuals = [complementarity_residual(f, inst)[1] for f, inst in zip(fields, pair)]
+        assert same_bits(*residuals)
+        stacks = [pde._field_stacks(f, inst) for f, inst in zip(fields, pair)]
+        for k in (0, grid.nt // 2, grid.nt - 1):
+            t = float(fields[0].times[k])
+            assert same_bits(stacks[0](t, k)[2], stacks[1](t, k)[2])
+        if grid.ndim == 1:
+            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, pair)]
+            for one, other in zip(*bundles):
+                for name in ("states", "u_path", "v_path"):
+                    assert np.array_equal(getattr(one, name), getattr(other, name))
+    schedule = [0.0, 4.0, 64.0]
+    for (k, mine), (j, reference) in zip(sweep_penalized(declared, grid, schedule),
+                                         sweep_penalized(undeclared, grid, schedule)):
+        assert k == j and same_bits(mine, reference)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cost_rate_calls_follow_the_declaration(monkeypatch, name):
+    # each step calls the cost rate with zeros for what it does not read,
+    # and a homogeneous cost rate that reads neither y nor z once per sweep;
+    # the plan then holds no value, gradient or z buffer
+    inst = builtin_instance(name)
+    reads = inst.coeffs.cost_rate_reads
+    box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
+    grid = sized(inst, box, (21,))
+    times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
+    calls = []
+    monkeypatch.setattr(pde, "eval_cost_rate",
+                        lambda *args: calls.append(args[1:5]) or eval_cost_rate(*args))
+    solve_obstacle_pde("lower", inst, grid)
+    fixed = not reads and inst.coeffs.time_homogeneous
+    assert [t for t, _, _, _ in calls] == ([times[-2]] if fixed else list(times[-2::-1]))
+    for _, x, y, z in calls:
+        assert len(y) == len(z) == len(x) == 19 * len(inst.u_grid) * len(inst.v_grid)
+        assert ("y" in reads or not y.any()) and ("z" in reads or not z.any())
+    calls.clear()
+    solve_obstacle_pde("lower", declare_reads(inst, COST_RATE_ARGUMENTS), grid)
+    assert [t for t, _, _, _ in calls] == list(times[-2::-1])
+    plan = pde._StepPlan("lower", inst, grid, np.zeros(grid.shape), None)
+    assert (plan.y is None, plan.grad is None, plan.z is None) == (
+        "y" not in reads, "z" not in reads, "z" not in reads)
+
+
+def test_tabulated_cost_rate_keeps_its_negative_zeros():
+    # the step adds the tabulated values as a per-step call would add them:
+    # minimax_3x3's pairs with u = 0 and v < 0 give f = -0.0, which an addend
+    # formed as 0 + f would turn into +0.0
+    inst, box, nx = STACKED_CASES["minimax_3x3"]()
+    plan = pde._StepPlan("lower", inst, sized(inst, box, nx), np.zeros(nx), None)
+    plan.tabulate(0.5)
+    x, u, v = plan.generator[0]
+    f = eval_cost_rate(inst, 0.5, x, np.ones(len(x)), np.ones((len(x), 1)), u, v)
+    assert np.signbit(f[f == 0.0]).any()
+    assert same_bits(plan.rate.ravel(), f)
 
 
 def feedback_bundles(field, inst):

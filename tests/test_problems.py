@@ -6,6 +6,7 @@ import pytest
 from isaacslab.errors import EvaluationError, NotFoundError
 from isaacslab.problems import (
     BUILTIN_NAMES,
+    COST_RATE_ARGUMENTS,
     Coefficients,
     ControlGrid,
     _as_batch,
@@ -13,7 +14,7 @@ from isaacslab.problems import (
     validate_instance,
 )
 
-from conftest import declare_homogeneous, make_instance
+from conftest import declare_homogeneous, declare_reads, make_instance
 
 
 def test_control_grid_rejects_duplicates_and_empty():
@@ -104,7 +105,9 @@ def test_validate_flags_time_dependent_obstacle_declared_static():
     ("obstacle", lambda: builtin_instance("deterministic_stop")),
     ("drift", lambda: make_instance(b=lambda t, x, u, v: t * x)),
     ("obstacle", lambda: make_instance(h=lambda t, x: t * x[:, 0] - 1.0)),
-], ids=["drift", "diffusion", "obstacle", "drift_times_state", "obstacle_times_state"])
+    ("cost rate", lambda: make_instance(f=lambda t, x, y, z, u, v: t * y)),
+], ids=["drift", "diffusion", "obstacle", "drift_times_state", "obstacle_times_state",
+        "cost_rate_times_value"])
 def test_declaring_a_coefficient_that_reads_t_homogeneous_raises_naming_it(what, build):
     # deterministic_stop's obstacle is T - t: a declaration would hold it at its
     # first step; t x and t x - 1 read t only away from x = 0
@@ -112,6 +115,66 @@ def test_declaring_a_coefficient_that_reads_t_homogeneous_raises_naming_it(what,
     assert not inst.coeffs.time_homogeneous
     with pytest.raises(ValueError, match=f"^the {what} differs at t = 0 and t = T = 1, "):
         declare_homogeneous(inst)
+
+
+def test_validate_flags_time_dependent_cost_rate_declared_homogeneous():
+    # f agrees at t = 0 and t = T = 1, where the instance checks it, and moves between
+    inst = make_instance(f=lambda t, x, y, z, u, v: np.full(x.shape[0], 0.1 * t * (1.0 - t)),
+                         h=lambda t, x: np.full(x.shape[0], -1.0))
+    assert validate_instance(inst, probe_count=16, seed=2).passed
+    report = validate_instance(declare_homogeneous(inst), probe_count=16, seed=2)
+    moved = [v for v in report.violations if v[0] == "time_homogeneous:running_cost"]
+    assert len(moved) == 16 and len(report.violations) == 16
+    assert all(observed > 0.0 for _, _, observed in moved)
+
+
+@pytest.mark.parametrize("arg, f", [
+    ("y", lambda t, x, y, z, u, v: 0.01 * y * (y - 1.0)),
+    ("z", lambda t, x, y, z, u, v: 0.01 * z[:, 0] * (z[:, 0] - 1.0)),
+])
+def test_validate_flags_a_cost_rate_reading_an_argument_declared_unread(arg, f):
+    # f is the same at 0 and 1, where the instance checks it, and moves between
+    inst = make_instance(f=f, h=lambda t, x: np.full(x.shape[0], -1.0))
+    assert validate_instance(inst, probe_count=16, seed=2).passed
+    other = "z" if arg == "y" else "y"
+    report = validate_instance(declare_reads(inst, (other,)), probe_count=16, seed=2)
+    moved = [v for v in report.violations if v[0] == f"cost_rate_reads:{arg}"]
+    # the probe's own value and its pair's differ at every probe
+    assert len(moved) == 16 and len(report.violations) == 16
+    assert all(observed > 0.0 for _, _, observed in moved)
+    assert validate_instance(declare_reads(inst, ()), probe_count=16, seed=2).violations \
+        == report.violations
+
+
+@pytest.mark.parametrize("arg, f", [
+    ("y", lambda t, x, y, z, u, v: 0.1 * y),
+    ("z", lambda t, x, y, z, u, v: 0.1 * z[:, 0]),
+    ("y", lambda t, x, y, z, u, v: 0.1 * x[:, 0] * y),
+    ("z", lambda t, x, y, z, u, v: 0.1 * t * z[:, 0]),
+], ids=["y", "z", "y_times_state", "z_times_time"])
+def test_declaring_a_cost_rate_argument_unread_raises_naming_it(arg, f):
+    # x y moves with y only at x = 1, t z only at t = T
+    inst = make_instance(f=f)
+    other = "z" if arg == "y" else "y"
+    with pytest.raises(ValueError, match=f"^the cost rate differs at {arg} = 0 and {arg} = 1 "):
+        declare_reads(inst, (other,))
+    with pytest.raises(ValueError, match=r"declares cost_rate_reads = \(\)$"):
+        declare_reads(inst, ())
+    assert declare_reads(inst, (arg,)).coeffs.cost_rate_reads == (arg,)
+
+
+def test_cost_rate_reads_is_a_subset_of_y_and_z_in_order():
+    inst = make_instance()
+    assert inst.coeffs.cost_rate_reads == COST_RATE_ARGUMENTS == ("y", "z")
+    assert declare_reads(inst, ["z", "y"]).coeffs.cost_rate_reads == ("y", "z")
+    with pytest.raises(ValueError, match="cost_rate_reads must be a subset of"):
+        declare_reads(inst, ("y", "t"))
+
+
+def test_builtin_cost_rate_declarations():
+    declared = {name: builtin_instance(name).coeffs.cost_rate_reads for name in BUILTIN_NAMES}
+    assert declared == {"american_put": ("y",), "lemma45": ("y", "z"), "minimax_gap": (),
+                        "no_obstacle_linear": (), "deterministic_stop": ()}
 
 
 @pytest.mark.parametrize("key", ["u_points", "v_points"])

@@ -9,7 +9,7 @@ import pytest
 from isaacslab import rbsde, sde
 from isaacslab.errors import PreconditionError
 from isaacslab.oracles import crr_put, degenerate_rbsde_value
-from isaacslab.problems import builtin_instance, eval_terminal
+from isaacslab.problems import builtin_instance, eval_cost_rate, eval_terminal
 from isaacslab.rbsde import (
     RegressionBasis,
     backward_semigroup,
@@ -20,7 +20,7 @@ from isaacslab.rbsde import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import make_bundle, make_instance, obstacle_table
+from conftest import declare_reads, make_bundle, make_instance, obstacle_table
 
 C0 = ControlPath.constant(0)
 BASIS = RegressionBasis(degree=2)
@@ -519,3 +519,27 @@ def test_mixed_pair_steps_are_the_group_by_group_steps_bit_for_bit(monkeypatch):
         assert np.array_equal(getattr(bundle, name), getattr(reference_bundle, name))
     for name in ("Y", "Z", "K"):
         assert np.array_equal(getattr(solution, name), getattr(reference, name))
+
+
+@pytest.mark.parametrize("name", ["minimax_gap", "no_obstacle_linear", "deterministic_stop"])
+def test_cost_rate_that_reads_no_y_skips_the_corrector_bit_for_bit(monkeypatch, name):
+    # the corrector of a cost rate that does not read y returns the
+    # predictor's value: one cost-rate call per step instead of two
+    inst = builtin_instance(name)
+    assert "y" not in inst.coeffs.cost_rate_reads
+    calls = []
+    monkeypatch.setattr(rbsde, "eval_cost_rate",
+                        lambda *args: calls.append(args[1]) or eval_cost_rate(*args))
+    bundle = make_bundle(inst, 0.3, 0.0, 1.0, 20, paths=256, seed=5)
+    terminal = eval_terminal(inst, bundle.states[:, -1])
+    undeclared = declare_reads(inst, ("y", "z"))
+    for solve in (lambda i: solve_reflected(i, bundle, terminal, BASIS),
+                  lambda i: solve_penalized(i, bundle, terminal, BASIS, 4.0)):
+        calls.clear()
+        declared = solve(inst)
+        assert calls == list(bundle.mesh.times()[-2::-1])
+        calls.clear()
+        reference = solve(undeclared)
+        assert len(calls) == 2 * 20
+        for part in ("Y", "Z", "K"):
+            assert np.array_equal(getattr(declared, part), getattr(reference, part))
