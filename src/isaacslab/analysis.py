@@ -131,7 +131,8 @@ def penalization_convergence(instance, grid, m_schedule):
     field is ever stored: the slices are copied into a block of at most
     ``FOLD_BYTES``, laid out like the sweep's ring (field axis last) so
     that each copy keeps its order, and each full block is folded, read
-    through a moved view, into two running elementwise maxima, ``|reference - field|`` over
+    through a moved view, into two running elementwise maxima,
+    ``|reference - field|`` over
     :meth:`~isaacslab.pde.SpaceTimeGrid.inner_box` and the step down
     from each weight to the next over
     :meth:`~isaacslab.pde.SpaceTimeGrid.interior`, reduced once at the

@@ -889,6 +889,36 @@ def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundar
     assert visited == list(range(grid.nt, -1, -1))
 
 
+def same_bits(one, other):
+    """Equal arrays whose zeros also carry the same signs."""
+    return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
+
+
+def assert_same_solves(one, other, grid):
+    """Both instances give the same lower and upper fields, residuals, field
+    stacks and feedback paths, and the same penalty sweep, sign bits included."""
+    pair = (one, other)
+    for which in HAMILTONIANS:
+        fields = [solve_obstacle_pde(which, inst, grid) for inst in pair]
+        assert same_bits(fields[0].slices, fields[1].slices)
+        residuals = [complementarity_residual(f, inst)[1] for f, inst in zip(fields, pair)]
+        assert same_bits(*residuals)
+        stacks = [pde._field_stacks(f, inst) for f, inst in zip(fields, pair)]
+        for k in (0, grid.nt // 2, grid.nt - 1):
+            t = float(fields[0].times[k])
+            assert same_bits(stacks[0](t, k)[2], stacks[1](t, k)[2])
+        if grid.ndim == 1:
+            # feedback and best-response paths read the same stacks
+            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, pair)]
+            for first, second in zip(*bundles):
+                for name in ("states", "u_path", "v_path"):
+                    assert np.array_equal(getattr(first, name), getattr(second, name))
+    schedule = [0.0, 4.0, 64.0]
+    for (k, mine), (j, theirs) in zip(sweep_penalized(one, grid, schedule),
+                                      sweep_penalized(other, grid, schedule)):
+        assert k == j and same_bits(mine, theirs)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d", "correlated_2d_free"))
 def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
@@ -911,23 +941,7 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, bou
         grid = sized(declared, box, (41,), boundary)
     per_step = declare_homogeneous(declared, False)
     assert declared.coeffs.time_homogeneous
-    for which in HAMILTONIANS:
-        fields = [solve_obstacle_pde(which, inst, grid) for inst in (declared, per_step)]
-        for k in range(grid.nt + 1):
-            assert np.array_equal(fields[0].slices[k], fields[1].slices[k])
-        residuals = [complementarity_residual(f, inst)[1]
-                     for f, inst in zip(fields, (declared, per_step))]
-        assert np.array_equal(*residuals)
-        if grid.ndim == 1:
-            # feedback and best-response paths read the same stacks
-            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, (declared, per_step))]
-            for one, other in zip(*bundles):
-                for name in ("states", "u_path", "v_path"):
-                    assert np.array_equal(getattr(one, name), getattr(other, name))
-    schedule = [0.0, 4.0, 64.0]
-    for (k, tabulated), (j, evaluated) in zip(sweep_penalized(declared, grid, schedule),
-                                              sweep_penalized(per_step, grid, schedule)):
-        assert k == j and np.array_equal(tabulated, evaluated)
+    assert_same_solves(declared, per_step, grid)
 
 
 @pytest.mark.parametrize("name, homogeneous", [
@@ -959,11 +973,6 @@ def test_time_homogeneous_obstacle_evaluated_once_per_sweep(monkeypatch, name, h
         assert calls == ([0.0] if homogeneous else list(times[:-1]))
 
 
-def same_bits(one, other):
-    """Equal arrays whose zeros also carry the same signs."""
-    return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
-
-
 @pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("minimax_3x3", "correlated_2d_y",
                                                   "correlated_2d_free"))
@@ -979,26 +988,7 @@ def test_declared_cost_rate_arguments_change_no_bit(case, boundary):
     else:
         declared, box, nx = STACKED_CASES[case]()
     grid = sized(declared, box, nx, boundary)
-    undeclared = declare_reads(declared, COST_RATE_ARGUMENTS)
-    pair = (declared, undeclared)
-    for which in HAMILTONIANS:
-        fields = [solve_obstacle_pde(which, inst, grid) for inst in pair]
-        assert same_bits(fields[0].slices, fields[1].slices)
-        residuals = [complementarity_residual(f, inst)[1] for f, inst in zip(fields, pair)]
-        assert same_bits(*residuals)
-        stacks = [pde._field_stacks(f, inst) for f, inst in zip(fields, pair)]
-        for k in (0, grid.nt // 2, grid.nt - 1):
-            t = float(fields[0].times[k])
-            assert same_bits(stacks[0](t, k)[2], stacks[1](t, k)[2])
-        if grid.ndim == 1:
-            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, pair)]
-            for one, other in zip(*bundles):
-                for name in ("states", "u_path", "v_path"):
-                    assert np.array_equal(getattr(one, name), getattr(other, name))
-    schedule = [0.0, 4.0, 64.0]
-    for (k, mine), (j, reference) in zip(sweep_penalized(declared, grid, schedule),
-                                         sweep_penalized(undeclared, grid, schedule)):
-        assert k == j and same_bits(mine, reference)
+    assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -142,8 +142,8 @@ def test_validate_flags_a_cost_rate_reading_an_argument_declared_unread(arg, f):
     # the probe's own value and its pair's differ at every probe
     assert len(moved) == 16 and len(report.violations) == 16
     assert all(observed > 0.0 for _, _, observed in moved)
-    assert validate_instance(declare_reads(inst, ()), probe_count=16, seed=2).violations \
-        == report.violations
+    # declaring the other argument unread too adds no violation: f does not read it
+    assert validate_instance(declare_reads(inst, ()), probe_count=16, seed=2) == report
 
 
 @pytest.mark.parametrize("arg, f", [
