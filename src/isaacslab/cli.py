@@ -85,7 +85,8 @@ def _presolve(config):
     ``american_oracle``, none for ``rbsde_oracle`` and ``config.grid`` for
     the other experiments.  An automatic ``nt`` is set to the smallest
     the stability bound admits; an explicit ``grid.nt`` below the bound
-    raises :class:`CflError`.
+    raises :class:`CflError`.  A binomial put value of 0, against which
+    no relative error is defined, raises :class:`PreconditionError`.
     """
     if config.experiment == "rbsde_oracle":
         return [], None
@@ -111,8 +112,14 @@ def _presolve(config):
         params = config.instance.params
         probe_x = float(params["K0"] if options.get("probe_x") is None else options["probe_x"])
         steps = int(options.get("binomial_steps", 2000))
-        return grids, (probe_x, steps, crr_put(probe_x, params["K0"], params["r"],
-                                               params["sigma0"], params["T"], steps))
+        reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"], params["T"],
+                            steps)
+        if reference == 0.0:
+            raise PreconditionError(
+                f"the binomial put value at probe_x = {probe_x:g} is 0 with {steps} "
+                f"binomial_steps, so no relative error is defined against it; probe "
+                f"nearer the strike or take more steps")
+        return grids, (probe_x, steps, reference)
     return grids, None
 
 
@@ -128,6 +135,21 @@ def _probe_initial(field, x_probe):
 # Fewest values a forked worker formats: forking and reaping one costs about
 # 3.5 ms for a 48 MB process, the time to format about 5 000 values.
 _WORKER_MIN_VALUES = 5000
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _platform():
+    """The Python, numpy and BLAS versions and the usable CPUs of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy that only prints its build configuration
+        blas = "unknown"
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "blas": blas, "cpus": _usable_cpus()}
 
 
 def _write_slices(out, rows, templates, start, stop):
@@ -149,7 +171,7 @@ def _dump_field(field, directory, name):
     temporary file, and appended in order by a kernel copy.  The bytes do
     not depend on W.  A child that fails makes this raise
     :class:`OSError` naming the file; on any failure the children are
-    killed and reaped and the file is removed.
+    killed and reaped and the file is removed.  Returns W.
     """
     n = field.grid.ndim
     header = ",".join(["t_index", "flat_node_index"]
@@ -157,8 +179,7 @@ def _dump_field(field, directory, name):
     templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
                  for j, coords in enumerate(field.grid.nodes().tolist())]
     rows = field.slices.reshape(len(field.times), -1)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, len(rows), rows.size // _WORKER_MIN_VALUES))
+    workers = max(1, min(_usable_cpus(), len(rows), rows.size // _WORKER_MIN_VALUES))
     bounds = [len(rows) * w // workers for w in range(workers + 1)]
     path = Path(directory) / name
     parts, children = [], []
@@ -205,6 +226,7 @@ def _dump_field(field, directory, name):
                 os.waitpid(pid, 0)
             for part in parts:
                 part.close()
+    return workers
 
 
 def _run_solve(config, grids, _):
@@ -317,9 +339,11 @@ def run(config):
     existing one is written into, its files of the same names replaced)
     and ``config.json`` (canonical echo), ``metrics.json`` (digest,
     metrics and schedule; no volatile fields, so reruns are
-    byte-identical), ``run_info.json`` (timestamp) and any field dumps or
-    convergence tables written, so a run refused or failing before that
-    leaves no output directory behind.  Returns the record.
+    byte-identical), ``run_info.json`` (timestamp, file list, the
+    platform of :func:`_platform` and each dump's worker count) and any
+    field dumps or convergence tables written, so a run refused or
+    failing before that leaves no output directory behind.  Returns the
+    record.
     """
     metrics, schedule, dumps = _RUNNERS[config.experiment](config, *_presolve(config))
 
@@ -333,8 +357,7 @@ def run(config):
     )
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, field in dumps.items():
-        _dump_field(field, outdir, name)
+    workers = {name: _dump_field(field, outdir, name) for name, field in dumps.items()}
     (outdir / "config.json").write_text(
         json.dumps(config.canonical, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (outdir / "metrics.json").write_text(
@@ -344,7 +367,8 @@ def run(config):
                     "schedule": record.schedule}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     (outdir / "run_info.json").write_text(
-        json.dumps({"timestamp": record.timestamp, "files": list(record.files)},
+        json.dumps({"timestamp": record.timestamp, "files": list(record.files),
+                    "platform": _platform(), "dump_workers": workers},
                    indent=2) + "\n", encoding="utf-8")
     if record.schedule is not None and len(record.schedule["values"]) >= 2:
         table = emit_convergence_table(record)

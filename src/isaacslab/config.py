@@ -244,6 +244,17 @@ def parse_config(raw):
     if grid is not None:
         _expect(grid.ndim == instance.n, "grid.box", f"{grid.ndim} dimension(s), but "
                 f"instance '{name}' has state dimension {instance.n}")
+    if experiment in ("solve", "american_oracle"):
+        # the probe is read off the solved field, which np.interp clamps and a
+        # 2-D lookup snaps to its nearest node: outside the box that is a face
+        point = probe
+        if point is None and experiment == "american_oracle":
+            point = instance.params["K0"]
+        if point is not None:
+            coords = np.broadcast_to(np.asarray(point, dtype=float), (grid.ndim,))
+            _expect(all(lo <= c <= hi for c, (lo, hi) in zip(coords, grid.box)),
+                    "options.probe_x", f"the probe {point!r} lies outside grid.box "
+                    f"{[list(b) for b in grid.box]}, where no value is computed")
     if experiment == "american_oracle":
         for i, k in enumerate(nx_schedule):
             try:

@@ -45,12 +45,15 @@ gradient) where ``Coefficients.cost_rate_reads`` declares that it reads
 them and zeros elsewhere: a step forms no gradient for a cost rate that
 does not read z and copies no value for one that does not read y.  One
 that reads neither, on a time-homogeneous instance, is called once per
-table build instead.  A sweep steps between the two slots of a zeroed
-ring, batch axis last, through one :class:`_StepPlan`: every view a
-step reads or writes and every work buffer, built once, with the
-penalty's ``c h`` and ``1 + c`` kept per distinct dt.  A step then makes
-only the ufunc calls of its arithmetic, with ``out=``, so its cost is
-that arithmetic plus a fixed count of calls.
+table build instead, and so is one declared linear in y
+(``Coefficients.cost_rate_linear``), at y = 1: its step multiplies that
+slope by the value, in one ufunc call.  A sweep steps between the two
+slots of a zeroed ring, batch axis last, through one
+:class:`_StepPlan`: every view a step reads or writes and every work
+buffer, built once, with the penalty's ``c h`` and ``1 + c`` kept per
+distinct dt.  A step then makes only the ufunc calls of its arithmetic,
+with ``out=``, so its cost is that arithmetic plus a fixed count of
+calls.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: one call of each on the given state rows (every node for
@@ -62,8 +65,8 @@ step when the instance declares that b, sigma, f and h do not read t
 (``Coefficients.time_homogeneous``) and at every step otherwise; the
 queries of a stored field (:func:`_field_stacks`,
 :func:`complementarity_residual`) do the same, tabulate the cost rate
-by the same rule as a sweep, and read its slices through one
-neighbourhood view.
+or its slope by the same rule as a sweep, and read its slices through
+one neighbourhood view.
 """
 
 from __future__ import annotations
@@ -343,19 +346,29 @@ def _pair_tables(instance, t, x):
 
 
 @lru_cache(maxsize=None)
-def _zeros(shape):
-    """A read-only zero array of ``shape``: a cost rate's argument that it does not read."""
-    return np.broadcast_to(0.0, shape)
+def _filled(value, shape):
+    """A read-only array of ``shape`` holding ``value``: zeros for a cost
+    rate's argument that it does not read, ones for the value at which a
+    cost rate linear in y gives its slope."""
+    return np.broadcast_to(value, shape)
 
 
-def _fixed_cost_rate(instance, t, rows):
-    """The cost rate on ``rows`` when it reads neither y, z nor t, else None.
+def _cost_rate_table(instance, t, rows):
+    """What one table build fixes of the cost rate on ``rows``: ``(rate, slope)``.
 
-    Such a cost rate takes the same values at every step of a solve.
+    ``rate`` is the cost rate itself when it reads neither y, z nor t, so
+    that it takes the same values at every step of a solve.  ``slope`` is
+    its value at y = 1 when it is declared linear in y
+    (``Coefficients.cost_rate_linear``), so that the cost rate at t is
+    the slope times the value.  Each is None where it does not apply.
     """
-    if instance.coeffs.cost_rate_reads or not instance.coeffs.time_homogeneous:
-        return None
-    return _cost_rate(instance, t, rows, None, None, None, None, None)
+    coeffs = instance.coeffs
+    if coeffs.cost_rate_linear:
+        return None, _cost_rate(instance, t, rows, _filled(1.0, (len(rows[0]),)),
+                                None, None, None, None)
+    if coeffs.cost_rate_reads or not coeffs.time_homogeneous:
+        return None, None
+    return _cost_rate(instance, t, rows, None, None, None, None, None), None
 
 
 def _cost_rate(instance, t, rows, y, z, grad, sigma, term):
@@ -378,9 +391,9 @@ def _cost_rate(instance, t, rows, y, z, grad, sigma, term):
         for g, s in zip(grad[1:], sigma[1:]):
             np.multiply(g, s, out=term)
             np.add(z, term, out=z)
-    return eval_cost_rate(instance, t, x, y if "y" in reads else _zeros((len(x),)),
-                          z.reshape(len(x), -1) if "z" in reads else _zeros((len(x), instance.d)),
-                          u, v)
+    return eval_cost_rate(instance, t, x, y if "y" in reads else _filled(0.0, (len(x),)),
+                          z.reshape(len(x), -1) if "z" in reads
+                          else _filled(0.0, (len(x), instance.d)), u, v)
 
 
 def _stencil_weights(tables, dx):
@@ -442,11 +455,12 @@ class _StepPlan:
     of each axis, and the boundary faces with what fills them.
     :meth:`tabulate` builds the tables of one time: the pair tables, the
     weight table in the window's shape, the diffusion's rows per axis,
-    the cost rate where :func:`_fixed_cost_rate` fixes it, and the
-    obstacle at the ring's slot shape.  The work buffers (the
-    product of table and window with its cells, the pairs' parts, the
-    gradient columns and the rows of y and z where the cost rate reads
-    them, the update and the penalty's scratch) are allocated once, so
+    the cost rate or its slope where :func:`_cost_rate_table` fixes
+    them, and the obstacle at the ring's slot shape.  The work buffers
+    (the product of table and window with its cells, the pairs' parts,
+    the gradient columns and the rows of y and z where the cost rate
+    reads them, the slope times the value for a cost rate linear in y,
+    the update and the penalty's scratch) are allocated once, so
     that :meth:`step` and :meth:`settle` make only the ufunc calls of
     the arithmetic, with ``out=``.
     """
@@ -485,9 +499,11 @@ class _StepPlan:
         self.vals = self.parts.reshape(nu, nv, rows)
         self.reduced = np.empty((nu if which == "lower" else nv, rows))
         self.value = np.empty(rows)
-        # the value and gradient arguments of a cost rate that reads them
-        reads = instance.coeffs.cost_rate_reads
-        self.y = np.empty((nu * nv,) + inner) if "y" in reads else None
+        # the value and gradient arguments of a cost rate that reads them,
+        # and, for one linear in y, its slope times the value instead
+        reads, linear = instance.coeffs.cost_rate_reads, instance.coeffs.cost_rate_linear
+        self.y = np.empty((nu * nv,) + inner) if "y" in reads and not linear else None
+        self.scaled = np.empty(self.parts.shape) if linear else None
         self.grad = self.z = None
         if "z" in reads:
             self.grad = np.empty((ndim,) + inner)
@@ -515,9 +531,8 @@ class _StepPlan:
                           None if z is None else [g.reshape(-1, 1) for g in self.grad],
                           [sigma[:, :, i] for i in range(ndim)],
                           None if z is None or ndim == 1 else np.empty_like(z))
-        self.rate = _fixed_cost_rate(self.instance, t, rows)
-        if self.rate is not None:
-            self.rate = self.rate.reshape(self.parts.shape)
+        self.rate, self.slope = (None if f is None else f.reshape(self.parts.shape)
+                                 for f in _cost_rate_table(self.instance, t, rows))
         obstacle = eval_obstacle(self.instance, t, self.nodes)
         np.copyto(self.h, obstacle.reshape(self.grid.shape + (1,) * (self.h.ndim - self.grid.ndim)))
         self.constants.clear()
@@ -543,7 +558,9 @@ class _StepPlan:
         if self.y is not None:
             np.copyto(self.y, centre)
         rate = self.rate
-        if rate is None:
+        if self.slope is not None:
+            rate = np.multiply(self.slope, centre, out=self.scaled)
+        elif rate is None:
             rate = _cost_rate(self.instance, t, *self.generator).reshape(parts.shape)
         np.add(parts, rate, out=parts)
         value = _minimax(self.which, self.vals, self.reduced, self.value)
@@ -586,11 +603,12 @@ def _sweep(which, instance, grid, times, terminal, weights):
     field) of the semi-implicit penalty update.  The sweep owns a zeroed
     two-slot ring and builds one :class:`_StepPlan` over it.  Every step
     makes one cost-rate call on the rows of every control pair and
-    field, unless :func:`_fixed_cost_rate` fixes it; the plan's tables
-    (drift and diffusion of every pair, the weight table, and the
-    obstacle at the ring's slot shape) are built at the first step for
-    a time-homogeneous instance and at every step otherwise, where a
-    step longer than its own tables allow raises :class:`CflError`.
+    field, unless :func:`_cost_rate_table` fixes it or its slope; the
+    plan's tables (drift and diffusion of every pair, the weight table,
+    and the obstacle at the ring's slot shape) are built at the first
+    step for a time-homogeneous instance and at every step otherwise,
+    where a step longer than its own tables allow raises
+    :class:`CflError`.
     Yields ``(k, slice)`` for ``k = nt, ..., 0``, the slice a view of the
     ring, shaped like ``terminal``, that the step after next overwrites,
     and raises :class:`DivergenceError` on the first slice that is not
@@ -682,16 +700,19 @@ def sweep_penalized(instance, grid, m_schedule):
     return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape), weights)
 
 
-def _hamiltonian_stack(instance, t, y, q, xmat, tables, rate=None):
+def _hamiltonian_stack(instance, t, y, q, xmat, tables, rate=None, slope=None):
     """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
     ``tables`` are the :func:`_pair_tables` of the m nodes.  ``rate`` is
-    the cost rate on their rows where it is already known, as
-    :func:`_fixed_cost_rate` gives it; None evaluates it at ``(y, q)``.
+    the cost rate on their rows where it is already known, and ``slope``
+    its slope in y, as :func:`_cost_rate_table` gives them; where both
+    are None the cost rate is evaluated at ``(y, q)``.
     """
     rows, a, b, sigma = tables
     parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
-    if rate is None:
+    if slope is not None:
+        rate = slope.reshape(parts.shape) * y
+    elif rate is None:
         z = np.empty(sigma.shape[:2] + sigma.shape[3:])
         rate = _cost_rate(instance, t, rows, np.concatenate([y] * len(parts)), z,
                           [q[:, i, None] for i in range(q.shape[1])],
@@ -758,18 +779,18 @@ def _field_stacks(field, instance):
     pair at time ``t`` with the slice's central difference data, read
     off the cells of slot ``k`` of one :func:`_windows` view of the
     stored slices.  The pair tables of drift and diffusion, with the
-    cost rate where :func:`_fixed_cost_rate` fixes it, are built at the
-    first call for a time-homogeneous instance and at every call
-    otherwise.
+    cost rate or its slope where :func:`_cost_rate_table` fixes them,
+    are built at the first call for a time-homogeneous instance and at
+    every call otherwise.
     """
     grid = field.grid
     x = grid.interior_nodes()
     dx = grid.dx()
     windows = _windows(field.slices, grid.ndim)
-    tables = rate = None
+    tables = fixed = None
 
     def stack(t, k):
-        nonlocal tables, rate
+        nonlocal tables, fixed
         wc, *near = (windows[k][cell].ravel() for cell in _cells(grid.ndim))
         q = np.empty((wc.size, grid.ndim))
         xmat = np.empty((wc.size, grid.ndim, grid.ndim))
@@ -784,8 +805,8 @@ def _field_stacks(field, instance):
             xmat[:, i, j] = xmat[:, j, i] = (pp + mm - pm - mp) / (4.0 * dx[i] * dx[j])
         if tables is None or not instance.coeffs.time_homogeneous:
             tables = _pair_tables(instance, t, x)
-            rate = _fixed_cost_rate(instance, t, tables[0])
-        return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables, rate)
+            fixed = _cost_rate_table(instance, t, tables[0])
+        return x, wc, _hamiltonian_stack(instance, t, wc, q, xmat, tables, *fixed)
 
     return stack
 

@@ -14,9 +14,11 @@ where ``t`` is a scalar time, ``x`` has shape (m, n), ``y`` shape (m,),
 ``z`` shape (m, d) and ``u``, ``v`` shape (m, k), one control point per
 row, so that one call serves rows under every control pair.  A row's
 value must depend on that row alone (``u[:, 0]``, not ``u[0]``), which
-:class:`GameInstance` checks.  Control rows, states, and a value or
-gradient argument that the cost rate does not read, may be read-only
-views: a control shared by every row is a ``broadcast_to`` of its point.
+:class:`GameInstance` checks.  Control rows, states, a value or
+gradient argument that the cost rate does not read, and the unit value
+at which a cost rate declared linear in y is evaluated, may be
+read-only views: a control shared by every row is a ``broadcast_to`` of
+its point.
 Returns may be scalars or broadcastable arrays.  The
 ``eval_*`` helpers share one gate, ``_evaluate``: it calls the
 coefficient, normalises the shape and turns any failure into an
@@ -26,11 +28,14 @@ An instance declared time-homogeneous (``Coefficients.time_homogeneous``:
 b, sigma, f and h do not read ``t``) has b, sigma and h evaluated once
 per grid solve rather than once per step, and
 ``Coefficients.cost_rate_reads`` names which of y and z the cost rate
-reads, so that the solvers skip what only the others need.
-:class:`GameInstance` refuses either declaration where its values at
-t = 0 and t = T, on the states x = 0 and x = 1 with y and z at 1 and
-each at 0 in turn, contradict it, and :func:`validate_instance` probes
-both at every sampled point.
+reads, so that the solvers skip what only the others need.  A cost rate
+that reads y alone may be declared linear in it
+(``Coefficients.cost_rate_linear``): the solvers then evaluate its slope
+f(t, x, 1, z, u, v) and multiply, where they would call f on each value.
+:class:`GameInstance` refuses any of these declarations where its
+values at t = 0 and t = T, on the states x = 0 and x = 1 with y and z at
+1 and each at 0 in turn (and y at 2 for linearity), contradict it, and
+:func:`validate_instance` probes each at every sampled point.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -102,8 +107,11 @@ class Coefficients:
     t, so the grid solver may evaluate them once per solve.
     ``cost_rate_reads`` names the arguments among ``("y", "z")`` that f
     depends on, both by default; the solvers hand f zeros for the others
-    and skip what only they need.  All four are checked by probing in
-    :func:`validate_instance`, not symbolically.
+    and skip what only they need.  ``cost_rate_linear`` declares that
+    ``f(t, x, y, z, u, v) = f(t, x, 1, z, u, v) * y`` bit for bit, and
+    needs ``cost_rate_reads == ("y",)``; the solvers then multiply that
+    slope by the value instead of calling f.  All five are checked by
+    probing in :func:`validate_instance`, not symbolically.
     """
 
     b: Callable
@@ -115,13 +123,17 @@ class Coefficients:
     declared_growth: float
     time_homogeneous: bool = False
     cost_rate_reads: tuple = COST_RATE_ARGUMENTS
+    cost_rate_linear: bool = False
 
     def __post_init__(self):
         reads = tuple(self.cost_rate_reads)
         if not set(reads) <= set(COST_RATE_ARGUMENTS):
             raise ValueError(f"cost_rate_reads must be a subset of {COST_RATE_ARGUMENTS}")
-        object.__setattr__(self, "cost_rate_reads",
-                           tuple(a for a in COST_RATE_ARGUMENTS if a in reads))
+        reads = tuple(a for a in COST_RATE_ARGUMENTS if a in reads)
+        object.__setattr__(self, "cost_rate_reads", reads)
+        if self.cost_rate_linear and reads != ("y",):
+            raise ValueError(f"cost_rate_linear needs cost_rate_reads = ('y',), "
+                             f"not {reads}")
         if self.declared_lipschitz <= 0:
             raise ValueError("declared_lipschitz must be positive")
         if self.declared_growth <= 0:
@@ -184,6 +196,14 @@ class GameInstance:
                     raise ValueError(f"the cost rate differs at {arg} = 0 and {arg} = 1 "
                                      f"(t = {t:g}), but the instance declares "
                                      f"cost_rate_reads = {reads}")
+        # ... or take f at y = 1 for a slope that it does not have
+        for t in (0.0, self.T) if self.coeffs.cost_rate_linear else ():
+            slope = values["cost rate", t]
+            for at in (0.0, 2.0):
+                if not _same_bits(eval_cost_rate(self, t, x, at * y, z, u, v), slope * at):
+                    raise ValueError(f"the cost rate at y = {at:g} (t = {t:g}) is not its "
+                                     f"value at y = 1 times {at:g}, but the instance "
+                                     f"declares cost_rate_linear")
         eval_terminal(self, x)
 
 
@@ -198,6 +218,11 @@ class ValidationReport:
     def __post_init__(self):
         if self.passed != (len(self.violations) == 0):
             raise ValueError("passed must reflect an empty violation list")
+
+
+def _same_bits(one, other):
+    """Equal arrays whose zeros also carry the same signs."""
+    return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
 
 
 def _failure(what, t, x, controls):
@@ -285,7 +310,10 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
       and h at each probe's own time with their values at t = 0,
     * for a cost rate declared not to read y (or z), equality of f at the
       probe's value (gradient) and at the other value (gradient) of its
-      pair, recorded as ``cost_rate_reads:y`` (``cost_rate_reads:z``).
+      pair, recorded as ``cost_rate_reads:y`` (``cost_rate_reads:z``),
+    * for a cost rate declared linear in y, bitwise equality of f at the
+      probe and of f at y = 1 times the probe's y, recorded as
+      ``cost_rate_linear:y``.
 
     The probes are seeded uniform draws, so the report is deterministic for
     fixed ``(instance, probe_count, seed)``.
@@ -390,6 +418,11 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
                 if arg not in instance.coeffs.cost_rate_reads:
                     moved = np.abs(f_a - per_row(eval_cost_rate, columns, u, v))
                     record(f"cost_rate_reads:{arg}", moved > 0.0, moved, point)
+            # ... and, declared linear in y, its slope at y = 1 times y
+            if instance.coeffs.cost_rate_linear:
+                scaled = per_row(eval_cost_rate, (xs, np.ones_like(ys), zs), u, v) * ys
+                unequal = (f_a != scaled) | (np.signbit(f_a) != np.signbit(scaled))
+                record("cost_rate_linear:y", unequal, np.abs(f_a - scaled), point)
             if instance.coeffs.time_homogeneous:
                 moved = np.abs(f_a - per_row(eval_cost_rate, (xs, ys, zs), u, v, times=t_0))
                 record("time_homogeneous:running_cost", moved > 0.0, moved, point)
@@ -422,6 +455,7 @@ def _american_put(p):
         declared_growth=2.0 * strike + 1.0,
         time_homogeneous=True,
         cost_rate_reads=("y",),
+        cost_rate_linear=True,
     )
 
 

@@ -40,6 +40,9 @@ the deterministic test cases exact.  Backward induction per step:
 
 A cost rate declared not to read y (``Coefficients.cost_rate_reads``)
 makes the corrector return ``y0``, so it is not evaluated: ``yhat = y0``.
+One declared linear in y (``Coefficients.cost_rate_linear``) is
+evaluated once per step, at y = 1, and the predictor and the corrector
+multiply that slope by ``p`` and by ``y0``.
 
 The solve reads the bundle's step-major storage (see ``sde``) and keeps
 Y, Z, K and the obstacle samples step-major too, so every step works on
@@ -280,6 +283,8 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     times = bundle.mesh.times()
     dt = bundle.mesh.dt
     reads_y = "y" in instance.coeffs.cost_rate_reads
+    # the value at which a cost rate linear in y gives its slope
+    ones = np.broadcast_to(1.0, (M,)) if instance.coeffs.cost_rate_linear else None
 
     h_all = np.empty((N + 1, M))
     for k in range(N + 1):
@@ -326,9 +331,14 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
 
         up = _control_rows(instance.u_grid, u_path[k], M)
         vp = _control_rows(instance.v_grid, v_path[k], M)
-        y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
-        # a cost rate that does not read y gives the corrector the predictor's value
-        yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp) if reads_y else y0
+        if ones is not None:
+            slope = eval_cost_rate(instance, t, xk, ones, z, up, vp)
+            y0 = p + dt * (slope * p)
+            yhat = p + dt * (slope * y0)
+        else:
+            y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
+            # a cost rate that does not read y gives the corrector the predictor's value
+            yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp) if reads_y else y0
 
         hk = h_all[k]
         if penalty_m is None:

@@ -38,8 +38,17 @@ def declare_homogeneous(instance, flag=True):
 
 
 def declare_reads(instance, reads):
-    """``instance`` with ``Coefficients.cost_rate_reads`` set to ``reads``."""
-    coeffs = dataclasses.replace(instance.coeffs, cost_rate_reads=reads)
+    """``instance`` with ``Coefficients.cost_rate_reads`` set to ``reads``; a
+    declaration that the cost rate is linear in y, which needs reads
+    ``("y",)``, is kept only with them."""
+    linear = instance.coeffs.cost_rate_linear and tuple(reads) == ("y",)
+    coeffs = dataclasses.replace(instance.coeffs, cost_rate_reads=reads, cost_rate_linear=linear)
+    return dataclasses.replace(instance, coeffs=coeffs)
+
+
+def declare_linear(instance, flag=True):
+    """``instance`` with ``Coefficients.cost_rate_linear`` set to ``flag``."""
+    coeffs = dataclasses.replace(instance.coeffs, cost_rate_linear=flag)
     return dataclasses.replace(instance, coeffs=coeffs)
 
 

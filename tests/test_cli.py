@@ -210,6 +210,33 @@ def test_run_compare_wu_dumps_the_lower_and_the_upper_field(tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def test_run_info_records_the_platform_and_the_dump_workers(tmp_path, monkeypatch):
+    # the versions and CPU count a byte-identity claim names, and the worker
+    # count of each dump; metrics.json holds none of them
+    config = parse_config({
+        "experiment": "compare_wu",
+        "instance": {"name": "minimax_gap"},
+        "grid": {"box": [[-2, 2]], "nx": [21]},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json", "csv"]},
+    })
+    force_dump_workers(monkeypatch, 3)
+    run(config)
+    info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+    platform = info["platform"]
+    assert platform["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert platform["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert platform["blas"] == f"{blas['name']} {blas['version']}"
+    assert platform["cpus"] == 3
+    assert info["dump_workers"] == {"field_lower.csv": 3, "field_upper.csv": 3}
+    metrics = (tmp_path / "out" / "metrics.json").read_text()
+    assert "platform" not in metrics and "workers" not in metrics
+    monkeypatch.undo()
+    config = dataclasses.replace(config, output_dir=str(tmp_path / "again"))
+    run(config)
+    assert (tmp_path / "again" / "metrics.json").read_text() == metrics
+
+
 def force_dump_workers(monkeypatch, cpus):
     """Give field dumps ``cpus`` usable CPUs and no minimum run size.
 
@@ -472,6 +499,9 @@ def _with(base, section, key, value):
     pytest.param(_SOLVE, "grid", None, {"box": [[20, 300], [0, 1]], "nx": [29, 5]}, [],
                  id="grid-2d-on-1d-instance"),
     pytest.param(_SOLVE, "options", "probe_x", [100, 200], [], id="probe_x-two-coords-on-1d"),
+    # a probe outside grid.box used to report the value at the nearest face
+    pytest.param(_SOLVE, "options", "probe_x", 1000, [], id="probe_x-outside-box"),
+    pytest.param(_ORACLE, "options", "probe_x", 1e6, [], id="oracle-probe_x-outside-box"),
     pytest.param(_SOLVE, "options", "t_fraction", -1, [], id="t_fraction-negative"),
     pytest.param(_SOLVE, "schedules", "m", [4, 1], [], id="schedules-m-decreasing"),
     pytest.param(_SOLVE, "output", "formats", 5, [], id="output-formats-number"),
@@ -521,6 +551,15 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     # the binomial reference refuses a flat tree
     pytest.param(_with(_ORACLE, "instance", "params", {"sigma0": 0}), 3,
                  id="oracle-degenerate-binomial-tree"),
+    # a one-step tree prices the put at 0 from the box's top face: no relative
+    # error is defined against it, where the run used to divide by it
+    pytest.param(_with(_ORACLE, "options", None, {"probe_x": 300, "binomial_steps": 1}), 3,
+                 id="oracle-zero-binomial-reference"),
+    # a probe outside the box, given or the default strike
+    pytest.param(_with(_ORACLE, "options", "probe_x", 1e6), 2, id="oracle-probe-outside-box"),
+    pytest.param(_with(_ORACLE, "instance", "params", {"K0": 10.0}), 2,
+                 id="oracle-default-probe-outside-box"),
+    pytest.param(_with(_SOLVE, "options", "probe_x", 1000), 2, id="solve-probe-outside-box"),
 ])
 def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     cfg = write_config(tmp_path, "cfg.json",
@@ -606,12 +645,17 @@ def test_compare_wu_makes_one_drift_call_per_table_build(tmp_path, monkeypatch):
     ({"cost_rate_reads": ()}, "the cost rate differs at y = 0 and y = 1"),
     ({"cost_rate_reads": ("y",)}, "the cost rate differs at z = 0 and z = 1"),
     ({"time_homogeneous": True}, "the cost rate differs at t = 0 and t = T = 1"),
-], ids=["y", "z", "t"])
+    ({"cost_rate_reads": ("y",), "cost_rate_linear": True,
+      "f": lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] + y},
+     "the cost rate at y = 0 (t = 0) is not its value at y = 1 times 0"),
+    ({"cost_rate_linear": True}, "cost_rate_linear needs cost_rate_reads = ('y',)"),
+], ids=["y", "z", "t", "linear", "linear_reads"])
 def test_validate_and_run_refuse_a_contradicted_cost_rate_declaration(tmp_path, capsys,
                                                                       monkeypatch, declared,
                                                                       message):
-    # minimax_gap with a cost rate that reads t, y and z: the builder's
-    # declaration is refused when the config builds the instance
+    # minimax_gap with a cost rate that reads t, y and z (or, declared
+    # linear, u v + y): the builder's declaration is refused when the config
+    # builds the instance
     build, defaults = problems._BUILDERS["minimax_gap"]
 
     def contradicted(p):

@@ -45,6 +45,7 @@ from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 from conftest import (
     correlated_game,
     declare_homogeneous,
+    declare_linear,
     declare_reads,
     frozen_obstacle,
     make_instance,
@@ -516,9 +517,11 @@ def signed_correlation_game():
     return dataclasses.replace(inst, coeffs=dataclasses.replace(inst.coeffs, sigma=sigma))
 
 
-def with_cost_rate(instance, f, reads):
-    """``instance`` with the cost rate ``f``, declared to read ``reads``."""
-    coeffs = dataclasses.replace(instance.coeffs, f=f, cost_rate_reads=reads)
+def with_cost_rate(instance, f, reads, linear=False):
+    """``instance`` with the cost rate ``f``, declared to read ``reads`` and,
+    if ``linear``, to be linear in y."""
+    coeffs = dataclasses.replace(instance.coeffs, f=f, cost_rate_reads=reads,
+                                 cost_rate_linear=linear)
     return dataclasses.replace(instance, coeffs=coeffs)
 
 
@@ -541,6 +544,13 @@ STACKED_CASES = {
     "correlated_2d_y": lambda: (with_cost_rate(
         homogeneous_correlation_game(),
         lambda t, x, y, z, u, v: -0.1 * y + u[:, 0] * v[:, 0] * x[:, 1], ("y",)),
+        ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+    # a cost rate declared linear in y, with a slope that moves with x, u and
+    # v and is -0.0 on the pair u + v = -2: the step multiplies it by y
+    "correlated_2d_linear": lambda: (with_cost_rate(
+        homogeneous_correlation_game(),
+        lambda t, x, y, z, u, v: (-0.1 * (2.0 + u[:, 0] + v[:, 0])
+                                  * (1.0 + 0.25 * x[:, 0] ** 2) * y), ("y",), linear=True),
         ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
     "correlated_2d_free": lambda: (with_cost_rate(
         homogeneous_correlation_game(),
@@ -991,13 +1001,28 @@ def test_declared_cost_rate_arguments_change_no_bit(case, boundary):
     assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid)
 
 
+@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("case", ["american_put", "correlated_2d_linear"])
+def test_cost_rate_declared_linear_changes_no_bit(case, boundary):
+    # the slope at y = 1, tabulated once per sweep and per field query and
+    # multiplied by the value at each step, gives the fields, residuals,
+    # field stacks, feedback paths and penalty sweep of the same cost rate
+    # called on the value at every step, sign bits included
+    declared, box, nx = STACKED_CASES[case]()
+    assert declared.coeffs.cost_rate_linear and declared.coeffs.time_homogeneous
+    grid = sized(declared, box, nx, boundary)
+    assert_same_solves(declared, declare_linear(declared, False), grid)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_cost_rate_calls_follow_the_declaration(monkeypatch, name):
-    # each step calls the cost rate with zeros for what it does not read,
-    # and a homogeneous cost rate that reads neither y nor z once per sweep;
-    # the plan then holds no value, gradient or z buffer
+    # each step calls the cost rate with zeros for what it does not read;
+    # a homogeneous cost rate that reads neither y nor z is called once per
+    # sweep, and one linear in y once per sweep at y = 1; the plan then holds
+    # no value, gradient or z buffer
     inst = builtin_instance(name)
-    reads = inst.coeffs.cost_rate_reads
+    reads, linear = inst.coeffs.cost_rate_reads, inst.coeffs.cost_rate_linear
+    assert linear == (name == "american_put")
     box = ((20.0, 300.0),) if name == "american_put" else ((-2.0, 2.0),)
     grid = sized(inst, box, (21,))
     times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
@@ -1005,17 +1030,18 @@ def test_cost_rate_calls_follow_the_declaration(monkeypatch, name):
     monkeypatch.setattr(pde, "eval_cost_rate",
                         lambda *args: calls.append(args[1:5]) or eval_cost_rate(*args))
     solve_obstacle_pde("lower", inst, grid)
-    fixed = not reads and inst.coeffs.time_homogeneous
-    assert [t for t, _, _, _ in calls] == ([times[-2]] if fixed else list(times[-2::-1]))
+    tabulated = (linear or not reads) and inst.coeffs.time_homogeneous
+    assert [t for t, _, _, _ in calls] == ([times[-2]] if tabulated else list(times[-2::-1]))
     for _, x, y, z in calls:
         assert len(y) == len(z) == len(x) == 19 * len(inst.u_grid) * len(inst.v_grid)
         assert ("y" in reads or not y.any()) and ("z" in reads or not z.any())
+        assert not linear or (y == 1.0).all()
     calls.clear()
     solve_obstacle_pde("lower", declare_reads(inst, COST_RATE_ARGUMENTS), grid)
     assert [t for t, _, _, _ in calls] == list(times[-2::-1])
     plan = pde._StepPlan("lower", inst, grid, np.zeros(grid.shape), None)
-    assert (plan.y is None, plan.grad is None, plan.z is None) == (
-        "y" not in reads, "z" not in reads, "z" not in reads)
+    assert (plan.y is None, plan.grad is None, plan.z is None, plan.scaled is None) == (
+        "y" not in reads or linear, "z" not in reads, "z" not in reads, not linear)
 
 
 def test_tabulated_cost_rate_keeps_its_negative_zeros():

@@ -14,7 +14,7 @@ from isaacslab.problems import (
     validate_instance,
 )
 
-from conftest import declare_homogeneous, declare_reads, make_instance
+from conftest import declare_homogeneous, declare_linear, declare_reads, make_instance
 
 
 def test_control_grid_rejects_duplicates_and_empty():
@@ -175,6 +175,41 @@ def test_builtin_cost_rate_declarations():
     declared = {name: builtin_instance(name).coeffs.cost_rate_reads for name in BUILTIN_NAMES}
     assert declared == {"american_put": ("y",), "lemma45": ("y", "z"), "minimax_gap": (),
                         "no_obstacle_linear": (), "deterministic_stop": ()}
+    linear = [name for name in BUILTIN_NAMES if builtin_instance(name).coeffs.cost_rate_linear]
+    assert linear == ["american_put"]
+
+
+@pytest.mark.parametrize("f, at", [
+    (lambda t, x, y, z, u, v: -0.05 * y + 1.0, 0),
+    (lambda t, x, y, z, u, v: y * np.abs(y), 2),
+    # linear in y only away from x = 0 and t = 0, where the instance checks it
+    (lambda t, x, y, z, u, v: 0.1 * y + t * x[:, 0] * (y - 1.0) ** 2, 0),
+], ids=["affine", "y_times_abs_y", "t_times_state"])
+def test_declaring_a_cost_rate_linear_that_is_not_raises(f, at):
+    inst = declare_reads(make_instance(f=f), ("y",))
+    with pytest.raises(ValueError, match=f"^the cost rate at y = {at} .* cost_rate_linear$"):
+        declare_linear(inst)
+
+
+@pytest.mark.parametrize("reads", [(), ("z",), ("y", "z")])
+def test_cost_rate_linear_needs_a_cost_rate_that_reads_y_alone(reads):
+    coeffs = dict(b=None, sigma=None, f=None, phi=None, h=None, declared_lipschitz=1.0,
+                  declared_growth=1.0, cost_rate_reads=reads, cost_rate_linear=True)
+    with pytest.raises(ValueError, match=r"cost_rate_linear needs cost_rate_reads = \('y',\)"):
+        Coefficients(**coeffs)
+    assert Coefficients(**{**coeffs, "cost_rate_reads": ("y",)}).cost_rate_linear
+
+
+def test_validate_flags_a_cost_rate_declared_linear_that_is_not():
+    # f is 0.1 y at y = 0, 1 and 2, where the instance checks it, and not between
+    inst = make_instance(f=lambda t, x, y, z, u, v: 0.1 * y + 0.001 * y * (y - 1.0) * (y - 2.0),
+                         h=lambda t, x: np.full(x.shape[0], -1.0))
+    inst = declare_reads(inst, ("y",))
+    assert validate_instance(inst, probe_count=16, seed=2).passed
+    report = validate_instance(declare_linear(inst), probe_count=16, seed=2)
+    assert {kind for kind, _, _ in report.violations} == {"cost_rate_linear:y"}
+    assert len(report.violations) == 16
+    assert all(observed > 0.0 for _, _, observed in report.violations)
 
 
 @pytest.mark.parametrize("key", ["u_points", "v_points"])

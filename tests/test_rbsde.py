@@ -20,7 +20,7 @@ from isaacslab.rbsde import (
 )
 from isaacslab.sde import ControlPath, TimeMesh, simulate_paths
 
-from conftest import declare_reads, make_bundle, make_instance, obstacle_table
+from conftest import declare_linear, declare_reads, make_bundle, make_instance, obstacle_table
 
 C0 = ControlPath.constant(0)
 BASIS = RegressionBasis(degree=2)
@@ -543,3 +543,30 @@ def test_cost_rate_that_reads_no_y_skips_the_corrector_bit_for_bit(monkeypatch, 
         assert len(calls) == 2 * 20
         for part in ("Y", "Z", "K"):
             assert np.array_equal(getattr(declared, part), getattr(reference, part))
+
+
+def test_cost_rate_declared_linear_makes_one_slope_call_per_step_bit_for_bit(monkeypatch):
+    # american_put's -r y: the predictor and the corrector multiply the slope
+    # at y = 1 by p and by y0, where the undeclared copy calls f on each
+    inst = builtin_instance("american_put")
+    assert inst.coeffs.cost_rate_linear
+    calls = []
+    monkeypatch.setattr(rbsde, "eval_cost_rate",
+                        lambda *args: calls.append(args[1:4]) or eval_cost_rate(*args))
+    bundle = make_bundle(inst, 100.0, 0.0, 1.0, 20, paths=256, seed=5)
+    terminal = eval_terminal(inst, bundle.states[:, -1])
+    undeclared = declare_linear(inst, False)
+    for solve in (lambda i: solve_reflected(i, bundle, terminal, BASIS),
+                  lambda i: solve_penalized(i, bundle, terminal, BASIS, 4.0)):
+        calls.clear()
+        declared = solve(inst)
+        assert [t for t, _, _ in calls] == list(bundle.mesh.times()[-2::-1])
+        assert all((y == 1.0).all() for _, _, y in calls)
+        calls.clear()
+        reference = solve(undeclared)
+        assert len(calls) == 2 * 20
+        assert declared.K[:, -1].any()
+        for part in ("Y", "Z", "K"):
+            mine, theirs = getattr(declared, part), getattr(reference, part)
+            assert np.array_equal(mine, theirs)
+            assert np.array_equal(np.signbit(mine), np.signbit(theirs))
