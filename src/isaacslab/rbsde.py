@@ -283,12 +283,14 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     times = bundle.mesh.times()
     dt = bundle.mesh.dt
     reads_y = "y" in instance.coeffs.cost_rate_reads
-    # the value at which a cost rate linear in y gives its slope: contiguous,
-    # since a product with a broadcast view of 1.0 takes about 3x as long
+    # the value at which a cost rate linear in y gives its slope (contiguous:
+    # a product with a broadcast view of 1.0 takes about 3x as long), and the
+    # predictor and the corrector it gives, written whole at every step
     ones = None
     if instance.coeffs.cost_rate_linear:
         ones = np.ones(M)
         ones.flags.writeable = False
+        linear_steps = np.empty(M), np.empty(M)
 
     h_all = np.empty((N + 1, M))
     for k in range(N + 1):
@@ -337,8 +339,13 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
         vp = _control_rows(instance.v_grid, v_path[k], M)
         if ones is not None:
             slope = eval_cost_rate(instance, t, xk, ones, z, up, vp)
-            y0 = p + dt * (slope * p)
-            yhat = p + dt * (slope * y0)
+            # p + dt (slope y) at y = p, then at y = y0, in place: a fresh array
+            # of every path's rows costs more than the product that fills it
+            y0, yhat = linear_steps
+            for y, out in ((p, y0), (y0, yhat)):
+                np.multiply(slope, y, out=out)
+                np.multiply(out, dt, out=out)
+                np.add(p, out, out=out)
         else:
             y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
             # a cost rate that does not read y gives the corrector the predictor's value
