@@ -5,9 +5,10 @@ Commands
 ``isaacslab run <config.json> [--seed S] [--output DIR]``
     Run the configured experiment, write a config echo, a metrics file
     and optional field dumps / convergence tables into the output
-    directory.  Each field dump is formatted by up to one process per
-    usable CPU (forked children, all reaped before the dump returns);
-    its bytes do not depend on that count.
+    directory.  ``--seed`` overrides ``mc.seed`` and is refused for a
+    config without an ``mc`` section.  Each field dump is formatted by
+    up to one process per usable CPU (forked children, all reaped before
+    the dump returns); its bytes do not depend on that count.
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
@@ -418,6 +419,9 @@ def emit_convergence_table(record):
 
 def _cmd_run(args):
     raw = read_config(args.config)
+    # a config without paths to draw has nothing to seed (a null mc is none)
+    if args.seed is not None and raw.get("mc") is None:
+        raise ConfigError("--seed overrides 'mc.seed', and this config has no 'mc' section")
     for section, key, value in (("mc", "seed", args.seed),
                                 ("output", "directory", args.output)):
         part = raw.get(section)

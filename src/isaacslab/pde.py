@@ -44,16 +44,15 @@ field, with the value ``y`` and ``z = q sigma`` (``q`` the central
 gradient) where ``Coefficients.cost_rate_reads`` declares that it reads
 them and zeros elsewhere: a step forms no gradient for a cost rate that
 does not read z and copies no value for one that does not read y.  One
-that reads neither, on a time-homogeneous instance, is called once per
-table build instead, and so is one declared linear in y
-(``Coefficients.cost_rate_linear``), at y = 1: its step multiplies that
-slope by the value, in one ufunc call.  A sweep steps between the two
-slots of a zeroed ring, batch axis last, through one
-:class:`_StepPlan`: every view a step reads or writes and every work
-buffer, built once, with the penalty's ``c h`` and ``1 + c`` kept per
-distinct dt.  A step then makes only the ufunc calls of its arithmetic,
-with ``out=``, so its cost is that arithmetic plus a fixed count of
-calls.
+that reads neither is called once per table build instead, and so is
+one declared linear in y (``Coefficients.cost_rate_linear``), at y = 1:
+its step multiplies that slope by the value, in one ufunc call.  A
+sweep steps between the two slots of a zeroed ring, batch axis last,
+through one :class:`_StepPlan`: every view a step reads or writes and
+every work buffer, built once, with the penalty's ``c h`` and ``1 + c``
+kept per distinct dt.  A step then makes only the ufunc calls of its
+arithmetic, with ``out=``, so its cost is that arithmetic plus a fixed
+count of calls.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: one call of each on the given state rows (every node for
@@ -64,9 +63,9 @@ these stacks, the weight table with them and the obstacle at its first
 step when the instance declares that b, sigma, f and h do not read t
 (``Coefficients.time_homogeneous``) and at every step otherwise; the
 queries of a stored field (:func:`_field_stacks`,
-:func:`complementarity_residual`) do the same, tabulate the cost rate
-or its slope by the same rule as a sweep, and read its slices through
-one neighbourhood view.
+:func:`complementarity_residual`) do the same and read its slices
+through one neighbourhood view; they and :func:`eval_hamiltonian` fix
+the cost rate or its slope by the sweep's rule, :func:`_cost_rate_table`.
 """
 
 from __future__ import annotations
@@ -356,9 +355,9 @@ def _filled(value, shape):
 def _cost_rate_table(instance, t, rows):
     """What one table build fixes of the cost rate on ``rows``: ``(rate, slope)``.
 
-    ``rate`` is the cost rate itself when it reads neither y, z nor t, so
-    that it takes the same values at every step of a solve.  ``slope`` is
-    its value at y = 1 when it is declared linear in y
+    ``rate`` is the cost rate itself when it reads neither y nor z, so
+    that every step that reads the table takes it from there.  ``slope``
+    is its value at y = 1 when it is declared linear in y
     (``Coefficients.cost_rate_linear``), so that the cost rate at t is
     the slope times the value.  Each is None where it does not apply.
     """
@@ -366,7 +365,7 @@ def _cost_rate_table(instance, t, rows):
     if coeffs.cost_rate_linear:
         return None, _cost_rate(instance, t, rows, _filled(1.0, (len(rows[0]),)),
                                 None, None, None, None)
-    if coeffs.cost_rate_reads or not coeffs.time_homogeneous:
+    if coeffs.cost_rate_reads:
         return None, None
     return _cost_rate(instance, t, rows, None, None, None, None, None), None
 
@@ -700,13 +699,13 @@ def sweep_penalized(instance, grid, m_schedule):
     return _sweep("lower", instance, grid, times, np.broadcast_to(terminal, shape), weights)
 
 
-def _hamiltonian_stack(instance, t, y, q, xmat, tables, rate=None, slope=None):
+def _hamiltonian_stack(instance, t, y, q, xmat, tables, rate, slope):
     """Generator values at given ``(q, xmat)`` for every control pair, (nu, nv, m).
 
-    ``tables`` are the :func:`_pair_tables` of the m nodes.  ``rate`` is
-    the cost rate on their rows where it is already known, and ``slope``
-    its slope in y, as :func:`_cost_rate_table` gives them; where both
-    are None the cost rate is evaluated at ``(y, q)``.
+    ``tables`` are the :func:`_pair_tables` of the m nodes, and ``rate``
+    and ``slope`` what :func:`_cost_rate_table` fixes of the cost rate on
+    their rows: the cost rate is ``rate``, or ``slope`` times ``y``, or,
+    where both are None, one call at ``(y, q)``.
     """
     rows, a, b, sigma = tables
     parts = 0.5 * np.einsum("pmij,mij->pm", a, xmat) + np.einsum("mi,pmi->pm", q, b)
@@ -766,7 +765,9 @@ def eval_hamiltonian(which, instance, t, x, y, q, xmat):
     q = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
     xmat = np.atleast_2d(np.asarray(xmat, dtype=float))[None, :, :]
     yb = np.atleast_1d(float(y))
-    vals = _hamiltonian_stack(instance, t, yb, q, xmat, _pair_tables(instance, t, x))
+    tables = _pair_tables(instance, t, x)
+    vals = _hamiltonian_stack(instance, t, yb, q, xmat, tables,
+                              *_cost_rate_table(instance, t, tables[0]))
     value, iu, iv = _argopt(which, vals)
     return float(value[0]), int(iu[0]), int(iv[0])
 

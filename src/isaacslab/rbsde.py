@@ -38,11 +38,12 @@ the deterministic test cases exact.  Backward induction per step:
     yhat = p + dt f(t_k, X_k, y0, Z_k, u, v)    (correct once)
     Y_k  = projection / penalty applied to yhat
 
-A cost rate declared not to read y (``Coefficients.cost_rate_reads``)
-makes the corrector return ``y0``, so it is not evaluated: ``yhat = y0``.
-One declared linear in y (``Coefficients.cost_rate_linear``) is
-evaluated once per step, at y = 1, and the predictor and the corrector
-multiply that slope by ``p`` and by ``y0``.
+Each pass of the predictor and the corrector writes f into one of two
+buffers allocated once per solve, multiplies it by dt and adds ``p`` in
+place.  A cost rate declared not to read y (``Coefficients.cost_rate_reads``)
+skips the corrector: ``yhat = y0``.  One declared linear in y
+(``Coefficients.cost_rate_linear``) is called once per step, at y = 1,
+and each pass writes that slope times its y.
 
 The solve reads the bundle's step-major storage (see ``sde``) and keeps
 Y, Z, K and the obstacle samples step-major too, so every step works on
@@ -282,15 +283,17 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
     d = instance.d
     times = bundle.mesh.times()
     dt = bundle.mesh.dt
+    # the predictor and the corrector, written whole at every step; a cost rate
+    # that does not read y gives the corrector the predictor's value
     reads_y = "y" in instance.coeffs.cost_rate_reads
+    y0 = np.empty(M)
+    yhat = np.empty(M) if reads_y else y0
     # the value at which a cost rate linear in y gives its slope (contiguous:
-    # a product with a broadcast view of 1.0 takes about 3x as long), and the
-    # predictor and the corrector it gives, written whole at every step
+    # a product with a broadcast view of 1.0 takes about 3x as long)
     ones = None
     if instance.coeffs.cost_rate_linear:
         ones = np.ones(M)
         ones.flags.writeable = False
-        linear_steps = np.empty(M), np.empty(M)
 
     h_all = np.empty((N + 1, M))
     for k in range(N + 1):
@@ -337,19 +340,14 @@ def _solve_backward(instance, bundle, terminal, basis, penalty_m):
 
         up = _control_rows(instance.u_grid, u_path[k], M)
         vp = _control_rows(instance.v_grid, v_path[k], M)
-        if ones is not None:
-            slope = eval_cost_rate(instance, t, xk, ones, z, up, vp)
-            # p + dt (slope y) at y = p, then at y = y0, in place: a fresh array
-            # of every path's rows costs more than the product that fills it
-            y0, yhat = linear_steps
-            for y, out in ((p, y0), (y0, yhat)):
-                np.multiply(slope, y, out=out)
-                np.multiply(out, dt, out=out)
-                np.add(p, out, out=out)
-        else:
-            y0 = p + dt * eval_cost_rate(instance, t, xk, p, z, up, vp)
-            # a cost rate that does not read y gives the corrector the predictor's value
-            yhat = p + dt * eval_cost_rate(instance, t, xk, y0, z, up, vp) if reads_y else y0
+        slope = None if ones is None else eval_cost_rate(instance, t, xk, ones, z, up, vp)
+        # p + dt f(y) at y = p, then at y = y0 where f reads y, in place: a fresh
+        # array of every path's rows costs more than the product that fills it
+        for y, out in ((p, y0), (y0, yhat))[:1 + reads_y]:
+            f = eval_cost_rate(instance, t, xk, y, z, up, vp) if slope is None \
+                else np.multiply(slope, y, out=out)
+            np.multiply(f, dt, out=out)
+            np.add(p, out, out=out)
 
         hk = h_all[k]
         if penalty_m is None:

@@ -99,13 +99,16 @@ class ControlPath:
 
     @staticmethod
     def from_feedback(fn):
-        return ControlPath(lambda step, t, x: np.asarray(fn(t, x), dtype=np.int64))
+        return ControlPath(lambda step, t, x: np.asarray(fn(t, x)))
 
     def resolve(self, step, t, x_batch, grid_size):
         idx = self.rule(step, t, x_batch)
         one = isinstance(idx, int)
         if not one and idx.shape != (x_batch.shape[0],):
             raise PreconditionError("feedback control must return one index per path")
+        # a cast would truncate 0.9 to index 0 without a word
+        if not one and idx.dtype.kind not in "iu":
+            raise PreconditionError("feedback control must return integer grid indices")
         lo, hi = (idx, idx) if one else (idx.min(), idx.max())
         if lo < 0 or hi >= grid_size:
             raise PreconditionError("control index outside its grid")

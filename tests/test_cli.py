@@ -400,6 +400,22 @@ def test_seed_override_changes_digest(tmp_path):
     assert d1 != d2
 
 
+@pytest.mark.parametrize("mc", ["absent", None])
+def test_seed_flag_without_mc_section_exits_2_and_writes_nothing(tmp_path, capsys, mc):
+    # a grid experiment draws no random number, so a seed would add a section
+    # the config never had and change its digest; an mc of null is none either
+    out = tmp_path / "out"
+    raw = _with(_SOLVE, "output", "directory", str(out))
+    if mc is None:
+        raw["mc"] = None
+    cfg = write_config(tmp_path, "solve.json", raw)
+    assert main(["run", cfg, "--seed", "5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", cfg]) == 0
+    assert json.loads((out / "config.json").read_text())["mc"] is None
+
+
 def test_list_instances(capsys):
     assert main(["list-instances"]) == 0
     out = capsys.readouterr().out

@@ -645,7 +645,7 @@ def test_stacked_products_are_the_per_pair_products(rng, n, d):
     reference = per_pair_tables(inst, 0.3, x, 1)
     assert all(np.array_equal(ap, ra) for ap, (_, _, ra, _, _) in zip(tables[1], reference))
     y, q, xmat = rng.normal(size=37), rng.normal(size=(37, n)), rng.normal(size=(37, n, n))
-    assert np.array_equal(pde._hamiltonian_stack(inst, 0.3, y, q, xmat, tables),
+    assert np.array_equal(pde._hamiltonian_stack(inst, 0.3, y, q, xmat, tables, None, None),
                           per_pair_hamiltonian(inst, 0.3, x, y, q, xmat, reference))
 
 
@@ -1042,6 +1042,33 @@ def test_cost_rate_calls_follow_the_declaration(monkeypatch, name):
     plan = pde._StepPlan("lower", inst, grid, np.zeros(grid.shape), None)
     assert (plan.y is None, plan.grad is None, plan.z is None, plan.scaled is None) == (
         "y" not in reads or linear, "z" not in reads, "z" not in reads, not linear)
+    # a table build fixes a cost rate that reads neither y nor z, whatever
+    # time_homogeneous says: deterministic_stop's tables are built at each
+    # step's own t
+    plan.tabulate(times[0])
+    assert (plan.rate is not None, plan.slope is not None) == (not reads, linear)
+
+
+@pytest.mark.parametrize("case", BUILTIN_NAMES + ("minimax_3x3",))
+def test_eval_hamiltonian_follows_the_declaration_bit_for_bit(rng, case):
+    # the cost rate or its slope fixed by the table build gives the
+    # Hamiltonian of the same instance declared to read y and z, called at
+    # (y, q), sign bits included: minimax_3x3's u = 0, v < 0 pairs give
+    # f = -0.0
+    if case in BUILTIN_NAMES:
+        inst = builtin_instance(case)
+        box = (20.0, 300.0) if case == "american_put" else (-2.0, 2.0)
+    else:
+        inst, ((lo, hi),), _ = STACKED_CASES[case]()
+        box = (lo, hi)
+    undeclared = declare_reads(inst, COST_RATE_ARGUMENTS)
+    points = [(0.5, 0.0, 1.0, 0.0, -0.0)] + [
+        (rng.uniform(0.0, 1.0), rng.uniform(*box), *rng.normal(size=3)) for _ in range(8)]
+    for which in HAMILTONIANS:
+        for t, x, y, q, xmat in points:
+            mine = eval_hamiltonian(which, inst, t, [x], y, [q], [[xmat]])
+            theirs = eval_hamiltonian(which, undeclared, t, [x], y, [q], [[xmat]])
+            assert mine == theirs and np.signbit(mine[0]) == np.signbit(theirs[0])
 
 
 def test_tabulated_cost_rate_keeps_its_negative_zeros():

@@ -570,3 +570,63 @@ def test_cost_rate_declared_linear_makes_one_slope_call_per_step_bit_for_bit(mon
             mine, theirs = getattr(declared, part), getattr(reference, part)
             assert np.array_equal(mine, theirs)
             assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+
+
+@pytest.mark.parametrize("scheme", ["reflected", "penalized"])
+@pytest.mark.parametrize("name, params, x0", [
+    ("lemma45", {"theta": 4.0, "rho": 0.25}, 0.0), ("minimax_gap", {}, 0.3),
+    ("american_put", {}, 80.0)])
+def test_one_step_is_the_hand_computed_predictor_corrector_bit_for_bit(name, params, x0,
+                                                                       scheme):
+    # every path starts at x0, so the first step's regression is the plain
+    # mean p with z = 0; from fresh arrays, y0 = p + dt f(p) and yhat = p +
+    # dt f(y0), then the projection or the penalty: lemma45's f reads y and
+    # z, minimax_gap's neither, american_put's is declared linear in y.  The
+    # obstacle binds on lemma45 and american_put
+    inst = builtin_instance(name, params)
+    paths, m = 64, 4.0
+    bundle = make_bundle(inst, x0, 0.0, 1.0, 1, paths=paths, seed=5)
+    terminal = eval_terminal(inst, bundle.states[:, -1]) + np.linspace(0.0, 1.0, paths)
+    if scheme == "reflected":
+        sol = solve_reflected(inst, bundle, terminal, BASIS)
+    else:
+        sol = solve_penalized(inst, bundle, terminal, BASIS, m)
+    dt, x = bundle.mesh.dt, bundle.states[:, 0]
+    up, vp = (np.repeat(grid.points[:1], paths, axis=0) for grid in (inst.u_grid, inst.v_grid))
+    z = np.zeros((paths, inst.d))
+    p = np.full(paths, terminal.mean())
+    y0 = p + dt * eval_cost_rate(inst, 0.0, x, p, z, up, vp)
+    yhat = p + dt * eval_cost_rate(inst, 0.0, x, y0, z, up, vp)
+    h = sol.obstacle_samples[:, 0]
+    if scheme == "reflected":
+        y = np.maximum(yhat, h)
+        k = y - yhat
+    else:
+        c = m * dt
+        y = np.where(yhat < h, (yhat + c * h) / (1.0 + c), yhat)
+        k = c * np.maximum(h - y, 0.0)
+    assert k.any() == (name != "minimax_gap")
+    for mine, theirs in ((sol.Y[:, 0], y), (sol.K[:, 1], k), (sol.Z[:, 0], z)):
+        assert np.array_equal(mine, theirs)
+        assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+
+
+def test_cost_rate_that_reads_y_is_called_at_p_then_at_y0(monkeypatch):
+    # lemma45's f reads y and z: two calls per step, the predictor's at p and
+    # the corrector's at y0 = p + dt f(p)
+    inst = builtin_instance("lemma45")
+    calls = []
+
+    def counted(*args):
+        f = eval_cost_rate(*args)
+        calls.append((args[1], args[3].copy(), f.copy()))
+        return f
+
+    monkeypatch.setattr(rbsde, "eval_cost_rate", counted)
+    bundle = make_bundle(inst, 0.0, 0.0, 1.0, 10, paths=16, seed=5)
+    sol = solve_reflected(inst, bundle, np.linspace(0.0, 1.0, 16), BASIS)
+    times, dt = bundle.mesh.times(), bundle.mesh.dt
+    assert [t for t, _, _ in calls] == [t for t in times[-2::-1] for _ in range(2)]
+    for (_, p, f), (_, y0, _), y_next in zip(calls[::2], calls[1::2], sol.Y.T[:0:-1]):
+        assert np.array_equal(p, np.full(16, y_next.mean()))
+        assert np.array_equal(y0, p + dt * f)

@@ -238,7 +238,10 @@ def test_control_rows_are_the_gathered_points(index):
     (ControlPath.piecewise([0, 0, 0]), "piecewise control has 3 steps, needs 4"),
     (ControlPath.from_feedback(lambda t, x: np.zeros((x.shape[0], 1), dtype=int)),
      "feedback control must return one index per path"),
-], ids=["piecewise-shorter-than-mesh", "feedback-wrong-shape"])
+    # a cast would apply index 0 for 0.9 and index 1 for 1.99, without a word
+    (ControlPath.from_feedback(lambda t, x: np.full(x.shape[0], 0.9)),
+     "feedback control must return integer grid indices"),
+], ids=["piecewise-shorter-than-mesh", "feedback-wrong-shape", "feedback-float-indices"])
 def test_malformed_control_raises(control, message):
     inst = make_instance()
     with pytest.raises(PreconditionError, match=message):
