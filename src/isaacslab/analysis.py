@@ -124,8 +124,8 @@ def penalization_convergence(instance, grid, m_schedule):
     """Solve the penalized equation along ``m_schedule`` and compare.
 
     Checks nodewise monotonicity in the penalty weight on the interior
-    nodes, where the scheme solves (the faces hold the ``2 w1 - w2``
-    fill, which need not be monotone), and reports the sup-norm gaps to
+    nodes, where the scheme solves (an extrapolated face holds the
+    ``2 w1 - w2`` fill, which need not be monotone), and reports the sup-norm gaps to
     the reflected reference field over the inner sub-box (all time
     slices).  The whole schedule is stepped in one sweep, so no penalized
     field is ever stored: the slices are copied into a block of at most
@@ -144,7 +144,7 @@ def penalization_convergence(instance, grid, m_schedule):
     reference = solve_obstacle_pde("lower", instance, grid)
     # (slice, field, *space) for the block, (slice, 1, *space) for the reference
     box = (slice(None), slice(None)) + grid.inner_box()
-    # the scheme solves the interior; the faces are an extrapolated fill
+    # the scheme solves the interior; the faces are a fill
     interior = (slice(None), slice(None)) + grid.interior()
     batch = len(m_schedule)
     depth = max(1, FOLD_BYTES // max(1, batch * reference.slices[0].nbytes))

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .pde import BOUNDARY_POLICIES, HAMILTONIANS, SpaceTimeGrid
+from .pde import HAMILTONIANS, SpaceTimeGrid
 from .problems import GameInstance, builtin_instance
 
 EXPERIMENTS = ("solve", "penalization", "dpp", "compare_wu", "american_oracle",
@@ -33,7 +33,7 @@ _DEFAULT_NX_SCHEDULE = [71, 141, 281]
 _SECTIONS = {
     "experiment": None,
     "instance": {"name", "params"},
-    "grid": {"box", "nx", "nt", "boundary"},
+    "grid": {"box", "nx", "nt"},
     "mc": {"paths", "steps", "seed", "basis_degree"},
     "schedules": {"m", "delta", "nx"},
     "options": {"which", "t_fraction", "probe_x", "binomial_steps"},
@@ -163,13 +163,9 @@ def parse_config(raw):
         if nt is not None:
             _number(nt, "grid.nt", whole=True)
         grid_nt_auto = nt in (None, 0)
-        boundary = grid_raw.get("boundary", BOUNDARY_POLICIES[0])
-        _expect(boundary in BOUNDARY_POLICIES, "grid.boundary",
-                f"must be one of {', '.join(BOUNDARY_POLICIES)}")
         try:
             grid = SpaceTimeGrid(box=tuple(tuple(b) for b in box), nx=tuple(nx),
-                                 nt=1 if grid_nt_auto else int(nt),
-                                 boundary=boundary)
+                                 nt=1 if grid_nt_auto else int(nt))
         except ValueError as exc:
             _fail("grid", str(exc))
 
@@ -269,7 +265,6 @@ def parse_config(raw):
             "box": [list(b) for b in grid.box],
             "nx": list(grid.nx),
             "nt": None if grid_nt_auto else grid.nt,
-            "boundary": grid.boundary,
         },
         "mc": None if mc is None else {
             "paths": mc.paths, "steps": mc.steps, "seed": mc.seed,

@@ -34,9 +34,10 @@ Each step evolves the previous slice by one product of the weight
 table with a read-only view of every node's neighbourhood
 (:func:`_windows`), summed in stencil order, and then applies either
 the obstacle projection ``max(., h)`` or the semi-implicit penalty
-update, at every node.  Boundary nodes follow the grid policy: linear
-extrapolation from the two nearest interior nodes (default, consistent
-with linear growth of the value) or freezing at the terminal data.  A
+update, at every node.  Each table build freezes a face at the terminal
+data where its linear extrapolation from the two nearest interior nodes
+would give the step a negative weight (a drift out of the box, a mixed
+term on a corner), and extrapolates it elsewhere (:func:`_frozen_faces`).  A
 batch of fields, one per penalty weight, is stepped in one sweep, and a
 slice that is not finite stops the sweep with a divergence error.  The
 cost rate is one call per step on the rows of every control pair and
@@ -87,7 +88,6 @@ from .problems import (
     eval_terminal,
 )
 
-BOUNDARY_POLICIES = ("linear_extrapolation", "dirichlet_terminal_extension")
 HAMILTONIANS = ("lower", "upper")
 INNER_FRACTION = 0.6
 
@@ -99,7 +99,6 @@ class SpaceTimeGrid:
     box: tuple
     nx: tuple
     nt: int
-    boundary: str = "linear_extrapolation"
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in np.atleast_2d(self.box))
@@ -110,12 +109,9 @@ class SpaceTimeGrid:
             raise ValueError("grid solves support one or two spatial dimensions")
         if len(nx) != len(box):
             raise ValueError("box and nx must agree in dimension")
-        if self.boundary not in BOUNDARY_POLICIES:
-            raise ValueError(f"boundary policy must be one of {BOUNDARY_POLICIES}")
-        # extrapolation reads two interior nodes next to each face
-        least = 4 if self.boundary == "linear_extrapolation" else 3
-        if any(k < least for k in nx):
-            raise ValueError(f"{self.boundary} needs at least {least} points per dimension")
+        # an extrapolated face reads the two interior nodes next to it
+        if any(k < 4 for k in nx):
+            raise ValueError("a grid needs at least 4 points per dimension")
         # nodes() holds ndim float64 coordinates per node, and numpy refuses an
         # array of more bytes than an index can count
         if math.prod(nx) * len(nx) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
@@ -442,6 +438,21 @@ def _stencil_weights(tables, dx):
     return table
 
 
+def _frozen_faces(table, ndim):
+    """Per axis, whether its ``(low, high)`` faces are frozen at the terminal data.
+
+    ``table`` is a :func:`_stencil_weights` table of ``ndim`` axes, rows
+    shaped ``(*interior, *batch)``.  Folding the fill ``2 w1 - w2`` of
+    the low face of axis i into the step takes the weight of cell ``c_i
+    = 0`` off cell ``c_i = 2``, so the face is frozen where some node
+    next to it, under some pair, weighs ``c_i = 0`` above ``c_i = 2``;
+    the high face mirrors it.
+    """
+    # per axis i, its cells first, then the interior nodes along it
+    moved = [np.moveaxis(table, (1 + i, 1 + ndim + i), (0, 1)) for i in range(ndim)]
+    return [(bool((w[0, 0] > w[2, 0]).any()), bool((w[2, -1] > w[0, -1]).any())) for w in moved]
+
+
 class _StepPlan:
     """The views and work buffers of one sweep's explicit steps, built once.
 
@@ -453,8 +464,8 @@ class _StepPlan:
     :func:`_windows` slot with its centre cell and the up and down cells
     of each axis, and the boundary faces with what fills them.
     :meth:`tabulate` builds the tables of one time: the pair tables, the
-    weight table in the window's shape, the diffusion's rows per axis,
-    the cost rate or its slope where :func:`_cost_rate_table` fixes
+    weight table in the window's shape with its :func:`_frozen_faces`,
+    the diffusion's rows per axis, the cost rate or its slope where :func:`_cost_rate_table` fixes
     them, and the obstacle at the ring's slot shape.  The work buffers
     (the product of table and window with its cells, the pairs' parts,
     the gradient columns and the rows of y and z where the cost rate
@@ -480,7 +491,6 @@ class _StepPlan:
         terminal = np.moveaxis(terminal, front, back)
         windows = _windows(self.ring, ndim)
         cells = _cells(ndim)
-        self.frozen = grid.boundary == "dirichlet_terminal_extension"
         self.slots = []
         for w, window in zip(self.ring, windows):
             centre, *near = (window[cell] for cell in cells)
@@ -524,6 +534,7 @@ class _StepPlan:
         rows, _, _, sigma = tables = _pair_tables(self.instance, t, self.x)
         stencil = _stencil_weights(tables, self.grid.dx())
         self.table = stencil.reshape(stencil.shape[:-1] + self.inner)
+        self.frozen_faces = _frozen_faces(self.table, self.grid.ndim)
         # the arguments of _cost_rate after the time, None where it reads none
         z, ndim = self.z, self.grid.ndim
         self.generator = (rows, None if self.y is None else self.y.reshape(-1), z,
@@ -575,12 +586,9 @@ class _StepPlan:
         """
         w, _, _, _, _, faces = self.slots[k % 2]
         h = self.h
-        for face, data in faces:
-            if self.frozen:
-                face[0], face[-1] = data[0], data[-1]
-            else:
-                face[0] = 2.0 * face[1] - face[2]
-                face[-1] = 2.0 * face[-2] - face[-3]
+        for (low, high), (face, data) in zip(self.frozen_faces, faces):
+            face[0] = data[0] if low else 2.0 * face[1] - face[2]
+            face[-1] = data[-1] if high else 2.0 * face[-2] - face[-3]
         if self.weights is None:
             np.maximum(w, h, out=w)
         else:

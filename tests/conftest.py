@@ -98,9 +98,9 @@ def correlated_game():
         u_points=[[-1.0], [1.0]], v_points=[[-1.0], [0.5]], growth=20.0)
 
 
-def sized(instance, box, nx, boundary="linear_extrapolation"):
+def sized(instance, box, nx):
     """Grid on ``box`` with ``nx`` nodes and the smallest stable number of steps."""
-    grid = SpaceTimeGrid(box=box, nx=nx, nt=1, boundary=boundary)
+    grid = SpaceTimeGrid(box=box, nx=nx, nt=1)
     return dataclasses.replace(grid, nt=cfl_required_nt(instance, grid))
 
 

@@ -521,6 +521,9 @@ def _with(base, section, key, value):
     pytest.param(_SOLVE, "options", "t_fraction", -1, [], id="t_fraction-negative"),
     pytest.param(_SOLVE, "schedules", "m", [4, 1], [], id="schedules-m-decreasing"),
     pytest.param(_SOLVE, "output", "formats", 5, [], id="output-formats-number"),
+    # the solver decides each face from its weight table, so no config chooses a fill
+    pytest.param(_MINIMAX, "grid", "boundary", "linear_extrapolation", [],
+                 id="grid-boundary-policy"),
 ])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section, key,
                                                   value, flags):
@@ -552,8 +555,13 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param(_with(_SOLVE, "grid", "nx", [2e18]), 2, id="solve-unindexable-grid-bytes"),
     # 1e17 nodes: indexable, but 711 PiB, which numpy refuses without touching memory
     pytest.param(_with(_SOLVE, "grid", "nx", [1e17]), 2, id="solve-unallocatable-grid"),
-    # linear extrapolation needs two interior nodes next to each face
+    # linear extrapolation needs two interior nodes next to each face, and
+    # any face may be extrapolated
     pytest.param(_with(_MINIMAX, "grid", "nx", [3]), 2, id="solve-extrapolation-on-three-nodes"),
+    pytest.param(_with(_MINIMAX, "grid", None, {"box": [[-2, 2], [-2, 2]], "nx": [21, 3]}), 2,
+                 id="solve-three-nodes-on-the-second-axis"),
+    pytest.param(_with(_MINIMAX, "grid", "boundary", "dirichlet_terminal_extension"), 2,
+                 id="solve-boundary-policy"),
     pytest.param(_with(_ORACLE, "schedules", "nx", [29, 1e300]), 2,
                  id="oracle-unindexable-schedule-grid"),
     pytest.param(_with(_RBSDE, "mc", "paths", 1e300), 2, id="rbsde-unindexable-paths"),
@@ -713,9 +721,10 @@ def test_validate_and_run_refuse_a_mixed_dominance_grid_alike(tmp_path, capsys, 
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
                  id="oracle-degenerate-tree"),
     pytest.param(_with(_RBSDE, "instance", "params", {"C": 0}), 0, id="lemma45-zero-c"),
+    # the boundary policy key is gone, and no face rule runs on three nodes
     pytest.param(_with(_MINIMAX, "grid", None, {"box": [[-2, 2]], "nx": [3],
                                                 "boundary": "dirichlet_terminal_extension"}),
-                 0, id="frozen-boundary-on-three-nodes"),
+                 2, id="frozen-boundary-on-three-nodes"),
     # validate passes 1e17 paths; run cannot allocate their 711 PiB of states
     pytest.param(_with(_RBSDE, "mc", None, {"paths": 1e17, "steps": 1, "seed": 7}), 2,
                  id="rbsde-unallocatable-paths"),

@@ -18,7 +18,6 @@ from isaacslab.analysis import (
 from isaacslab.errors import CflError, DivergenceError, PreconditionError
 from isaacslab.oracles import crr_put
 from isaacslab.pde import (
-    BOUNDARY_POLICIES,
     HAMILTONIANS,
     SpaceTimeGrid,
     _check_cfl,
@@ -61,8 +60,6 @@ def test_grid_invariants():
         SpaceTimeGrid(box=((1.0, 0.0),), nx=(5,), nt=1)
     with pytest.raises(ValueError):
         SpaceTimeGrid(box=((0.0, 1.0),) * 3, nx=(5, 5, 5), nt=1)
-    with pytest.raises(ValueError):
-        SpaceTimeGrid(box=((0.0, 1.0),), nx=(5,), nt=1, boundary="nope")
 
 
 @pytest.mark.parametrize("box, nx", [
@@ -88,15 +85,12 @@ def test_inner_mask_is_the_product_of_the_inner_box_slices(box, nx):
 
 def test_linear_extrapolation_needs_two_interior_nodes():
     # with one interior node the far face was extrapolated from its own
-    # stale entry: minimax_gap on [-2, 2], nx 3, nt 10 gave slice 0 = [-2, -1, 0]
-    with pytest.raises(ValueError, match="linear_extrapolation needs at least 4"):
-        SpaceTimeGrid(box=((-2.0, 2.0),), nx=(3,), nt=10)
-    with pytest.raises(ValueError, match="at least 4"):
-        SpaceTimeGrid(box=((-2.0, 2.0), (0.0, 1.0)), nx=(5, 3), nt=10)
+    # stale entry: minimax_gap on [-2, 2], nx 3, nt 10 gave slice 0 = [-2, -1, 0];
+    # any face may be extrapolated, so every axis needs 4 nodes
+    for nx in ((3,), (5, 3), (3, 5)):
+        with pytest.raises(ValueError, match="at least 4 points per dimension"):
+            SpaceTimeGrid(box=((-2.0, 2.0), (0.0, 1.0))[:len(nx)], nx=nx, nt=10)
     inst = builtin_instance("minimax_gap")
-    frozen = SpaceTimeGrid(box=((-2.0, 2.0),), nx=(3,), nt=10,
-                           boundary="dirichlet_terminal_extension")
-    assert frozen.nx == (3,)
     field = solve_obstacle_pde("lower", inst, SpaceTimeGrid(box=((-2.0, 2.0),), nx=(4,), nt=10))
     np.testing.assert_allclose(field.slices[:, 0], 2 * field.slices[:, 1] - field.slices[:, 2])
     np.testing.assert_allclose(field.slices[:, 3], 2 * field.slices[:, 2] - field.slices[:, 1])
@@ -155,11 +149,15 @@ def test_drift_dominated_grid_is_refused_then_stays_in_range(drift, need):
     with pytest.raises(CflError) as err:
         solve_obstacle_pde("lower", inst, grid)
     assert err.value.required_nt == need
-    frozen = sized(inst, grid.box, grid.nx, boundary="dirichlet_terminal_extension")
-    assert frozen.nt == need
-    field = solve_obstacle_pde("lower", inst, frozen)
+    grid = sized(inst, grid.box, grid.nx)
+    assert grid.nt == need
+    field = solve_obstacle_pde("lower", inst, grid)
     terminal = field.slices[-1]
-    assert terminal.min() <= field.slices.min() and field.slices.max() <= terminal.max()
+    # the drift points out of the box at the upper face, which is frozen; the
+    # lower face is extrapolated and leaves the range (-0.094 at b = 50)
+    assert (field.slices[:, -1] == terminal[-1]).all()
+    kept = field.slices[:, 1:]
+    assert terminal.min() <= kept.min() and kept.max() <= terminal.max()
 
 
 def test_time_dependent_drift_is_checked_at_every_step():
@@ -457,16 +455,36 @@ def per_pair_step(which, inst, t, dt, w, x_rows, dx, tables, stencil):
     return wc + dt * pde._minimax(which, vals)
 
 
-def filled(w, grid, terminal):
+def frozen_faces(stencil, grid):
+    """Per axis, ``(low, high)``: whether some interior node next to the
+    face, under some pair, weighs a cell on the face above the cell two
+    steps in from it, read off the ``(P, *(3,) * n, rows)`` stencil one
+    weight at a time; the rows are the interior nodes, once per field."""
+    nodes = list(itertools.product(*(range(k - 2) for k in grid.shape)))
+    cells = list(itertools.product(range(3), repeat=grid.ndim))
+    faces = []
+    for i in range(grid.ndim):
+        low = high = False
+        for table in stencil:
+            for row in range(table.shape[-1]):
+                node = nodes[row % len(nodes)]
+                for cell in cells:
+                    mirror = cell[:i] + (2 - cell[i],) + cell[i + 1:]
+                    heavier = table[cell + (row,)] > table[mirror + (row,)]
+                    low = low or (node[i] == 0 and cell[i] == 0 and heavier)
+                    high = high or (node[i] == grid.shape[i] - 3 and cell[i] == 2 and heavier)
+        faces.append((low, high))
+    return faces
+
+
+def filled(w, grid, terminal, faces):
     """``w`` with the faces of each spatial axis in turn frozen at
-    ``terminal`` or extrapolated linearly from the two nodes inward."""
-    for axis in range(w.ndim - grid.ndim, w.ndim):
+    ``terminal`` or extrapolated linearly from the two nodes inward, as
+    ``faces`` says."""
+    for axis, (low, high) in zip(range(w.ndim - grid.ndim, w.ndim), faces):
         face, data = np.moveaxis(w, axis, 0), np.moveaxis(terminal, axis, 0)
-        if grid.boundary == "dirichlet_terminal_extension":
-            face[0], face[-1] = data[0], data[-1]
-        else:
-            face[0] = 2.0 * face[1] - face[2]
-            face[-1] = 2.0 * face[-2] - face[-3]
+        face[0] = data[0] if low else 2.0 * face[1] - face[2]
+        face[-1] = data[-1] if high else 2.0 * face[-2] - face[-3]
     return w
 
 
@@ -491,10 +509,11 @@ def per_pair_sweep(which, inst, grid, penalties=None, times=None):
         if k == len(times) - 2 or not inst.coeffs.time_homogeneous:
             tables = pde._pair_tables(inst, t, x_rows)
             stencil = pde._stencil_weights(tables, grid.dx())
+            faces = frozen_faces(stencil, grid)
         w = np.zeros(terminal.shape)
         w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
                                     stencil).reshape(w[interior].shape)
-        w = filled(w, grid, terminal)
+        w = filled(w, grid, terminal, faces)
         h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
         if penalties is None:
             w = np.maximum(w, h)
@@ -564,11 +583,10 @@ STACKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", STACKED_CASES)
-def test_stacked_step_is_the_per_pair_step_bit_for_bit(case, boundary):
+def test_stacked_step_is_the_per_pair_step_bit_for_bit(case):
     inst, box, nx = STACKED_CASES[case]()
-    grid = sized(inst, box, nx, boundary)
+    grid = sized(inst, box, nx)
     if case.startswith("correlated"):
         a01 = pde._pair_tables(inst, 0.0, grid.nodes())[1][..., 0, 1]
         assert a01.min() < 0.0 < a01.max()
@@ -728,11 +746,10 @@ def test_singleton_minimax_is_both_reductions(rng, rows):
 
 def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
     # three weights on one obstacle; nodes below, above and exactly on it,
-    # faces frozen at the first slice; the constants of a repeated dt are
-    # kept, those of a new one made
-    grid = SpaceTimeGrid(box=((0.0, 1.0),), nx=(40,), nt=1,
-                         boundary="dirichlet_terminal_extension")
-    inst = make_instance(h=lambda t, x: np.sin(7.0 * x[:, 0]))
+    # faces frozen at the first slice, as a drift out of both ends asks; the
+    # constants of a repeated dt are kept, those of a new one made
+    grid = SpaceTimeGrid(box=((0.0, 1.0),), nx=(40,), nt=1)
+    inst = make_instance(b=lambda t, x, u, v: x - 0.5, h=lambda t, x: np.sin(7.0 * x[:, 0]))
     h = np.sin(7.0 * grid.nodes()[:, 0])
     w = h + rng.normal(size=(3, 40))
     w[:, ::5] = h[::5]
@@ -741,6 +758,7 @@ def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
     terminal = w.copy()
     plan = pde._StepPlan("lower", inst, grid, terminal, weights.ravel())
     plan.tabulate(0.0)
+    assert plan.frozen_faces == [(True, True)]
     plan.slices[0][...] = w
     for dt in (2.7e-4, 2.7e-4, 1.3e-4):
         w[:, [0, -1]] = terminal[:, [0, -1]]
@@ -821,10 +839,10 @@ def _bumpy(base_phi, bump_knots, bump_vals):
 
 
 def test_scheme_monotone_in_terminal_data_dirichlet(rng):
-    # frozen-boundary policy keeps the whole step map monotone nodewise
+    # the faces the tables choose (the upper one frozen, the lower one
+    # extrapolated) keep the whole field monotone nodewise in the terminal data
     inst = builtin_instance("american_put")
-    grid = sized(inst, ((20.0, 300.0),), (71,),
-                 boundary="dirichlet_terminal_extension")
+    grid = sized(inst, ((20.0, 300.0),), (71,))
     base = solve_obstacle_pde("lower", inst, grid)
     knots = np.linspace(20.0, 300.0, 12)
     for _ in range(3):
@@ -838,11 +856,10 @@ def test_scheme_monotone_in_terminal_data_dirichlet(rng):
 
 
 def test_scheme_monotone_in_terminal_data_extrapolation_interior(rng):
-    # extrapolated boundary nodes sit outside the monotone step map; the
-    # ordering is asserted on the inner sub-box
+    # the step map is monotone on every interior node
     inst = builtin_instance("american_put")
     grid = sized(inst, ((20.0, 300.0),), (71,))
-    mask = grid.inner_mask()
+    mask = (slice(None),) + grid.interior()
     base = solve_obstacle_pde("lower", inst, grid)
     knots = np.linspace(20.0, 300.0, 12)
     vals = rng.uniform(0.0, 5.0, 12)
@@ -850,7 +867,35 @@ def test_scheme_monotone_in_terminal_data_extrapolation_interior(rng):
         b=inst.coeffs.b, sigma=inst.coeffs.sigma, f=inst.coeffs.f,
         phi=_bumpy(inst.coeffs.phi, knots, vals), h=inst.coeffs.h, growth=300.0)
     hi = solve_obstacle_pde("lower", bumped, grid)
-    assert (hi.slices[:, mask] - base.slices[:, mask]).min() >= -1e-12
+    assert (hi.slices[mask] - base.slices[mask]).min() >= -1e-12
+
+
+@pytest.mark.parametrize("name, box, nx", [
+    ("american_put", ((20.0, 300.0),), (141,)),
+    ("american_put", ((20.0, 300.0),), (281,)),
+    ("minimax_gap", ((-2.0, 2.0),), (41,)),
+    ("no_obstacle_linear", ((-2.0, 2.0),), (41,)),
+    ("lemma45", ((-2.0, 2.0),), (41,)),
+    ("deterministic_stop", ((-2.0, 2.0),), (41,)),
+    ("correlated_game", ((-2.0, 2.0), (-2.0, 2.0)), (13, 11)),
+])
+def test_three_step_map_weighs_no_interior_node_negatively(name, box, nx):
+    # at penalty weight 0 a step is affine in its slice, so the map of the
+    # last three steps is, column by column, the response to a unit terminal
+    # slice less the response to a zero one; extrapolating every face gave the
+    # node next to american_put's upper face -4.3e-3 at nx 141, and
+    # correlated_game -1.6e-2
+    inst = correlated_game() if name == "correlated_game" else builtin_instance(name)
+    grid = sized(inst, box, nx)
+    nodes = math.prod(grid.shape)
+    units = np.concatenate([np.eye(nodes), np.zeros((1, nodes))])
+    times = ((inst.T / grid.nt) * np.arange(grid.nt + 1))[-4:]
+    for k, slices in _sweep("lower", inst, grid, times, units.reshape((-1,) + grid.shape),
+                            [0.0] * (nodes + 1)):
+        response = slices.copy()
+    assert k == 0
+    weights = (response[:-1] - response[-1])[(slice(None),) + grid.interior()]
+    assert weights.min() >= -1e-15
 
 
 def test_penalized_zero_weight_matches_obstacle_solver_when_slack():
@@ -879,15 +924,14 @@ def test_penalized_fields_monotone_in_weight_nodewise():
     assert (ref.slices - f10.slices).min() >= -1e-12
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
-def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case, boundary):
+def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case):
     if case == "american_put":
         inst = builtin_instance("american_put")
-        grid = sized(inst, ((20.0, 300.0),), (57,), boundary)
+        grid = sized(inst, ((20.0, 300.0),), (57,))
     else:
         inst = correlated_game()
-        grid = sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
+        grid = sized(inst, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
     schedule = [0.0, 1.0, 16.0, 256.0]
     singles = [solve_penalized_pde(inst, grid, m).slices for m in schedule]
     visited = []
@@ -929,9 +973,8 @@ def assert_same_solves(one, other, grid):
         assert k == j and same_bits(mine, theirs)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d", "correlated_2d_free"))
-def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, boundary):
+def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case):
     # drift, diffusion and obstacle evaluated once per solve, and a cost rate
     # that reads neither y nor z too, give the same fields, residuals,
     # feedback paths and penalty sweep as evaluating them at every step; an
@@ -939,16 +982,16 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case, bou
     # held at t = 0 to declare it
     if case == "correlated_2d":
         declared = declare_homogeneous(frozen_obstacle(correlated_game()))
-        grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11), boundary)
+        grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
     elif case == "correlated_2d_free":
         declared, box, nx = STACKED_CASES[case]()
-        grid = sized(declared, box, nx, boundary)
+        grid = sized(declared, box, nx)
     else:
         declared = builtin_instance(case)
         if not declared.coeffs.time_homogeneous:
             declared = declare_homogeneous(frozen_obstacle(declared))
         box = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),)
-        grid = sized(declared, box, (41,), boundary)
+        grid = sized(declared, box, (41,))
     per_step = declare_homogeneous(declared, False)
     assert declared.coeffs.time_homogeneous
     assert_same_solves(declared, per_step, grid)
@@ -983,10 +1026,9 @@ def test_time_homogeneous_obstacle_evaluated_once_per_sweep(monkeypatch, name, h
         assert calls == ([0.0] if homogeneous else list(times[:-1]))
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("minimax_3x3", "correlated_2d_y",
                                                   "correlated_2d_free"))
-def test_declared_cost_rate_arguments_change_no_bit(case, boundary):
+def test_declared_cost_rate_arguments_change_no_bit(case):
     # a cost rate declared not to read z (no gradient formed), not to read y
     # (no value copied), or neither on a homogeneous instance (tabulated once
     # per sweep and per field query) gives the fields, residuals, feedback
@@ -997,20 +1039,19 @@ def test_declared_cost_rate_arguments_change_no_bit(case, boundary):
         box, nx = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),), (41,)
     else:
         declared, box, nx = STACKED_CASES[case]()
-    grid = sized(declared, box, nx, boundary)
+    grid = sized(declared, box, nx)
     assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d_linear"])
-def test_cost_rate_declared_linear_changes_no_bit(case, boundary):
+def test_cost_rate_declared_linear_changes_no_bit(case):
     # the slope at y = 1, tabulated once per sweep and per field query and
     # multiplied by the value at each step, gives the fields, residuals,
     # field stacks, feedback paths and penalty sweep of the same cost rate
     # called on the value at every step, sign bits included
     declared, box, nx = STACKED_CASES[case]()
     assert declared.coeffs.cost_rate_linear and declared.coeffs.time_homogeneous
-    grid = sized(declared, box, nx, boundary)
+    grid = sized(declared, box, nx)
     assert_same_solves(declared, declare_linear(declared, False), grid)
 
 
@@ -1246,10 +1287,12 @@ def test_boundary_insensitivity_of_interior_values():
 
 def test_dirichlet_policy_freezes_boundary():
     inst = builtin_instance("american_put")
-    grid = sized(inst, ((20.0, 300.0),), (71,),
-                 boundary="dirichlet_terminal_extension")
+    grid = sized(inst, ((20.0, 300.0),), (71,))
     field = solve_obstacle_pde("lower", inst, grid)
-    # left boundary: terminal payoff 80 dominates the obstacle forever
+    # the drift r x points out of the box at the upper face, which is frozen
+    # at the payoff 0; the lower face is extrapolated, and the obstacle 80
+    # dominates it forever
+    assert (field.slices[:, -1] == 0.0).all()
     assert (field.slices[:, 0] == 80.0).all()
 
 
