@@ -477,6 +477,24 @@ def frozen_faces(stencil, grid):
     return faces
 
 
+# the faces as the weight table chooses them, or every face frozen at the
+# terminal data, or every face extrapolated: the last two forced on the
+# solver and the reference alike, so that each fill is met on every face
+FACE_FILLS = ("weight_table", "dirichlet_terminal_extension", "linear_extrapolation")
+
+
+def forced_faces(fill, ndim):
+    """``(low, high)`` per axis, every face frozen or every face extrapolated as ``fill`` names."""
+    return [(fill == "dirichlet_terminal_extension",) * 2] * ndim
+
+
+def force_fill(monkeypatch, fill):
+    """Make :func:`pde._frozen_faces` return :func:`forced_faces` unless
+    ``fill`` is ``weight_table``, which leaves the rule alone."""
+    if fill != "weight_table":
+        monkeypatch.setattr(pde, "_frozen_faces", lambda table, ndim: forced_faces(fill, ndim))
+
+
 def filled(w, grid, terminal, faces):
     """``w`` with the faces of each spatial axis in turn frozen at
     ``terminal`` or extrapolated linearly from the two nodes inward, as
@@ -488,10 +506,11 @@ def filled(w, grid, terminal, faces):
     return w
 
 
-def per_pair_sweep(which, inst, grid, penalties=None, times=None):
+def per_pair_sweep(which, inst, grid, penalties=None, times=None, fill="weight_table"):
     """Every slice of a sweep over ``times`` (the grid's uniform mesh by
-    default) stepped by :func:`per_pair_step`, filled, and projected or
-    penalized in closed form, one weight per field."""
+    default) stepped by :func:`per_pair_step`, filled as ``fill`` names
+    (one of :data:`FACE_FILLS`), and projected or penalized in closed
+    form, one weight per field."""
     if times is None:
         times, terminal = pde._times_and_terminal(inst, grid)
     else:
@@ -509,7 +528,8 @@ def per_pair_sweep(which, inst, grid, penalties=None, times=None):
         if k == len(times) - 2 or not inst.coeffs.time_homogeneous:
             tables = pde._pair_tables(inst, t, x_rows)
             stencil = pde._stencil_weights(tables, grid.dx())
-            faces = frozen_faces(stencil, grid)
+            faces = (frozen_faces(stencil, grid) if fill == "weight_table"
+                     else forced_faces(fill, grid.ndim))
         w = np.zeros(terminal.shape)
         w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
                                     stencil).reshape(w[interior].shape)
@@ -583,8 +603,10 @@ STACKED_CASES = {
 }
 
 
+@pytest.mark.parametrize("fill", FACE_FILLS)
 @pytest.mark.parametrize("case", STACKED_CASES)
-def test_stacked_step_is_the_per_pair_step_bit_for_bit(case):
+def test_stacked_step_is_the_per_pair_step_bit_for_bit(monkeypatch, case, fill):
+    force_fill(monkeypatch, fill)
     inst, box, nx = STACKED_CASES[case]()
     grid = sized(inst, box, nx)
     if case.startswith("correlated"):
@@ -592,10 +614,11 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(case):
         assert a01.min() < 0.0 < a01.max()
     for which in HAMILTONIANS:
         field = solve_obstacle_pde(which, inst, grid)
-        for mine, reference in zip(field.slices, per_pair_sweep(which, inst, grid), strict=True):
+        reference = per_pair_sweep(which, inst, grid, fill=fill)
+        for mine, reference in zip(field.slices, reference, strict=True):
             assert np.array_equal(mine, reference)
     schedule = [1.0, 8.0, 64.0]
-    reference = per_pair_sweep("lower", inst, grid, schedule)
+    reference = per_pair_sweep("lower", inst, grid, schedule, fill=fill)
     steps = 0
     for k, slices in sweep_penalized(inst, grid, schedule):
         assert np.array_equal(slices, reference[k])
@@ -924,8 +947,10 @@ def test_penalized_fields_monotone_in_weight_nodewise():
     assert (ref.slices - f10.slices).min() >= -1e-12
 
 
+@pytest.mark.parametrize("fill", FACE_FILLS)
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d"])
-def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(case):
+def test_batched_penalized_sweep_matches_single_solves_bit_for_bit(monkeypatch, case, fill):
+    force_fill(monkeypatch, fill)
     if case == "american_put":
         inst = builtin_instance("american_put")
         grid = sized(inst, ((20.0, 300.0),), (57,))
@@ -973,13 +998,15 @@ def assert_same_solves(one, other, grid):
         assert k == j and same_bits(mine, theirs)
 
 
+@pytest.mark.parametrize("fill", FACE_FILLS)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("correlated_2d", "correlated_2d_free"))
-def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(case):
+def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(monkeypatch, case, fill):
     # drift, diffusion and obstacle evaluated once per solve, and a cost rate
     # that reads neither y nor z too, give the same fields, residuals,
     # feedback paths and penalty sweep as evaluating them at every step; an
     # obstacle that reads t (correlated_2d's and deterministic_stop's) is
     # held at t = 0 to declare it
+    force_fill(monkeypatch, fill)
     if case == "correlated_2d":
         declared = declare_homogeneous(frozen_obstacle(correlated_game()))
         grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
@@ -1026,14 +1053,16 @@ def test_time_homogeneous_obstacle_evaluated_once_per_sweep(monkeypatch, name, h
         assert calls == ([0.0] if homogeneous else list(times[:-1]))
 
 
+@pytest.mark.parametrize("fill", FACE_FILLS)
 @pytest.mark.parametrize("case", BUILTIN_NAMES + ("minimax_3x3", "correlated_2d_y",
                                                   "correlated_2d_free"))
-def test_declared_cost_rate_arguments_change_no_bit(case):
+def test_declared_cost_rate_arguments_change_no_bit(monkeypatch, case, fill):
     # a cost rate declared not to read z (no gradient formed), not to read y
     # (no value copied), or neither on a homogeneous instance (tabulated once
     # per sweep and per field query) gives the fields, residuals, feedback
     # paths and penalty sweep of the same instance declared to read both,
     # sign bits included: minimax_3x3's u = 0 rows give f = -0.0
+    force_fill(monkeypatch, fill)
     if case in BUILTIN_NAMES:
         declared = builtin_instance(case)
         box, nx = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),), (41,)
@@ -1043,12 +1072,14 @@ def test_declared_cost_rate_arguments_change_no_bit(case):
     assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid)
 
 
+@pytest.mark.parametrize("fill", FACE_FILLS)
 @pytest.mark.parametrize("case", ["american_put", "correlated_2d_linear"])
-def test_cost_rate_declared_linear_changes_no_bit(case):
+def test_cost_rate_declared_linear_changes_no_bit(monkeypatch, case, fill):
     # the slope at y = 1, tabulated once per sweep and per field query and
     # multiplied by the value at each step, gives the fields, residuals,
     # field stacks, feedback paths and penalty sweep of the same cost rate
     # called on the value at every step, sign bits included
+    force_fill(monkeypatch, fill)
     declared, box, nx = STACKED_CASES[case]()
     assert declared.coeffs.cost_rate_linear and declared.coeffs.time_homogeneous
     grid = sized(declared, box, nx)
