@@ -5,8 +5,9 @@ Commands
 ``isaacslab run <config.json> [--seed S] [--output DIR]``
     Run the configured experiment, write a config echo, a metrics file
     and optional field dumps / convergence tables into the output
-    directory.  ``--seed`` overrides ``mc.seed`` and is refused for a
-    config without an ``mc`` section.  Each field dump is formatted by
+    directory.  ``--seed`` overrides ``mc.seed``, which only
+    ``rbsde_oracle`` reads, and is refused for a config without an
+    ``mc`` section.  Each field dump is formatted by
     up to one process per usable CPU (forked children, all reaped before
     the dump returns); its bytes do not depend on that count.
 ``isaacslab list-instances``
@@ -103,7 +104,7 @@ def _presolve(config):
             pde._check_cfl(config.instance, grid)
     options, nt = config.options, grids[0].nt
     if config.experiment == "dpp":
-        t_index = int(round(float(options.get("t_fraction", 0.5)) * nt))
+        t_index = int(round(options["t_fraction"] * nt))
         # every delta re-solves at least one step, so either all fit or none does
         if t_index >= nt:
             raise PreconditionError("no usable (t, delta) pair inside the horizon")
@@ -111,8 +112,7 @@ def _presolve(config):
                                  for frac in config.delta_fractions])
     if config.experiment == "american_oracle":
         params = config.instance.params
-        probe_x = float(params["K0"] if options.get("probe_x") is None else options["probe_x"])
-        steps = int(options.get("binomial_steps", 2000))
+        probe_x, steps = options["probe_x"], options["binomial_steps"]
         reference = crr_put(probe_x, params["K0"], params["r"], params["sigma0"], params["T"],
                             steps)
         if reference == 0.0:
@@ -234,15 +234,12 @@ def _run_solve(config, grids, _):
     grid = grids[0]
     which = config.options["which"]
     field = solve_obstacle_pde(which, config.instance, grid)
-    probe = config.options.get("probe_x")
-    if probe is None:
-        probe = [0.5 * (lo + hi) for lo, hi in grid.box]
-    probe = np.atleast_1d(np.asarray(probe, dtype=float))
+    probe = config.options["probe_x"]
     metrics = {
         "which": which,
         "nt": grid.nt,
         "value_t0_probe": _probe_initial(field, probe),
-        "probe_x": probe[0] if grid.ndim == 1 else list(probe),
+        "probe_x": probe[0] if grid.ndim == 1 else probe,
         "initial_min": float(field.slices[0].min()),
         "initial_max": float(field.slices[0].max()),
     }

@@ -1,15 +1,19 @@
 """Experiment configuration: parsing, validation, canonical digests.
 
-Configurations are JSON files with nested sections.  Unknown keys
-anywhere are a hard error, so typos never pass silently.  A canonical
-form (defaults filled in, keys sorted) is hashed into a stable digest;
-identical configurations therefore share a digest and reproduce the
-same metrics bit for bit.
+Configurations are JSON files with nested sections.  Each experiment
+accepts only the keys it reads, listed with their defaults in
+``_READS``; any other key or section, ``null`` included, is a hard
+error, so typos and knobs that do nothing never pass silently.  The
+canonical form holds exactly the keys the experiment reads, every
+default filled in (the instance parameters resolved), and is hashed
+into a stable digest.  Configurations that differ only in key order,
+in output settings or in spelling out a default therefore share a
+digest, a run's ``config.json`` echo reproduces it, and identical
+digests reproduce the same metrics bit for bit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -23,22 +27,28 @@ from .errors import ConfigError
 from .pde import HAMILTONIANS, SpaceTimeGrid
 from .problems import GameInstance, builtin_instance
 
-EXPERIMENTS = ("solve", "penalization", "dpp", "compare_wu", "american_oracle",
-               "rbsde_oracle")
+_REQUIRED = object()  # the default of a key that must be given
+_GRID = {"box": _REQUIRED, "nx": _REQUIRED, "nt": None}
 
-_DEFAULT_M_SCHEDULE = [1.0, 4.0, 16.0, 64.0, 256.0]
-_DEFAULT_DELTA_FRACTIONS = [0.2, 0.1, 0.05, 0.025]
-_DEFAULT_NX_SCHEDULE = [71, 141, 281]
-
-_SECTIONS = {
-    "experiment": None,
-    "instance": {"name", "params"},
-    "grid": {"box", "nx", "nt"},
-    "mc": {"paths", "steps", "seed", "basis_degree"},
-    "schedules": {"m", "delta", "nx"},
-    "options": {"which", "t_fraction", "probe_x", "binomial_steps"},
-    "output": {"directory", "formats"},
-}
+# experiment -> section -> every key the experiment reads -> its default.
+# A probe_x default is computed from grid.box and the resolved instance
+# parameters; grid.nt null (or 0) is sized to the stability bound.
+_READS = {experiment: {"instance": {"name": _REQUIRED, "params": {}}, **sections,
+                       "output": {"directory": "runs", "formats": ["json"]}}
+          for experiment, sections in {
+    "solve": {"grid": _GRID, "options": {
+        "which": "lower", "probe_x": lambda box, params: [0.5 * (lo + hi) for lo, hi in box]}},
+    "penalization": {"grid": _GRID, "schedules": {"m": [1.0, 4.0, 16.0, 64.0, 256.0]}},
+    "dpp": {"grid": _GRID, "schedules": {"delta": [0.2, 0.1, 0.05, 0.025]},
+            "options": {"which": "lower", "t_fraction": 0.5}},
+    "compare_wu": {"grid": _GRID},
+    "american_oracle": {"grid": {"box": _REQUIRED, "nt": None},
+                        "schedules": {"nx": [71, 141, 281]},
+                        "options": {"probe_x": lambda box, params: params["K0"],
+                                    "binomial_steps": 2000}},
+    "rbsde_oracle": {"mc": {"paths": 1, "steps": 100, "seed": _REQUIRED, "basis_degree": 2}},
+}.items()}
+EXPERIMENTS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,10 @@ class McParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, with its instance built."""
+    """Validated experiment description, with its instance built.
+
+    A schedule, ``grid`` or ``mc`` the experiment does not read is None.
+    """
 
     experiment: str
     instance_name: str
@@ -60,9 +73,9 @@ class ExperimentConfig:
     grid: Optional[SpaceTimeGrid]
     grid_nt_auto: bool
     mc: Optional[McParams]
-    m_schedule: list
-    delta_fractions: list
-    nx_schedule: list
+    m_schedule: Optional[list]
+    delta_fractions: Optional[list]
+    nx_schedule: Optional[list]
     options: dict
     output_dir: str
     formats: tuple
@@ -80,13 +93,13 @@ def _fail(path, message):
     raise ConfigError(f"config error at '{path}': {message}")
 
 
-def _check_keys(mapping, allowed, path):
+def _check_keys(mapping, allowed, path, experiment):
     if not isinstance(mapping, dict):
         _fail(path, "expected an object")
     for key in mapping:
         if key not in allowed:
-            _fail(f"{path}.{key}" if path else key,
-                  f"unknown key (allowed: {', '.join(sorted(allowed))})")
+            _fail(f"{path}.{key}" if path else key, f"experiment '{experiment}' does not "
+                  f"read this key (it reads: {', '.join(sorted(allowed))})")
 
 
 def _expect(cond, path, message):
@@ -122,114 +135,88 @@ def _number_tree(value, path):
 def parse_config(raw):
     """Validate a raw configuration dictionary into an ExperimentConfig.
 
-    The one gate for ``run`` and ``validate``: it also requires the
-    section the experiment needs and builds the instance.
+    The one gate for ``run`` and ``validate``: it checks ``experiment``
+    first, refuses every key that experiment does not read, requires
+    the sections it needs, fills in each default and builds the
+    instance.
     """
-    _check_keys(raw, set(_SECTIONS), "")
     experiment = raw.get("experiment")
     _expect(experiment in EXPERIMENTS, "experiment",
             f"must be one of {', '.join(EXPERIMENTS)}")
+    reads = _READS[experiment]
+    _check_keys(raw, {"experiment", *reads}, "", experiment)
+    # section -> key -> the given value or its default
+    given = {}
+    for section, keys in reads.items():
+        part = raw.get(section, {})
+        _expect(raw.get(section) is not None or _REQUIRED not in keys.values(), section,
+                f"section is required for experiment '{experiment}'")
+        _check_keys(part, keys, section, experiment)
+        for key, default in keys.items():
+            _expect(key in part or default is not _REQUIRED, f"{section}.{key}", "required")
+        given[section] = {key: part.get(key, default) for key, default in keys.items()}
 
-    inst = raw.get("instance")
-    _expect(isinstance(inst, dict), "instance", "section is required")
-    _check_keys(inst, _SECTIONS["instance"], "instance")
-    name = inst.get("name")
+    name, params = given["instance"]["name"], given["instance"]["params"]
     _expect(isinstance(name, str) and name, "instance.name", "required string")
     _expect(experiment != "american_oracle" or name == "american_put", "instance.name",
             "american_oracle runs on the 'american_put' instance")
-    params = inst.get("params", {})
     _expect(isinstance(params, dict), "instance.params", "expected an object")
     for key, value in params.items():
         _number_tree(value, f"instance.params.{key}")
-
-    needed = "mc" if experiment == "rbsde_oracle" else "grid"
-    _expect(raw.get(needed) is not None, needed,
-            f"section is required for experiment '{experiment}'")
-
-    grid = None
-    grid_nt_auto = True
-    grid_raw = raw.get("grid")
-    if grid_raw is not None:
-        _check_keys(grid_raw, _SECTIONS["grid"], "grid")
-        box = grid_raw.get("box")
-        nx = grid_raw.get("nx")
-        _expect(isinstance(box, list) and box, "grid.box", "list of [lo, hi] required")
-        for i, bounds in enumerate(box):
-            _expect(len(_numbers(bounds, f"grid.box[{i}]")) == 2, f"grid.box[{i}]",
-                    "expected [lo, hi]")
-        _expect(isinstance(nx, list) and nx, "grid.nx", "list of point counts required")
-        _numbers(nx, "grid.nx", whole=True)
-        nt = grid_raw.get("nt")
-        if nt is not None:
-            _number(nt, "grid.nt", whole=True)
-        grid_nt_auto = nt in (None, 0)
-        try:
-            grid = SpaceTimeGrid(box=tuple(tuple(b) for b in box), nx=tuple(nx),
-                                 nt=1 if grid_nt_auto else int(nt))
-        except ValueError as exc:
-            _fail("grid", str(exc))
-
-    mc = None
-    mc_raw = raw.get("mc")
-    if mc_raw is not None:
-        _check_keys(mc_raw, _SECTIONS["mc"], "mc")
-        _expect("seed" in mc_raw, "mc.seed", "seed is required whenever mc is used")
-        values = []
-        for key, default, least in (("paths", 1, 1), ("steps", 100, 1), ("seed", None, 0),
-                                    ("basis_degree", 2, 0)):
-            value = int(_number(mc_raw.get(key, default), f"mc.{key}", whole=True))
-            _expect(value >= least, f"mc.{key}", f"must be >= {least}")
-            values.append(value)
-        mc = McParams(*values)
-
-    sched_raw = raw.get("schedules", {})
-    _check_keys(sched_raw, _SECTIONS["schedules"], "schedules")
-    m_schedule = [float(m) for m in _numbers(sched_raw.get("m", _DEFAULT_M_SCHEDULE),
-                                             "schedules.m")]
-    delta_fractions = [float(d) for d in _numbers(
-        sched_raw.get("delta", _DEFAULT_DELTA_FRACTIONS), "schedules.delta")]
-    nx_schedule = [int(k) for k in _numbers(sched_raw.get("nx", _DEFAULT_NX_SCHEDULE),
-                                            "schedules.nx", whole=True)]
-    for key, values in (("m", m_schedule), ("delta", delta_fractions),
-                        ("nx", nx_schedule)):
-        _expect(values, f"schedules.{key}", "must not be empty")
-    _expect(m_schedule[0] >= 0 and all(a < b for a, b in zip(m_schedule, m_schedule[1:])),
-            "schedules.m", "penalty weights must be >= 0 and strictly increasing")
-
-    options = raw.get("options", {})
-    _check_keys(options, _SECTIONS["options"], "options")
-    options = dict(options)
-    which = options.get("which", "lower")
-    _expect(which in HAMILTONIANS, "options.which", "must be lower or upper")
-    probe = options.get("probe_x")
-    if isinstance(probe, list) and experiment != "american_oracle":
-        coords = _numbers(probe, "options.probe_x")
-        _expect(grid is None or len(coords) == grid.ndim, "options.probe_x",
-                "expected one coordinate per grid dimension")
-    elif probe is not None:
-        _number(probe, "options.probe_x")
-    if "t_fraction" in options:
-        _expect(0 <= _number(options["t_fraction"], "options.t_fraction") < 1,
-                "options.t_fraction", "must lie in [0, 1)")
-    if "binomial_steps" in options:
-        _expect(_number(options["binomial_steps"], "options.binomial_steps", whole=True)
-                >= 1, "options.binomial_steps", "must be >= 1")
-
-    out_raw = raw.get("output", {})
-    _check_keys(out_raw, _SECTIONS["output"], "output")
-    output_dir = out_raw.get("directory", "runs")
-    _expect(isinstance(output_dir, str) and output_dir, "output.directory",
-            "expected a non-empty string")
-    formats = out_raw.get("formats", ["json"])
-    _expect(isinstance(formats, list) and all(f in ("csv", "json") for f in formats),
-            "output.formats", "expected a list whose entries are csv or json")
-    formats = tuple(formats)
-
     try:
         instance = builtin_instance(name, params)
     except (TypeError, ValueError) as exc:
         _fail("instance.params", str(exc))
-    if mc is not None:
+    given["instance"]["params"] = {key: value.tolist() if isinstance(value, np.ndarray)
+                                   else value for key, value in instance.params.items()}
+
+    schedules = given.get("schedules", {})
+    for key, values in schedules.items():
+        schedules[key] = [int(v) if key == "nx" else float(v)
+                          for v in _numbers(values, f"schedules.{key}", whole=key == "nx")]
+        _expect(schedules[key], f"schedules.{key}", "must not be empty")
+    m_schedule = schedules.get("m")
+    _expect(not m_schedule or m_schedule[0] >= 0 and all(
+        a < b for a, b in zip(m_schedule, m_schedule[1:])),
+        "schedules.m", "penalty weights must be >= 0 and strictly increasing")
+
+    grid = None
+    grid_nt_auto = True
+    if "grid" in given:
+        box, nt = given["grid"]["box"], given["grid"]["nt"]
+        _expect(isinstance(box, list) and box, "grid.box", "list of [lo, hi] required")
+        for i, bounds in enumerate(box):
+            bounds = _numbers(bounds, f"grid.box[{i}]")
+            _expect(len(bounds) == 2 and bounds[0] < bounds[1], f"grid.box[{i}]",
+                    "expected [lo, hi] with lo < hi")
+        _expect(len(box) == instance.n, "grid.box", f"{len(box)} dimension(s), but "
+                f"instance '{name}' has state dimension {instance.n}")
+        if nt is not None:
+            _expect(_number(nt, "grid.nt", whole=True) >= 0, "grid.nt", "must be >= 0")
+        grid_nt_auto = nt in (None, 0)
+        # american_oracle solves on grid.box once per schedules.nx entry
+        sizes = [(f"schedules.nx[{i}]", [k]) for i, k in enumerate(schedules.get("nx", []))]
+        if "nx" in given["grid"]:
+            nx = given["grid"]["nx"]
+            _expect(isinstance(nx, list) and nx, "grid.nx", "list of point counts required")
+            sizes = [("grid", _numbers(nx, "grid.nx", whole=True))]
+        for path, nx in sizes:
+            try:
+                grid = SpaceTimeGrid(box=tuple(tuple(b) for b in box), nx=tuple(nx),
+                                     nt=1 if grid_nt_auto else int(nt))
+            except ValueError as exc:
+                _fail(path, str(exc))
+        given["grid"] = {"box": [list(b) for b in grid.box], "nt": None if grid_nt_auto
+                         else grid.nt, **({"nx": list(grid.nx)} if "nx" in given["grid"]
+                                          else {})}
+
+    mc = None
+    if "mc" in given:
+        least = {"paths": 1, "steps": 1, "seed": 0, "basis_degree": 0}
+        for key, value in given["mc"].items():
+            given["mc"][key] = int(_number(value, f"mc.{key}", whole=True))
+            _expect(given["mc"][key] >= least[key], f"mc.{key}", f"must be >= {least[key]}")
+        mc = McParams(**given["mc"])
         # a bundle stores steps + 1 states and steps noise increments per path,
         # and numpy refuses an array of more bytes than an index can count
         width = max(instance.n, instance.d)
@@ -237,50 +224,48 @@ def parse_config(raw):
                 <= np.iinfo(np.intp).max, "mc.paths",
                 f"paths * (steps + 1) * {width} float64 entries are more bytes than "
                 f"an array can index")
-    if grid is not None:
-        _expect(grid.ndim == instance.n, "grid.box", f"{grid.ndim} dimension(s), but "
-                f"instance '{name}' has state dimension {instance.n}")
-    if experiment in ("solve", "american_oracle"):
+
+    options = given.get("options", {})
+    _expect(options.get("which", "lower") in HAMILTONIANS, "options.which",
+            "must be lower or upper")
+    if "t_fraction" in options:
+        options["t_fraction"] = float(_number(options["t_fraction"], "options.t_fraction"))
+        _expect(0 <= options["t_fraction"] < 1, "options.t_fraction", "must lie in [0, 1)")
+    if "binomial_steps" in options:
+        options["binomial_steps"] = int(_number(options["binomial_steps"],
+                                                "options.binomial_steps", whole=True))
+        _expect(options["binomial_steps"] >= 1, "options.binomial_steps", "must be >= 1")
+    if "probe_x" in options:
+        probe = options["probe_x"]
+        if probe is None or callable(probe):  # null asks for the default too
+            probe = reads["options"]["probe_x"](grid.box, instance.params)
+        if isinstance(probe, list) and experiment == "solve":
+            probe = [float(c) for c in _numbers(probe, "options.probe_x")]
+            _expect(len(probe) == grid.ndim, "options.probe_x",
+                    "expected one coordinate per grid dimension")
+        else:
+            probe = float(_number(probe, "options.probe_x"))
         # the probe is read off the solved field, which np.interp clamps and a
         # 2-D lookup snaps to its nearest node: outside the box that is a face
-        point = probe
-        if point is None and experiment == "american_oracle":
-            point = instance.params["K0"]
-        if point is not None:
-            coords = np.broadcast_to(np.asarray(point, dtype=float), (grid.ndim,))
-            _expect(all(lo <= c <= hi for c, (lo, hi) in zip(coords, grid.box)),
-                    "options.probe_x", f"the probe {point!r} lies outside grid.box "
-                    f"{[list(b) for b in grid.box]}, where no value is computed")
-    if experiment == "american_oracle":
-        for i, k in enumerate(nx_schedule):
-            try:
-                dataclasses.replace(grid, nx=(k,))
-            except ValueError as exc:
-                _fail(f"schedules.nx[{i}]", str(exc))
+        coords = np.broadcast_to(probe, (grid.ndim,))
+        _expect(all(lo <= c <= hi for c, (lo, hi) in zip(coords, grid.box)),
+                "options.probe_x", f"the probe {probe!r} lies outside grid.box "
+                f"{[list(b) for b in grid.box]}, where no value is computed")
+        options["probe_x"] = probe if experiment != "solve" else coords.tolist()
 
-    canonical = {
-        "experiment": experiment,
-        "instance": {"name": name, "params": dict(sorted(params.items()))},
-        "grid": None if grid is None else {
-            "box": [list(b) for b in grid.box],
-            "nx": list(grid.nx),
-            "nt": None if grid_nt_auto else grid.nt,
-        },
-        "mc": None if mc is None else {
-            "paths": mc.paths, "steps": mc.steps, "seed": mc.seed,
-            "basis_degree": mc.basis_degree,
-        },
-        "schedules": {"m": m_schedule, "delta": delta_fractions, "nx": nx_schedule},
-        "options": dict(sorted({**{"which": which}, **options}.items())),
-        "output": {"directory": output_dir, "formats": list(formats)},
-    }
+    output_dir, formats = given["output"]["directory"], given["output"]["formats"]
+    _expect(isinstance(output_dir, str) and output_dir, "output.directory",
+            "expected a non-empty string")
+    _expect(isinstance(formats, list) and all(f in ("csv", "json") for f in formats),
+            "output.formats", "expected a list whose entries are csv or json")
+    given["output"]["formats"] = list(formats)  # not the table's default list
+
     return ExperimentConfig(
         experiment=experiment, instance_name=name, instance_params=dict(params),
-        instance=instance,
-        grid=grid, grid_nt_auto=grid_nt_auto, mc=mc, m_schedule=m_schedule,
-        delta_fractions=delta_fractions, nx_schedule=nx_schedule,
-        options={**{"which": which}, **options}, output_dir=output_dir,
-        formats=formats, canonical=canonical,
+        instance=instance, grid=grid, grid_nt_auto=grid_nt_auto, mc=mc,
+        m_schedule=m_schedule, delta_fractions=schedules.get("delta"),
+        nx_schedule=schedules.get("nx"), options=options, output_dir=output_dir,
+        formats=tuple(formats), canonical={"experiment": experiment, **given},
     )
 
 

@@ -394,7 +394,7 @@ def test_c12_end_to_end_reproducibility(tmp_path):
         },
         "oracle": {
             "experiment": "american_oracle", "instance": {"name": "american_put"},
-            "grid": {"box": [[20, 300]], "nx": [41]},
+            "grid": {"box": [[20, 300]]},
             "schedules": {"nx": [31, 41]},
             "options": {"binomial_steps": 500},
         },

@@ -164,7 +164,7 @@ def test_run_american_oracle_errors_decrease(tmp_path):
     cfg = write_config(tmp_path, "ao.json", {
         "experiment": "american_oracle",
         "instance": {"name": "american_put"},
-        "grid": {"box": [[20, 300]], "nx": [71]},
+        "grid": {"box": [[20, 300]]},
         "schedules": {"nx": [71, 141]},
         "options": {"binomial_steps": 2000},
         "output": {"directory": str(tmp_path / "out")},
@@ -403,7 +403,8 @@ def test_seed_override_changes_digest(tmp_path):
 @pytest.mark.parametrize("mc", ["absent", None])
 def test_seed_flag_without_mc_section_exits_2_and_writes_nothing(tmp_path, capsys, mc):
     # a grid experiment draws no random number, so a seed would add a section
-    # the config never had and change its digest; an mc of null is none either
+    # the config never had and change its digest; an mc of null is none either,
+    # and solve refuses it as a section it does not read
     out = tmp_path / "out"
     raw = _with(_SOLVE, "output", "directory", str(out))
     if mc is None:
@@ -412,8 +413,13 @@ def test_seed_flag_without_mc_section_exits_2_and_writes_nothing(tmp_path, capsy
     assert main(["run", cfg, "--seed", "5"]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["run", cfg]) == 0
-    assert json.loads((out / "config.json").read_text())["mc"] is None
+    if mc is None:
+        assert main(["run", cfg]) == 2
+        assert "'mc'" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert main(["run", cfg]) == 0
+        assert "mc" not in json.loads((out / "config.json").read_text())
 
 
 def test_list_instances(capsys):
@@ -476,8 +482,10 @@ _MINIMAX = {"experiment": "solve", "instance": {"name": "minimax_gap"},
 _RBSDE = {"experiment": "rbsde_oracle", "instance": {"name": "lemma45"},
           "mc": {"paths": 1, "steps": 10, "seed": 7}}
 _ORACLE = {"experiment": "american_oracle", "instance": {"name": "american_put"},
-           "grid": {"box": [[20, 300]], "nx": [29]}, "schedules": {"nx": [29]},
+           "grid": {"box": [[20, 300]]}, "schedules": {"nx": [29]},
            "options": {"binomial_steps": 50}}
+_PENALIZATION = {**_SOLVE, "experiment": "penalization"}
+_DPP = {**_SOLVE, "experiment": "dpp"}
 NAN, INF = float("nan"), float("inf")
 
 
@@ -489,10 +497,10 @@ def _with(base, section, key, value):
 
 
 @pytest.mark.parametrize("base, section, key, value, flags", [
-    pytest.param(_SOLVE, "schedules", "m", ["x"], [], id="schedules-m-value0"),
-    pytest.param(_SOLVE, "schedules", "m", [1, NAN], [], id="schedules-m-value1"),
-    pytest.param(_SOLVE, "schedules", "delta", [0.1, INF], [], id="schedules-delta-value2"),
-    pytest.param(_SOLVE, "schedules", "nx", [71.5], [], id="schedules-nx-value3"),
+    pytest.param(_PENALIZATION, "schedules", "m", ["x"], [], id="schedules-m-value0"),
+    pytest.param(_PENALIZATION, "schedules", "m", [1, NAN], [], id="schedules-m-value1"),
+    pytest.param(_DPP, "schedules", "delta", [0.1, INF], [], id="schedules-delta-value2"),
+    pytest.param(_ORACLE, "schedules", "nx", [71.5], [], id="schedules-nx-value3"),
     pytest.param(_SOLVE, "options", "probe_x", "abc", [], id="options-probe_x-abc"),
     pytest.param(_SOLVE, "options", "probe_x", [100.0, None], [], id="options-probe_x-value5"),
     pytest.param(_SOLVE, "instance", "params", {"sigma0": NAN}, [], id="params-sigma0-nan"),
@@ -518,8 +526,8 @@ def _with(base, section, key, value):
     # a probe outside grid.box used to report the value at the nearest face
     pytest.param(_SOLVE, "options", "probe_x", 1000, [], id="probe_x-outside-box"),
     pytest.param(_ORACLE, "options", "probe_x", 1e6, [], id="oracle-probe_x-outside-box"),
-    pytest.param(_SOLVE, "options", "t_fraction", -1, [], id="t_fraction-negative"),
-    pytest.param(_SOLVE, "schedules", "m", [4, 1], [], id="schedules-m-decreasing"),
+    pytest.param(_DPP, "options", "t_fraction", -1, [], id="t_fraction-negative"),
+    pytest.param(_PENALIZATION, "schedules", "m", [4, 1], [], id="schedules-m-decreasing"),
     pytest.param(_SOLVE, "output", "formats", 5, [], id="output-formats-number"),
     # the solver decides each face from its weight table, so no config chooses a fill
     pytest.param(_MINIMAX, "grid", "boundary", "linear_extrapolation", [],
@@ -541,7 +549,7 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     # an explicit nt below the stability bound (3601 steps at nx = 281)
     pytest.param(_with(_SOLVE, "grid", None, {"box": [[20, 300]], "nx": [281], "nt": 10}),
                  3, id="solve-nt-below-stability-bound"),
-    # grid.nx passes at nt = 40 (37 needed); the schedule's nx = 281 does not
+    # schedules.nx 29 passes at nt = 40 (37 needed); 281 does not
     pytest.param(_with(_with(_ORACLE, "grid", "nt", 40), "schedules", "nx", [29, 281]),
                  3, id="oracle-schedule-nt-below-stability-bound"),
     # sizing an automatic nt needs a positive finite stability bound
@@ -592,6 +600,95 @@ def test_validate_and_run_reject_alike(tmp_path, capsys, raw, code):
     rejected = capsys.readouterr().err
     assert main(["run", cfg]) == code
     assert capsys.readouterr().err == rejected
+    assert not (tmp_path / "out").exists()
+
+
+_COMPARE = {"experiment": "compare_wu", "instance": {"name": "minimax_gap"},
+            "grid": {"box": [[-2, 2]], "nx": [21]}}
+_BASES = {"solve": _SOLVE, "penalization": _PENALIZATION, "dpp": _DPP,
+          "compare_wu": _COMPARE, "american_oracle": _ORACLE, "rbsde_oracle": _RBSDE}
+_PUT_DEFAULTS = {"r": 0.05, "sigma0": 0.2, "K0": 100.0, "T": 1.0}
+
+
+@pytest.mark.parametrize("bare, spelled", [
+    pytest.param(_SOLVE, {**_SOLVE, "instance": {"name": "american_put", "params": _PUT_DEFAULTS},
+                          "grid": {"box": [[20, 300]], "nx": [29], "nt": None},
+                          "options": {"which": "lower", "probe_x": 160}}, id="solve"),
+    pytest.param(_with(_SOLVE, "options", "probe_x", 100),
+                 _with(_SOLVE, "options", "probe_x", [100.0]), id="solve-probe_x-forms"),
+    pytest.param(_PENALIZATION, {**_PENALIZATION, "grid": {"box": [[20, 300]], "nx": [29], "nt": 0},
+                                 "instance": {"name": "american_put", "params": {"T": 1}},
+                                 "schedules": {"m": [1, 4, 16, 64, 256]}}, id="penalization"),
+    pytest.param(_DPP, {**_DPP, "schedules": {"delta": [0.2, 0.1, 0.05, 0.025]},
+                        "options": {"which": "lower", "t_fraction": 0.5}}, id="dpp"),
+    pytest.param(_COMPARE, _with(_COMPARE, "instance", "params", {
+        "sigma0": 1.0, "T": 1.0, "floor": -10.0, "u_points": [[-1.0], [1.0]],
+        "v_points": [[-1], [1]]}), id="compare_wu"),
+    pytest.param({k: v for k, v in _ORACLE.items() if k not in ("schedules", "options")},
+                 {**_ORACLE, "instance": {"name": "american_put", "params": _PUT_DEFAULTS},
+                  "schedules": {"nx": [71, 141, 281]},
+                  "options": {"probe_x": 100, "binomial_steps": 2000}}, id="american_oracle"),
+    pytest.param(_with(_ORACLE, "options", "probe_x", None), _ORACLE, id="oracle-probe_x-null"),
+    pytest.param(_RBSDE, {**_with(_RBSDE, "mc", "basis_degree", 2), "instance": {
+        "name": "lemma45", "params": {"C": 1, "theta": 1, "rho": 1, "T": 1}}}, id="rbsde_oracle"),
+])
+def test_spelled_out_defaults_share_the_digest_of_omitted_ones(bare, spelled):
+    # one computation, one digest; the canonical echo reproduces it
+    config = parse_config(bare)
+    assert parse_config(spelled).digest() == config.digest()
+    assert parse_config(config.canonical).digest() == config.digest()
+
+
+# the keys each experiment reads, besides instance.* and output.*
+_READ = {
+    "solve": {"grid.box", "grid.nx", "grid.nt", "options.which", "options.probe_x"},
+    "penalization": {"grid.box", "grid.nx", "grid.nt", "schedules.m"},
+    "dpp": {"grid.box", "grid.nx", "grid.nt", "schedules.delta", "options.which",
+            "options.t_fraction"},
+    "compare_wu": {"grid.box", "grid.nx", "grid.nt"},
+    "american_oracle": {"grid.box", "grid.nt", "schedules.nx", "options.probe_x",
+                        "options.binomial_steps"},
+    "rbsde_oracle": {"mc.paths", "mc.steps", "mc.seed", "mc.basis_degree"},
+}
+# a well-formed value of each key that not every experiment reads
+_SAMPLES = {"grid.box": [[20, 300]], "grid.nx": [29], "grid.nt": 100, "mc.paths": 1,
+            "mc.steps": 10, "mc.seed": 7, "mc.basis_degree": 2, "schedules.m": [1, 4],
+            "schedules.delta": [0.1], "schedules.nx": [29], "options.which": "lower",
+            "options.t_fraction": 0.5, "options.probe_x": 100, "options.binomial_steps": 50}
+_UNREAD = [(experiment, key) for experiment, keys in _READ.items()
+           for key in _SAMPLES if key not in keys]
+
+
+@pytest.mark.parametrize("experiment", sorted(_READ))
+def test_each_experiment_accepts_every_key_it_reads(experiment):
+    # with instance.name, instance.params, output.directory and output.formats,
+    # the six experiments accept 51 (experiment, key) settings of the 108
+    assert sum(len(keys) + 4 for keys in _READ.values()) == 51
+    raw = _with(_with(_BASES[experiment], "instance", "params", {}), "output", None,
+                {"directory": "out", "formats": ["json"]})
+    for key in _READ[experiment]:
+        section, name = key.split(".")
+        raw = _with(raw, section, name, _SAMPLES[key])
+    assert parse_config(raw).canonical["output"]["directory"] == "out"
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["value", "null"])
+@pytest.mark.parametrize("experiment, key", [pytest.param(e, k, id=f"{e}-{k}")
+                                             for e, k in _UNREAD])
+def test_a_key_the_experiment_does_not_read_exits_2_naming_it(tmp_path, capsys, experiment,
+                                                              key, null):
+    base = _with(_BASES[experiment], "output", "directory", str(tmp_path / "out"))
+    parse_config(base)
+    section, name = key.split(".")
+    # a section the experiment reads none of is named as a whole, and set to
+    # null as a whole
+    named = key if any(k.startswith(f"{section}.") for k in _READ[experiment]) else section
+    raw = (_with(base, section, name if named == key else None, None) if null
+           else _with(base, section, name, _SAMPLES[key]))
+    cfg = write_config(tmp_path, "unread.json", raw)
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"config error at '{named}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
