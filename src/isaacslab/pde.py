@@ -199,8 +199,9 @@ def _stability(instance, grid):
     """The stability bound on the explicit time step and the smallest ``nt`` meeting it.
 
     The bound is ``1 / R``, with ``R`` the largest :func:`_monotone_rate`
-    of the weight table over every node and control pair, sampled at t = 0
-    and t = T (at t = 0 alone for a time-homogeneous instance).  Returns
+    of the weight table over every interior node (the nodes the sweep
+    steps) and control pair, sampled at t = 0 and t = T (at t = 0 alone
+    for a time-homogeneous instance).  Returns
     ``(bound, nt)``.  Raises :class:`PreconditionError` when a squared
     spacing is zero or overflows, when no time step makes the mixed
     stencil monotone, and when the bound is zero or not finite (an
@@ -210,7 +211,7 @@ def _stability(instance, grid):
     if not all(0.0 < h * h < math.inf for h in dx):
         raise PreconditionError(f"the squared grid spacing of {dx} is not a positive "
                                 f"finite number")
-    nodes = grid.nodes()
+    nodes = grid.interior_nodes()
     times = (0.0,) if instance.coeffs.time_homogeneous else (0.0, instance.T)
     rates = [_monotone_rate(_stencil_weights(_pair_tables(instance, t, nodes), dx),
                             instance.coeffs.declared_lipschitz) for t in times]

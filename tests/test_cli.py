@@ -114,7 +114,7 @@ def test_cfl_refusal_exits_3_reporting_minimal_nt(tmp_path, capsys):
         "output": {"directory": str(tmp_path / "out")},
     })
     assert main(["run", cfg]) == 3
-    assert "3601" in capsys.readouterr().err
+    assert "3578" in capsys.readouterr().err
 
 
 def test_run_compare_wu_minimax(tmp_path):
@@ -546,10 +546,10 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, base, section
     pytest.param({k: v for k, v in _SOLVE.items() if k != "grid"}, 2, id="solve-without-grid"),
     pytest.param({k: v for k, v in _RBSDE.items() if k != "mc"}, 2, id="rbsde-without-mc"),
     pytest.param(_with(_ORACLE, "instance", "name", "lemma45"), 2, id="oracle-on-lemma45"),
-    # an explicit nt below the stability bound (3601 steps at nx = 281)
+    # an explicit nt below the stability bound (3578 steps at nx = 281)
     pytest.param(_with(_SOLVE, "grid", None, {"box": [[20, 300]], "nx": [281], "nt": 10}),
                  3, id="solve-nt-below-stability-bound"),
-    # schedules.nx 29 passes at nt = 40 (37 needed); 281 does not
+    # schedules.nx 29 passes at nt = 40 (35 needed); 281 does not
     pytest.param(_with(_with(_ORACLE, "grid", "nt", 40), "schedules", "nx", [29, 281]),
                  3, id="oracle-schedule-nt-below-stability-bound"),
     # sizing an automatic nt needs a positive finite stability bound

@@ -101,7 +101,7 @@ def test_cfl_flag_and_refusal():
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=10)
     with pytest.raises(CflError) as err:
         solve_obstacle_pde("lower", inst, grid)
-    assert err.value.required_nt == 3601
+    assert err.value.required_nt == 3578
     assert str(err.value.required_nt) in str(err.value)
     # the refusal and the sizing helper agree on the smallest stable grid
     good = sized(inst, grid.box, grid.nx)
@@ -113,8 +113,8 @@ def test_cfl_flag_and_refusal():
 
 
 @pytest.mark.parametrize("name, box, nx, nt", [
-    ("american_put", ((20.0, 300.0),), 71, 226),
-    ("american_put", ((20.0, 300.0),), 141, 901),
+    ("american_put", ((20.0, 300.0),), 71, 221),
+    ("american_put", ((20.0, 300.0),), 141, 890),
     ("minimax_gap", ((-2.0, 2.0),), 41, 101),
     ("minimax_gap", ((-2.0, 2.0),), 121, 901),
     # no diffusion and no drift: only the cost rate's L_y = 1 over T = 1
@@ -1175,18 +1175,18 @@ def test_drift_evaluated_once_per_table_build(monkeypatch):
                         lambda *args: calls.append((args[1], len(args[2]))) or eval_drift(*args))
     pairs = len(inst.u_grid) * len(inst.v_grid)
     field = solve_obstacle_pde("lower", inst, grid)
-    # one call on every pair's rows: the stability rule's at t = 0 on all
-    # nodes, the sweep's at its first step on the interior ones
-    assert calls == [(0.0, pairs * 21), (field.times[-2], pairs * 19)]
+    # one call on every pair's interior rows: the stability rule's at t = 0,
+    # the sweep's at its first step
+    assert calls == [(0.0, pairs * 19), (field.times[-2], pairs * 19)]
     calls.clear()
     solve_obstacle_pde("lower", per_step, grid)
     # otherwise the rule samples t = 0 and t = T, and each step builds its own
-    assert calls == ([(0.0, pairs * 21), (inst.T, pairs * 21)]
+    assert calls == ([(0.0, pairs * 19), (inst.T, pairs * 19)]
                      + [(t, pairs * 19) for t in field.times[-2::-1]])
 
 
 def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
-    # 1000 steps where the stability bound asks for 3601: every step
+    # 1000 steps where the stability bound asks for 3578: every step
     # amplifies the highest grid mode, and the field overflows before t = 0
     inst = builtin_instance("american_put")
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=1000)
@@ -1331,7 +1331,7 @@ def test_with_stable_nt_matches_required():
     inst = builtin_instance("american_put")
     grid = SpaceTimeGrid(box=((20.0, 300.0),), nx=(281,), nt=1)
     sized_grid = sized(inst, grid.box, grid.nx)
-    assert sized_grid.nt == cfl_required_nt(inst, grid) == 3601
+    assert sized_grid.nt == cfl_required_nt(inst, grid) == 3578
     _check_cfl(inst, sized_grid)
 
 
