@@ -206,9 +206,9 @@ def parse_config(raw):
                                      nt=1 if grid_nt_auto else int(nt))
             except ValueError as exc:
                 _fail(path, str(exc))
-        given["grid"] = {"box": [list(b) for b in grid.box], "nt": None if grid_nt_auto
-                         else grid.nt, **({"nx": list(grid.nx)} if "nx" in given["grid"]
-                                          else {})}
+        read = {"box": [list(b) for b in grid.box], "nx": list(grid.nx),
+                "nt": None if grid_nt_auto else grid.nt}
+        given["grid"] = {key: read[key] for key in given["grid"]}
 
     mc = None
     if "mc" in given:
