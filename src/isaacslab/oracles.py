@@ -32,14 +32,13 @@ def crr_put(s0, strike, rate, vol, expiry, steps):
     if not (0.0 < p < 1.0):
         raise PreconditionError("tree parameters give a degenerate risk-neutral weight")
 
-    j = np.arange(steps + 1)
-    prices = s0 * up ** j * down ** (steps - j)
-    values = np.maximum(strike - prices, 0.0)
+    # level i holds s0 up^j down^(i - j), j = 0..i: the same products from two tables
+    k = np.arange(steps + 1)
+    s0_up, down_k = s0 * up ** k, down ** k
+    values = np.maximum(strike - s0_up * down_k[::-1], 0.0)
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1 : i + 2] + (1.0 - p) * values[: i + 1])
-        j = np.arange(i + 1)
-        prices = s0 * up ** j * down ** (i - j)
-        values = np.maximum(values, strike - prices)
+        values = np.maximum(values, strike - s0_up[: i + 1] * down_k[i::-1])
     return float(values[0])
 
 

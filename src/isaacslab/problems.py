@@ -32,10 +32,10 @@ reads, so that the solvers skip what only the others need.  A cost rate
 that reads y alone may be declared linear in it
 (``Coefficients.cost_rate_linear``): the solvers then evaluate its slope
 f(t, x, 1, z, u, v) and multiply, where they would call f on each value.
-:class:`GameInstance` refuses any of these declarations where its
-values at t = 0 and t = T, on the states x = 0 and x = 1 with y and z at
-1 and each at 0 in turn (and y at 2 for linearity), contradict it, and
-:func:`validate_instance` probes each at every sampled point.
+One rule, ``_declaration_moves``, measures how far probe rows over every
+control pair move under these declarations: :class:`GameInstance` refuses
+the first contradiction on its fixed probes at t = 0 and t = T, and
+:func:`validate_instance` reports each one at its sampled probes.
 
 Control sets are finite grids, so suprema and infima over controls are
 finite scans everywhere downstream.
@@ -110,8 +110,8 @@ class Coefficients:
     and skip what only they need.  ``cost_rate_linear`` declares that
     ``f(t, x, y, z, u, v) = f(t, x, 1, z, u, v) * y`` bit for bit, and
     needs ``cost_rate_reads == ("y",)``; the solvers then multiply that
-    slope by the value instead of calling f.  All five are checked by
-    probing in :func:`validate_instance`, not symbolically.
+    slope by the value instead of calling f.  All five are probed, not
+    proved: the declarations by the one rule described above.
     """
 
     b: Callable
@@ -158,52 +158,36 @@ class GameInstance:
             raise ValueError("state and noise dimensions must be >= 1")
         if self.T <= 0:
             raise ValueError("horizon must be positive")
-        # Smoke-evaluate every coefficient so shape bugs surface early, on one
-        # row per control pair at x = 0 and one at x = 1, where a coefficient
-        # that reads t only through a product with x moves too; each row at
-        # x = 0 must equal its pair evaluated alone.  The cost rate takes
-        # y = z = 1 there, and y = 0 or z = 0 where it is declared not to read it.
-        nu, nv = len(self.u_grid), len(self.v_grid)
-        u = np.tile(np.repeat(self.u_grid.points, nv, axis=0), (2, 1))
-        v = np.tile(self.v_grid.points, (2 * nu, 1))
-        x = np.repeat([[0.0], [1.0]], nu * nv, axis=0) * np.ones(self.n)
-        y, z = np.ones(2 * nu * nv), np.ones((2 * nu * nv, self.d))
-        values = {}
-        for t in (0.0, self.T):
-            for what, evaluate, args in (("drift", eval_drift, (x, u, v)),
-                                         ("diffusion", eval_diffusion, (x, u, v)),
-                                         ("cost rate", eval_cost_rate, (x, y, z, u, v))):
-                values[what, t] = rows = evaluate(self, t, *args)
-                if any(not np.array_equal(row, evaluate(self, t, *(a[i:i + 1] for a in args))[0])
-                       for i, row in enumerate(rows[:nu * nv])):
+        # Smoke-evaluate every coefficient so shape bugs surface early, and probe the
+        # declarations, at t = 0 and T, x = 0 and 1 (where t read through a product
+        # with x shows), (y, y') = (1, 0), (0, 1) and (2, 2), z = 1 and z' = 0.
+        times = (0.0, self.T)
+        y, y_other = np.tile(np.repeat([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0]], 2, axis=1), 2)
+        x, z = np.tile([[0.0], [1.0]], (6, self.n)), np.ones((12, self.d))
+        x, y, y_other, z, z_other, u, v = _pair_rows(self, x, y, y_other, z, 0.0 * z)
+        values, moves = _declaration_moves(self, times, x, y, y_other, z, z_other, u, v)
+        # each row at x = 0 and y = z = 1 must equal its pair evaluated alone
+        for i in np.flatnonzero((x[:, 0] == 0.0) & (y == 1.0)):
+            alone = _coefficients(self, [times[2 * i // len(x)]],
+                                  *(a[i:i + 1] for a in (x, y, z, u, v)))
+            for what in ("drift", "diffusion", "cost rate"):
+                if not np.array_equal(values[what][i], alone[what][0]):
                     raise ValueError(f"the {what} reads another row's control: u and v "
                                      f"hold one control point per state row")
-            values["obstacle", t] = eval_obstacle(self, t, x)
-        # a declaration these values contradict would freeze them at one step
-        homogeneous = ("drift", "diffusion", "cost rate", "obstacle")
-        for what in homogeneous if self.coeffs.time_homogeneous else ():
-            if not np.array_equal(values[what, 0.0], values[what, self.T]):
-                raise ValueError(f"the {what} differs at t = 0 and t = T = {self.T:g}, but "
-                                 f"the instance declares time_homogeneous")
-        # ... or hand the cost rate a zero it reads
-        reads = self.coeffs.cost_rate_reads
-        for arg, zeroed in (("y", (0.0 * y, z)), ("z", (y, 0.0 * z))):
-            if arg in reads:
+        # a declaration these rows contradict would freeze a coefficient at one
+        # step, hand the cost rate a zero it reads or a slope it does not have
+        for kind, what, bad, _ in moves:
+            if not bad.any():
                 continue
-            for t in (0.0, self.T):
-                if not np.array_equal(eval_cost_rate(self, t, x, *zeroed, u, v),
-                                      values["cost rate", t]):
-                    raise ValueError(f"the cost rate differs at {arg} = 0 and {arg} = 1 "
-                                     f"(t = {t:g}), but the instance declares "
-                                     f"cost_rate_reads = {reads}")
-        # ... or take f at y = 1 for a slope that it does not have
-        for t in (0.0, self.T) if self.coeffs.cost_rate_linear else ():
-            slope = values["cost rate", t]
-            for at in (0.0, 2.0):
-                if not _same_bits(eval_cost_rate(self, t, x, at * y, z, u, v), slope * at):
-                    raise ValueError(f"the cost rate at y = {at:g} (t = {t:g}) is not its "
-                                     f"value at y = 1 times {at:g}, but the instance "
-                                     f"declares cost_rate_linear")
+            i = np.flatnonzero(bad)[0] * (len(x) // len(bad))
+            t, declared = times[2 * i // len(x)], kind.split(":")[0]
+            found = {"time_homogeneous": f"the {what} differs at t = 0 and t = T = {self.T:g}",
+                     "cost_rate_reads": f"the cost rate differs at {what} = 0 and {what} = 1 "
+                                        f"(t = {t:g})",
+                     "cost_rate_linear": f"the cost rate at y = {y[i]:g} (t = {t:g}) is not "
+                                         f"its value at y = 1 times {y[i]:g}"}[declared]
+            reads = f" = {self.coeffs.cost_rate_reads}" if declared == "cost_rate_reads" else ""
+            raise ValueError(f"{found}, but the instance declares {declared}{reads}")
         eval_terminal(self, x)
 
 
@@ -221,8 +205,8 @@ class ValidationReport:
 
 
 def _same_bits(one, other):
-    """Equal arrays whose zeros also carry the same signs."""
-    return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
+    """Per entry: equal, with zeros of the same sign."""
+    return (one == other) & (np.signbit(one) == np.signbit(other))
 
 
 def _failure(what, t, x, controls):
@@ -295,144 +279,159 @@ def eval_obstacle(instance, t, x):
     return _evaluate("obstacle", (x.shape[0],), instance.coeffs.h, t, x)
 
 
+def _pair_rows(instance, *columns):
+    """Each probe's row of ``columns`` once per control pair, u-major, then the pairs' u and v."""
+    nu, nv = len(instance.u_grid), len(instance.v_grid)
+    u = np.tile(np.repeat(instance.u_grid.points, nv, axis=0), (len(columns[0]), 1))
+    v = np.tile(instance.v_grid.points, (len(columns[0]) * nu, 1))
+    return (*(np.repeat(c, nu * nv, axis=0) for c in columns), u, v)
+
+
+def _by_time(evaluate, instance, times, *rows):
+    """``evaluate`` once per entry of ``times``, on that entry's equal share of ``rows``."""
+    m = len(rows[0]) // len(times)
+    return np.concatenate([evaluate(instance, t, *(r[i * m:(i + 1) * m] for r in rows))
+                           for i, t in enumerate(times)])
+
+
+def _coefficients(instance, times, x, y, z, u, v):
+    """b, sigma and f on :func:`_pair_rows` rows and h on each probe, one call per time."""
+    probe = slice(None, None, len(instance.u_grid) * len(instance.v_grid))
+    return {"drift": _by_time(eval_drift, instance, times, x, u, v),
+            "diffusion": _by_time(eval_diffusion, instance, times, x, u, v),
+            "cost rate": _by_time(eval_cost_rate, instance, times, x, y, z, u, v),
+            "obstacle": _by_time(eval_obstacle, instance, times, x[probe])}
+
+
+def _moved(one, other):
+    """Per row: whether ``one`` differs from ``other``, and by the norm of the difference."""
+    diff = (one - other).reshape(len(one), -1)
+    far = np.abs(diff[:, 0]) if one.ndim == 1 else np.linalg.norm(diff, axis=1)
+    return (diff != 0.0).any(axis=1), far
+
+
+def _declaration_moves(instance, times, x, y, y_other, z, z_other, u, v):
+    """The :func:`_coefficients` at ``times``, and ``moves``: ``(kind, what, bad rows,
+    how far each row moves)`` in the order :class:`GameInstance` refuses them, for b,
+    sigma, f and h against t = 0; f against f at ``y_other`` (``z_other``) for an
+    argument declared unread; f against f at y = 1 times y, bitwise.
+    """
+    values = _coefficients(instance, times, x, y, z, u, v)
+    moves = []
+    if instance.coeffs.time_homogeneous:
+        at_zero = _coefficients(instance, (0.0,), x, y, z, u, v)
+        kinds = {"drift": "dynamics", "diffusion": "dynamics", "cost rate": "running_cost"}
+        moves = [(f"time_homogeneous:{kinds.get(what, what)}", what, *_moved(value, at_zero[what]))
+                 for what, value in values.items()]
+    f = values["cost rate"]
+    for arg, other in (("y", (x, y_other, z, u, v)), ("z", (x, y, z_other, u, v))):
+        if arg not in instance.coeffs.cost_rate_reads:
+            moved = _moved(f, _by_time(eval_cost_rate, instance, times, *other))
+            moves.append((f"cost_rate_reads:{arg}", arg, *moved))
+    if instance.coeffs.cost_rate_linear:
+        scaled = _by_time(eval_cost_rate, instance, times, x, np.ones_like(y), z, u, v) * y
+        moves.append(("cost_rate_linear:y", "y", ~_same_bits(f, scaled), np.abs(f - scaled)))
+    return values, moves
+
+
 def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     """Probe the standing assumptions of a game instance.
 
     Samples ``probe_count`` state pairs inside ``probe_box``
-    (default ``[-10, 10]^n``) together with value/gradient probes and all
-    control pairs, and records every violation of
+    (default ``[-10, 10]^n``) together with value/gradient probes and a
+    time each, and records, over every control pair, every violation of
 
     * Lipschitz bounds (difference quotient above the declared constant
       with 5% slack),
     * linear-growth bounds against ``declared_growth``,
     * the barrier condition ``h(T, x) <= phi(x)``,
-    * for an instance declared time-homogeneous, equality of b, sigma, f
-      and h at each probe's own time with their values at t = 0,
-    * for a cost rate declared not to read y (or z), equality of f at the
-      probe's value (gradient) and at the other value (gradient) of its
-      pair, recorded as ``cost_rate_reads:y`` (``cost_rate_reads:z``),
-    * for a cost rate declared linear in y, bitwise equality of f at the
-      probe and of f at y = 1 times the probe's y, recorded as
-      ``cost_rate_linear:y``.
+    * the declarations, by the rule :class:`GameInstance` applies, against
+      each probe's pair for the other value and gradient: ``time_homogeneous:*``
+      (``dynamics`` sums the drift's and diffusion's norms, ``running_cost``,
+      ``obstacle``), ``cost_rate_reads:y`` and ``:z``, ``cost_rate_linear:y``.
 
-    The probes are seeded uniform draws, so the report is deterministic for
-    fixed ``(instance, probe_count, seed)``.
+    Each evaluation is one call per probe, at its time, on the rows of
+    every control pair.  The probes are seeded uniform draws, so the report
+    is deterministic for fixed ``(instance, probe_count, seed)``.
 
     Returns
     -------
     ValidationReport
-        ``passed`` is true iff no violation was recorded;
-        ``estimated_lipschitz`` holds the largest observed difference
-        quotient per coefficient.
+        ``passed`` is true iff no violation was recorded; ``estimated_lipschitz``
+        holds the largest observed difference quotient per coefficient.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be >= 2")
-    n, dns = instance.n, instance.d
-    if probe_box is None:
-        w = DEFAULT_PROBE_BOX_HALFWIDTH
-        probe_box = [(-w, w)] * n
-    lo, hi = np.array(probe_box, dtype=float).T
+    n, dns, w = instance.n, instance.d, DEFAULT_PROBE_BOX_HALFWIDTH
+    lo, hi = np.array([(-w, w)] * n if probe_box is None else probe_box, dtype=float).T
 
     # Columns: x, x', y, y', z, z', t.
     raw = np.random.default_rng(seed).random((probe_count, 2 * n + 2 + 2 * dns + 1))
-    xs = lo + raw[:, :n] * (hi - lo)
-    xps = lo + raw[:, n : 2 * n] * (hi - lo)
-    ys = -10.0 + 20.0 * raw[:, 2 * n]
-    yps = -10.0 + 20.0 * raw[:, 2 * n + 1]
-    zs = -10.0 + 20.0 * raw[:, 2 * n + 2 : 2 * n + 2 + dns]
-    zps = -10.0 + 20.0 * raw[:, 2 * n + 2 + dns : 2 * n + 2 + 2 * dns]
-    ts = instance.T * raw[:, -1]
+    xs, xps, ys, yps, zs, zps, ts = np.split(raw, np.cumsum([n, n, 1, 1, dns, dns]), axis=1)
+    xs, xps = lo + xs * (hi - lo), lo + xps * (hi - lo)
+    ys, yps, zs, zps = (-10.0 + 20.0 * c for c in (ys[:, 0], yps[:, 0], zs, zps))
+    ts = instance.T * ts[:, 0]
 
     C = instance.coeffs.declared_lipschitz * LIPSCHITZ_SLACK
     G = instance.coeffs.declared_growth * LIPSCHITZ_SLACK
     violations = []
-    est = dict.fromkeys(("drift", "diffusion", "running_cost", "terminal", "obstacle"), 0.0)
+    grid = (probe_count, len(instance.u_grid) * len(instance.v_grid))  # (probe, pair)
 
     def record(kind, bad, observed, witness):
         for i in np.flatnonzero(bad):
-            violations.append((kind, witness(i), float(observed[i])))
+            violations.append((kind, witness(i), float(observed.flat[i])))
 
     def quotient(kind, diff, denom, witness=None):
         """Largest ``diff / denom`` where ``denom > 1e-9``; rows above C become ``kind``."""
         observed = diff / np.maximum(denom, 1e-300)
-        defined = denom > 1e-9
+        defined = np.broadcast_to(denom > 1e-9, observed.shape)
         if kind is not None:
             record(kind, defined & (observed > C), observed, witness)
         return float(observed[defined].max(initial=0.0))
 
-    def per_row(evaluate, columns, *controls, times=ts):
-        """``evaluate`` at each probe's time (its own by default) on its row of ``columns``."""
-        return np.array([evaluate(instance, t, *(col[i : i + 1] for col in columns), *controls)[0]
-                         for i, t in enumerate(times)])
+    def point(i, primed=()):
+        """``(t, x, *primed, iu, iv)`` of the probe and pair on flat (probe, pair) row ``i``."""
+        probe, pair = divmod(int(i), grid[1])
+        return (float(ts[probe]), tuple(xs[probe]), *(tuple(p[probe]) for p in primed),
+                *divmod(pair, len(instance.v_grid)))
 
+    x, xp, y, yp, z, zp, u, v = _pair_rows(instance, xs, xps, ys, yps, zs, zps)
+    values, moves = _declaration_moves(instance, ts, x, y, yp, z, zp, u, v)
+    primed = _coefficients(instance, ts, xp, yp, zp, u, v)
+    far = {what: _moved(value, primed[what])[1] for what, value in values.items()}
+    size = {what: _moved(value, 0.0)[1] for what, value in values.items()}
+
+    # Lipschitz: the dynamics in x, drift and diffusion estimated apart, the
+    # cost rate in (x, y, z) jointly, the terminal payoff and the obstacle in x.
     dx = np.linalg.norm(xs - xps, axis=1)
+    db, ds, df = (far[what].reshape(grid) for what in ("drift", "diffusion", "cost rate"))
+    quotient("lipschitz:dynamics", db + ds, dx[:, None], lambda i: point(i, (xps,)))
+    denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
     phi_a = eval_terminal(instance, xs)
-    est["terminal"] = quotient("lipschitz:terminal",
-                               np.abs(phi_a - eval_terminal(instance, xps)), dx,
-                               lambda i: (tuple(xs[i]), tuple(xps[i])))
+    est = {"drift": quotient(None, db, dx[:, None]),
+           "diffusion": quotient(None, ds, dx[:, None]),
+           "running_cost": quotient("lipschitz:running_cost", df, denom_f[:, None],
+                                    lambda i: point(i, (xps,))),
+           "terminal": quotient("lipschitz:terminal", np.abs(phi_a - eval_terminal(instance, xps)),
+                                dx, lambda i: (tuple(xs[i]), tuple(xps[i]))),
+           "obstacle": quotient("lipschitz:obstacle", far["obstacle"], dx,
+                                lambda i: (float(ts[i]), tuple(xs[i]), tuple(xps[i])))}
 
-    # Obstacle: Lipschitz in x at each sampled t, plus the terminal barrier.
-    h_a = per_row(eval_obstacle, (xs,))
-    est["obstacle"] = quotient("lipschitz:obstacle", np.abs(h_a - per_row(eval_obstacle, (xps,))),
-                               dx, lambda i: (float(ts[i]), tuple(xs[i]), tuple(xps[i])))
+    # The terminal barrier, and the declarations.
     h_T = eval_obstacle(instance, instance.T, xs)
     record("barrier:terminal", h_T > phi_a + 1e-12, h_T - phi_a, lambda i: tuple(xs[i]))
-    t_0 = np.zeros_like(ts)
-    if instance.coeffs.time_homogeneous:
-        moved = np.abs(h_a - per_row(eval_obstacle, (xs,), times=t_0))
-        record("time_homogeneous:obstacle", moved > 0.0, moved,
-               lambda i: (float(ts[i]), tuple(xs[i])))
+    for kind in dict.fromkeys(kind for kind, *_ in moves):
+        _, _, bad, moved = zip(*(move for move in moves if move[0] == kind))
+        record(kind, np.any(bad, axis=0), sum(moved),
+               (lambda i: (float(ts[i]), tuple(xs[i]))) if kind.endswith("obstacle") else point)
 
-    lin = 1.0 + np.linalg.norm(xs, axis=1)
-    denom_f = dx + np.abs(ys - yps) + np.linalg.norm(zs - zps, axis=1)
-    for iu, u in enumerate(instance.u_grid.points[:, None]):
-        for iv, v in enumerate(instance.v_grid.points[:, None]):
-            def pair(i):
-                return float(ts[i]), tuple(xs[i]), tuple(xps[i]), iu, iv
-
-            def point(i):
-                return float(ts[i]), tuple(xs[i]), iu, iv
-
-            # Dynamics: Lipschitz in x, drift and diffusion estimated apart.
-            b_a = per_row(eval_drift, (xs,), u, v)
-            s_a = per_row(eval_diffusion, (xs,), u, v).reshape(probe_count, -1)
-            db = np.linalg.norm(b_a - per_row(eval_drift, (xps,), u, v), axis=1)
-            ds = np.linalg.norm(s_a - per_row(eval_diffusion, (xps,), u, v)
-                                .reshape(probe_count, -1), axis=1)
-            est["drift"] = max(est["drift"], quotient(None, db, dx))
-            est["diffusion"] = max(est["diffusion"], quotient(None, ds, dx))
-            quotient("lipschitz:dynamics", db + ds, dx, pair)
-            if instance.coeffs.time_homogeneous:
-                moved = (np.linalg.norm(b_a - per_row(eval_drift, (xs,), u, v, times=t_0), axis=1)
-                         + np.linalg.norm(s_a - per_row(eval_diffusion, (xs,), u, v, times=t_0)
-                                          .reshape(probe_count, -1), axis=1))
-                record("time_homogeneous:dynamics", moved > 0.0, moved, point)
-
-            # Cost rate: Lipschitz in (x, y, z) jointly.
-            f_a = per_row(eval_cost_rate, (xs, ys, zs), u, v)
-            f_b = per_row(eval_cost_rate, (xps, yps, zps), u, v)
-            est["running_cost"] = max(est["running_cost"], quotient(
-                "lipschitz:running_cost", np.abs(f_a - f_b), denom_f, pair))
-            # ... unmoved by an argument it is declared not to read, and by t
-            for arg, columns in (("y", (xs, yps, zs)), ("z", (xs, ys, zps))):
-                if arg not in instance.coeffs.cost_rate_reads:
-                    moved = np.abs(f_a - per_row(eval_cost_rate, columns, u, v))
-                    record(f"cost_rate_reads:{arg}", moved > 0.0, moved, point)
-            # ... and, declared linear in y, its slope at y = 1 times y
-            if instance.coeffs.cost_rate_linear:
-                scaled = per_row(eval_cost_rate, (xs, np.ones_like(ys), zs), u, v) * ys
-                unequal = (f_a != scaled) | (np.signbit(f_a) != np.signbit(scaled))
-                record("cost_rate_linear:y", unequal, np.abs(f_a - scaled), point)
-            if instance.coeffs.time_homogeneous:
-                moved = np.abs(f_a - per_row(eval_cost_rate, (xs, ys, zs), u, v, times=t_0))
-                record("time_homogeneous:running_cost", moved > 0.0, moved, point)
-
-            # Linear growth of dynamics and of costs at zero value/gradient.
-            f_0 = per_row(eval_cost_rate, (xs, np.zeros_like(ys), np.zeros_like(zs)), u, v)
-            g_dyn = np.linalg.norm(b_a, axis=1) + np.linalg.norm(s_a, axis=1)
-            g_cost = np.abs(f_0) + np.abs(phi_a) + np.abs(h_a)
-            record("growth:dynamics", g_dyn > G * lin, g_dyn / lin, point)
-            record("growth:costs", g_cost > G * lin, g_cost / lin, point)
+    # Linear growth of dynamics and of costs at zero value/gradient.
+    f_0 = _by_time(eval_cost_rate, instance, ts, x, np.zeros_like(y), np.zeros_like(z), u, v)
+    lin = 1.0 + np.linalg.norm(xs, axis=1)[:, None]
+    g_dyn = (size["drift"] + size["diffusion"]).reshape(grid)
+    g_cost = np.abs(f_0).reshape(grid) + np.abs(phi_a)[:, None] + size["obstacle"][:, None]
+    record("growth:dynamics", g_dyn > G * lin, g_dyn / lin, point)
+    record("growth:costs", g_cost > G * lin, g_cost / lin, point)
 
     violations.sort(key=lambda rec: (rec[0], -rec[2], str(rec[1])))
     return ValidationReport(passed=not violations, violations=violations,

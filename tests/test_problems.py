@@ -1,5 +1,7 @@
 """Instance construction, validation probing and built-in benchmarks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -329,3 +331,79 @@ def test_every_builtin_meets_the_per_row_control_contract():
         builtin_instance(name)
     builtin_instance("minimax_gap", {"u_points": [[-1.0], [0.0], [2.0]],
                                      "v_points": [[0.5], [1.0]]})
+
+
+def counting_coefficients(instance):
+    """``instance`` with each coefficient counting its calls, and the counts."""
+    counts = dict.fromkeys(("b", "sigma", "f", "phi", "h"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    coeffs = dataclasses.replace(instance.coeffs, **{name: counted(name, getattr(
+        instance.coeffs, name)) for name in counts})
+    return dataclasses.replace(instance, coeffs=coeffs), counts
+
+
+@pytest.mark.parametrize("f, declare", [
+    (lambda t, x, y, z, u, v: u[:, 0] * v[:, 0],
+     lambda inst: declare_reads(declare_homogeneous(inst), ())),
+    (lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] * y,
+     lambda inst: declare_linear(declare_reads(inst, ("y",)))),
+], ids=["homogeneous_reads_none", "linear_in_y"])
+def test_validate_makes_as_many_coefficient_calls_whatever_the_number_of_pairs(f, declare):
+    calls = []
+    for points in ([[1.0]], [[-1.0], [0.5], [2.0]]):
+        inst, counts = counting_coefficients(
+            declare(make_instance(f=f, u_points=points, v_points=points)))
+        counts.update(dict.fromkeys(counts, 0))  # building the instance calls them too
+        validate_instance(inst, probe_count=16, seed=3)
+        calls.append(dict(counts))
+    assert calls[0] == calls[1]
+    assert min(calls[0].values()) > 0
+
+
+def pair_witness_instance(u_points, v_points):
+    # only pairs with u v != 0 move the cost rate, and only u != 0 the drift; the
+    # terminal payoff and the obstacle break their bounds whatever the pair
+    inst = make_instance(
+        b=lambda t, x, u, v: u[:, :1] * x * (1.0 + 0.02 * t * (x - 1.0)),
+        f=lambda t, x, y, z, u, v: u[:, 0] * v[:, 0] * (
+            x[:, 0] ** 2 + 0.1 * t * (1.0 - t) + 0.01 * y * (y - 1.0)),
+        phi=lambda x: 2.0 * np.minimum(1.0 - x[:, 0], 0.0),
+        h=lambda t, x: t * (1.0 - t) - 2.0 * x[:, 0],
+        u_points=u_points, v_points=v_points, growth=10.0)
+    return declare_reads(declare_homogeneous(inst), ())
+
+
+def test_validate_reports_each_pairs_violations_under_its_own_indices():
+    u_points, v_points = [[-1.0], [0.0], [2.0]], [[0.5], [1.0]]
+    report = validate_instance(pair_witness_instance(u_points, v_points), probe_count=24,
+                               seed=7)
+    pair_free = {"lipschitz:terminal", "lipschitz:obstacle", "barrier:terminal",
+                 "time_homogeneous:obstacle"}
+    union, singles = set(), []
+    for iu, u in enumerate(u_points):
+        for iv, v in enumerate(v_points):
+            single = validate_instance(pair_witness_instance([u], [v]), probe_count=24, seed=7)
+            singles.append(single)
+            for kind, witness, observed in single.violations:
+                if kind not in pair_free:
+                    assert witness[-2:] == (0, 0)
+                    witness = witness[:-2] + (iu, iv)
+                union.add((kind, witness, observed))
+    assert report.violations == sorted(union, key=lambda rec: (rec[0], -rec[2], str(rec[1])))
+    kinds = {kind for kind, _, _ in report.violations}
+    assert pair_free | {"time_homogeneous:dynamics", "time_homogeneous:running_cost",
+                        "cost_rate_reads:y", "lipschitz:dynamics", "lipschitz:running_cost",
+                        "growth:costs"} <= kinds
+    # some pairs break the pair-dependent bounds and others do not
+    moved = {witness[-2:] for kind, witness, _ in report.violations
+             if kind == "time_homogeneous:running_cost"}
+    assert moved == {(0, 0), (0, 1), (2, 0), (2, 1)}
+    assert report.estimated_lipschitz == {
+        key: max(single.estimated_lipschitz[key] for single in singles)
+        for key in report.estimated_lipschitz}
