@@ -111,7 +111,7 @@ class Coefficients:
     ``f(t, x, y, z, u, v) = f(t, x, 1, z, u, v) * y`` bit for bit, and
     needs ``cost_rate_reads == ("y",)``; the solvers then multiply that
     slope by the value instead of calling f.  All five are probed, not
-    proved: the declarations by the one rule described above.
+    proved, the declarations by ``_declaration_moves`` at build and in validation.
     """
 
     b: Callable
@@ -168,10 +168,11 @@ class GameInstance:
         values, moves = _declaration_moves(self, times, x, y, y_other, z, z_other, u, v)
         # each row at x = 0 and y = z = 1 must equal its pair evaluated alone
         for i in np.flatnonzero((x[:, 0] == 0.0) & (y == 1.0)):
-            alone = _coefficients(self, [times[2 * i // len(x)]],
-                                  *(a[i:i + 1] for a in (x, y, z, u, v)))
-            for what in ("drift", "diffusion", "cost rate"):
-                if not np.array_equal(values[what][i], alone[what][0]):
+            t, (xi, yi, zi, ui, vi) = times[2 * i // len(x)], (a[i:i + 1] for a in (x, y, z, u, v))
+            for what, alone in (("drift", eval_drift(self, t, xi, ui, vi)),
+                                ("diffusion", eval_diffusion(self, t, xi, ui, vi)),
+                                ("cost rate", eval_cost_rate(self, t, xi, yi, zi, ui, vi))):
+                if not np.array_equal(values[what][i], alone[0]):
                     raise ValueError(f"the {what} reads another row's control: u and v "
                                      f"hold one control point per state row")
         # a declaration these rows contradict would freeze a coefficient at one
@@ -365,7 +366,6 @@ def validate_instance(instance, probe_count=64, seed=0, probe_box=None):
     n, dns, w = instance.n, instance.d, DEFAULT_PROBE_BOX_HALFWIDTH
     lo, hi = np.array([(-w, w)] * n if probe_box is None else probe_box, dtype=float).T
 
-    # Columns: x, x', y, y', z, z', t.
     raw = np.random.default_rng(seed).random((probe_count, 2 * n + 2 + 2 * dns + 1))
     xs, xps, ys, yps, zs, zps, ts = np.split(raw, np.cumsum([n, n, 1, 1, dns, dns]), axis=1)
     xs, xps = lo + xs * (hi - lo), lo + xps * (hi - lo)
