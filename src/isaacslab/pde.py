@@ -49,11 +49,17 @@ that reads neither is called once per table build instead, and so is
 one declared linear in y (``Coefficients.cost_rate_linear``), at y = 1:
 its step multiplies that slope by the value, in one ufunc call.  A
 sweep steps between the two slots of a zeroed ring, batch axis last,
-through one :class:`_StepPlan`: every view a step reads or writes and
-every work buffer, built once, with the penalty's ``c h`` and ``1 + c``
-kept per distinct dt.  A step then makes only the ufunc calls of its
-arithmetic, with ``out=``, so its cost is that arithmetic plus a fixed
-count of calls.
+through one :class:`_StepPlan`, which lays out the step into each slot,
+its face fill and its settling once, as a tuple of ufunc calls with
+their operands: views of the ring, and buffers that each table build
+writes the weights, the cost rate or its slope and the obstacle into,
+with dt a 0-d operand and the penalty's ``c h`` and ``1 + c`` refreshed
+in place when dt or the tables change.  The tuples are built again only
+when a table build changes the frozen faces, never per step, so a step
+costs its arithmetic plus a fixed count of calls on any time mesh, with
+or without declarations.  A slice is finite when its dot product with
+zeros is: one exact reduction, NaN when an entry is NaN or infinite and
+0 otherwise, which no finite entry overflows.
 
 :func:`_pair_tables` is the only grid code that evaluates drift and
 diffusion: one call of each on the given state rows (every node for
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Optional
 
@@ -90,6 +96,9 @@ from .problems import (
 
 HAMILTONIANS = ("lower", "upper")
 INNER_FRACTION = 0.6
+# the factor of a face's linear extrapolation, a 0-d operand: a float one
+# costs a conversion at every call
+_TWO = np.array(2.0)
 
 
 @dataclass(frozen=True)
@@ -306,19 +315,16 @@ def _windows(store, ndim):
         store.strides[:1] + space + space + store.strides[1 + ndim:], writeable=False)
 
 
-def _minimax(which, pair_values, inner=None, out=None):
+def _minimax(which, pair_values):
     """Reduce an (nu, nv, rows) stack of generator values to (rows,).
 
     With one control pair both orders return its row, a view of the stack.
-    ``inner`` and ``out`` take the inner reduction, (nu, rows) for the
-    lower order and (nv, rows) for the upper, and the result; None
-    allocates them.
     """
     if pair_values.shape[:2] == (1, 1):
         return pair_values[0, 0]
     if which == "lower":
-        return pair_values.min(axis=1, out=inner).max(axis=0, out=out)
-    return pair_values.max(axis=0, out=inner).min(axis=0, out=out)
+        return pair_values.min(axis=1).max(axis=0)
+    return pair_values.max(axis=0).min(axis=0)
 
 
 def _pair_tables(instance, t, x):
@@ -455,25 +461,25 @@ def _frozen_faces(table, ndim):
 
 
 class _StepPlan:
-    """The views and work buffers of one sweep's explicit steps, built once.
+    """One sweep's explicit steps, each a call sequence built once over fixed buffers.
 
     The sweep steps between the two slots of a zeroed ring ``(2, *shape,
     *batch)``, slice ``k`` in slot ``k % 2``.  The batch axis is last, so
     that the neighbour cells of a batch are contiguous blocks, like those
     of one field; :attr:`slices` are the slots viewed ``(*batch,
-    *shape)``.  Per slot the plan holds the interior, the
-    :func:`_windows` slot with its centre cell and the up and down cells
-    of each axis, and the boundary faces with what fills them.
-    :meth:`tabulate` builds the tables of one time: the pair tables, the
-    weight table in the window's shape with its :func:`_frozen_faces`,
-    the diffusion's rows per axis, the cost rate or its slope where :func:`_cost_rate_table` fixes
-    them, and the obstacle at the ring's slot shape.  The work buffers
-    (the product of table and window with its cells, the pairs' parts,
-    the gradient columns and the rows of y and z where the cost rate
-    reads them, the slope times the value for a cost rate linear in y,
-    the update and the penalty's scratch) are allocated once, so
-    that :meth:`step` and :meth:`settle` make only the ufunc calls of
-    the arithmetic, with ``out=``.
+    *shape)``.  :meth:`tabulate` builds the tables of one time and writes
+    them into the plan's buffers: the weight table in the :func:`_windows`
+    slot's shape, the cost rate or its slope where :func:`_cost_rate_table`
+    fixes them, and the obstacle at the ring's slot shape; its
+    :func:`_frozen_faces` choose how each face is filled.  Per slot,
+    :meth:`_build` lays out the step into that slot and its settling as a
+    tuple of ``(callable, operands)`` over views of the ring and those
+    buffers (the product of table and window with its cells, the pairs'
+    parts, the gradient columns and the rows of y and z where the cost
+    rate reads them, the slope times the value for a cost rate linear in
+    y, the penalty's scratch), with dt a 0-d operand.  The tuples are
+    built again only when a table build changes the frozen faces, so
+    :meth:`advance` makes only the ufunc calls of the arithmetic.
     """
 
     def __init__(self, which, instance, grid, terminal, weights):
@@ -489,117 +495,162 @@ class _StepPlan:
         self.ring = np.zeros((2,) + grid.shape + batch)
         front, back = tuple(range(len(batch))), tuple(range(ndim, ndim + len(batch)))
         self.slices = [np.moveaxis(w, back, front) for w in self.ring]
-        terminal = np.moveaxis(terminal, front, back)
-        windows = _windows(self.ring, ndim)
-        cells = _cells(ndim)
-        self.slots = []
-        for w, window in zip(self.ring, windows):
-            centre, *near = (window[cell] for cell in cells)
-            # the axis neighbours follow the centre, up then down on each axis
-            axes = list(zip(near[0:2 * ndim:2], near[1:2 * ndim:2]))
-            # each spatial axis moved to the front, of the slot and of the
-            # terminal slices: face-major views, whose integer index is a scalar
-            # for one field in one dimension, cheaper to fill than a 0-d array
-            faces = [(np.moveaxis(w, a, 0), np.moveaxis(terminal, a, 0)) for a in range(ndim)]
-            self.slots.append((w, w[grid.interior()], window, centre, axes, faces))
-        self.product = np.empty((nu * nv,) + windows.shape[1:])
-        first, second, *rest = (self.product[(slice(None), *cell)] for cell in cells)
-        self.terms = first, second, rest
+        self.terminal = np.moveaxis(terminal, front, back)
+        self.windows = _windows(self.ring, ndim)
+        self.table = np.empty((nu * nv,) + self.windows.shape[1:])
+        self.product = np.empty(self.table.shape)
         self.parts = np.empty((nu * nv,) + inner)
-        self.vals = self.parts.reshape(nu, nv, rows)
-        self.reduced = np.empty((nu if which == "lower" else nv, rows))
-        self.value = np.empty(rows)
+        # one pair's part is its value; more are reduced into the value's buffer
+        self.vals = self.reduced = self.value = None
+        if nu * nv > 1:
+            self.vals = self.parts.reshape(nu, nv, rows)
+            self.reduced = np.empty((nu if which == "lower" else nv, rows))
+            self.value = np.empty(rows)
         # the value and gradient arguments of a cost rate that reads them,
-        # and, for one linear in y, its slope times the value instead
+        # for one linear in y its slope and the slope times the value, and
+        # for one that reads neither the rate itself
         reads, linear = instance.coeffs.cost_rate_reads, instance.coeffs.cost_rate_linear
         self.y = np.empty((nu * nv,) + inner) if "y" in reads and not linear else None
+        self.slope = np.empty(self.parts.shape) if linear else None
         self.scaled = np.empty(self.parts.shape) if linear else None
+        self.rate = np.empty(self.parts.shape) if not reads else None
         self.grad = self.z = None
         if "z" in reads:
             self.grad = np.empty((ndim,) + inner)
             self.halves = [2.0 * h for h in grid.dx()]
             self.z = np.empty((nu * nv, rows, instance.d))
-        self.update = np.empty(inner)
         self.h = np.empty(self.ring.shape[1:])
-        self.mask = np.empty(self.ring.shape[1:], dtype=bool)
-        self.weights = self.scratch = None
+        self.dt, self.last_dt = np.zeros(()), None
+        self.weights = None
         if weights is not None:
             # held at the slot's shape, as is the obstacle: same-shape operands
             # make the penalty update cheaper than broadcast ones
             self.weights = np.broadcast_to(np.asarray(weights, dtype=float), self.h.shape).copy()
+            self.ch, self.shrink = np.empty(self.h.shape), np.empty(self.h.shape)
             self.scratch = np.empty(self.h.shape)
-        self.constants = {}
+            self.mask = np.empty(self.h.shape, dtype=bool)
+        # the finiteness test: the slot's dot product with zeros is 0 unless
+        # an entry is NaN or infinite, and no finite entry overflows it
+        zeros = np.zeros(self.h.size)
+        self.checks = [(w.reshape(-1).dot, zeros) for w in self.ring]
+        self.frozen_faces = self.sequences = None
 
     def tabulate(self, t):
-        """Build the tables of time ``t`` and return its :func:`_stencil_weights`."""
+        """Build the tables of time ``t`` into the buffers and return its :func:`_stencil_weights`."""
         rows, _, _, sigma = tables = _pair_tables(self.instance, t, self.x)
         stencil = _stencil_weights(tables, self.grid.dx())
-        self.table = stencil.reshape(stencil.shape[:-1] + self.inner)
-        self.frozen_faces = _frozen_faces(self.table, self.grid.ndim)
+        np.copyto(self.table, stencil.reshape(self.table.shape))
         # the arguments of _cost_rate after the time, None where it reads none
         z, ndim = self.z, self.grid.ndim
         self.generator = (rows, None if self.y is None else self.y.reshape(-1), z,
                           None if z is None else [g.reshape(-1, 1) for g in self.grad],
                           [sigma[:, :, i] for i in range(ndim)],
                           None if z is None or ndim == 1 else np.empty_like(z))
-        self.rate, self.slope = (None if f is None else f.reshape(self.parts.shape)
-                                 for f in _cost_rate_table(self.instance, t, rows))
+        for buffer, f in zip((self.rate, self.slope), _cost_rate_table(self.instance, t, rows)):
+            if f is not None:
+                np.copyto(buffer, f.reshape(buffer.shape))
         obstacle = eval_obstacle(self.instance, t, self.nodes)
-        np.copyto(self.h, obstacle.reshape(self.grid.shape + (1,) * (self.h.ndim - self.grid.ndim)))
-        self.constants.clear()
+        np.copyto(self.h, obstacle.reshape(self.grid.shape + (1,) * (self.h.ndim - ndim)))
+        # the penalty's c h reads the obstacle
+        self.last_dt = None
+        faces = _frozen_faces(self.table, ndim)
+        if faces != self.frozen_faces:
+            self.frozen_faces = faces
+            self.sequences = [self._build(s) for s in range(2)]
         return stencil
 
-    def step(self, k, t, dt):
-        """Write slice ``k``'s interior, one explicit step back from slice ``k + 1``.
+    def _build(self, s):
+        """The calls that step slot ``1 - s`` into slot ``s``, fill its faces and settle it.
 
         One product weighs every cell for every pair, and the cells are
         summed in stencil order, so each pair's part rounds as the sum of
-        its weights times its neighbours from the centre on.
+        its weights times its neighbours from the centre on.  Each face is
+        then frozen at the terminal data or extrapolated, as
+        :attr:`frozen_faces` says, and every node takes the obstacle
+        projection or the penalty update ``(w + c h) / (1 + c)`` where it
+        lies below the obstacle, ``c`` the weight times dt.
         """
-        _, _, window, centre, axes, _ = self.slots[(k + 1) % 2]
-        parts, (first, second, rest) = self.parts, self.terms
-        np.multiply(self.table, window, out=self.product)
-        np.add(first, second, out=parts)
-        for term in rest:
-            np.add(parts, term, out=parts)
+        ndim, w = self.grid.ndim, self.ring[s]
+        # one pair's buffers are read without their pair axis: an operand that
+        # broadcasts over a pair axis of length 1 costs a call more than one that
+        # does not
+        pair = (0,) if len(self.parts) == 1 else (slice(None),)
+        parts, product = self.parts[pair], self.product[pair]
+        cells = _cells(ndim)
+        centre, *near = (self.windows[1 - s][cell] for cell in cells)
+        first, second, *rest = (product[(Ellipsis, *cell) + (slice(None),) * len(self.inner)]
+                                for cell in cells)
+        calls = [(np.multiply, (self.table[pair], self.windows[1 - s], product)),
+                 (np.add, (first, second, parts))]
+        calls += [(np.add, (parts, term, parts)) for term in rest]
         if self.grad is not None:
-            for g, (up, down), half in zip(self.grad, axes, self.halves):
-                np.subtract(up, down, out=g)
-                np.divide(g, half, out=g)
+            # the axis neighbours follow the centre, up then down on each axis
+            for g, up, down, half in zip(self.grad, near[0::2], near[1::2], self.halves):
+                calls += [(np.subtract, (up, down, g)), (np.divide, (g, half, g))]
         if self.y is not None:
-            np.copyto(self.y, centre)
-        rate = self.rate
+            calls.append((np.copyto, (self.y[pair], centre)))
         if self.slope is not None:
-            rate = np.multiply(self.slope, centre, out=self.scaled)
-        elif rate is None:
-            rate = _cost_rate(self.instance, t, *self.generator).reshape(parts.shape)
-        np.add(parts, rate, out=parts)
-        value = _minimax(self.which, self.vals, self.reduced, self.value)
-        np.multiply(value.reshape(self.inner), dt, out=self.update)
-        np.add(centre, self.update, out=self.slots[k % 2][1])
-
-    def settle(self, k, dt):
-        """Fill slice ``k``'s faces, then project or penalize it; True when it is finite.
-
-        The penalty update makes ``(w + c h) / (1 + c)`` of a node below
-        the obstacle, ``c`` the weight times dt, with ``c h`` and ``1 + c``
-        kept per distinct dt until the next table build.
-        """
-        w, _, _, _, _, faces = self.slots[k % 2]
-        h = self.h
-        for (low, high), (face, data) in zip(self.frozen_faces, faces):
-            face[0] = data[0] if low else 2.0 * face[1] - face[2]
-            face[-1] = data[-1] if high else 2.0 * face[-2] - face[-3]
-        if self.weights is None:
-            np.maximum(w, h, out=w)
+            calls += [(np.multiply, (self.slope[pair], centre, self.scaled[pair])),
+                      (np.add, (parts, self.scaled[pair], parts))]
+        elif self.rate is not None:
+            calls.append((np.add, (parts, self.rate[pair], parts)))
         else:
-            if dt not in self.constants:
-                c = self.weights * dt
-                self.constants[dt] = (c * h, 1.0 + c)
-            ch, shrink = self.constants[dt]
-            np.divide(np.add(w, ch, out=self.scratch), shrink, out=self.scratch)
-            np.copyto(w, self.scratch, where=np.less(w, h, out=self.mask))
-        return np.count_nonzero(np.isfinite(w, out=self.mask)) == w.size  # cheaper than .all()
+            calls.append((self._add_cost_rate, ()))
+        value = parts
+        if self.vals is not None:
+            # the lower order takes the min over v and then the max over u, the upper the
+            # max over u and then the min over v, as _minimax does
+            lower = self.which == "lower"
+            value = self.value.reshape(self.inner)
+            calls += [((np.minimum if lower else np.maximum).reduce,
+                       (self.vals, 1 if lower else 0, None, self.reduced)),
+                      ((np.maximum if lower else np.minimum).reduce,
+                       (self.reduced, 0, None, self.value))]
+        interior = w[self.grid.interior()]
+        calls += [(np.multiply, (value, self.dt, interior)), (np.add, (centre, interior, interior))]
+        for axis, ends in enumerate(self.frozen_faces):
+            # each spatial axis moved to the front, of the slot and of the terminal;
+            # 2 w1 goes to a spare buffer, since an in-place call on a 0-d face
+            # costs twice what one into another buffer does
+            face, data = np.moveaxis(w, axis, 0), np.moveaxis(self.terminal, axis, 0)
+            spare = np.empty(face.shape[1:])
+            for frozen, (edge, one, two) in zip(ends, ((0, 1, 2), (-1, -2, -3))):
+                if frozen:
+                    calls.append((np.copyto, (face[edge, ...], data[edge, ...])))
+                else:
+                    calls += [(np.multiply, (face[one, ...], _TWO, spare)),
+                              (np.subtract, (spare, face[two, ...], face[edge, ...]))]
+        if self.weights is None:
+            calls.append((partial(np.maximum, out=w), (w, self.h)))
+        else:
+            calls += [(np.add, (w, self.ch, self.scratch)), (np.less, (w, self.h, self.mask)),
+                      (partial(np.divide, out=w, where=self.mask), (self.scratch, self.shrink))]
+        return tuple(calls)
+
+    def _add_cost_rate(self):
+        """Add the cost rate at the step's time, one call on the rows of every pair and field."""
+        rate = _cost_rate(self.instance, self.t, *self.generator)
+        np.add(self.parts, rate.reshape(self.parts.shape), self.parts)
+
+    def advance(self, k, t, dt):
+        """Write slice ``k`` from slice ``k + 1`` by one step of length ``dt`` at time ``t``.
+
+        Runs slot ``k % 2``'s call sequence on the tables of the last
+        build; the penalty's ``c h`` and ``1 + c`` are refreshed in place
+        when dt or the tables change.  True when the slice is finite.
+        """
+        if dt != self.last_dt:
+            self.last_dt = dt
+            self.dt[()] = dt
+            if self.weights is not None:
+                np.multiply(self.weights, dt, self.shrink)
+                np.multiply(self.shrink, self.h, self.ch)
+                np.add(self.shrink, 1.0, self.shrink)
+        self.t = t
+        for call, operands in self.sequences[k % 2]:
+            call(*operands)
+        dot, zeros = self.checks[k % 2]
+        return math.isfinite(dot(zeros))
 
 
 def _sweep(which, instance, grid, times, terminal, weights):
@@ -636,8 +687,7 @@ def _sweep(which, instance, grid, times, terminal, weights):
             if not homogeneous:
                 rate = _monotone_rate(stencil, instance.coeffs.declared_lipschitz)
                 _check_dt(dt, *_bound_and_nt(instance.T, rate), f" at time step {k} (t = {t:.6g})")
-        plan.step(k, t, dt)
-        if not plan.settle(k, dt):
+        if not plan.advance(k, t, dt):
             raise DivergenceError(
                 f"value field turned non-finite at time step {k} (t = {t:.6g}); "
                 f"the explicit scheme is unstable on this grid", step=k)

@@ -386,12 +386,14 @@ def quotient_step(which, inst, t, dt, w, grid, tables):
 
 
 def stacked_step(which, inst, t, dt, w, grid):
-    """One ``pde._StepPlan.step`` to slot 0 from the slice ``w`` in slot 1,
-    on the tables of time ``t``; returns the new interior, flattened."""
+    """One ``pde._StepPlan.advance`` to slot 0 from the slice ``w`` in slot 1,
+    on the tables of time ``t`` with an obstacle of -inf, which no node
+    lies below; returns the new interior, flattened."""
     plan = pde._StepPlan(which, inst, grid, w, None)
     plan.slices[1][...] = w
     plan.tabulate(t)
-    plan.step(0, t, dt)
+    plan.h[...] = -np.inf
+    plan.advance(0, t, dt)
     return plan.slices[0][grid.interior()].ravel()
 
 
@@ -769,8 +771,9 @@ def test_singleton_minimax_is_both_reductions(rng, rows):
 
 def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
     # three weights on one obstacle; nodes below, above and exactly on it,
-    # faces frozen at the first slice, as a drift out of both ends asks; the
-    # constants of a repeated dt are kept, those of a new one made
+    # faces frozen at the first slice, as a drift out of both ends asks; a
+    # zero weight table makes the step leave the interior as it is, so each
+    # advance is the update alone; the constants follow each new dt
     grid = SpaceTimeGrid(box=((0.0, 1.0),), nx=(40,), nt=1)
     inst = make_instance(b=lambda t, x, u, v: x - 0.5, h=lambda t, x: np.sin(7.0 * x[:, 0]))
     h = np.sin(7.0 * grid.nodes()[:, 0])
@@ -782,15 +785,16 @@ def test_penalty_update_matches_the_where_form_bit_for_bit(rng):
     plan = pde._StepPlan("lower", inst, grid, terminal, weights.ravel())
     plan.tabulate(0.0)
     assert plan.frozen_faces == [(True, True)]
-    plan.slices[0][...] = w
+    plan.table[...] = 0.0
     for dt in (2.7e-4, 2.7e-4, 1.3e-4):
+        plan.slices[1][...] = w
         w[:, [0, -1]] = terminal[:, [0, -1]]
         c = weights * dt
         expected = np.where(w < h, (w + c * h) / (1.0 + c), w)
-        assert plan.settle(0, dt)
+        assert plan.advance(0, 0.0, dt)
         assert np.array_equal(plan.slices[0], expected)
         w = expected
-    assert sorted(plan.constants) == [1.3e-4, 2.7e-4]
+    assert np.array_equal(plan.shrink.T, np.broadcast_to(1.0 + weights * 1.3e-4, w.shape))
 
 
 def test_constant_cost_field_is_exact():
