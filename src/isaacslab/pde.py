@@ -34,10 +34,13 @@ Each step evolves the previous slice by one product of the weight
 table with a read-only view of every node's neighbourhood
 (:func:`_windows`), summed in stencil order, and then applies either
 the obstacle projection ``max(., h)`` or the semi-implicit penalty
-update, at every node.  Each table build freezes a face at the terminal
-data where its linear extrapolation from the two nearest interior nodes
-would give the step a negative weight (a drift out of the box, a mixed
-term on a corner), and extrapolates it elsewhere (:func:`_frozen_faces`).  A
+update, at every interior node.  The faces are filled after that, axis
+by axis, each from the settled nodes next to it, and settled in turn, so
+that the next step reads a face made of the values it reads beside it.
+Each table build freezes a face at the terminal data where its linear
+extrapolation from the two nearest interior nodes would give the step a
+negative weight (a drift out of the box, a mixed term on a corner), and
+extrapolates it elsewhere (:func:`_frozen_faces`).  A
 batch of fields, one per penalty weight, is stepped in one sweep, and a
 slice that is not finite stops the sweep with a divergence error.  The
 cost rate is one call per step on the rows of every control pair and
@@ -445,15 +448,24 @@ def _stencil_weights(tables, dx):
     return table
 
 
+def _face(array, axis, edge):
+    """The nodes of ``array`` at index ``edge`` along spatial ``axis``, a view, 0-d for one node."""
+    return np.moveaxis(array, axis, 0)[edge, ...]
+
+
 def _frozen_faces(table, ndim):
     """Per axis, whether its ``(low, high)`` faces are frozen at the terminal data.
 
     ``table`` is a :func:`_stencil_weights` table of ``ndim`` axes, rows
-    shaped ``(*interior, *batch)``.  Folding the fill ``2 w1 - w2`` of
-    the low face of axis i into the step takes the weight of cell ``c_i
-    = 0`` off cell ``c_i = 2``, so the face is frozen where some node
-    next to it, under some pair, weighs ``c_i = 0`` above ``c_i = 2``;
-    the high face mirrors it.
+    shaped ``(*interior, *batch)``.  The low face of axis i is filled by
+    ``2 w1 - w2`` from the settled nodes one and two cells in, the values
+    the next step reads there, so folding the fill into that step takes
+    the weight of cell ``c_i = 0`` off cell ``c_i = 2``: the face is
+    frozen where some node next to it, under some pair, weighs ``c_i =
+    0`` above ``c_i = 2``; the high face mirrors it.  A fill from the
+    nodes before they are settled would not fold: where the obstacle or a
+    large penalty holds the node two cells in, the step would still read
+    ``-w2`` through the face.
     """
     # per axis i, its cells first, then the interior nodes along it
     moved = [np.moveaxis(table, (1 + i, 1 + ndim + i), (0, 1)) for i in range(ndim)]
@@ -534,6 +546,11 @@ class _StepPlan:
         zeros = np.zeros(self.h.size)
         self.checks = [(w.reshape(-1).dot, zeros) for w in self.ring]
         self.frozen_faces = self.sequences = None
+        # what follows a new dt or table build: the penalty's c h and 1 + c
+        self.refresh = () if weights is None else (
+            (np.multiply, (self.weights, self.dt, self.shrink)),
+            (np.multiply, (self.shrink, self.h, self.ch)),
+            (np.add, (self.shrink, 1.0, self.shrink)))
 
     def tabulate(self, t):
         """Build the tables of time ``t`` into the buffers and return its :func:`_stencil_weights`."""
@@ -560,15 +577,16 @@ class _StepPlan:
         return stencil
 
     def _build(self, s):
-        """The calls that step slot ``1 - s`` into slot ``s``, fill its faces and settle it.
+        """The calls that step slot ``1 - s`` into slot ``s``, settle it and fill its faces.
 
         One product weighs every cell for every pair, and the cells are
         summed in stencil order, so each pair's part rounds as the sum of
-        its weights times its neighbours from the centre on.  Each face is
-        then frozen at the terminal data or extrapolated, as
-        :attr:`frozen_faces` says, and every node takes the obstacle
-        projection or the penalty update ``(w + c h) / (1 + c)`` where it
-        lies below the obstacle, ``c`` the weight times dt.
+        its weights times its neighbours from the centre on.  The interior
+        is then settled, by the obstacle projection or the penalty update
+        (:meth:`_settled`), and axis by axis each face is frozen at the
+        terminal data or extrapolated from the settled nodes inward, as
+        :attr:`frozen_faces` says, and settled in turn: the next step
+        reads a face filled from the values it reads next to it.
         """
         ndim, w = self.grid.ndim, self.ring[s]
         # one pair's buffers are read without their pair axis: an operand that
@@ -608,24 +626,46 @@ class _StepPlan:
                        (self.reduced, 0, None, self.value))]
         interior = w[self.grid.interior()]
         calls += [(np.multiply, (value, self.dt, interior)), (np.add, (centre, interior, interior))]
+        # the frozen faces take the terminal data and are settled with the interior
+        settled = []
+        for axis, (low, high) in enumerate(self.frozen_faces):
+            settled.append(slice(0 if low else 1, None if high else -1))
+            for frozen, edge in zip((low, high), (0, -1)):
+                if frozen:
+                    calls.append((np.copyto, (_face(w, axis, edge), _face(self.terminal, axis, edge))))
+        calls += self._settled(w, lambda a: a[tuple(settled)])
         for axis, ends in enumerate(self.frozen_faces):
-            # each spatial axis moved to the front, of the slot and of the terminal;
-            # 2 w1 goes to a spare buffer, since an in-place call on a 0-d face
-            # costs twice what one into another buffer does
-            face, data = np.moveaxis(w, axis, 0), np.moveaxis(self.terminal, axis, 0)
-            spare = np.empty(face.shape[1:])
+            # the fill goes through spare buffers, and the projection reads it from
+            # one: an in-place call on a 0-d face costs twice one into another buffer
+            spare, filled = (np.empty(_face(w, axis, 0).shape) for _ in range(2))
             for frozen, (edge, one, two) in zip(ends, ((0, 1, 2), (-1, -2, -3))):
                 if frozen:
-                    calls.append((np.copyto, (face[edge, ...], data[edge, ...])))
-                else:
-                    calls += [(np.multiply, (face[one, ...], _TWO, spare)),
-                              (np.subtract, (spare, face[two, ...], face[edge, ...]))]
-        if self.weights is None:
-            calls.append((partial(np.maximum, out=w), (w, self.h)))
-        else:
-            calls += [(np.add, (w, self.ch, self.scratch)), (np.less, (w, self.h, self.mask)),
-                      (partial(np.divide, out=w, where=self.mask), (self.scratch, self.shrink))]
+                    continue
+                face = partial(_face, axis=axis, edge=edge)
+                source = filled if self.weights is None else None
+                calls += [(np.multiply, (_face(w, axis, one), _TWO, spare)),
+                          (np.subtract, (spare, _face(w, axis, two),
+                                         face(w) if source is None else source))]
+                calls += self._settled(w, face, source)
         return tuple(calls)
+
+    def _settled(self, w, view, source=None):
+        """The calls that project or penalize the nodes ``view`` picks out of ``w``.
+
+        ``w`` is shaped like a slot, and ``view`` maps such an array to a
+        view of those nodes.  ``source``, shaped like that view, holds the
+        values to settle into them, when they are not already there.  The
+        penalty update makes ``(w + c h) / (1 + c)`` of a node below the
+        obstacle, ``c`` the weight times dt.
+        """
+        w, h = view(w), view(self.h)
+        source = w if source is None else source
+        if self.weights is None:
+            return [(partial(np.maximum, out=w), (source, h))]
+        scratch, mask = view(self.scratch), view(self.mask)
+        calls = [] if source is w else [(np.copyto, (w, source))]
+        return calls + [(np.add, (source, view(self.ch), scratch)), (np.less, (source, h, mask)),
+                        (partial(np.divide, out=w, where=mask), (scratch, view(self.shrink)))]
 
     def _add_cost_rate(self):
         """Add the cost rate at the step's time, one call on the rows of every pair and field."""
@@ -642,10 +682,8 @@ class _StepPlan:
         if dt != self.last_dt:
             self.last_dt = dt
             self.dt[()] = dt
-            if self.weights is not None:
-                np.multiply(self.weights, dt, self.shrink)
-                np.multiply(self.shrink, self.h, self.ch)
-                np.add(self.shrink, 1.0, self.shrink)
+            for call, operands in self.refresh:
+                call(*operands)
         self.t = t
         for call, operands in self.sequences[k % 2]:
             call(*operands)

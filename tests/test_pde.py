@@ -497,22 +497,34 @@ def force_fill(monkeypatch, fill):
         monkeypatch.setattr(pde, "_frozen_faces", lambda table, ndim: forced_faces(fill, ndim))
 
 
-def filled(w, grid, terminal, faces):
-    """``w`` with the faces of each spatial axis in turn frozen at
-    ``terminal`` or extrapolated linearly from the two nodes inward, as
-    ``faces`` says."""
-    for axis, (low, high) in zip(range(w.ndim - grid.ndim, w.ndim), faces):
+def settled_then_filled(w, grid, terminal, faces, settle):
+    """``w`` with the faces that ``faces`` freezes set to ``terminal``
+    and settled by ``settle`` (a closed-form update of every node)
+    together with the interior, then the other faces of each spatial axis
+    in turn extrapolated linearly from the two settled nodes inward, and
+    settled."""
+    axes = range(w.ndim - grid.ndim, w.ndim)
+    for axis, ends in zip(axes, faces):
         face, data = np.moveaxis(w, axis, 0), np.moveaxis(terminal, axis, 0)
-        face[0] = data[0] if low else 2.0 * face[1] - face[2]
-        face[-1] = data[-1] if high else 2.0 * face[-2] - face[-3]
+        for frozen, edge in zip(ends, (0, -1)):
+            if frozen:
+                face[edge] = data[edge]
+    box = (Ellipsis,) + tuple(slice(0 if low else 1, None if high else -1) for low, high in faces)
+    w[box] = settle(w)[box]
+    for axis, ends in zip(axes, faces):
+        face = np.moveaxis(w, axis, 0)
+        for frozen, (edge, one, two) in zip(ends, ((0, 1, 2), (-1, -2, -3))):
+            if not frozen:
+                face[edge] = 2.0 * face[one] - face[two]
+                face[edge] = np.moveaxis(settle(w), axis, 0)[edge]
     return w
 
 
 def per_pair_sweep(which, inst, grid, penalties=None, times=None, fill="weight_table"):
     """Every slice of a sweep over ``times`` (the grid's uniform mesh by
-    default) stepped by :func:`per_pair_step`, filled as ``fill`` names
-    (one of :data:`FACE_FILLS`), and projected or penalized in closed
-    form, one weight per field."""
+    default) stepped by :func:`per_pair_step`, projected or penalized in
+    closed form, one weight per field, and filled as ``fill`` names (one
+    of :data:`FACE_FILLS`) by :func:`settled_then_filled`."""
     if times is None:
         times, terminal = pde._times_and_terminal(inst, grid)
     else:
@@ -535,13 +547,13 @@ def per_pair_sweep(which, inst, grid, penalties=None, times=None, fill="weight_t
         w = np.zeros(terminal.shape)
         w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
                                     stencil).reshape(w[interior].shape)
-        w = filled(w, grid, terminal, faces)
         h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
         if penalties is None:
-            w = np.maximum(w, h)
+            w = settled_then_filled(w, grid, terminal, faces, lambda w: np.maximum(w, h))
         else:
             c = penalties * dt
-            w = np.where(w < h, (w + c * h) / (1.0 + c), w)
+            w = settled_then_filled(w, grid, terminal, faces,
+                                    lambda w: np.where(w < h, (w + c * h) / (1.0 + c), w))
         slices.append(w)
     return slices[::-1]
 
@@ -923,6 +935,28 @@ def test_three_step_map_weighs_no_interior_node_negatively(name, box, nx):
     assert k == 0
     weights = (response[:-1] - response[-1])[(slice(None),) + grid.interior()]
     assert weights.min() >= -1e-15
+
+
+@pytest.mark.parametrize("weights", [None, [1000.0]], ids=["projection", "penalty"])
+def test_faces_filled_from_the_settled_interior_keep_the_order(weights):
+    # the obstacle, or a large penalty, holds the node two cells in from the
+    # low face at 5; a face filled before the settle read that node unsettled,
+    # so raising the terminal data at x = 3 lowered the value at x = 1, t = 0:
+    # 1.25 against 1.1875 under the projection, 1.2475 against 1.1851 under
+    # the penalty
+    inst = make_instance(sigma=lambda t, x, u, v: np.ones(x.shape + (1,)),
+                         h=lambda t, x: np.where(np.abs(x[:, 0] - 2.0) < 0.5, 5.0, -10.0))
+    grid = sized(inst, ((0.0, 4.0),), (5,))
+    assert grid.nt == 2
+    times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
+    low, high = np.zeros(grid.shape), np.zeros(grid.shape)
+    high[3] = 1.0
+    sweeps = []
+    for terminal in (low, high):
+        batch = terminal if weights is None else terminal[None]
+        sweeps.append({k: w.copy() for k, w in _sweep("lower", inst, grid, times, batch, weights)})
+    for k in range(grid.nt + 1):
+        assert (sweeps[1][k][..., 1:-1] >= sweeps[0][k][..., 1:-1]).all()
 
 
 def test_penalized_zero_weight_matches_obstacle_solver_when_slack():
