@@ -1249,15 +1249,109 @@ def test_unstable_solve_raises_divergence_at_first_non_finite_slice():
 
 
 def test_sweep_accepts_finite_slices_whose_sum_overflows():
-    # 41 entries of 1e307 sum past the largest float: the finiteness test
-    # must accept every slice, and without an overflow warning
-    inst = make_instance()
+    # 41 entries of 1e307 sum past the largest float, of either sign, and a
+    # batch holds both: the finiteness test must accept every slice, under
+    # the projection and under a penalty, and without an overflow warning
+    inst = make_instance(h=lambda t, x: np.full(x.shape[0], -1.7e308))
     grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(41,), nt=4)
     times = np.linspace(0.0, inst.T, grid.nt + 1)
-    terminal = np.full(grid.shape, 1e307)
-    slices = [w.copy() for _, w in _sweep("lower", inst, grid, times, terminal, None)]
-    assert len(slices) == grid.nt + 1
-    assert all(np.array_equal(w, terminal) for w in slices)
+    for weights, signs in ((None, 1.0), (None, -1.0), ([0.5, 2.0], [[1.0], [-1.0]])):
+        terminal = np.full(grid.shape, 1e307) * np.asarray(signs)
+        slices = [w.copy() for _, w in _sweep("lower", inst, grid, times, terminal, weights)]
+        assert len(slices) == grid.nt + 1
+        assert all(np.array_equal(w, terminal) for w in slices)
+
+
+def doubling_game():
+    """b = sigma = 0 and f = y, declared linear in y, with T = 10: on ten
+    steps of length 1 each adds the value itself, and the zero weight table
+    extrapolates every face."""
+    inst = make_instance(f=lambda t, x, y, z, u, v: y, horizon=10.0)
+    return declare_linear(declare_reads(inst, ("y",)))
+
+
+def doubled(w, dt, weights):
+    """One step and settle of :func:`doubling_game` from the slice ``w``, in
+    closed form: interior, then each face from the settled interior."""
+    def settle(v):
+        if weights is None:
+            return np.maximum(v, -1e6)
+        c = np.reshape(weights, (-1,)) * dt
+        return np.where(v < -1e6, (v + c * -1e6) / (1.0 + c), v)
+
+    with np.errstate(all="ignore"):
+        new = np.empty_like(w)
+        new[..., 1:-1] = settle(w[..., 1:-1] + dt * w[..., 1:-1])
+        new[..., 0] = settle(2.0 * new[..., 1] - new[..., 2])
+        new[..., -1] = settle(2.0 * new[..., -2] - new[..., -3])
+    return new
+
+
+# the interior terminal values that make each kind, and the settle rules
+# that can hold it: the projection lifts -inf to the obstacle, and a small
+# penalty weight shrinks the negative values little enough that the two
+# faces of "both" overflow at one step
+NON_FINITE_KINDS = {
+    "nan": ([1.0, np.nan, 1.0, 1.0], (None, [1e-3])),
+    "+inf": ([1e307] * 4, (None, [1e-3])),
+    "-inf": ([-1e307] * 4, ([1e-3],)),
+    "both": ([1e307, -1e307, 1e307, -1e307], ([1e-3],)),
+}
+
+
+@pytest.mark.parametrize("kind, weights", [
+    pytest.param(kind, weights, id=f"{kind}-{'projection' if weights is None else 'penalty'}")
+    for kind, (_, rules) in NON_FINITE_KINDS.items() for weights in rules])
+def test_sweep_raises_at_the_first_slice_holding_each_non_finite_kind(kind, weights):
+    inst = doubling_game()
+    grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(6,), nt=10)
+    times = (inst.T / grid.nt) * np.arange(grid.nt + 1)
+    interior = np.array(NON_FINITE_KINDS[kind][0])
+    # the faces, linear extrapolations, stay finite at the terminal
+    terminal = np.concatenate([[0.0], interior, [0.0]])
+    if weights is not None:
+        terminal = terminal[None]
+    last = terminal
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        for k, w in _sweep("lower", inst, grid, times, terminal, weights):
+            assert k == grid.nt or np.isfinite(w).all()
+            last = w.copy()
+    k = err.value.step
+    assert f"step {k}" in str(err.value) and (kind != "nan" or k == grid.nt - 1)
+    # the slice the sweep refused, one closed-form step from the last it yielded
+    refused = doubled(last, times[k + 1] - times[k], weights)
+    held = {"nan": np.isnan(refused).any(), "+inf": (refused == np.inf).any(),
+            "-inf": (refused == -np.inf).any()}
+    expected = {"nan": kind == "nan", "+inf": kind in ("+inf", "both"),
+                "-inf": kind in ("-inf", "both")}
+    assert held == expected
+
+
+@pytest.mark.parametrize("case", ["american_put", "deterministic_stop"])
+def test_step_sequences_are_built_once_per_slot_per_table_build(monkeypatch, rng, case):
+    # a homogeneous sweep builds each slot's sequence once; so does a sweep
+    # over a mesh whose every step length differs, and an undeclared one whose
+    # tables are built at every step but whose frozen faces stay the same;
+    # that mesh's fields are the closed-form update's bit for bit
+    inst, box, nx = STACKED_CASES[case]()
+    grid = sized(inst, box, nx)
+    builds = []
+    build = pde._StepPlan._build
+    monkeypatch.setattr(pde._StepPlan, "_build",
+                        lambda plan, s: builds.append(s) or build(plan, s))
+    solve_obstacle_pde("lower", inst, grid)
+    assert builds == [0, 1]
+    dts = rng.uniform(0.5, 1.0, size=grid.nt) * (inst.T / grid.nt)
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    assert len(np.unique(np.diff(times))) == grid.nt
+    schedule = [1.0, 8.0, 64.0]
+    reference = per_pair_sweep("lower", inst, grid, schedule, times)
+    terminal = eval_terminal(inst, grid.nodes()).reshape(grid.shape)
+    batch = np.broadcast_to(terminal, (len(schedule),) + grid.shape)
+    builds.clear()
+    for k, slices in _sweep("lower", inst, grid, times, batch, schedule):
+        assert np.array_equal(slices, reference[k])
+    assert builds == [0, 1]
 
 
 @pytest.mark.parametrize("rho", [0.5, -0.5])
