@@ -80,7 +80,11 @@ class ControlGrid:
             raise ValueError("control grid must be nonempty")
         if pts.ndim != 2:
             raise ValueError("control points must share a common dimension")
-        if len(np.unique(pts, axis=0)) != len(pts):
+        # rows sorted lexicographically, then compared with their neighbours: as
+        # np.unique(pts, axis=0) counts them (0.0 and -0.0 are one point, two NaNs
+        # are not), without the numpy.ma import that np.unique makes
+        ordered = pts[np.lexsort(pts.T[::-1])]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError(f"duplicate control points in grid {self.label!r}")
         object.__setattr__(self, "points", pts)
 

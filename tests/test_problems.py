@@ -1,6 +1,10 @@
 """Instance construction, validation probing and built-in benchmarks."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,44 @@ def test_control_grid_rejects_duplicates_and_empty():
         ControlGrid(points=np.zeros((0, 1)))
     grid = ControlGrid(points=np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert len(grid) == 2 and grid.dim == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_control_grid_duplicates_are_those_np_unique_counts(rng, dim):
+    # rows drawn from few values, signed zeros and NaN among them: 0.0 and
+    # -0.0 are one point, two NaNs are not
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
+    for _ in range(300):
+        pts = rng.choice(values, size=(rng.integers(1, 6), dim))
+        duplicated = len(np.unique(pts, axis=0)) != len(pts)
+        if duplicated:
+            with pytest.raises(ValueError, match="duplicate control points"):
+                ControlGrid(points=pts)
+        else:
+            assert len(ControlGrid(points=pts)) == len(pts)
+
+
+def test_building_parsing_and_a_penalization_import_no_numpy_ma():
+    # np.unique imports numpy.ma, 10-19 ms of every fresh interpreter; building
+    # the builtins, parsing a config and a small penalization run must not
+    code = """
+import sys
+from isaacslab import cli
+from isaacslab.config import parse_config
+from isaacslab.problems import BUILTIN_NAMES, builtin_instance
+for name in BUILTIN_NAMES:
+    builtin_instance(name)
+config = parse_config({"experiment": "penalization", "instance": {"name": "american_put"},
+                       "grid": {"box": [[20, 300]], "nx": [21]}, "schedules": {"m": [1, 4]}})
+cli._run_penalization(config, *cli._presolve(config))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_coefficients_require_positive_declared_constants():
