@@ -635,37 +635,35 @@ class _StepPlan:
                     calls.append((np.copyto, (_face(w, axis, edge), _face(self.terminal, axis, edge))))
         calls += self._settled(w, lambda a: a[tuple(settled)])
         for axis, ends in enumerate(self.frozen_faces):
-            # the fill goes through spare buffers, and the projection reads it from
-            # one: an in-place call on a 0-d face costs twice one into another buffer
+            # 2 w1 goes to a spare buffer, and so does the projection's fill: an
+            # in-place call on a 0-d face costs twice one into another buffer
             spare, filled = (np.empty(_face(w, axis, 0).shape) for _ in range(2))
             for frozen, (edge, one, two) in zip(ends, ((0, 1, 2), (-1, -2, -3))):
                 if frozen:
                     continue
-                face = partial(_face, axis=axis, edge=edge)
-                source = filled if self.weights is None else None
-                calls += [(np.multiply, (_face(w, axis, one), _TWO, spare)),
-                          (np.subtract, (spare, _face(w, axis, two),
-                                         face(w) if source is None else source))]
-                calls += self._settled(w, face, source)
+                face, inward = _face(w, axis, edge), _face(w, axis, two)
+                calls.append((np.multiply, (_face(w, axis, one), _TWO, spare)))
+                if self.weights is None:
+                    calls += [(np.subtract, (spare, inward, filled)),
+                              (partial(np.maximum, out=face), (filled, _face(self.h, axis, edge)))]
+                else:
+                    calls.append((np.subtract, (spare, inward, face)))
+                    calls += self._settled(w, partial(_face, axis=axis, edge=edge))
         return tuple(calls)
 
-    def _settled(self, w, view, source=None):
+    def _settled(self, w, view):
         """The calls that project or penalize the nodes ``view`` picks out of ``w``.
 
         ``w`` is shaped like a slot, and ``view`` maps such an array to a
-        view of those nodes.  ``source``, shaped like that view, holds the
-        values to settle into them, when they are not already there.  The
-        penalty update makes ``(w + c h) / (1 + c)`` of a node below the
-        obstacle, ``c`` the weight times dt.
+        view of those nodes.  The penalty update makes ``(w + c h) / (1 +
+        c)`` of a node below the obstacle, ``c`` the weight times dt.
         """
         w, h = view(w), view(self.h)
-        source = w if source is None else source
         if self.weights is None:
-            return [(partial(np.maximum, out=w), (source, h))]
+            return [(partial(np.maximum, out=w), (w, h))]
         scratch, mask = view(self.scratch), view(self.mask)
-        calls = [] if source is w else [(np.copyto, (w, source))]
-        return calls + [(np.add, (source, view(self.ch), scratch)), (np.less, (source, h, mask)),
-                        (partial(np.divide, out=w, where=mask), (scratch, view(self.shrink)))]
+        return [(np.add, (w, view(self.ch), scratch)), (np.less, (w, h, mask)),
+                (partial(np.divide, out=w, where=mask), (scratch, view(self.shrink)))]
 
     def _add_cost_rate(self):
         """Add the cost rate at the step's time, one call on the rows of every pair and field."""
