@@ -34,9 +34,10 @@ Each step evolves the previous slice by one product of the weight
 table with a read-only view of every node's neighbourhood
 (:func:`_windows`), summed in stencil order, and then applies either
 the obstacle projection ``max(., h)`` or the semi-implicit penalty
-update, at every interior node.  The faces are filled after that, axis
-by axis, each from the settled nodes next to it, and settled in turn, so
-that the next step reads a face made of the values it reads beside it.
+update, at every interior node and on the frozen faces, which hold the
+terminal data.  The other faces are filled after that, axis by axis,
+each from the settled nodes next to it, and settled in turn, so that
+the next step reads a face made of the values it reads beside it.
 Each table build freezes a face at the terminal data where its linear
 extrapolation from the two nearest interior nodes would give the step a
 negative weight (a drift out of the box, a mixed term on a corner), and
@@ -582,11 +583,12 @@ class _StepPlan:
         One product weighs every cell for every pair, and the cells are
         summed in stencil order, so each pair's part rounds as the sum of
         its weights times its neighbours from the centre on.  The interior
-        is then settled, by the obstacle projection or the penalty update
-        (:meth:`_settled`), and axis by axis each face is frozen at the
-        terminal data or extrapolated from the settled nodes inward, as
-        :attr:`frozen_faces` says, and settled in turn: the next step
-        reads a face filled from the values it reads next to it.
+        and the faces that :attr:`frozen_faces` freezes, holding the
+        terminal data, are then settled by the obstacle projection or the
+        penalty update (:meth:`_settled`); axis by axis, each other face
+        is extrapolated from the settled nodes inward and settled in turn:
+        the next step reads a face filled from the values it reads next
+        to it.
         """
         ndim, w = self.grid.ndim, self.ring[s]
         # one pair's buffers are read without their pair axis: an operand that
