@@ -197,13 +197,12 @@ def differences(base, head):
     return lines
 
 
-def _side(commit, scratch):
-    """The battery's arrays at ``commit``, run in a worktree of it under ``scratch``."""
-    tree = scratch / commit.replace("/", "_")
+def _side(commit, tree):
+    """The battery's arrays at ``commit``, run in a worktree of it at ``tree``."""
     subprocess.run(["git", "worktree", "add", "--detach", str(tree), commit], check=True,
                    stdout=subprocess.DEVNULL)
     try:
-        target = scratch / f"{tree.name}.npz"
+        target = tree.with_suffix(".npz")
         subprocess.run([sys.executable, str(Path(__file__).resolve()), "--digest", str(target)],
                        check=True, cwd=tree,
                        env={**os.environ, "PYTHONPATH": str(tree / "src"),
@@ -225,7 +224,8 @@ def main(argv=None):
     base, head = argv[0], argv[1] if len(argv) == 2 else "HEAD"
     with tempfile.TemporaryDirectory() as scratch:
         try:
-            arrays = [_side(commit, Path(scratch)) for commit in (base, head)]
+            arrays = [_side(commit, Path(scratch) / side)
+                      for commit, side in ((base, "base"), (head, "head"))]
         except subprocess.CalledProcessError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
