@@ -7,9 +7,11 @@ Commands
     and optional field dumps / convergence tables into the output
     directory.  ``--seed`` overrides ``mc.seed``, which only
     ``rbsde_oracle`` reads, and is refused for a config without an
-    ``mc`` section.  Each field dump is formatted by
-    up to one process per usable CPU (forked children, all reaped before
-    the dump returns); its bytes do not depend on that count.
+    ``mc`` section.  All of a run's field dumps
+    are formatted in one pass by up to one process per usable CPU (forked
+    children, all reaped before the pass returns), whose share of the
+    slices may cross from one file into the next; their bytes do not
+    depend on that count.
 ``isaacslab list-instances``
     Print the built-in instance names.
 ``isaacslab validate <config.json>``
@@ -158,75 +160,103 @@ def _write_slices(out, rows, templates, start, stop):
         out.write(str(k).join(["", *templates]) % tuple(rows[k].tolist()))
 
 
-def _dump_field(field, directory, name):
-    """Write ``t_index,flat_node_index,x_0,...,value`` rows, one time slice per block.
+def _dump_fields(dumps, directory):
+    """Write each field of ``dumps`` (file name to field) into ``directory``
+    as ``t_index,flat_node_index,x_0,...,value`` rows, one time slice per block.
 
     Integers are written as such and floats with 17 significant digits,
     so every value reads back exactly.  Each node's row after the time
     index is a ``%`` template, so a slice is one ``join`` and one format.
 
-    The slices are cut into W contiguous runs, W being the number of
-    usable CPUs capped by the slice count and by ``_WORKER_MIN_VALUES``
-    values per run.  This process formats run 0 into the file; runs 1 to
-    W - 1 are formatted by forked children, each into an unlinked
-    temporary file, and appended in order by a kernel copy.  The bytes do
-    not depend on W.  A child that fails makes this raise
-    :class:`OSError` naming the file; on any failure the children are
-    killed and reaped and the file is removed.  Returns W.
+    The time slices of every file, file after file, are cut into W
+    contiguous runs, W being the number of usable CPUs capped by the slice
+    count and by ``_WORKER_MIN_VALUES`` values per run; a run may cross
+    from one file into the next.  This process writes every header and
+    formats run 0 into its files; runs 1 to W - 1 are formatted by forked
+    children, each into one unlinked temporary file per file it covers,
+    and appended in order by a kernel copy.  The bytes do not depend on W.
+    A child that fails makes this raise :class:`OSError` naming its files;
+    on any failure the children are killed and reaped and every file this
+    call opened is removed.  Returns W, 0 when ``dumps`` is empty.
     """
-    n = field.grid.ndim
-    header = ",".join(["t_index", "flat_node_index"]
-                      + [f"x_{i}" for i in range(n)] + ["value"])
-    templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
-                 for j, coords in enumerate(field.grid.nodes().tolist())]
-    rows = field.slices.reshape(len(field.times), -1)
-    workers = max(1, min(_usable_cpus(), len(rows), rows.size // _WORKER_MIN_VALUES))
-    bounds = [len(rows) * w // workers for w in range(workers + 1)]
-    path = Path(directory) / name
-    parts, children = [], []
-    with open(path, "w", encoding="utf-8") as out:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                parts.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns on forking beside numpy's BLAS threads;
-                    # the child formats strings only and never enters BLAS
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                    if pid == 0:
-                        # the child ends here, flushing no buffer it inherited
-                        code = 1
-                        try:
-                            _write_slices(parts[-1], rows, templates, start, stop)
-                            parts[-1].flush()
-                            code = 0
-                        finally:
-                            os._exit(code)
+    files = []
+    for name, field in dumps.items():
+        header = ",".join(["t_index", "flat_node_index"]
+                          + [f"x_{i}" for i in range(field.grid.ndim)] + ["value"])
+        templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
+                     for j, coords in enumerate(field.grid.nodes().tolist())]
+        files.append((Path(directory) / name, header, templates,
+                      field.slices.reshape(len(field.times), -1)))
+    if not files:
+        return 0
+    counts = [len(rows) for *_, rows in files]
+    total, values = sum(counts), sum(rows.size for *_, rows in files)
+    workers = max(1, min(_usable_cpus(), total, values // _WORKER_MIN_VALUES))
+    bounds = [total * w // workers for w in range(workers + 1)]
+    # each run as (file index, first slice, stop slice) pieces, in file order
+    firsts = [sum(counts[:f]) for f in range(len(files))]
+    runs = [[(f, max(lo - first, 0), min(hi - first, count))
+             for f, (first, count) in enumerate(zip(firsts, counts))
+             if first < hi and lo < first + count]
+            for lo, hi in zip(bounds, bounds[1:])]
+    outs, parts, children = [], [], []
+    try:
+        for path, *_ in files:
+            outs.append(open(path, "w", encoding="utf-8"))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on forking beside numpy's BLAS threads;
+            # the child formats strings only and never enters BLAS
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            for run in runs[1:]:
+                parts.append([(f, tempfile.TemporaryFile("w+", encoding="utf-8"))
+                              for f, _, _ in run])
+                pid = os.fork()
+                if pid == 0:
+                    # the child ends here, flushing no buffer it inherited
+                    code = 1
+                    try:
+                        for (f, start, stop), (_, part) in zip(run, parts[-1]):
+                            _write_slices(part, files[f][3], files[f][2], start, stop)
+                            part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
                 children.append(pid)
+        for (_, header, *_), out in zip(files, outs):
             out.write(header + "\n")
-            _write_slices(out, rows, templates, 0, bounds[1])
+        for f, start, stop in runs[0]:
+            _write_slices(outs[f], files[f][3], files[f][2], start, stop)
+        for out in outs:
             out.flush()
-            for pid, part in zip(list(children), parts):
-                _, status = os.waitpid(pid, 0)
-                children.remove(pid)
-                if status:
-                    raise OSError(f"a worker formatting {path} failed")
+        for pid, run in zip(list(children), parts):
+            _, status = os.waitpid(pid, 0)
+            children.remove(pid)
+            if status:
+                raise OSError("a worker formatting "
+                              + ", ".join(str(files[f][0]) for f, _ in run) + " failed")
+            for f, part in run:
                 size, sent = os.fstat(part.fileno()).st_size, 0
                 while sent < size:
-                    sent += os.sendfile(out.fileno(), part.fileno(), sent, size - sent)
-        except BaseException:
-            import signal  # here, not at the top: loading it costs ~1 ms of every start
+                    sent += os.sendfile(outs[f].fileno(), part.fileno(), sent, size - sent)
+        for out in outs:
+            out.close()
+    except BaseException:
+        import signal  # here, not at the top: loading it costs ~1 ms of every start
 
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for path, *_ in files[:len(outs)]:
             path.unlink(missing_ok=True)
-            raise
-        finally:
-            for pid in children:
-                os.waitpid(pid, 0)
-            for part in parts:
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for run in parts:
+            for _, part in run:
                 part.close()
+        for out in outs:
+            out.close()
     return workers
 
 
@@ -338,10 +368,10 @@ def run(config):
     and ``config.json`` (canonical echo), ``metrics.json`` (digest,
     metrics and schedule; no volatile fields, so reruns are
     byte-identical), ``run_info.json`` (timestamp, file list, the
-    platform of :func:`_platform` and each dump's worker count) and any
-    field dumps or convergence tables written, so a run refused or
-    failing before that leaves no output directory behind.  Returns the
-    record.
+    platform of :func:`_platform` and the worker count of the dump pass,
+    0 when nothing is dumped) and any field dumps or convergence tables
+    written, so a run refused or failing before that leaves no output
+    directory behind.  Returns the record.
     """
     metrics, schedule, dumps = _RUNNERS[config.experiment](config, *_presolve(config))
 
@@ -355,7 +385,7 @@ def run(config):
     )
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = {name: _dump_field(field, outdir, name) for name, field in dumps.items()}
+    workers = _dump_fields(dumps, outdir)
     (outdir / "config.json").write_text(
         json.dumps(config.canonical, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (outdir / "metrics.json").write_text(

@@ -16,7 +16,7 @@ import pytest
 import isaacslab
 from isaacslab import cli, pde, problems
 from isaacslab.analysis import lower_value, upper_value
-from isaacslab.cli import ResultRecord, _dump_field, emit_convergence_table, main, run
+from isaacslab.cli import ResultRecord, _dump_fields, emit_convergence_table, main, run
 from isaacslab.config import load_config, parse_config
 from isaacslab.errors import ConfigError, PreconditionError
 from isaacslab.oracles import degenerate_rbsde_value
@@ -206,21 +206,23 @@ def test_run_compare_wu_dumps_the_lower_and_the_upper_field(tmp_path):
     assert json.loads((tmp_path / "out" / "run_info.json").read_text())["files"] == names
     grid = cli._presolve(config)[0][0]
     for name, solve in zip(names, (lower_value, upper_value)):
-        _dump_field(solve(config.instance, grid), tmp_path, name)
+        _dump_fields({name: solve(config.instance, grid)}, tmp_path)
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_run_info_records_the_platform_and_the_dump_workers(tmp_path, monkeypatch):
     # the versions and CPU count a byte-identity claim names, and the worker
-    # count of each dump; metrics.json holds none of them
+    # count of the one pass that formats every dump; metrics.json holds none
+    # of them
     config = parse_config({
         "experiment": "compare_wu",
         "instance": {"name": "minimax_gap"},
         "grid": {"box": [[-2, 2]], "nx": [21]},
         "output": {"directory": str(tmp_path / "out"), "formats": ["json", "csv"]},
     })
-    force_dump_workers(monkeypatch, 3)
+    forks = force_dump_workers(monkeypatch, 3)
     run(config)
+    assert len(forks) == 2  # W - 1 for the run, not per file
     info = json.loads((tmp_path / "out" / "run_info.json").read_text())
     platform = info["platform"]
     assert platform["python"] == "%d.%d.%d" % sys.version_info[:3]
@@ -228,13 +230,16 @@ def test_run_info_records_the_platform_and_the_dump_workers(tmp_path, monkeypatc
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert platform["blas"] == f"{blas['name']} {blas['version']}"
     assert platform["cpus"] == 3
-    assert info["dump_workers"] == {"field_lower.csv": 3, "field_upper.csv": 3}
+    assert info["dump_workers"] == 3
     metrics = (tmp_path / "out" / "metrics.json").read_text()
     assert "platform" not in metrics and "workers" not in metrics
     monkeypatch.undo()
     config = dataclasses.replace(config, output_dir=str(tmp_path / "again"))
     run(config)
     assert (tmp_path / "again" / "metrics.json").read_text() == metrics
+    config = dataclasses.replace(config, output_dir=str(tmp_path / "json"), formats=("json",))
+    run(config)
+    assert json.loads((tmp_path / "json" / "run_info.json").read_text())["dump_workers"] == 0
 
 
 def force_dump_workers(monkeypatch, cpus):
@@ -265,24 +270,25 @@ def dumps_at_each_worker_count(monkeypatch, field, directory):
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             forks = force_dump_workers(patch, cpus)
-            _dump_field(field, directory, "field.csv")
-        assert len(forks) == min(cpus, len(field.times)) - 1
+            workers = _dump_fields({"field.csv": field}, directory)
+        assert workers == min(cpus, len(field.times)) == len(forks) + 1
         dumps.append((directory / "field.csv").read_bytes())
     return dumps
 
 
-@pytest.mark.parametrize("box, nx, nt", [
-    pytest.param(((-1.0, 2.5),), (7,), 3, id="box0-nx0"),
-    pytest.param(((-1.0, 1.0), (0.1, 3.0)), (4, 5), 3, id="box1-nx1"),
-    pytest.param(((-1.0, 2.5),), (7,), 1, id="two-slices")])
-def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, box, nx, nt):
-    # reference: the np.savetxt layout the dump has always had
+def random_field(box, nx, nt, seed):
+    """A field on ``SpaceTimeGrid(box, nx, nt)`` of normal values with 0, -0, 1 and 1e-300 first."""
     grid = SpaceTimeGrid(box=box, nx=nx, nt=nt)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
     slices.flat[:4] = [0.0, -0.0, 1.0, 1e-300]
-    field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
-                       slices=slices, kind="lower")
+    return ValueField(grid=grid, times=np.linspace(0.0, 1.0, grid.nt + 1),
+                      slices=slices, kind="lower")
+
+
+def savetxt_reference(field, path):
+    """The bytes of ``field`` in the np.savetxt layout the dump has always had."""
+    grid, slices = field.grid, field.slices
     n = grid.ndim
     t_index, node = np.meshgrid(np.arange(grid.nt + 1), np.arange(slices[0].size),
                                 indexing="ij")
@@ -290,10 +296,37 @@ def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, box, nx
                             slices.ravel()])
     header = ",".join(["t_index", "flat_node_index"]
                       + [f"x_{i}" for i in range(n)] + ["value"])
-    np.savetxt(tmp_path / "reference.csv", data, fmt=["%d", "%d"] + ["%.17g"] * (n + 1),
+    np.savetxt(path, data, fmt=["%d", "%d"] + ["%.17g"] * (n + 1),
                delimiter=",", header=header, comments="")
-    reference = (tmp_path / "reference.csv").read_bytes()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("box, nx, nt", [
+    pytest.param(((-1.0, 2.5),), (7,), 3, id="box0-nx0"),
+    pytest.param(((-1.0, 1.0), (0.1, 3.0)), (4, 5), 3, id="box1-nx1"),
+    pytest.param(((-1.0, 2.5),), (7,), 1, id="two-slices")])
+def test_field_dump_matches_savetxt_byte_for_byte(tmp_path, monkeypatch, box, nx, nt):
+    field = random_field(box, nx, nt, 5)
+    reference = savetxt_reference(field, tmp_path / "reference.csv")
     assert dumps_at_each_worker_count(monkeypatch, field, tmp_path) == [reference] * 3
+
+
+def test_two_field_dumps_cut_across_the_files_match_savetxt(tmp_path, monkeypatch):
+    # 4 and 5 slices: on 2 CPUs the cut falls on the boundary, on 3 inside
+    # each file, with the middle run crossing from the first file into the second
+    fields = {"first.csv": random_field(((-1.0, 2.5),), (7,), 3, 5),
+              "second.csv": random_field(((-1.0, 1.0), (0.1, 3.0)), (4, 5), 4, 6)}
+    references = {name: savetxt_reference(field, tmp_path / f"reference-{name}")
+                  for name, field in fields.items()}
+    cuts = {cpus: [9 * w // cpus for w in range(1, cpus)] for cpus in (1, 2, 3)}
+    assert cuts == {1: [], 2: [4], 3: [3, 6]}
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forks = force_dump_workers(patch, cpus)
+            assert _dump_fields(fields, tmp_path) == cpus
+        assert len(forks) == cpus - 1
+        for name, reference in references.items():
+            assert (tmp_path / name).read_bytes() == reference
 
 
 @pytest.mark.parametrize("box, nx, nt", [
@@ -327,11 +360,13 @@ def test_field_dump_runs_are_sized_from_the_cpu_count(tmp_path, monkeypatch):
     grid = SpaceTimeGrid(box=((-1.0, 1.0),), nx=(5,), nt=9)
     field = ValueField(grid=grid, times=np.linspace(0.0, 1.0, 10),
                        slices=np.zeros((10, 5)), kind="lower")
-    _dump_field(field, tmp_path, "field.csv")
+    assert _dump_fields({"field.csv": field}, tmp_path) == 4
     assert len(forks) == 3  # min(4 CPUs, 10 slices, 50 // 10 values) = 4 runs
     forks.clear()
     monkeypatch.setattr(cli, "_WORKER_MIN_VALUES", 26)
-    _dump_field(field, tmp_path, "field.csv")
+    assert _dump_fields({"field.csv": field}, tmp_path) == 1
+    assert forks == []
+    assert _dump_fields({}, tmp_path) == 0
     assert forks == []
 
 
@@ -363,6 +398,48 @@ def test_failed_dump_exits_4_leaving_no_file_and_no_process(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert "field.csv" in err if failing == "worker" else "No space left" in err
     assert not (tmp_path / "out" / "field.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_pass_leaves_neither_field_dump(tmp_path, monkeypatch, capsys, failing):
+    # 3 runs over the lower and the upper field: the parent's covers only
+    # the lower one, and both workers cover the upper one; a worker failing
+    # there, or the parent failing to append the first part, removes both files
+    forks = force_dump_workers(monkeypatch, 3)
+    parent, upper = os.getpid(), []
+    real_dump, real_write, real_sendfile = cli._dump_fields, cli._write_slices, os.sendfile
+
+    def dump_fields(dumps, directory):
+        upper.append(dumps["field_upper.csv"].slices)
+        return real_dump(dumps, directory)
+
+    def write_slices(out, rows, templates, start, stop):
+        if os.getpid() != parent and np.shares_memory(rows, upper[0]):
+            raise ValueError("formatting failed")
+        real_write(out, rows, templates, start, stop)
+
+    def sendfile(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_dump_fields", dump_fields)
+    if failing == "worker":
+        monkeypatch.setattr(cli, "_write_slices", write_slices)
+    else:
+        monkeypatch.setattr(os, "sendfile", sendfile)
+    cfg = write_config(tmp_path, "compare.json", {
+        "experiment": "compare_wu",
+        "instance": {"name": "minimax_gap"},
+        "grid": {"box": [[-2, 2]], "nx": [21]},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json", "csv"]},
+    })
+    assert main(["run", cfg]) == 4
+    assert len(forks) == 2
+    err = capsys.readouterr().err
+    assert "field_upper.csv" in err if failing == "worker" else "No space left" in err
+    assert not (tmp_path / "out" / "field_lower.csv").exists()
+    assert not (tmp_path / "out" / "field_upper.csv").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
