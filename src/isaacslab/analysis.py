@@ -189,6 +189,15 @@ def value_comparison(lower, upper):
     return float(max(diff.max(), 0.0)), float(max(-diff.min(), 0.0))
 
 
+def _distinct(values):
+    """The distinct entries of a 1-D array in ascending order, as ``np.unique``
+    gives them, without the ``numpy.ma`` import that ``np.unique`` makes."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
                             instance=None):
     """Fit the time modulus ``max_x |w(t, x) - w(t + delta, x)| ~ C delta^e``.
@@ -206,7 +215,7 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
     if grid.ndim != 1:
         raise PreconditionError("time modulus fit is implemented for 1-D grids")
     ax = grid.axes()[0]
-    idx = np.unique(np.clip(np.searchsorted(ax, np.asarray(x_samples, dtype=float)),
+    idx = _distinct(np.clip(np.searchsorted(ax, np.asarray(x_samples, dtype=float)),
                             0, len(ax) - 1))
     dt = field.dt
     nt = len(field.times) - 1
@@ -230,7 +239,7 @@ def time_continuity_profile(field, x_samples, delta_schedule, t_window=None,
     if instance is not None and instance.coeffs.time_homogeneous:
         obstacle[:] = eval_obstacle(instance, 0.0, x_pts)
     elif instance is not None:
-        for k in np.unique(np.concatenate([ks + s for j, ks in pairs for s in (0, j)])):
+        for k in _distinct(np.concatenate([ks + s for j, ks in pairs for s in (0, j)])):
             obstacle[k] = eval_obstacle(instance, float(times[k]), x_pts)
 
     def modulus(values):

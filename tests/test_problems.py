@@ -49,17 +49,23 @@ def test_control_grid_duplicates_are_those_np_unique_counts(rng, dim):
 
 def test_building_parsing_and_a_penalization_import_no_numpy_ma():
     # np.unique imports numpy.ma, 10-19 ms of every fresh interpreter; building
-    # the builtins, parsing a config and a small penalization run must not
+    # the builtins, parsing a config, a small penalization run and a time
+    # modulus fit (of a time-dependent obstacle, whose slices it reads) must not
     code = """
 import sys
 from isaacslab import cli
+from isaacslab.analysis import lower_value, time_continuity_profile
 from isaacslab.config import parse_config
+from isaacslab.pde import SpaceTimeGrid
 from isaacslab.problems import BUILTIN_NAMES, builtin_instance
 for name in BUILTIN_NAMES:
     builtin_instance(name)
 config = parse_config({"experiment": "penalization", "instance": {"name": "american_put"},
                        "grid": {"box": [[20, 300]], "nx": [21]}, "schedules": {"m": [1, 4]}})
 cli._run_penalization(config, *cli._presolve(config))
+stop = builtin_instance("deterministic_stop")
+field = lower_value(stop, SpaceTimeGrid(box=((-1.0, 1.0),), nx=(11,), nt=40))
+time_continuity_profile(field, [0.0, 0.0, 0.5], (0.2, 0.1, 0.05), instance=stop)
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
