@@ -202,6 +202,10 @@ def _dump_fields(dumps, directory):
     outs, parts, children = [], [], []
     try:
         for path, *_ in files:
+            # a new file, not the old one truncated: ext4 starts writing a file
+            # truncated to 0 back to disk as it is closed, and a rerun into the
+            # same directory would wait for that write when truncating it again
+            path.unlink(missing_ok=True)
             outs.append(open(path, "w", encoding="utf-8"))
         with warnings.catch_warnings():
             # Python 3.12+ warns on forking beside numpy's BLAS threads;
