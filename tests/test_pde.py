@@ -520,42 +520,84 @@ def settled_then_filled(w, grid, terminal, faces, settle):
     return w
 
 
-def per_pair_sweep(which, inst, grid, penalties=None, times=None, fill="weight_table"):
+# the parts of per_pair_sweep built once per module for the sweeps that
+# name their case: {(case, t, fields): (tables, stencil)}, {(case, t): faces}
+# and {(case, which, penalties, faces of each table build): slices}, so
+# that a fill forcing the faces the weight table chooses reuses its sweep
+SWEEP_TABLES, SWEEP_FACES, SWEEPS = {}, {}, {}
+
+
+def cached(store, key, build):
+    """``build()``, kept in ``store`` under ``key`` unless ``key[0]``, the case, is None."""
+    if key[0] is None:
+        return build()
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def sweep_tables(case, inst, grid, t, fields, fill):
+    """The pair tables and stencil weights of :func:`per_pair_sweep` at
+    time ``t`` for ``fields`` fields, and its faces as ``fill`` names them.
+    The weight table's faces are read off one field's stencil: the other
+    fields repeat its rows, so they freeze no other face."""
+    def tables(fields):
+        def build():
+            pairs = pde._pair_tables(inst, t, np.concatenate([grid.interior_nodes()] * fields))
+            return pairs, pde._stencil_weights(pairs, grid.dx())
+
+        return cached(SWEEP_TABLES, (case, t, fields), build)
+
+    if fill != "weight_table":
+        faces = forced_faces(fill, grid.ndim)
+    else:
+        faces = cached(SWEEP_FACES, (case, t), lambda: frozen_faces(tables(1)[1], grid))
+    return (*tables(fields), [(bool(low), bool(high)) for low, high in faces])
+
+
+def per_pair_sweep(which, inst, grid, penalties=None, times=None, fill="weight_table",
+                   case=None):
     """Every slice of a sweep over ``times`` (the grid's uniform mesh by
     default) stepped by :func:`per_pair_step`, projected or penalized in
     closed form, one weight per field, and filled as ``fill`` names (one
-    of :data:`FACE_FILLS`) by :func:`settled_then_filled`."""
-    if times is None:
+    of :data:`FACE_FILLS`) by :func:`settled_then_filled`.  Its tables
+    come from :func:`sweep_tables`, and a sweep over the uniform mesh is
+    kept in :data:`SWEEPS`, when ``case`` is not None."""
+    uniform = times is None
+    if uniform:
         times, terminal = pde._times_and_terminal(inst, grid)
     else:
         terminal = eval_terminal(inst, grid.nodes()).reshape(grid.shape)
-    if penalties is not None:
-        terminal = np.broadcast_to(terminal, (len(penalties),) + grid.shape)
-        penalties = np.reshape(penalties, (-1,) + (1,) * grid.ndim)
-    interior = (Ellipsis,) + grid.interior()
     fields = 1 if penalties is None else len(penalties)
-    x_int = grid.interior_nodes()
-    x_rows = np.concatenate([x_int] * fields)
-    slices = [terminal]
-    for k in range(len(times) - 2, -1, -1):
-        t, dt = times[k], times[k + 1] - times[k]
-        if k == len(times) - 2 or not inst.coeffs.time_homogeneous:
-            tables = pde._pair_tables(inst, t, x_rows)
-            stencil = pde._stencil_weights(tables, grid.dx())
-            faces = (frozen_faces(stencil, grid) if fill == "weight_table"
-                     else forced_faces(fill, grid.ndim))
-        w = np.zeros(terminal.shape)
-        w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(), tables,
-                                    stencil).reshape(w[interior].shape)
-        h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
-        if penalties is None:
-            w = settled_then_filled(w, grid, terminal, faces, lambda w: np.maximum(w, h))
-        else:
-            c = penalties * dt
-            w = settled_then_filled(w, grid, terminal, faces,
-                                    lambda w: np.where(w < h, (w + c * h) / (1.0 + c), w))
-        slices.append(w)
-    return slices[::-1]
+    builds = range(len(times) - 2, len(times) - 3 if inst.coeffs.time_homogeneous else -1, -1)
+    tables = {k: sweep_tables(case, inst, grid, times[k], fields, fill) for k in builds}
+    faces = tuple(tuple(tables[k][2]) for k in builds)
+
+    def sweep():
+        weights = None if penalties is None else np.reshape(penalties, (-1,) + (1,) * grid.ndim)
+        top = terminal if penalties is None else np.broadcast_to(terminal, (fields,) + grid.shape)
+        interior = (Ellipsis,) + grid.interior()
+        x_rows = np.concatenate([grid.interior_nodes()] * fields)
+        slices = [top]
+        for k in range(len(times) - 2, -1, -1):
+            t, dt = times[k], times[k + 1] - times[k]
+            if k in tables:
+                pairs, stencil, filled = tables[k]
+            w = np.zeros(top.shape)
+            w[interior] = per_pair_step(which, inst, t, dt, slices[-1], x_rows, grid.dx(),
+                                        pairs, stencil).reshape(w[interior].shape)
+            h = eval_obstacle(inst, t, grid.nodes()).reshape(grid.shape)
+            if weights is None:
+                w = settled_then_filled(w, grid, top, filled, lambda w: np.maximum(w, h))
+            else:
+                c = weights * dt
+                w = settled_then_filled(w, grid, top, filled,
+                                        lambda w: np.where(w < h, (w + c * h) / (1.0 + c), w))
+            slices.append(w)
+        return slices[::-1]
+
+    key = None if penalties is None else tuple(penalties)
+    return cached(SWEEPS, (case if uniform else None, which, key, faces), sweep)
 
 
 def signed_correlation_game():
@@ -628,11 +670,11 @@ def test_stacked_step_is_the_per_pair_step_bit_for_bit(monkeypatch, case, fill):
         assert a01.min() < 0.0 < a01.max()
     for which in HAMILTONIANS:
         field = solve_obstacle_pde(which, inst, grid)
-        reference = per_pair_sweep(which, inst, grid, fill=fill)
+        reference = per_pair_sweep(which, inst, grid, fill=fill, case=case)
         for mine, reference in zip(field.slices, reference, strict=True):
             assert np.array_equal(mine, reference)
     schedule = [1.0, 8.0, 64.0]
-    reference = per_pair_sweep("lower", inst, grid, schedule, fill=fill)
+    reference = per_pair_sweep("lower", inst, grid, schedule, fill=fill, case=case)
     steps = 0
     for k, slices in sweep_penalized(inst, grid, schedule):
         assert np.array_equal(slices, reference[k])
@@ -1011,29 +1053,51 @@ def same_bits(one, other):
     return np.array_equal(one, other) and np.array_equal(np.signbit(one), np.signbit(other))
 
 
-def assert_same_solves(one, other, grid):
+# the solves of an instance that two families below declare alike, built
+# once per module: {(case, fill, grid): solves}
+SOLVES = {}
+
+
+def solves(inst, grid, case=None, fill=None):
+    """What :func:`assert_same_solves` compares, of one instance: per
+    Hamiltonian its field, its residual, its field stacks at three slices
+    and, in one dimension, its feedback paths; then its penalty sweep.
+    Kept in :data:`SOLVES` unless ``case`` is None."""
+    def build():
+        per_which = []
+        for which in HAMILTONIANS:
+            field = solve_obstacle_pde(which, inst, grid)
+            stacks = pde._field_stacks(field, inst)
+            paths = ([[getattr(bundle, name) for name in ("states", "u_path", "v_path")]
+                      for bundle in feedback_bundles(field, inst)] if grid.ndim == 1 else [])
+            per_which.append((field.slices, complementarity_residual(field, inst)[1],
+                              [stacks(float(field.times[k]), k)[2].copy()
+                               for k in (0, grid.nt // 2, grid.nt - 1)], paths))
+        schedule = [0.0, 4.0, 64.0]
+        return per_which, [(k, slices.copy())
+                           for k, slices in sweep_penalized(inst, grid, schedule)]
+
+    return cached(SOLVES, (case, fill, grid), build)
+
+
+def assert_same_solves(one, other, grid, case=None, fill=None):
     """Both instances give the same lower and upper fields, residuals, field
-    stacks and feedback paths, and the same penalty sweep, sign bits included."""
-    pair = (one, other)
-    for which in HAMILTONIANS:
-        fields = [solve_obstacle_pde(which, inst, grid) for inst in pair]
-        assert same_bits(fields[0].slices, fields[1].slices)
-        residuals = [complementarity_residual(f, inst)[1] for f, inst in zip(fields, pair)]
-        assert same_bits(*residuals)
-        stacks = [pde._field_stacks(f, inst) for f, inst in zip(fields, pair)]
-        for k in (0, grid.nt // 2, grid.nt - 1):
-            t = float(fields[0].times[k])
-            assert same_bits(stacks[0](t, k)[2], stacks[1](t, k)[2])
-        if grid.ndim == 1:
-            # feedback and best-response paths read the same stacks
-            bundles = [feedback_bundles(f, inst) for f, inst in zip(fields, pair)]
-            for first, second in zip(*bundles):
-                for name in ("states", "u_path", "v_path"):
-                    assert np.array_equal(getattr(first, name), getattr(second, name))
-    schedule = [0.0, 4.0, 64.0]
-    for (k, mine), (j, theirs) in zip(sweep_penalized(one, grid, schedule),
-                                      sweep_penalized(other, grid, schedule)):
-        assert k == j and same_bits(mine, theirs)
+    stacks and feedback paths, and the same penalty sweep, sign bits
+    included; ``one`` is the instance that ``case`` names, unchanged, or
+    ``case`` is None."""
+    (mine, my_sweep), (theirs, their_sweep) = solves(one, grid, case, fill), solves(other, grid)
+    for (field, residual, stacks, paths), (other_field, other_residual, other_stacks,
+                                          other_paths) in zip(mine, theirs):
+        assert same_bits(field, other_field)
+        assert same_bits(residual, other_residual)
+        for stack, other_stack in zip(stacks, other_stacks):
+            assert same_bits(stack, other_stack)
+        # feedback and best-response paths read the same stacks
+        for bundle, other_bundle in zip(paths, other_paths):
+            for path, other_path in zip(bundle, other_bundle):
+                assert np.array_equal(path, other_path)
+    for (k, slices), (j, other_slices) in zip(my_sweep, their_sweep):
+        assert k == j and same_bits(slices, other_slices)
 
 
 @pytest.mark.parametrize("fill", FACE_FILLS)
@@ -1045,8 +1109,9 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(monkeypat
     # obstacle that reads t (correlated_2d's and deterministic_stop's) is
     # held at t = 0 to declare it
     force_fill(monkeypatch, fill)
+    shared = case
     if case == "correlated_2d":
-        declared = declare_homogeneous(frozen_obstacle(correlated_game()))
+        declared, shared = declare_homogeneous(frozen_obstacle(correlated_game())), None
         grid = sized(declared, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
     elif case == "correlated_2d_free":
         declared, box, nx = STACKED_CASES[case]()
@@ -1054,12 +1119,12 @@ def test_time_homogeneous_solves_match_per_step_evaluation_bit_for_bit(monkeypat
     else:
         declared = builtin_instance(case)
         if not declared.coeffs.time_homogeneous:
-            declared = declare_homogeneous(frozen_obstacle(declared))
+            declared, shared = declare_homogeneous(frozen_obstacle(declared)), None
         box = ((20.0, 300.0),) if case == "american_put" else ((-2.0, 2.0),)
         grid = sized(declared, box, (41,))
     per_step = declare_homogeneous(declared, False)
     assert declared.coeffs.time_homogeneous
-    assert_same_solves(declared, per_step, grid)
+    assert_same_solves(declared, per_step, grid, shared, fill)
 
 
 @pytest.mark.parametrize("name, homogeneous", [
@@ -1107,7 +1172,7 @@ def test_declared_cost_rate_arguments_change_no_bit(monkeypatch, case, fill):
     else:
         declared, box, nx = STACKED_CASES[case]()
     grid = sized(declared, box, nx)
-    assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid)
+    assert_same_solves(declared, declare_reads(declared, COST_RATE_ARGUMENTS), grid, case, fill)
 
 
 @pytest.mark.parametrize("fill", FACE_FILLS)
