@@ -179,29 +179,30 @@ def _dump_fields(dumps, directory):
     on any failure the children are killed and reaped and every file this
     call opened is removed.  Returns W, 0 when ``dumps`` is empty.
     """
-    files = []
+    paths, headers, slices = [], [], []
     for name, field in dumps.items():
-        header = ",".join(["t_index", "flat_node_index"]
-                          + [f"x_{i}" for i in range(field.grid.ndim)] + ["value"])
-        templates = ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
-                     for j, coords in enumerate(field.grid.nodes().tolist())]
-        files.append((Path(directory) / name, header, templates,
-                      field.slices.reshape(len(field.times), -1)))
-    if not files:
+        paths.append(Path(directory) / name)
+        headers.append(",".join(["t_index", "flat_node_index"]
+                                + [f"x_{i}" for i in range(field.grid.ndim)] + ["value"]))
+        # per file, the rows _write_slices formats and its node templates
+        slices.append((field.slices.reshape(len(field.times), -1),
+                       ["".join([f",{j}"] + [f",{c:.17g}" for c in coords] + [",%.17g\n"])
+                        for j, coords in enumerate(field.grid.nodes().tolist())]))
+    if not paths:
         return 0
-    counts = [len(rows) for *_, rows in files]
-    total, values = sum(counts), sum(rows.size for *_, rows in files)
+    counts = [len(rows) for rows, _ in slices]
+    total, values = sum(counts), sum(rows.size for rows, _ in slices)
     workers = max(1, min(_usable_cpus(), total, values // _WORKER_MIN_VALUES))
     bounds = [total * w // workers for w in range(workers + 1)]
     # each run as (file index, first slice, stop slice) pieces, in file order
-    firsts = [sum(counts[:f]) for f in range(len(files))]
+    firsts = [sum(counts[:f]) for f in range(len(paths))]
     runs = [[(f, max(lo - first, 0), min(hi - first, count))
              for f, (first, count) in enumerate(zip(firsts, counts))
              if first < hi and lo < first + count]
             for lo, hi in zip(bounds, bounds[1:])]
     outs, parts, children = [], [], []
     try:
-        for path, *_ in files:
+        for path in paths:
             # a new file, not the old one truncated: ext4 starts writing a file
             # truncated to 0 back to disk as it is closed, and a rerun into the
             # same directory would wait for that write when truncating it again
@@ -221,16 +222,16 @@ def _dump_fields(dumps, directory):
                     code = 1
                     try:
                         for (f, start, stop), (_, part) in zip(run, parts[-1]):
-                            _write_slices(part, files[f][3], files[f][2], start, stop)
+                            _write_slices(part, *slices[f], start, stop)
                             part.flush()
                         code = 0
                     finally:
                         os._exit(code)
                 children.append(pid)
-        for (_, header, *_), out in zip(files, outs):
+        for header, out in zip(headers, outs):
             out.write(header + "\n")
         for f, start, stop in runs[0]:
-            _write_slices(outs[f], files[f][3], files[f][2], start, stop)
+            _write_slices(outs[f], *slices[f], start, stop)
         for out in outs:
             out.flush()
         for pid, run in zip(list(children), parts):
@@ -238,7 +239,7 @@ def _dump_fields(dumps, directory):
             children.remove(pid)
             if status:
                 raise OSError("a worker formatting "
-                              + ", ".join(str(files[f][0]) for f, _ in run) + " failed")
+                              + ", ".join(str(paths[f]) for f, _ in run) + " failed")
             for f, part in run:
                 size, sent = os.fstat(part.fileno()).st_size, 0
                 while sent < size:
@@ -250,7 +251,7 @@ def _dump_fields(dumps, directory):
 
         for pid in children:
             os.kill(pid, signal.SIGKILL)
-        for path, *_ in files[:len(outs)]:
+        for path in paths[:len(outs)]:
             path.unlink(missing_ok=True)
         raise
     finally:

@@ -277,7 +277,7 @@ def dumps_at_each_worker_count(monkeypatch, field, directory):
 
 
 def random_field(box, nx, nt, seed):
-    """A field on ``SpaceTimeGrid(box, nx, nt)`` of normal values with 0, -0, 1 and 1e-300 first."""
+    """A field on ``SpaceTimeGrid(box, nx, nt)`` of normal values, 0, -0, 1 and 1e-300 first."""
     grid = SpaceTimeGrid(box=box, nx=nx, nt=nt)
     rng = np.random.default_rng(seed)
     slices = rng.normal(scale=1e3, size=(grid.nt + 1,) + grid.shape)
