@@ -186,7 +186,9 @@ def value_comparison(lower, upper):
     if lower.grid != upper.grid or len(lower.times) != len(upper.times):
         raise PreconditionError("fields must share one grid")
     diff = lower.slices - upper.slices
-    return float(max(diff.max(), 0.0)), float(max(-diff.min(), 0.0))
+    # max keeps the first of equal arguments, so 0.0 first: -diff.min() is -0.0
+    # where the fields agree
+    return float(max(0.0, diff.max())), float(max(0.0, -diff.min()))
 
 
 def _distinct(values):

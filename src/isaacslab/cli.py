@@ -126,15 +126,6 @@ def _presolve(config):
     return grids, None
 
 
-def _probe_initial(field, x_probe):
-    x_probe = np.atleast_1d(np.asarray(x_probe, dtype=float))
-    if field.grid.ndim == 1:
-        return float(field.interp(0, x_probe[0]))
-    nodes = field.grid.nodes()
-    j = int(np.argmin(np.linalg.norm(nodes - x_probe, axis=1)))
-    return float(field.slices[0].ravel()[j])
-
-
 # Fewest values a forked worker formats: forking and reaping one costs about
 # 3.5 ms for a 48 MB process, the time to format about 5 000 values.
 _WORKER_MIN_VALUES = 5000
@@ -273,8 +264,8 @@ def _run_solve(config, grids, _):
     metrics = {
         "which": which,
         "nt": grid.nt,
-        "value_t0_probe": _probe_initial(field, probe),
-        "probe_x": probe[0] if grid.ndim == 1 else probe,
+        "value_t0_probe": float(field.interp(0, probe[0])),
+        "probe_x": probe[0],
         "initial_min": float(field.slices[0].min()),
         "initial_max": float(field.slices[0].max()),
     }
@@ -324,7 +315,7 @@ def _run_american_oracle(config, grids, binomial):
     errors, nxs, value = [], [], None
     for grid in grids:
         field = solve_obstacle_pde("lower", config.instance, grid)
-        value = _probe_initial(field, probe_x)
+        value = float(field.interp(0, probe_x))
         nxs.append(grid.nx[0])
         errors.append(abs(value - reference) / abs(reference))
     metrics = {"binomial_value": reference, "binomial_steps": steps,

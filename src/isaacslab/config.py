@@ -245,8 +245,8 @@ def parse_config(raw):
                     "expected one coordinate per grid dimension")
         else:
             probe = float(_number(probe, "options.probe_x"))
-        # the probe is read off the solved field, which np.interp clamps and a
-        # 2-D lookup snaps to its nearest node: outside the box that is a face
+        # the probe is read off the solved field, which np.interp clamps:
+        # outside the box that is a face
         coords = np.broadcast_to(probe, (grid.ndim,))
         _expect(all(lo <= c <= hi for c, (lo, hi) in zip(coords, grid.box)),
                 "options.probe_x", f"the probe {probe!r} lies outside grid.box "

@@ -320,12 +320,7 @@ def _windows(store, ndim):
 
 
 def _minimax(which, pair_values):
-    """Reduce an (nu, nv, rows) stack of generator values to (rows,).
-
-    With one control pair both orders return its row, a view of the stack.
-    """
-    if pair_values.shape[:2] == (1, 1):
-        return pair_values[0, 0]
+    """Reduce an (nu, nv, rows) stack of generator values to (rows,)."""
     if which == "lower":
         return pair_values.min(axis=1).max(axis=0)
     return pair_values.max(axis=0).min(axis=0)

@@ -39,6 +39,16 @@ def test_singleton_controls_make_both_values_identical():
     assert value_comparison(low, up) == (0.0, 0.0)
 
 
+def test_equal_fields_compare_with_clear_sign_bits():
+    # 0.0 == -0.0, so the equality above passes either way; the JSON of a
+    # compare_wu run prints the sign
+    inst = builtin_instance("american_put")
+    field = lower_value(inst, sized(inst, ((20.0, 300.0),), (41,)))
+    comparison = value_comparison(field, field)
+    assert comparison == (0.0, 0.0)
+    assert not np.signbit(comparison).any()
+
+
 def test_minimax_gap_orders_the_values_with_strict_gap():
     inst = builtin_instance("minimax_gap")
     grid = sized(inst, ((-2.0, 2.0),), (41,))

@@ -4,18 +4,20 @@
 
 checks out BASE and HEAD (default ``HEAD``) into temporary ``git
 worktree``s, runs the battery below against each checkout's own
-``src/isaacslab`` in a fresh interpreter, and prints one line per array
-that differs: its shape, how many entries differ in their bits, the
-largest absolute difference and the largest distance in units in the last
-place (ulps).  Exits 0 when every array is equal bit for bit, 1 when one
-differs or exists on one side only, and 2 when a side fails to run.
+``src/isaacslab`` in a fresh interpreter, and prints a JSON summary line,
+then one line per array that differs: its shape, how many entries differ
+in their bits, the largest absolute difference and the largest distance
+in units in the last place (ulps).  Exits 0 when every array is equal bit
+for bit, 1 when one differs or exists on one side only, and 2 when a side
+fails to run.  CI's drift step runs it against a pull request's base
+commit and turns each line after the summary into a warning.
 
     python tools/identity.py --digest OUT.npz
 
 runs the battery against the importable ``isaacslab`` and saves its arrays
 to ``OUT.npz``; the first form runs it in each checkout, with the
 checkout as the working directory, so each side reads its own
-``configs/``.
+``configs/`` and ``perfbench/workloads.py``.
 
 The battery:
 
@@ -28,27 +30,48 @@ The battery:
 - paths driven by the feedback pair of two 1-D fields;
 - a seeded path bundle with the (Y, Z, K) of its reflected and penalized
   solves;
-- every shipped config's ``metrics.json``, ``field*.csv`` and ``table.*``,
-  and the output of ``isaacslab validate`` on it, as bytes.
+- every shipped config's ``metrics.json``, ``field*.csv`` and ``table.*``
+  as bytes, with ``config_digest`` apart from the other metrics, and the
+  output of ``isaacslab validate`` on it;
+- the ``validate`` output of a ``compare_wu`` config on ``minimax_gap``
+  with 21 x 21 control points, more pairs than any shipped config has;
+- job 0 (seed 1) of the benchmark's ``PenaltySweep`` and
+  ``MinimaxFields`` workloads, whose outputs are recorded as a config's
+  are, and of ``PathsReflected``, recorded as Y and Z at time 0, K at the
+  horizon and the value.
 
-One side takes about a second on a 2-vCPU Xeon.
+A shipped config or a workload job that fails to parse or run is
+recorded as ``<entry>/error``, the exception's type and message, in place
+of its arrays, and the rest of the battery still runs.
+
+One side takes about 1.3 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 # the builtins' boxes; every other builtin runs on [-2, 2]
 BOXES = {"american_put": ((20.0, 300.0),)}
+# the 441 control pairs that CI's config smoke validates and no shipped config reaches
+_POINTS = [[k / 10 - 1] for k in range(21)]
+MANY_PAIRS = {"experiment": "compare_wu",
+              "instance": {"name": "minimax_gap",
+                           "params": {"u_points": _POINTS, "v_points": _POINTS}},
+              "grid": {"box": [[-2, 2]], "nx": [41]}}
+# the benchmark's workloads whose job 0 the battery runs
+WORKLOADS = ("PenaltySweep", "MinimaxFields", "PathsReflected")
 
 
 def _correlated_game(isaacslab):
@@ -131,23 +154,86 @@ def _path_arrays(isaacslab, out):
             out[f"paths/{name}/{part}"] = getattr(solution, part)
 
 
-def _config_arrays(out, workdir):
+def _bytes(text):
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def _recorded(out, prefix, produce, *args):
+    """Add the arrays that ``produce(got, *args)`` records into ``got`` to
+    ``out`` or, when it raises, only ``<prefix>/error``, the exception's type
+    and message, so that one failing entry hides no other entry's arrays;
+    the traceback goes to stderr."""
+    got = {}
+    try:
+        produce(got, *args)
+    except Exception as exc:
+        traceback.print_exc()
+        got = {f"{prefix}/error": _bytes(f"{type(exc).__name__}: {exc}")}
+    out.update(got)
+
+
+def _run_outputs(got, prefix, directory):
+    """A run's ``metrics.json`` as its metrics and its ``config_digest`` apart,
+    so that a digest that alone differs reads as one line, and its
+    ``field*.csv`` and ``table.*``, as bytes."""
+    for written in sorted(directory.iterdir()):
+        if written.name == "metrics.json":
+            metrics = json.loads(written.read_text())
+            got[f"{prefix}/config_digest"] = _bytes(metrics.pop("config_digest"))
+            got[f"{prefix}/metrics"] = _bytes(json.dumps(metrics))
+        elif written.name.startswith(("field", "table.")):
+            got[f"{prefix}/{written.name}"] = np.frombuffer(written.read_bytes(), dtype=np.uint8)
+
+
+def _config_run(got, path, directory):
     from isaacslab import cli
     from isaacslab.config import parse_config, read_config
 
+    raw = read_config(str(path))
+    raw["output"] = {**raw.get("output", {}), "directory": str(directory)}
+    cli.run(parse_config(raw))
+    _run_outputs(got, f"config/{path.stem}", directory)
+
+
+def _validate_report(path):
+    from isaacslab import cli
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(["validate", str(path)])
+    return _bytes(f"{code}\n{printed.getvalue()}")
+
+
+def _config_arrays(out, workdir):
     for path in sorted(Path("configs").glob("*.json")):
-        raw = read_config(str(path))
-        raw["output"] = {**raw.get("output", {}), "directory": str(workdir / path.stem)}
-        cli.run(parse_config(raw))
-        for written in sorted((workdir / path.stem).iterdir()):
-            if written.name == "metrics.json" or written.name.startswith(("field", "table.")):
-                out[f"config/{path.stem}/{written.name}"] = np.frombuffer(
-                    written.read_bytes(), dtype=np.uint8)
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            code = cli.main(["validate", str(path)])
-        out[f"validate/{path.stem}"] = np.frombuffer(
-            f"{code}\n{printed.getvalue()}".encode(), dtype=np.uint8)
+        _recorded(out, f"config/{path.stem}", _config_run, path, workdir / path.stem)
+        out[f"validate/{path.stem}"] = _validate_report(path)
+    many_pairs = workdir / "many_pairs.json"
+    many_pairs.write_text(json.dumps(MANY_PAIRS))
+    out["validate/many_pairs"] = _validate_report(many_pairs)
+
+
+def _call(name, fn, *args):
+    return fn(*args)
+
+
+def _workload_job(got, name, directory):
+    """Job 0 (seed 1) of the workload class ``name`` of this checkout's
+    ``perfbench/workloads.py``, so that its inputs are written down there only."""
+    from isaacslab.config import parse_config
+
+    spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = getattr(workloads, name)(1, directory)
+    workload.setup(parse_config)
+    result = workload.job(0, _call)
+    if name == "PathsReflected":
+        for part, column in (("Y", result.Y[:, 0]), ("Z", result.Z[:, 0]), ("K", result.K[:, -1])):
+            got[f"workload/{name}/{part}"] = column
+        got[f"workload/{name}/value"] = np.array([result.value()])
+    else:
+        _run_outputs(got, f"workload/{name}", directory)
 
 
 def digest(target):
@@ -159,6 +245,8 @@ def digest(target):
     _path_arrays(isaacslab, out)
     with tempfile.TemporaryDirectory() as workdir:
         _config_arrays(out, Path(workdir))
+        for name in WORKLOADS:
+            _recorded(out, f"workload/{name}", _workload_job, name, Path(workdir) / name)
     np.savez(target, **{key: np.ascontiguousarray(value) for key, value in out.items()})
 
 
