@@ -261,7 +261,8 @@ def parse_config(raw):
     given["output"]["formats"] = list(formats)  # not the table's default list
 
     return ExperimentConfig(
-        experiment=experiment, instance_name=name, instance_params=dict(params),
+        experiment=experiment, instance_name=name,
+        instance_params=dict(given["instance"]["params"]),
         instance=instance, grid=grid, grid_nt_auto=grid_nt_auto, mc=mc,
         m_schedule=m_schedule, delta_fractions=schedules.get("delta"),
         nx_schedule=schedules.get("nx"), options=options, output_dir=output_dir,

@@ -51,6 +51,17 @@ def test_unknown_config_key_is_named():
     assert "instance.bogus" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.stem)
+def test_instance_params_are_the_echoed_resolved_params(path):
+    config = load_config(str(path))
+    assert config.instance_params == config.canonical["instance"]["params"]
+    # what the benchmark's set-up builds from them
+    instance = problems.builtin_instance(config.instance_name, config.instance_params)
+    assert instance.label == config.instance_name
+
+
 def test_mc_section_requires_seed():
     with pytest.raises(ConfigError) as err:
         parse_config({"experiment": "rbsde_oracle",

@@ -1,10 +1,14 @@
-"""tools/identity.py: the array comparison and the battery's per-config records."""
+"""tools/identity.py: the array comparison, the battery's per-config records and its inputs."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+
+from isaacslab import cli
+from isaacslab.pde import cfl_required_nt
+from isaacslab.problems import builtin_instance
 
 _SPEC = importlib.util.spec_from_file_location(
     "identity", Path(__file__).resolve().parents[1] / "tools" / "identity.py")
@@ -36,6 +40,16 @@ def test_keys_on_one_side_only_are_named():
     one = np.zeros(2)
     assert identity.differences({"kept": one, "gone": one}, {"kept": one, "new": one}) == [
         "gone: only at base", "new: only at head"]
+
+
+def test_error_lines_give_the_recorded_message():
+    one, other = identity._bytes("ConfigError: one"), identity._bytes("ValueError: other\nline")
+    assert identity.differences({"a/error": one}, {"b/error": other, "c": one}) == [
+        "a/error: only at base: ConfigError: one", "b/error: only at head: ValueError: other line",
+        "c: only at head"]
+    assert identity.differences({"a/error": one}, {"a/error": other}) == [
+        'a/error: "ConfigError: one" at base, "ValueError: other line" at head']
+    assert identity.differences({"a/error": one}, {"a/error": one.copy()}) == []
 
 
 def test_shape_and_dtype_changes_are_named():
@@ -70,3 +84,31 @@ def test_a_config_that_fails_to_parse_is_recorded_as_an_error(tmp_path, monkeypa
     assert len(out["config/good/config_digest"]) == 64
     assert bytes(out["validate/good"]).startswith(b"0\n")
     assert bytes(out["validate/many_pairs"]).startswith(b"0\n")
+
+
+def test_a_validate_report_records_the_error_message(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "no_such"}))
+    report = bytes(identity._validate_report(bad)).decode()
+    assert report.startswith("2\nerror: config error at 'experiment': must be one of ")
+
+
+def test_a_passing_validate_report_holds_stdout_only(tmp_path, capsys):
+    many_pairs = tmp_path / "many_pairs.json"
+    many_pairs.write_text(json.dumps(identity.MANY_PAIRS))
+    report = bytes(identity._validate_report(many_pairs)).decode()
+    assert cli.main(["validate", str(many_pairs)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and report == f"0\n{printed.out}"
+
+
+def test_the_battery_inputs_build():
+    # the battery's 2-D game and grid sizing come from tests/conftest.py, so a
+    # rename there would otherwise show only as a side that fails to run
+    fixtures = identity._fixtures()
+    game = fixtures.correlated_game()
+    assert (game.n, game.d, len(game.u_grid), len(game.v_grid)) == (2, 2, 2, 2)
+    grid = fixtures.sized(game, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))
+    assert grid.nx == (13, 11) and grid.nt == cfl_required_nt(game, grid) > 1
+    instance = builtin_instance("minimax_gap", identity.MANY_PAIRS["instance"]["params"])
+    assert (len(instance.u_grid), len(instance.v_grid)) == (21, 21)

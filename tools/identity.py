@@ -17,14 +17,16 @@ commit and turns each line after the summary into a warning.
 runs the battery against the importable ``isaacslab`` and saves its arrays
 to ``OUT.npz``; the first form runs it in each checkout, with the
 checkout as the working directory, so each side reads its own
-``configs/`` and ``perfbench/workloads.py``.
+``configs/`` and ``perfbench/workloads.py``.  The 2-D game and the grid
+sizing come from ``correlated_game`` and ``sized`` of the
+``tests/conftest.py`` beside this tool, so both sides build them alike.
 
 The battery:
 
 - every builtin's lower and upper fields, and their complementarity
   residuals per slice;
-- penalized sweeps of ``american_put`` and of a 2-D correlated game, and
-  a ``penalization_convergence`` table;
+- penalized sweeps of ``american_put`` and of the 2-D correlated game,
+  and a ``penalization_convergence`` table;
 - the 2-D correlated game's lower and upper fields;
 - a dynamic-programming residual and a time-continuity fit;
 - paths driven by the feedback pair of two 1-D fields;
@@ -32,7 +34,7 @@ The battery:
   solves;
 - every shipped config's ``metrics.json``, ``field*.csv`` and ``table.*``
   as bytes, with ``config_digest`` apart from the other metrics, and the
-  output of ``isaacslab validate`` on it;
+  output of ``isaacslab validate`` on it, stdout and stderr;
 - the ``validate`` output of a ``compare_wu`` config on ``minimax_gap``
   with 21 x 21 control points, more pairs than any shipped config has;
 - job 0 (seed 1) of the benchmark's ``PenaltySweep`` and
@@ -42,9 +44,11 @@ The battery:
 
 A shipped config or a workload job that fails to parse or run is
 recorded as ``<entry>/error``, the exception's type and message, in place
-of its arrays, and the rest of the battery still runs.
+of its arrays, and the rest of the battery still runs; the report's line
+for such a key gives the message.
 
-One side takes about 1.3 s on a 2-vCPU Xeon.
+One side takes about 1.5 s and 194 MB on a 2-vCPU Xeon; loading
+``tests/conftest.py`` imports pytest, about 0.1 s of it.
 """
 
 from __future__ import annotations
@@ -74,35 +78,28 @@ MANY_PAIRS = {"experiment": "compare_wu",
 WORKLOADS = ("PenaltySweep", "MinimaxFields", "PathsReflected")
 
 
-def _correlated_game(isaacslab):
-    """A 2-D game with a mixed diffusion term, 2 x 2 controls and a cost rate that reads y and z."""
-    root = np.array([[0.8, 0.0], [0.4, 0.6]])
-    coeffs = isaacslab.Coefficients(
-        b=lambda t, x, u, v: np.stack([3.0 * u[:, 0] * x[:, 0], -2.0 * x[:, 1]], axis=1),
-        sigma=lambda t, x, u, v: np.broadcast_to(root, x.shape + (2,)).copy(),
-        f=lambda t, x, y, z, u, v: (-0.1 * y + 0.2 * v[:, 0] * z[:, 0]
-                                    - 0.05 * np.abs(z[:, 1]) + u[:, 0] * v[:, 0]),
-        phi=lambda x: np.maximum(1.0 - np.abs(x[:, 0]) - 0.5 * np.abs(x[:, 1]), 0.0),
-        h=lambda t, x: 0.5 * np.maximum(0.8 - np.abs(x[:, 0] + x[:, 1]), 0.0) - 0.1 * t,
-        declared_lipschitz=1.0, declared_growth=20.0)
-    return isaacslab.GameInstance(
-        n=2, d=2, T=0.5, coeffs=coeffs, label="correlated",
-        u_grid=isaacslab.ControlGrid(np.array([[-1.0], [1.0]]), "u"),
-        v_grid=isaacslab.ControlGrid(np.array([[-1.0], [0.5]]), "v"))
+def _module(name, path):
+    """The module at ``path``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _sized(isaacslab, instance, box, nx):
-    grid = isaacslab.SpaceTimeGrid(box=box, nx=nx, nt=1)
-    return isaacslab.SpaceTimeGrid(box=box, nx=nx, nt=isaacslab.cfl_required_nt(instance, grid))
+def _fixtures():
+    """The ``tests/conftest.py`` of this tool's checkout, whose ``correlated_game``
+    and ``sized`` build the battery's 2-D game and grids."""
+    return _module("conftest", Path(__file__).resolve().parents[1] / "tests" / "conftest.py")
 
 
 def _grid_arrays(isaacslab, out):
     from isaacslab import pde
     from isaacslab.sde import TimeMesh
 
+    fixtures = _fixtures()
     for name in isaacslab.BUILTIN_NAMES:
         inst = isaacslab.builtin_instance(name)
-        grid = _sized(isaacslab, inst, BOXES.get(name, ((-2.0, 2.0),)), (41,))
+        grid = fixtures.sized(inst, BOXES.get(name, ((-2.0, 2.0),)), (41,))
         for which in ("lower", "upper"):
             field = isaacslab.solve_obstacle_pde(which, inst, grid)
             out[f"field/{name}/{which}"] = field.slices
@@ -123,10 +120,10 @@ def _grid_arrays(isaacslab, out):
             table = isaacslab.penalization_convergence(inst, grid, [1.0, 4.0, 16.0, 64.0])
             out["penalization/american_put"] = np.array(
                 [*table.sup_gaps, table.max_monotone_violation])
-    correlated = _correlated_game(isaacslab)
-    grids = {"american_put": _sized(isaacslab, isaacslab.builtin_instance("american_put"),
-                                    BOXES["american_put"], (57,)),
-             "correlated": _sized(isaacslab, correlated, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))}
+    correlated = fixtures.correlated_game()
+    grids = {"american_put": fixtures.sized(isaacslab.builtin_instance("american_put"),
+                                            BOXES["american_put"], (57,)),
+             "correlated": fixtures.sized(correlated, ((-2.0, 2.0), (-2.0, 2.0)), (13, 11))}
     for which in ("lower", "upper"):
         out[f"field/correlated/{which}"] = isaacslab.solve_obstacle_pde(
             which, correlated, grids["correlated"]).slices
@@ -199,7 +196,7 @@ def _validate_report(path):
     from isaacslab import cli
 
     printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         code = cli.main(["validate", str(path)])
     return _bytes(f"{code}\n{printed.getvalue()}")
 
@@ -222,10 +219,7 @@ def _workload_job(got, name, directory):
     ``perfbench/workloads.py``, so that its inputs are written down there only."""
     from isaacslab.config import parse_config
 
-    spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    workload = getattr(workloads, name)(1, directory)
+    workload = getattr(_module("workloads", "perfbench/workloads.py"), name)(1, directory)
     workload.setup(parse_config)
     result = workload.job(0, _call)
     if name == "PathsReflected":
@@ -257,14 +251,26 @@ def _ordered(bits):
     return np.where(bits < 0, -(2 ** 63) - bits, bits)
 
 
+def _message(array):
+    """The recorded message of an ``<entry>/error`` array, on one line."""
+    return " ".join(bytes(array).decode(errors="replace").splitlines())
+
+
 def differences(base, head):
-    """One line per array of ``base`` and ``head`` (dicts of arrays) that is not bit for bit equal."""
+    """One line per array of ``base`` and ``head`` (dicts of arrays) that is not
+    bit for bit equal; an ``<entry>/error`` line also gives the recorded message."""
     lines = []
     for key in sorted(set(base) | set(head)):
+        error = key.endswith("/error")
         if key not in base or key not in head:
-            lines.append(f"{key}: only at {'head' if key in head else 'base'}")
+            side, array = ("head", head[key]) if key in head else ("base", base[key])
+            lines.append(f"{key}: only at {side}" + (f": {_message(array)}" if error else ""))
             continue
         one, other = base[key], head[key]
+        if error:
+            if not np.array_equal(one, other):
+                lines.append(f'{key}: "{_message(one)}" at base, "{_message(other)}" at head')
+            continue
         if one.shape != other.shape or one.dtype != other.dtype:
             lines.append(f"{key}: {one.dtype}{one.shape} at base, {other.dtype}{other.shape} "
                          f"at head")
